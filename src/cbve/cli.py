@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 configuration error, 3 admissibility failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import math
 import os
@@ -72,12 +73,8 @@ def _write(args, lines) -> None:
 
 def _load(args) -> RunConfig:
     cfg = load_config(args.config)
-    refine = getattr(args, "refine", 1) or 1
-    if refine > 1:
-        if cfg.kind == "environment":
-            cfg = RunConfig("environment", environment=cfg.environment.refined(refine))
-        else:
-            cfg = RunConfig("special_form", special_form=cfg.special_form.refined(refine))
+    if args.refine > 1:
+        cfg = dataclasses.replace(cfg, **{cfg.kind: cfg.model.refined(args.refine)})
     return cfg
 
 
@@ -109,6 +106,13 @@ def cmd_validate(args) -> int:
     return 0 if report.ok else 3
 
 
+def _write_nodes(args, header: str, nodes, values) -> None:
+    lines = [header]
+    for k in range(values.shape[0]):
+        lines.append(f"{nodes[k]:.17g},{values[k, 0]:.17g},{values[k, 1]:.17g}")
+    _write(args, lines)
+
+
 def cmd_solve(args) -> int:
     cfg = _load(args)
     t = _terminal(cfg, args)
@@ -117,11 +121,7 @@ def cmd_solve(args) -> int:
         sol = solve_general(cfg.environment, t, lam)
     else:
         sol = solve_special_picard(cfg.special_form, t, lam)
-    lines = ["r,v1,v2"]
-    nodes = cfg.grid.nodes
-    for k in range(sol.v.shape[0]):
-        lines.append(f"{nodes[k]:.17g},{sol.v[k, 0]:.17g},{sol.v[k, 1]:.17g}")
-    _write(args, lines)
+    _write_nodes(args, "r,v1,v2", cfg.grid.nodes, sol.v)
     return 0
 
 
@@ -129,13 +129,8 @@ def cmd_moments(args) -> int:
     cfg = _load(args)
     env = _as_environment(cfg)
     t = _terminal(cfg, args)
-    lam = args.lam or (1.0, 1.0)
-    sol = solve_moment(env, t, lam)
-    lines = ["r,pi1,pi2"]
-    nodes = cfg.grid.nodes
-    for k in range(sol.pi.shape[0]):
-        lines.append(f"{nodes[k]:.17g},{sol.pi[k, 0]:.17g},{sol.pi[k, 1]:.17g}")
-    _write(args, lines)
+    sol = solve_moment(env, t, args.lam or (1.0, 1.0))
+    _write_nodes(args, "r,pi1,pi2", cfg.grid.nodes, sol.pi)
     return 0
 
 

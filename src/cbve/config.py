@@ -23,10 +23,14 @@ from .measures import JumpMeasure, StieltjesMeasure, TimeGrid
 
 __all__ = ["RunConfig", "parse_config", "load_config", "emit_config"]
 
-_ENV_SCALARS = ("b11", "b22", "b12", "b21", "c1", "c2")
-_ENV_JUMPS = ("m1", "m2")
-_SF_SCALARS = ("gamma11", "gamma22", "gamma12", "gamma21")
-_SF_JUMPS = ("mu1", "mu2")
+_MODELS = {"environment": Environment, "special_form": SpecialForm}
+
+#: the config lists of a scalar or jump measure with the shape of each entry;
+#: every entry but the last names a time
+_PARTS = {
+    "scalar": (("density", ("t0", "t1", "value")), ("atoms", ("time", "mass"))),
+    "jump": (("kernel", ("t0", "t1", "points")), ("atoms", ("time", "points"))),
+}
 
 
 @dataclass(frozen=True)
@@ -64,41 +68,52 @@ def _float(field: str, value) -> float:
     return out
 
 
-def _segment_times(data: dict, keys_scalar, keys_jump, horizon: float):
-    times = {0.0, horizon}
-    for key in keys_scalar:
-        section = data.get(key) or {}
-        for idx, seg in enumerate(section.get("density", ())):
-            if len(seg) != 3:
-                _fail(f"{key}.density[{idx}]", "expected [t0, t1, value]")
-            times.add(_float(f"{key}.density[{idx}][0]", seg[0]))
-            times.add(_float(f"{key}.density[{idx}][1]", seg[1]))
-        for idx, atom in enumerate(section.get("atoms", ())):
-            if len(atom) != 2:
-                _fail(f"{key}.atoms[{idx}]", "expected [time, mass]")
-            times.add(_float(f"{key}.atoms[{idx}][0]", atom[0]))
-    for key in keys_jump:
-        section = data.get(key) or {}
-        for idx, seg in enumerate(section.get("kernel", ())):
-            if len(seg) != 3:
-                _fail(f"{key}.kernel[{idx}]", "expected [t0, t1, points]")
-            times.add(_float(f"{key}.kernel[{idx}][0]", seg[0]))
-            times.add(_float(f"{key}.kernel[{idx}][1]", seg[1]))
-        for idx, atom in enumerate(section.get("atoms", ())):
-            if len(atom) != 2:
-                _fail(f"{key}.atoms[{idx}]", "expected [time, points]")
-            times.add(_float(f"{key}.atoms[{idx}][0]", atom[0]))
-    for t in times:
-        if t < 0.0 or t > horizon:
-            _fail("grid", f"time {t} outside [0, {horizon}]")
-    return sorted(times)
+def _shaped(field: str, raw, shape) -> list:
+    """``raw`` as a list whose entries are lists of ``len(shape)`` items."""
+    if not isinstance(raw, (list, tuple)):
+        _fail(field, "expected a list")
+    for idx, entry in enumerate(raw):
+        if not isinstance(entry, (list, tuple)) or len(entry) != len(shape):
+            _fail(f"{field}[{idx}]", f"expected [{', '.join(shape)}]")
+    return raw
 
 
-def _build_grid(data: dict, keys_scalar, keys_jump) -> TimeGrid:
+def _points(field: str, raw) -> tuple:
+    return tuple(
+        tuple(_float(f"{field}[{idx}][{c}]", v) for c, v in enumerate(p))
+        for idx, p in enumerate(_shaped(field, raw, ("z1", "z2", "weight")))
+    )
+
+
+def _section(data: dict, key: str, jump: bool) -> dict:
+    """Checked entries of one coefficient: part name -> [(times..., value)]."""
+    section = data.get(key) or {}
+    if not isinstance(section, dict):
+        _fail(key, "expected an object")
+    parts = _PARTS["jump" if jump else "scalar"]
+    unknown = set(section) - {part for part, _ in parts}
+    if unknown:
+        _fail(key, f"unknown fields {sorted(unknown)}")
+    out = {}
+    for part, shape in parts:
+        entries = []
+        for idx, entry in enumerate(_shaped(f"{key}.{part}", section.get(part, ()), shape)):
+            at = f"{key}.{part}[{idx}]"
+            times = [_float(f"{at}[{c}]", t) for c, t in enumerate(entry[:-1])]
+            last = f"{at}[{len(entry) - 1}]"
+            value = _points(last, entry[-1]) if jump else _float(last, entry[-1])
+            entries.append((*times, value))
+        out[part] = entries
+    return out
+
+
+def _build_grid(data: dict, sections: dict) -> TimeGrid:
     horizon = _float("horizon", data.get("horizon", 1.0))
     if horizon <= 0.0:
         _fail("horizon", "must be positive")
     if "grid_nodes" in data:
+        if not isinstance(data["grid_nodes"], (list, tuple)):
+            _fail("grid_nodes", "expected a list")
         nodes = [_float(f"grid_nodes[{i}]", v) for i, v in enumerate(data["grid_nodes"])]
         try:
             return TimeGrid(np.asarray(nodes))
@@ -107,7 +122,15 @@ def _build_grid(data: dict, keys_scalar, keys_jump) -> TimeGrid:
     cells = data.get("grid_cells", 1000)
     if not isinstance(cells, int) or cells < 1:
         _fail("grid_cells", "must be a positive integer")
-    special = np.asarray(_segment_times(data, keys_scalar, keys_jump, horizon))
+    times = {0.0, horizon}
+    for section in sections.values():
+        for entries in section.values():
+            for entry in entries:
+                times.update(entry[:-1])
+    for t in times:
+        if t < 0.0 or t > horizon:
+            _fail("grid", f"time {t} outside [0, {horizon}]")
+    special = np.asarray(sorted(times))
     uniform = np.linspace(0.0, horizon, cells + 1)
     tol = 1e-9 * max(1.0, horizon)
     pos = np.searchsorted(special, uniform)
@@ -118,50 +141,14 @@ def _build_grid(data: dict, keys_scalar, keys_jump) -> TimeGrid:
     return TimeGrid(nodes)
 
 
-def _points(field: str, raw) -> tuple:
-    pts = []
-    for idx, p in enumerate(raw):
-        if len(p) != 3:
-            _fail(f"{field}[{idx}]", "expected [z1, z2, weight]")
-        pts.append((_float(f"{field}[{idx}][0]", p[0]),
-                    _float(f"{field}[{idx}][1]", p[1]),
-                    _float(f"{field}[{idx}][2]", p[2])))
-    return tuple(pts)
-
-
-def _scalar_measure(grid, data, key, nondecreasing, allow_atoms=True):
-    section = data.get(key) or {}
-    unknown = set(section) - {"density", "atoms"}
-    if unknown:
-        _fail(key, f"unknown fields {sorted(unknown)}")
-    segments = []
-    for idx, seg in enumerate(section.get("density", ())):
-        segments.append((seg[0], seg[1], _float(f"{key}.density[{idx}][2]", seg[2])))
-    atoms = []
-    for idx, atom in enumerate(section.get("atoms", ())):
-        if not allow_atoms:
-            _fail(f"{key}.atoms", "this coefficient must be atom-free")
-        atoms.append((atom[0], _float(f"{key}.atoms[{idx}][1]", atom[1])))
+def _measure(grid: TimeGrid, key: str, kind: str, section: dict):
+    if kind == "continuous" and section["atoms"]:
+        _fail(f"{key}.atoms", "this coefficient must be atom-free")
     try:
-        return StieltjesMeasure.from_segments(grid, segments, tuple(atoms),
-                                              nondecreasing)
-    except ValueError as exc:
-        _fail(key, str(exc))
-
-
-def _jump_measure(grid, data, key):
-    section = data.get(key) or {}
-    unknown = set(section) - {"kernel", "atoms"}
-    if unknown:
-        _fail(key, f"unknown fields {sorted(unknown)}")
-    segments = []
-    for idx, seg in enumerate(section.get("kernel", ())):
-        segments.append((seg[0], seg[1], _points(f"{key}.kernel[{idx}][2]", seg[2])))
-    atoms = []
-    for idx, atom in enumerate(section.get("atoms", ())):
-        atoms.append((atom[0], _points(f"{key}.atoms[{idx}][1]", atom[1])))
-    try:
-        return JumpMeasure.from_segments(grid, segments, atoms)
+        if kind == "jump":
+            return JumpMeasure.from_segments(grid, section["kernel"], section["atoms"])
+        return StieltjesMeasure.from_segments(grid, section["density"], section["atoms"],
+                                              kind != "signed")
     except ValueError as exc:
         _fail(key, str(exc))
 
@@ -171,48 +158,21 @@ def parse_config(data: dict) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError("top level: expected an object")
     kind = data.get("kind", "environment")
-    if kind not in ("environment", "special_form"):
+    if kind not in _MODELS:
         _fail("kind", f"expected 'environment' or 'special_form', got {kind!r}")
-    scalars = _ENV_SCALARS if kind == "environment" else _SF_SCALARS
-    jumps = _ENV_JUMPS if kind == "environment" else _SF_JUMPS
-    known = {"kind", "horizon", "grid_cells", "grid_nodes", *scalars, *jumps}
+    coefficients = _MODELS[kind]._coefficients()
+    known = {"kind", "horizon", "grid_cells", "grid_nodes", *(k for k, _ in coefficients)}
     unknown = set(data) - known
     if unknown:
         _fail("top level", f"unknown fields {sorted(unknown)}")
-    grid = _build_grid(data, scalars, jumps)
-    if kind == "environment":
-        try:
-            env = Environment(
-                grid,
-                _scalar_measure(grid, data, "b11", False),
-                _scalar_measure(grid, data, "b22", False),
-                _scalar_measure(grid, data, "b12", True),
-                _scalar_measure(grid, data, "b21", True),
-                _scalar_measure(grid, data, "c1", True, allow_atoms=False),
-                _scalar_measure(grid, data, "c2", True, allow_atoms=False),
-                _jump_measure(grid, data, "m1"),
-                _jump_measure(grid, data, "m2"),
-            )
-        except ValueError as exc:
-            if isinstance(exc, ConfigError):
-                raise
-            raise ConfigError(str(exc)) from exc
-        return RunConfig("environment", environment=env)
+    sections = {key: _section(data, key, c == "jump") for key, c in coefficients}
+    grid = _build_grid(data, sections)
+    measures = [_measure(grid, key, c, sections[key]) for key, c in coefficients]
     try:
-        sf = SpecialForm(
-            grid,
-            _scalar_measure(grid, data, "gamma11", False),
-            _scalar_measure(grid, data, "gamma22", False),
-            _scalar_measure(grid, data, "gamma12", True),
-            _scalar_measure(grid, data, "gamma21", True),
-            _jump_measure(grid, data, "mu1"),
-            _jump_measure(grid, data, "mu2"),
-        )
+        model = _MODELS[kind](grid, *measures)
     except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(str(exc)) from exc
-    return RunConfig("special_form", special_form=sf)
+    return RunConfig(kind, **{kind: model})
 
 
 def load_config(path) -> RunConfig:
@@ -280,25 +240,14 @@ def _emit_jump(meas: JumpMeasure) -> dict | None:
 
 def emit_config(model) -> dict:
     """Canonical configuration dictionary for an Environment or SpecialForm."""
-    out: dict = {}
-    if isinstance(model, Environment):
-        out["kind"] = "environment"
-        scalar_items = [(k, getattr(model, k)) for k in _ENV_SCALARS]
-        jump_items = [(k, getattr(model, k)) for k in _ENV_JUMPS]
-    elif isinstance(model, SpecialForm):
-        out["kind"] = "special_form"
-        scalar_items = [(k, getattr(model, k)) for k in _SF_SCALARS]
-        jump_items = [(k, getattr(model, k)) for k in _SF_JUMPS]
-    else:
+    kinds = [k for k, cls in _MODELS.items() if isinstance(model, cls)]
+    if not kinds:
         raise TypeError("expected an Environment or SpecialForm")
-    out["horizon"] = float(model.horizon)
-    out["grid_nodes"] = [float(v) for v in model.grid.nodes]
-    for key, meas in scalar_items:
-        emitted = _emit_scalar(meas)
-        if emitted:
-            out[key] = emitted
-    for key, meas in jump_items:
-        emitted = _emit_jump(meas)
+    out: dict = {"kind": kinds[0], "horizon": float(model.horizon),
+                 "grid_nodes": [float(v) for v in model.grid.nodes]}
+    for key, kind in model._coefficients():
+        emit = _emit_jump if kind == "jump" else _emit_scalar
+        emitted = emit(getattr(model, key))
         if emitted:
             out[key] = emitted
     return out

@@ -5,7 +5,10 @@ system: signed diagonal drifts ``b11``/``b22``, nondecreasing cross drifts
 ``b12``/``b21``, nondecreasing atom-free diffusion coefficients ``c1``/``c2``
 and jump kernels ``m1``/``m2``.  A :class:`SpecialForm` is the finite-activity
 parameterization (``gamma_ii``, ``gamma_ij``, ``mu_i``) that the Picard solver
-and the exact simulator consume.
+and the exact simulator consume.  Both are frozen dataclasses whose fields
+declare each measure's kind; the shared checks, ``zero``, ``refined`` and the
+config format all follow those declarations.  Each model caches the compiled
+tables of :mod:`cbve.compiled` that its solvers use.
 
 This module also provides admissibility validation, bottleneck detection,
 the mean cross-drift measures, the conversion from special to general
@@ -15,11 +18,10 @@ approximate a general mechanism by special ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
-import numpy as np
-
+from .compiled import cell_table, picard_table, sim_table
 from .errors import AdmissibilityError
 from .measures import DiscreteSpatialMeasure, JumpMeasure, StieltjesMeasure, TimeGrid
 
@@ -69,45 +71,71 @@ class ValidationReport:
     messages: tuple
 
 
-class Environment:
-    """Coefficient bundle of the general two-type backward system."""
+def _coefficient(kind: str = "signed"):
+    """Model field holding a measure: ``signed``, ``nondecreasing``,
+    ``continuous`` (nondecreasing and atom-free) or ``jump`` (a kernel)."""
+    return field(metadata={"kind": kind})
 
-    def __init__(self, grid, b11, b22, b12, b21, c1, c2, m1, m2):
-        for name, meas in (("b11", b11), ("b22", b22), ("b12", b12),
-                           ("b21", b21), ("c1", c1), ("c2", c2)):
-            if not meas.grid.same_as(grid):
+
+@dataclass(frozen=True, eq=False)
+class _Model:
+    """Frozen coefficient bundle on one grid; equality is identity.
+
+    Subclasses declare their measures with :func:`_coefficient`, and every
+    check, constructor and config field follows that declaration.
+    Compiled tables are cached per instance, which is sound because a
+    changed coefficient means a new model (``dataclasses.replace``).
+    """
+
+    grid: TimeGrid
+
+    @classmethod
+    def _coefficients(cls) -> tuple:
+        """(name, kind) of every measure field, in constructor order."""
+        return tuple((f.name, f.metadata["kind"]) for f in fields(cls)[1:])
+
+    def __post_init__(self):
+        for name, kind in self._coefficients():
+            meas = getattr(self, name)
+            if not meas.grid.same_as(self.grid):
                 raise ValueError(f"{name} lives on a different grid")
-        for name, meas in (("m1", m1), ("m2", m2)):
-            if not meas.grid.same_as(grid):
-                raise ValueError(f"{name} lives on a different grid")
-        for name, meas in (("b12", b12), ("b21", b21)):
-            if not meas.nondecreasing:
+            if kind in ("nondecreasing", "continuous") and not meas.nondecreasing:
                 raise ValueError(f"{name} must be a nondecreasing measure")
-        for name, meas in (("c1", c1), ("c2", c2)):
-            if not meas.nondecreasing:
-                raise ValueError(f"{name} must be a nondecreasing measure")
-            if meas.atoms:
+            if kind == "continuous" and meas.atoms:
                 raise ValueError(f"{name} must be continuous (no time atoms)")
-        self.grid = grid
-        self.b11, self.b22 = b11, b22
-        self.b12, self.b21 = b12, b21
-        self.c1, self.c2 = c1, c2
-        self.m1, self.m2 = m1, m2
 
     @property
     def horizon(self) -> float:
         return self.grid.horizon
 
     @classmethod
-    def zero(cls, grid: TimeGrid) -> "Environment":
-        z = StieltjesMeasure.zero
-        return cls(
-            grid,
-            z(grid), z(grid),
-            z(grid, nondecreasing=True), z(grid, nondecreasing=True),
-            z(grid, nondecreasing=True), z(grid, nondecreasing=True),
-            JumpMeasure.zero(grid), JumpMeasure.zero(grid),
-        )
+    def zero(cls, grid: TimeGrid):
+        return cls(grid, *(
+            JumpMeasure.zero(grid) if kind == "jump"
+            else StieltjesMeasure.zero(grid, nondecreasing=kind != "signed")
+            for _, kind in cls._coefficients()
+        ))
+
+    def refined(self, factor: int):
+        fine = self.grid.refine(factor)
+        return type(self)(fine, *(
+            getattr(self, name).on_refinement(fine, factor)
+            for name, _ in self._coefficients()
+        ))
+
+
+@dataclass(frozen=True, eq=False)
+class Environment(_Model):
+    """Coefficient bundle of the general two-type backward system."""
+
+    b11: StieltjesMeasure = _coefficient()
+    b22: StieltjesMeasure = _coefficient()
+    b12: StieltjesMeasure = _coefficient("nondecreasing")
+    b21: StieltjesMeasure = _coefficient("nondecreasing")
+    c1: StieltjesMeasure = _coefficient("continuous")
+    c2: StieltjesMeasure = _coefficient("continuous")
+    m1: JumpMeasure = _coefficient("jump")
+    m2: JumpMeasure = _coefficient("jump")
 
     def b_diag(self, i: int) -> StieltjesMeasure:
         return self.b11 if i == 1 else self.b22
@@ -134,22 +162,17 @@ class Environment:
         if not report.ok:
             raise AdmissibilityError("; ".join(report.messages) or "invalid environment")
 
-    def refined(self, factor: int) -> "Environment":
-        fine = self.grid.refine(factor)
-        return Environment(
-            fine,
-            self.b11.on_refinement(fine, factor),
-            self.b22.on_refinement(fine, factor),
-            self.b12.on_refinement(fine, factor),
-            self.b21.on_refinement(fine, factor),
-            self.c1.on_refinement(fine, factor),
-            self.c2.on_refinement(fine, factor),
-            self.m1.on_refinement(fine, factor),
-            self.m2.on_refinement(fine, factor),
-        )
+    @cached_property
+    def _table(self):
+        """Cells and atoms of the general sweep and the moment system."""
+        bb12 = effective_cross_drift(self, 1, 2)
+        bb21 = effective_cross_drift(self, 2, 1)
+        return cell_table((self.b11, self.b22, bb12, bb21, self.c1, self.c2),
+                          (self.m1, self.m2))
 
 
-class SpecialForm:
+@dataclass(frozen=True, eq=False)
+class SpecialForm(_Model):
     """Finite-activity coefficients: diagonal/cross drifts and jump kernels.
 
     Diagonal drifts may be signed but every atom must satisfy
@@ -157,39 +180,19 @@ class SpecialForm:
     (z1 + z2)-mass of each jump kernel is finite by construction.
     """
 
-    def __init__(self, grid, gamma11, gamma22, gamma12, gamma21, mu1, mu2):
-        for name, meas in (("gamma11", gamma11), ("gamma22", gamma22),
-                           ("gamma12", gamma12), ("gamma21", gamma21)):
-            if not meas.grid.same_as(grid):
-                raise ValueError(f"{name} lives on a different grid")
-        for name, meas in (("gamma12", gamma12), ("gamma21", gamma21)):
-            if not meas.nondecreasing:
-                raise ValueError(f"{name} must be a nondecreasing measure")
-        for name, meas in (("mu1", mu1), ("mu2", mu2)):
-            if not meas.grid.same_as(grid):
-                raise ValueError(f"{name} lives on a different grid")
-        for name, meas in (("gamma11", gamma11), ("gamma22", gamma22)):
+    gamma11: StieltjesMeasure = _coefficient()
+    gamma22: StieltjesMeasure = _coefficient()
+    gamma12: StieltjesMeasure = _coefficient("nondecreasing")
+    gamma21: StieltjesMeasure = _coefficient("nondecreasing")
+    mu1: JumpMeasure = _coefficient("jump")
+    mu2: JumpMeasure = _coefficient("jump")
+
+    def __post_init__(self):
+        super().__post_init__()
+        for name, meas in (("gamma11", self.gamma11), ("gamma22", self.gamma22)):
             for t, mass in meas.atoms:
                 if not mass > -1.0:
                     raise ValueError(f"{name} atom at {t} must exceed -1")
-        self.grid = grid
-        self.gamma11, self.gamma22 = gamma11, gamma22
-        self.gamma12, self.gamma21 = gamma12, gamma21
-        self.mu1, self.mu2 = mu1, mu2
-
-    @property
-    def horizon(self) -> float:
-        return self.grid.horizon
-
-    @classmethod
-    def zero(cls, grid: TimeGrid) -> "SpecialForm":
-        z = StieltjesMeasure.zero
-        return cls(
-            grid,
-            z(grid), z(grid),
-            z(grid, nondecreasing=True), z(grid, nondecreasing=True),
-            JumpMeasure.zero(grid), JumpMeasure.zero(grid),
-        )
 
     def gamma_diag(self, i: int) -> StieltjesMeasure:
         return self.gamma11 if i == 1 else self.gamma22
@@ -204,17 +207,13 @@ class SpecialForm:
     def mu_jump(self, i: int) -> JumpMeasure:
         return self.mu1 if i == 1 else self.mu2
 
-    def refined(self, factor: int) -> "SpecialForm":
-        fine = self.grid.refine(factor)
-        return SpecialForm(
-            fine,
-            self.gamma11.on_refinement(fine, factor),
-            self.gamma22.on_refinement(fine, factor),
-            self.gamma12.on_refinement(fine, factor),
-            self.gamma21.on_refinement(fine, factor),
-            self.mu1.on_refinement(fine, factor),
-            self.mu2.on_refinement(fine, factor),
-        )
+    @cached_property
+    def _picard_table(self):
+        return picard_table(self)
+
+    @cached_property
+    def _sim_table(self):
+        return sim_table(self)
 
 
 def atom_load(env: Environment, i: int, s: float) -> float:

@@ -369,6 +369,11 @@ class JumpMeasure:
         at = tuple((t, DiscreteSpatialMeasure(tuple(points))) for t, points in atoms)
         return cls(grid, tuple(kernels), at)
 
+    @cached_property
+    def node_points(self) -> dict:
+        """Spatial points of the time atom at each atom node index."""
+        return {idx: spatial.points for _, spatial, idx in self._atom_entries}
+
     def atom_at(self, t: float) -> DiscreteSpatialMeasure:
         idx = self.grid.index_of(t)
         for time, spatial, i in self._atom_entries:

@@ -14,7 +14,13 @@ import math
 
 import numpy as np
 
-from .environment import Environment, SpecialForm, effective_cross_drift, _other
+from .environment import (
+    Environment,
+    SpecialForm,
+    effective_cross_drift,
+    _admissibility_integrand,
+    _other,
+)
 from .measures import StieltjesMeasure
 
 __all__ = [
@@ -138,15 +144,6 @@ def special_mechanism_increment(sf: SpecialForm, i: int, f, r: float, t: float,
     return total
 
 
-def _lipschitz_jump_integrand(i: int):
-    def fn(z1: float, z2: float) -> float:
-        zi, zj = (z1, z2) if i == 1 else (z2, z1)
-        own = zi * zi if z1 * z1 + z2 * z2 <= 1.0 else zi
-        return own + zj
-
-    return fn
-
-
 def lipschitz_constants(env: Environment, f, g, t: float):
     """Constants (C1, C2 measure) bounding the mechanism's f-dependence.
 
@@ -161,8 +158,8 @@ def lipschitz_constants(env: Environment, f, g, t: float):
     terms = [
         (1.0, env.c1),
         (1.0, env.c2),
-        (2.0, env.m1.moment_measure(_lipschitz_jump_integrand(1))),
-        (2.0, env.m2.moment_measure(_lipschitz_jump_integrand(2))),
+        (2.0, env.m1.moment_measure(_admissibility_integrand(1))),
+        (2.0, env.m2.moment_measure(_admissibility_integrand(2))),
         (1.0, env.b11.abs()),
         (1.0, env.b22.abs()),
         (1.0, env.b12),

@@ -17,7 +17,7 @@ import numpy as np
 from .environment import Environment
 from .errors import NumericalError
 from .measures import TimeGrid
-from .solver import SolverOptions, _DEFAULT_OPTS, _general_system, solve_general
+from .solver import SolverOptions, _DEFAULT_OPTS, solve_general
 
 __all__ = ["MomentSolution", "solve_moment", "finite_diff_check", "mean_of_transition"]
 
@@ -44,14 +44,14 @@ class MomentSolution:
 
 def _moment_axis(env: Environment, M: int, lam1: float, lam2: float,
                  npass: int) -> np.ndarray:
-    cells, atoms = _general_system(env)
+    cells, atoms = env._table
     pi = np.empty((M + 1, 2))
     pi[M, 0], pi[M, 1] = lam1, lam2
     p1, p2 = lam1, lam2
     for k in range(M - 1, -1, -1):
         a = atoms.get(k + 1)
         if a is not None:
-            a11, a22, ab12, ab21, _, _ = a
+            a11, a22, ab12, ab21, _, _, _, _ = a
             q1 = ab12 * p2 - a11 * p1
             q2 = ab21 * p1 - a22 * p2
             p1 += q1

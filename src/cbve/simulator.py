@@ -9,6 +9,10 @@ recomputed after every candidate.  At a time atom the state is updated by
 the deterministic jump matrix and then receives a compound-Poisson batch
 of branch jumps whose mean uses the pre-atom state.  No step of the
 simulation discretizes time, so Monte-Carlo estimates are unbiased.
+This module holds only the event loop and the Monte-Carlo reductions; the
+per-cell flow matrices, majorant rates and cumulative kernel weights come
+from :func:`cbve.compiled.sim_table`, built once per special form and
+cached on it.
 
 Reproducibility: paths are driven by independent generators derived from
 a master seed; the derivation rule is fixed and documented on
@@ -22,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .compiled import _expm2
 from .environment import SpecialForm, special_to_general
 from .errors import NumericalError
 from .moments import solve_moment
@@ -76,91 +81,12 @@ class MCEstimate:
     z_score: float
 
 
-def _expm2(m11: float, m12: float, m21: float, m22: float):
-    """Entries of exp(M) for a 2x2 matrix M (closed form)."""
-    tau = 0.5 * (m11 + m22)
-    d = m11 - tau
-    q2 = d * d + m12 * m21
-    if q2 >= 0.0:
-        q = math.sqrt(q2)
-        if q > 1e-8:
-            ch = math.cosh(q)
-            sh = math.sinh(q) / q
-        else:
-            ch = 1.0 + 0.5 * q2
-            sh = 1.0 + q2 / 6.0
-    else:
-        q = math.sqrt(-q2)
-        ch = math.cos(q)
-        sh = math.sin(q) / q if q > 1e-8 else 1.0 + q2 / 6.0
-    e = math.exp(tau)
-    return e * (ch + sh * d), e * sh * m12, e * sh * m21, e * (ch - sh * d)
-
-
-def _cumweights(points):
-    acc = 0.0
-    out = []
-    for _, _, w in points:
-        acc += w
-        out.append(acc)
-    return tuple(out), acc
-
-
 def _draw_point(points, cumw, total, rng):
     u = rng.random() * total
     for idx, cw in enumerate(cumw):
         if u < cw:
             return points[idx]
     return points[-1]
-
-
-def _sim_system(sf: SpecialForm):
-    cache = sf.__dict__.get("_sim_system_cache")
-    if cache is not None:
-        return cache
-    grid = sf.grid
-    g11 = sf.gamma11.density
-    g22 = sf.gamma22.density
-    g12 = sf.gamma12.density
-    g21 = sf.gamma21.density
-    widths = grid.widths
-    cells = []
-    for k in range(grid.n_cells):
-        h = float(widths[k])
-        # state flow matrix: type j feeds type i through the (j -> i) drift
-        G = (float(g11[k]), float(g21[k]), float(g12[k]), float(g22[k]))
-        full = _expm2(G[0] * h, G[1] * h, G[2] * h, G[3] * h)
-        pts1 = sf.mu1.cell_kernels[k].points
-        pts2 = sf.mu2.cell_kernels[k].points
-        cw1, w1 = _cumweights(pts1)
-        cw2, w2 = _cumweights(pts2)
-        tv = abs(G[0]) + abs(G[1]) + abs(G[2]) + abs(G[3])
-        zrate = sum((z1 + z2) * w for z1, z2, w in pts1)
-        zrate += sum((z1 + z2) * w for z1, z2, w in pts2)
-        cells.append((h, G, full, pts1, cw1, w1, pts2, cw2, w2, tv, zrate))
-    atoms = {}
-    a11 = sf.gamma11.node_atom_masses
-    a22 = sf.gamma22.node_atom_masses
-    a12 = sf.gamma12.node_atom_masses
-    a21 = sf.gamma21.node_atom_masses
-    jump_atoms = {1: {}, 2: {}}
-    for i in (1, 2):
-        for t_at, spatial in sf.mu_jump(i).time_atoms:
-            jump_atoms[i][grid.index_of(t_at)] = spatial.points
-    idxs = set(np.nonzero(a11)[0]) | set(np.nonzero(a22)[0])
-    idxs |= set(np.nonzero(a12)[0]) | set(np.nonzero(a21)[0])
-    idxs |= set(jump_atoms[1]) | set(jump_atoms[2])
-    for m in idxs:
-        m = int(m)
-        pts1 = jump_atoms[1].get(m, ())
-        pts2 = jump_atoms[2].get(m, ())
-        cw1, w1 = _cumweights(pts1)
-        cw2, w2 = _cumweights(pts2)
-        A = (1.0 + float(a11[m]), float(a21[m]), float(a12[m]), 1.0 + float(a22[m]))
-        atoms[m] = (A, pts1, cw1, w1, pts2, cw2, w2)
-    system = (cells, atoms, grid.nodes)
-    sf.__dict__["_sim_system_cache"] = system
-    return system
 
 
 def _simulate(system, M: int, x1: float, x2: float, rng, events):
@@ -261,7 +187,7 @@ def simulate_path(sf: SpecialForm, x0, t: float, seed):
     if x1 < 0.0 or x2 < 0.0:
         raise ValueError("initial state must be componentwise nonnegative")
     M = sf.grid.index_of(t)
-    system = _sim_system(sf)
+    system = sf._sim_table
     rng = _resolve_rng(seed)
     events: list[PathEvent] = []
     fx1, fx2 = _simulate(system, M, x1, x2, rng, events)
@@ -275,7 +201,7 @@ def _mc_run(sf, x0, t, n_paths, seed, functional):
     if x1 < 0.0 or x2 < 0.0:
         raise ValueError("initial state must be componentwise nonnegative")
     M = sf.grid.index_of(t)
-    system = _sim_system(sf)
+    system = sf._sim_table
     spec = seed if isinstance(seed, SeedSpec) else SeedSpec(int(seed))
     vals = np.empty(n_paths)
     for p in range(n_paths):

@@ -71,6 +71,25 @@ class TestConfigRoundTrip:
             parse_config({"horizon": 1.0, "grid_cells": 4, "b99": {}})
 
 
+_GRIDS = {"grid_cells": {"grid_cells": 4}, "grid_nodes": {"grid_nodes": [0.0, 0.5, 1.0]}}
+_MALFORMED = {
+    "short segment": ("b11.density[0]", {"b11": {"density": [[0.0, 1.0]]}}),
+    "long segment": ("b11.density[0]", {"b11": {"density": [[0.0, 1.0, 0.5, 2.0]]}}),
+    "non-list entry": ("b11.density[0]", {"b11": {"density": [5]}}),
+    "short atom": ("b12.atoms[0]", {"b12": {"atoms": [[0.5]]}}),
+    "short kernel segment": ("m1.kernel[0]", {"m1": {"kernel": [[0.0, 1.0]]}}),
+}
+
+
+@pytest.mark.parametrize("grid", sorted(_GRIDS))
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_entries_are_config_errors(tmp_path, capsys, grid, case):
+    field, section = _MALFORMED[case]
+    path = _write(tmp_path, {"horizon": 1.0, **_GRIDS[grid], **section})
+    assert main(["validate", "--config", path]) == 2
+    assert f"config error: {field}" in capsys.readouterr().err
+
+
 class TestCommands:
     def test_validate_ok_zero(self, tmp_path, capsys):
         path = _write(tmp_path, {"horizon": 1.0, "grid_cells": 8})

@@ -1,4 +1,5 @@
 """Environment validation, bottlenecks, conversions and the approximation ladder."""
+import dataclasses
 import math
 
 import numpy as np
@@ -6,13 +7,16 @@ import pytest
 
 from cbve import (
     AdmissibilityError,
+    Environment,
     JumpMeasure,
+    SpecialForm,
     StieltjesMeasure,
     atom_load,
     bottlenecks,
     effective_cross_drift,
     finite_activity_approximation,
     last_bottleneck,
+    solve_general,
     special_to_general,
 )
 
@@ -21,6 +25,24 @@ from _instances import make_env, make_sf, random_environment, uniform_grid
 
 def _jump(grid, segments=(), atoms=()):
     return JumpMeasure.from_segments(grid, segments, atoms)
+
+
+class TestImmutability:
+    @pytest.mark.parametrize("model", [Environment, SpecialForm])
+    def test_fields_cannot_be_assigned(self, model):
+        m = model.zero(uniform_grid(cells=4))
+        for f in dataclasses.fields(m):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(m, f.name, getattr(m, f.name))
+
+    def test_replaced_coefficient_gets_its_own_table(self):
+        grid = uniform_grid(cells=8)
+        env = make_env(grid)
+        base = solve_general(env, 1.0, (1.0, 1.0)).v
+        drifted = dataclasses.replace(
+            env, b11=StieltjesMeasure.from_segments(grid, [(0.0, 1.0, 1.0)]))
+        assert np.all(solve_general(drifted, 1.0, (1.0, 1.0)).v[:-1, 0] < base[:-1, 0])
+        assert np.array_equal(solve_general(env, 1.0, (1.0, 1.0)).v, base)
 
 
 class TestValidate:
