@@ -6,7 +6,9 @@ CSV), ``approx`` (finite-activity approximation gap table) and ``verify``
 (a per-config verification battery with PASS/FAIL lines).
 
 Exit codes: 0 success, 2 configuration error, 3 admissibility failure,
-4 numerical failure, 5 verification failure.  Set ``CBVE_LOG=debug`` or
+4 numerical failure (a typed :class:`NumericalError`, or a floating-point
+overflow, invalid operation or division by zero in a numerical layer),
+5 verification failure.  Set ``CBVE_LOG=debug`` or
 ``info`` for diagnostics.
 """
 from __future__ import annotations
@@ -338,7 +340,7 @@ def main(argv=None) -> int:
     except AdmissibilityError as exc:
         print(f"admissibility failure: {exc}", file=sys.stderr)
         return 3
-    except NumericalError as exc:
+    except (NumericalError, OverflowError, FloatingPointError, ZeroDivisionError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 4
     except CBVEError as exc:

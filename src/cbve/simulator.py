@@ -138,8 +138,11 @@ def _simulate(system, M: int, x1: float, x2: float, rng, events):
                 if events is not None:
                     events.append(PathEvent(cell_end - rem, "branch_jump", src,
                                             (z1, z2), (x1, x2)))
-            if x1 + x2 > _MAX_STATE:
+            if not (x1 + x2 <= _MAX_STATE):
                 raise NumericalError("simulated state overflow")
+        # the flow-only exits above skip the in-loop check; NaN fails it too
+        if not (x1 + x2 <= _MAX_STATE):
+            raise NumericalError("simulated state overflow")
         if x1 < 0.0 or x2 < 0.0:
             if min(x1, x2) < -1e-9:
                 raise NumericalError("simulated state left the quadrant")
@@ -168,7 +171,7 @@ def _simulate(system, M: int, x1: float, x2: float, rng, events):
                     if events is not None:
                         events.append(PathEvent(cell_end, "branch_jump", i,
                                                 (z1, z2), (x1, x2)))
-            if x1 + x2 > _MAX_STATE:
+            if not (x1 + x2 <= _MAX_STATE):
                 raise NumericalError("simulated state overflow")
     return x1, x2
 

@@ -15,17 +15,23 @@ Two routes produce the same discrete solution:
   nonnegative and the iterates increase node-wise to the solution.  Cell
   increments reuse the same predictor/corrector structure as the general
   sweep, so on matched grids the two solvers agree to roughly the Picard
-  tolerance whenever the coefficients correspond.
+  tolerance whenever the coefficients correspond.  Each sweep reads only
+  the previous iterate, so one iteration is a fixed set of whole-array
+  steps over all cells (atom increments, both cell edges, then a reverse
+  cumulative sum), in the per-term order of the cell-by-cell loop.
 
 Both routes hold only their loops over the compiled tables of
-:mod:`cbve.compiled`, which each model builds once and caches; the moment
-system shares the general table.  The module also houses the h-transform
+:mod:`cbve.compiled`, which each model builds once and caches: tuple rows
+for the sweep (which is sequential and nonlinear, so it stays a scalar
+loop), padded arrays for Picard; the moment system shares the general
+table.  The module also houses the h-transform
 utilities, the two-dimensional Gronwall bound, the a-priori growth
 exponent and upper bound, and the flow-property check.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +77,9 @@ class SolverOptions:
 
 
 _DEFAULT_OPTS = SolverOptions()
+
+# largest exponent whose exponential is a finite double
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,6 +223,21 @@ def solve_general(env: Environment, t: float, lam, opts: SolverOptions | None = 
 # finite-activity Picard iteration
 # ---------------------------------------------------------------------------
 
+def _drift(out, a12, a21, p1, p2, x):
+    """Both rows of the diagonal-free drift at x, written to ``out``.
+
+    Row 1 is ``a12 * x2`` minus the compensated-kernel terms of ``p1`` at
+    (x1, x2), row 2 likewise with ``a21 * x1`` and ``p2``; the terms are
+    subtracted one padded slot at a time, in the order of the points.
+    """
+    np.multiply(a12, x[1], out=out[0])
+    np.multiply(a21, x[0], out=out[1])
+    for row, points in zip(out, (p1, p2)):
+        for term in np.expm1(-(x[0] * points[0] + x[1] * points[1])) * points[2]:
+            row -= term
+    return out
+
+
 def solve_special_picard(sf: SpecialForm, t: float, lam,
                          opts: SolverOptions | None = None) -> CumulantSolution:
     """Solve the finite-activity system by monotone Picard iteration.
@@ -223,96 +247,81 @@ def solve_special_picard(sf: SpecialForm, t: float, lam,
     once the sup-node change (in original coordinates) drops below
     ``opts.picard_tol``.  Per-iteration minima of the node-wise increments
     and maxima of the iterate values are recorded on the solution, together
-    with the a-priori bound ``2 |lam| exp(rho(t))``.
+    with the a-priori bound ``2 |lam| exp(rho(t))`` (inf once exp(rho)
+    overflows).  A change of scale
+    whose exponentials overflow before t, or an iterate that stops being
+    finite, raises :class:`NumericalError`.
     """
     opts = opts or _DEFAULT_OPTS
     lam1, lam2 = _check_lambda(lam)
     M = sf.grid.index_of(t)
-    cells, atoms, Z1, Z2, F1full, F2full = sf._picard_table
+    tab = sf._picard_table
+    if not np.all(np.abs(tab.Z[:, : M + 1]) <= _LOG_MAX):
+        raise NumericalError(
+            "diagonal drift too large: its change of scale exp(zeta) overflows "
+            "before t"
+        )
     # the diagonal-free system is solved for the inflated terminal argument
     # e^{zeta(t)} lam and deflated node-wise by e^{-zeta(r)} afterwards
-    F1 = F1full[: M + 1]
-    F2 = F2full[: M + 1]
-    lam1p = lam1 * math.exp(Z1[M])
-    lam2p = lam2 * math.exp(Z2[M])
-    expm1 = math.expm1
+    F = tab.F[:, : M + 1]
+    lamp = np.array([lam1 * math.exp(tab.Z[0, M]), lam2 * math.exp(tab.Z[1, M])])
     npass = opts.cell_fixed_point_iters
-    V1 = [lam1p] * (M + 1)
-    V2 = [lam2p] * (M + 1)
-    mapped1 = F1 * lam1p
-    mapped2 = F2 * lam2p
+    h = tab.widths[:M]
+    half_h = 0.5 * h
+    a12L, a12R, a21L, a21R = tab.a12L[:M], tab.a12R[:M], tab.a21L[:M], tab.a21R[:M]
+    p1L, p1R = tab.p1L[:, :, :M], tab.p1R[:, :, :M]
+    p2L, p2R = tab.p2L[:, :, :M], tab.p2R[:, :, :M]
+    # atoms at nodes 1..M step the value of the cell to their left
+    lo, hi = np.searchsorted(tab.atom_nodes, (1, M + 1))
+    an = tab.atom_nodes[lo:hi]
+    ab12, ab21 = tab.ab12[lo:hi], tab.ab21[lo:hi]
+    ap1, ap2 = tab.ap1[:, :, lo:hi], tab.ap2[:, :, lo:hi]
+    ainc = np.empty((2, an.size))
+    ai = np.zeros((2, M))
+    dR = np.empty((2, M))
+    dL = np.empty((2, M))
+    V = np.repeat(lamp[:, None], M + 1, axis=1)
+    mapped = F * lamp[:, None]
     min_incs = []
     max_vals = []
     sup = math.inf
     iterations = 0
-    for iterations in range(1, opts.picard_max_iter + 1):
-        new1 = [0.0] * (M + 1)
-        new2 = [0.0] * (M + 1)
-        new1[M] = lam1p
-        new2[M] = lam2p
-        acc1 = 0.0
-        acc2 = 0.0
-        for k in range(M - 1, -1, -1):
-            m = k + 1
-            v1m = V1[m]
-            v2m = V2[m]
-            ai1 = 0.0
-            ai2 = 0.0
-            a = atoms.get(m)
-            if a is not None:
-                ab12, ab21, ap1, ap2 = a
-                ai1 = ab12 * v2m
-                for q1, q2, qw in ap1:
-                    ai1 -= expm1(-(v1m * q1 + v2m * q2)) * qw
-                ai2 = ab21 * v1m
-                for q1, q2, qw in ap2:
-                    ai2 -= expm1(-(v1m * q1 + v2m * q2)) * qw
-            w1 = v1m + ai1
-            w2 = v2m + ai2
-            h, a12L, a12R, a21L, a21R, p1L, p1R, p2L, p2R = cells[k]
-            dR1 = a12R * w2
-            for q1, q2, qw in p1R:
-                dR1 -= expm1(-(w1 * q1 + w2 * q2)) * qw
-            dR2 = a21R * w1
-            for q1, q2, qw in p2R:
-                dR2 -= expm1(-(w1 * q1 + w2 * q2)) * qw
-            c1 = w1 + h * dR1
-            c2 = w2 + h * dR2
+    with np.errstate(over="ignore", invalid="ignore"):
+        for iterations in range(1, opts.picard_max_iter + 1):
+            ai[:, an - 1] = _drift(ainc, ab12, ab21, ap1, ap2, V[:, an])
+            w = V[:, 1:] + ai
+            _drift(dR, a12R, a21R, p1R, p2R, w)
+            c = w + h * dR
             for _ in range(npass - 1):
-                dL1 = a12L * c2
-                for q1, q2, qw in p1L:
-                    dL1 -= expm1(-(c1 * q1 + c2 * q2)) * qw
-                dL2 = a21L * c1
-                for q1, q2, qw in p2L:
-                    dL2 -= expm1(-(c1 * q1 + c2 * q2)) * qw
-                c1 = w1 + 0.5 * h * (dR1 + dL1)
-                c2 = w2 + 0.5 * h * (dR2 + dL2)
-            acc1 += ai1 + (c1 - w1)
-            acc2 += ai2 + (c2 - w2)
-            new1[k] = lam1p + acc1
-            new2[k] = lam2p + acc2
-        nm1 = F1 * np.asarray(new1)
-        nm2 = F2 * np.asarray(new2)
-        diff1 = nm1 - mapped1
-        diff2 = nm2 - mapped2
-        sup = max(float(np.max(np.abs(diff1))), float(np.max(np.abs(diff2))))
-        min_incs.append(min(float(np.min(diff1)), float(np.min(diff2))))
-        max_vals.append(max(float(np.max(nm1)), float(np.max(nm2))))
-        V1, V2 = new1, new2
-        mapped1, mapped2 = nm1, nm2
-        if not math.isfinite(sup):
-            raise NumericalError("Picard iteration produced non-finite values")
-        if sup < opts.picard_tol:
-            break
-    else:
-        raise ConvergenceError(
-            f"Picard iteration did not reach tol {opts.picard_tol:g} in "
-            f"{opts.picard_max_iter} iterations (residual {sup:.3e})",
-            residual=sup,
-        )
-    v = np.column_stack((mapped1, mapped2))
+                _drift(dL, a12L, a21L, p1L, p2L, c)
+                c = w + half_h * (dR + dL)
+            # np.cumsum accumulates sequentially, from node M - 1 down to 0
+            acc = np.cumsum((ai + (c - w))[:, ::-1], axis=1)[:, ::-1]
+            new = np.empty((2, M + 1))
+            new[:, M] = lamp
+            new[:, :M] = lamp[:, None] + acc
+            nm = F * new
+            diff = nm - mapped
+            sup = float(np.max(np.abs(diff)))
+            min_incs.append(float(np.min(diff)))
+            max_vals.append(float(np.max(nm)))
+            V = new
+            mapped = nm
+            if not math.isfinite(sup):
+                raise NumericalError("Picard iteration produced non-finite values")
+            if sup < opts.picard_tol:
+                break
+        else:
+            raise ConvergenceError(
+                f"Picard iteration did not reach tol {opts.picard_tol:g} in "
+                f"{opts.picard_max_iter} iterations (residual {sup:.3e})",
+                residual=sup,
+            )
+    v = mapped.T.copy()
     v[M, 0], v[M, 1] = lam1, lam2
     rho = apriori_growth_exponent(sf, float(sf.grid.nodes[M]))
+    # a growth exponent past the double range bounds nothing
+    bound = 2.0 * math.hypot(lam1, lam2) * math.exp(rho) if rho <= _LOG_MAX else math.inf
     return CumulantSolution(
         t=float(sf.grid.nodes[M]),
         lam=(lam1, lam2),
@@ -323,7 +332,7 @@ def solve_special_picard(sf: SpecialForm, t: float, lam,
         max_residual=sup,
         picard_min_increments=tuple(min_incs),
         picard_iterate_maxima=tuple(max_vals),
-        picard_bound=2.0 * math.hypot(lam1, lam2) * math.exp(rho),
+        picard_bound=bound,
     )
 
 

@@ -228,6 +228,18 @@ class TestCommands:
         assert main(["solve", "--config", path, "--lambda", "10,0"]) == 4
         assert "numerical failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, cells", [("solve", 64), ("simulate", 1)])
+    def test_overflow_exit_code(self, tmp_path, capsys, command, cells):
+        # exp(800): Picard's change of scale raises NumericalError; the
+        # one-cell simulator flow matrix overflows math.exp itself
+        path = _write(tmp_path, {"kind": "special_form", "horizon": 1.0,
+                                 "grid_cells": cells,
+                                 "gamma11": {"density": [[0.0, 1.0, 800.0]]}})
+        assert main([command, "--config", path]) == 4
+        err = capsys.readouterr().err
+        assert "numerical failure" in err
+        assert "Traceback" not in err
+
     def test_verify_failure_exit_code(self, tmp_path, capsys):
         path = _write(
             tmp_path,

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import linalg, stats
 
 from cbve import (
     JumpMeasure,
@@ -16,6 +16,8 @@ from cbve import (
     solve_special_picard,
     solve_general,
 )
+from cbve.compiled import _expm2
+from cbve.errors import NumericalError
 
 from _instances import make_env, make_sf, uniform_grid
 
@@ -121,6 +123,43 @@ class TestSimulatePath:
         stat = stats.kstest(gaps, "expon", args=(0.0, 1.0 / (x0[0] * rate))).statistic
         critical_1pct = 1.628 / math.sqrt(gaps.size)
         assert stat < critical_1pct
+
+
+class TestStateGuard:
+    # both forms are admissible but explode long before t = 1; the guard
+    # must stop them even when every cell ends on the flow-only exit
+
+    def test_diagonal_blow_up_is_typed(self):
+        grid = uniform_grid(cells=64)
+        sf = make_sf(grid, g11=StieltjesMeasure.from_segments(grid, [(0.0, 1.0, 800.0)]))
+        with pytest.raises(NumericalError, match="overflow"):
+            simulate_path(sf, (1.0, 1.0), 1.0, 3)
+
+    def test_cross_blow_up_is_typed(self):
+        grid = uniform_grid(cells=64)
+        cross = StieltjesMeasure.from_segments(grid, [(0.0, 1.0, 300.0)], (), True)
+        sf = make_sf(grid, g12=cross, g21=cross)
+        with pytest.raises(NumericalError, match="overflow"):
+            simulate_path(sf, (1.0, 1.0), 1.0, 3)
+
+
+class TestExpm2:
+    def test_stiff_matrix(self):
+        # cosh(800) overflows, yet every entry of exp(M) is 0.5
+        m = np.array([[-800.0, 800.0], [800.0, -800.0]])
+        got = np.array(_expm2(-800.0, 800.0, 800.0, -800.0)).reshape(2, 2)
+        assert np.allclose(got, linalg.expm(m), rtol=1e-13, atol=0.0)
+
+    def test_matches_scipy(self):
+        # entries up to magnitude 1, where scipy's expm is itself accurate to
+        # a few ulps, compared relative to the largest entry; signed m12 * m21
+        # reaches the real and the oscillating branch, tiny scales the series
+        rng = np.random.default_rng(2024)
+        for _ in range(500):
+            m = rng.uniform(-1.0, 1.0, (2, 2)) * 10.0 ** rng.uniform(-9.0, 0.0)
+            ref = linalg.expm(m)
+            got = np.array(_expm2(m[0, 0], m[0, 1], m[1, 0], m[1, 1])).reshape(2, 2)
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 class TestMonteCarlo:

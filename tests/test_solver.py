@@ -1,5 +1,6 @@
 """Backward solvers: general sweep, Picard iteration, h-transform, bounds."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from cbve import (
     solve_special_picard,
     special_to_general,
 )
+from cbve.errors import NumericalError
 
 from _instances import (
     bottleneck_environment,
@@ -191,6 +193,26 @@ class TestSolvePicard:
         pic = solve_special_picard(sf, 1.0, lam)
         gen = solve_general(special_to_general(sf), 1.0, lam)
         assert np.max(np.abs(pic.v - gen.v)) <= 1e-6
+
+    def test_overflowing_change_of_scale_is_typed(self):
+        # exp(800) overflows: a typed error, no raw OverflowError or warning
+        grid = uniform_grid(cells=64)
+        sf = make_sf(grid, g11=StieltjesMeasure.from_segments(grid, [(0.0, 1.0, 800.0)]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="change of scale"):
+                solve_special_picard(sf, 1.0, (1.0, 1.0))
+            # up to t = 0.5 the exponent is 400, which solves
+            sol = solve_special_picard(sf, 0.5, (1.0, 1.0))
+        assert np.all(np.isfinite(sol.v))
+
+    def test_overflowing_bound_is_infinite(self):
+        # rho(1) = 800: the solve is finite, the a-priori bound exp(rho) is not
+        grid = uniform_grid(cells=64)
+        cross = StieltjesMeasure.from_segments(grid, [(0.0, 1.0, 400.0)], (), True)
+        sol = solve_special_picard(make_sf(grid, g12=cross, g21=cross), 1.0, (1.0, 1.0))
+        assert np.all(np.isfinite(sol.v))
+        assert sol.picard_bound == math.inf
 
 
 class TestHTransform:
