@@ -7,9 +7,9 @@ per grid cell and one entry ``(atom masses..., atom points...)`` per node
 that carries any time atom.  The simulator table is derived from it.
 
 :func:`picard_table` is the array form consumed by the whole-array Picard
-iteration: per-cell vectors, kernel points padded to ``(3, K, cells)``
-arrays (padded slots have weight 0) and per-atom-node vectors indexed by
-an ascending node array.
+iteration: per-cell vectors, the kernels' padded ``(3, K, cells)`` point
+arrays (``JumpMeasure.cell_points``) rescaled per cell, and per-atom-node
+vectors indexed by an ascending node array.
 
 The frozen model classes of :mod:`cbve.environment` cache each table on
 first use; this module reads models by attribute only and does not import
@@ -18,11 +18,11 @@ them.
 from __future__ import annotations
 
 import math
-from itertools import chain
-from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
+
+from .errors import NumericalError
 
 __all__ = ["cell_table", "picard_table", "sim_table"]
 
@@ -56,21 +56,6 @@ def cell_table(scalars, jumps):
 
 def _scaled_points(points, e1, e2, wfac):
     return tuple((z1 * e1, z2 * e2, w * wfac) for z1, z2, w in points)
-
-
-def _padded(point_sets):
-    """Points of each set as a ``(3, K, sets)`` array of (z1, z2, weight).
-
-    K is the largest set size; the slots past a set's own points hold
-    zeros, so they add nothing to a compensated-kernel sum.
-    """
-    counts = np.fromiter(map(len, point_sets), np.intp, len(point_sets))
-    out = np.zeros((3, int(counts.max(initial=0)), counts.size))
-    flat = np.array(list(chain.from_iterable(point_sets)), dtype=float)
-    col = np.repeat(np.arange(counts.size), counts)
-    slot = np.arange(col.size) - (np.cumsum(counts) - counts)[col]
-    out[:, slot, col] = flat.reshape(-1, 3).T
-    return out
 
 
 def _rescaled(points, e1, e2, wfac):
@@ -108,7 +93,7 @@ def picard_table(sf):
     log(1 + atom) jumps; ``F = exp(-Z)``.  Per cell the table holds the
     width, the rescaled cross densities at both cell edges (``a12L``,
     ``a12R``, ``a21L``, ``a21R``) and each kernel's rescaled points at both
-    edges as ``(3, K, cells)`` arrays (see :func:`_padded`).  Per atom node
+    edges as ``(3, K, cells)`` arrays (from ``cell_points``).  Per atom node
     (``atom_nodes``, ascending) it holds the rescaled cross masses and the
     rescaled, padded atom points.  Exponentials that overflow are left as
     inf without a warning; the solver checks the exponents it uses.
@@ -137,10 +122,8 @@ def picard_table(sf):
     ZR1, ZR2 = Z1[1:] - dZ1[1:], Z2[1:] - dZ2[1:]
     Za1, Za2 = Z1[nodes], Z2[nodes]
     za1, za2 = Za1 - dZ1[nodes], Za2 - dZ2[nodes]
-    P1 = _padded(tuple(map(attrgetter("points"), mu1.cell_kernels)))
-    P2 = _padded(tuple(map(attrgetter("points"), mu2.cell_kernels)))
-    A1 = _padded([mu1.node_points.get(m, ()) for m in nodes.tolist()])
-    A2 = _padded([mu2.node_points.get(m, ()) for m in nodes.tolist()])
+    P1, P2 = mu1.cell_points, mu2.cell_points
+    A1, A2 = mu1.atom_points[:, :, nodes], mu2.atom_points[:, :, nodes]
     exp = np.exp
     with np.errstate(over="ignore", invalid="ignore"):
         eL1, eL2, eR1, eR2 = exp(-ZL1), exp(-ZL2), exp(-ZR1), exp(-ZR2)
@@ -219,7 +202,10 @@ def sim_table(sf):
     for h, g11, g22, g12, g21, pts1, pts2 in rows:
         # state flow matrix: type j feeds type i through the (j -> i) drift
         G = (g11, g21, g12, g22)
-        full = _expm2(g11 * h, g21 * h, g12 * h, g22 * h)
+        try:
+            full = _expm2(g11 * h, g21 * h, g12 * h, g22 * h)
+        except OverflowError as exc:
+            raise NumericalError("simulator flow matrix overflows on a cell") from exc
         cw1, w1 = _cumweights(pts1)
         cw2, w2 = _cumweights(pts2)
         tv = abs(g11) + abs(g21) + abs(g12) + abs(g22)

@@ -188,53 +188,25 @@ def load_config(path) -> RunConfig:
     return parse_config(data)
 
 
-def _emit_scalar(meas: StieltjesMeasure) -> dict | None:
+def _emit(meas, jump: bool) -> dict | None:
+    """Config section of one coefficient, None when it is zero; runs of
+    cells with equal values become one segment."""
     nodes = meas.grid.nodes
+    if jump:
+        cells = [[list(p) for p in kern.points] for kern in meas.cell_kernels]
+        atoms = [[t, [list(p) for p in spatial.points]] for t, spatial in meas.time_atoms]
+    else:
+        cells, atoms = meas.density.tolist(), [list(atom) for atom in meas.atoms]
     segments = []
-    start = None
-    value = 0.0
-    dens = meas.density
-    for k in range(dens.size + 1):
-        v = dens[k] if k < dens.size else None
-        if start is not None and (v is None or v != value):
-            if value != 0.0:
-                segments.append([float(nodes[start]), float(nodes[k]), float(value)])
-            start = None
-        if v is not None and start is None:
+    start = 0
+    for k in range(1, len(cells) + 1):
+        if k == len(cells) or cells[k] != cells[start]:
+            if cells[start]:
+                segments.append([float(nodes[start]), float(nodes[k]), cells[start]])
             start = k
-            value = v
-    out = {}
-    if segments:
-        out["density"] = segments
-    if meas.atoms:
-        out["atoms"] = [[float(t), float(m)] for t, m in meas.atoms]
-    return out or None
-
-
-def _emit_jump(meas: JumpMeasure) -> dict | None:
-    nodes = meas.grid.nodes
-    segments = []
-    start = None
-    current: tuple = ()
-    kernels = list(meas.cell_kernels) + [None]
-    for k, kern in enumerate(kernels):
-        pts = kern.points if kern is not None else None
-        if start is not None and (pts is None or pts != current):
-            if current:
-                segments.append([float(nodes[start]), float(nodes[k]),
-                                 [[z1, z2, w] for z1, z2, w in current]])
-            start = None
-        if pts is not None and start is None:
-            start = k
-            current = pts
-    out = {}
-    if segments:
-        out["kernel"] = segments
-    if meas.time_atoms:
-        out["atoms"] = [
-            [float(t), [[z1, z2, w] for z1, z2, w in spatial.points]]
-            for t, spatial in meas.time_atoms
-        ]
+    (cell_part, _), (atom_part, _) = _PARTS["jump" if jump else "scalar"]
+    out = {part: entries for part, entries in ((cell_part, segments), (atom_part, atoms))
+           if entries}
     return out or None
 
 
@@ -246,8 +218,7 @@ def emit_config(model) -> dict:
     out: dict = {"kind": kinds[0], "horizon": float(model.horizon),
                  "grid_nodes": [float(v) for v in model.grid.nodes]}
     for key, kind in model._coefficients():
-        emit = _emit_jump if kind == "jump" else _emit_scalar
-        emitted = emit(getattr(model, key))
+        emitted = _emit(getattr(model, key), kind == "jump")
         if emitted:
             out[key] = emitted
     return out

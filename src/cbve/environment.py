@@ -21,6 +21,8 @@ import math
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 
+import numpy as np
+
 from .compiled import cell_table, picard_table, sim_table
 from .errors import AdmissibilityError
 from .measures import DiscreteSpatialMeasure, JumpMeasure, StieltjesMeasure, TimeGrid
@@ -51,11 +53,10 @@ def _other(i: int) -> int:
 
 
 def _admissibility_integrand(i: int):
-    # z_i^2 on the unit ball, z_i outside, plus the cross coordinate
-    def fn(z1: float, z2: float) -> float:
+    # z_i^2 on the unit ball, z_i outside, plus the cross coordinate (elementwise)
+    def fn(z1, z2):
         zi, zj = (z1, z2) if i == 1 else (z2, z1)
-        own = zi * zi if z1 * z1 + z2 * z2 <= 1.0 else zi
-        return own + zj
+        return np.where(z1 * z1 + z2 * z2 <= 1.0, zi * zi, zi) + zj
 
     return fn
 
@@ -222,14 +223,8 @@ def atom_load(env: Environment, i: int, s: float) -> float:
     This is the quantity whose value 1 marks a type-i extinction point and
     whose admissible range is (-inf, 1].
     """
-    _other(i)  # validates the type index
-    load = env.b_diag(i).atom_mass_at(s)
-    spatial = env.m_jump(i).atom_at(s)
-    if i == 1:
-        load += spatial.weighted_total(lambda z1, z2: z1)
-    else:
-        load += spatial.weighted_total(lambda z1, z2: z2)
-    return load
+    own = env.m_jump(i).coordinate_moment(i)  # validates the type index
+    return env.b_diag(i).atom_mass_at(s) + own.atom_mass_at(s)
 
 
 def bottlenecks(env: Environment) -> list:
@@ -294,11 +289,9 @@ def effective_cross_drift(env: Environment, i: int, j: int) -> StieltjesMeasure:
     """Cross drift plus the mean cross-coordinate inflow of the jump kernel."""
     if j != _other(i):
         raise ValueError("need i != j in {1, 2}")
-    cross_fn = (lambda z1, z2: z2) if j == 2 else (lambda z1, z2: z1)
-    inflow = env.m_jump(i).moment_measure(cross_fn)
     return StieltjesMeasure.linear_combination(
         env.grid,
-        [(1.0, env.b_cross(i, j)), (1.0, inflow)],
+        [(1.0, env.b_cross(i, j)), (1.0, env.m_jump(i).coordinate_moment(j))],
         nondecreasing=True,
     )
 
@@ -314,8 +307,7 @@ def special_to_general(sf: SpecialForm) -> Environment:
     grid = sf.grid
 
     def diag(i: int) -> StieltjesMeasure:
-        own_fn = (lambda z1, z2: z1) if i == 1 else (lambda z1, z2: z2)
-        own = sf.mu_jump(i).moment_measure(own_fn)
+        own = sf.mu_jump(i).coordinate_moment(i)
         return StieltjesMeasure.linear_combination(
             grid, [(-1.0, sf.gamma_diag(i)), (-1.0, own)]
         )
@@ -351,8 +343,7 @@ def finite_activity_approximation(env: Environment, n: int) -> SpecialForm:
         return shrink * min(1.0, n * math.hypot(z1, z2))
 
     def diag(i: int) -> StieltjesMeasure:
-        own_fn = (lambda z1, z2: z1) if i == 1 else (lambda z1, z2: z2)
-        thinned_own = env.m_jump(i).thinned(thin_factor).moment_measure(own_fn)
+        thinned_own = env.m_jump(i).thinned(thin_factor).coordinate_moment(i)
         return StieltjesMeasure.linear_combination(
             grid,
             [
@@ -366,10 +357,9 @@ def finite_activity_approximation(env: Environment, n: int) -> SpecialForm:
     def cross(i: int, j: int) -> StieltjesMeasure:
         # factored as b_ij + sum z_j w (1 - thin factor): each term is
         # nonnegative, so the nondecreasing flag holds in floating point too
-        cross_fn = (lambda z1, z2: z2) if j == 2 else (lambda z1, z2: z1)
         kept = env.m_jump(i).thinned(
             lambda z1, z2: 1.0 - thin_factor(z1, z2)
-        ).moment_measure(cross_fn)
+        ).coordinate_moment(j)
         return StieltjesMeasure.linear_combination(
             grid, [(1.0, env.b_cross(i, j)), (1.0, kept)], nondecreasing=True
         )

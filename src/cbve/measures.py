@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -298,14 +299,6 @@ class DiscreteSpatialMeasure:
             pts.append((z1, z2, w))
         object.__setattr__(self, "points", tuple(pts))
 
-    @property
-    def total_weight(self) -> float:
-        return sum(w for _, _, w in self.points)
-
-    def weighted_total(self, fn) -> float:
-        """Sum of ``fn(z1, z2) * weight`` over the support."""
-        return sum(fn(z1, z2) * w for z1, z2, w in self.points)
-
     def scaled(self, factor_fn) -> "DiscreteSpatialMeasure":
         """Thin each weight by ``factor_fn(z1, z2)``, dropping zero weights."""
         pts = []
@@ -317,6 +310,30 @@ class DiscreteSpatialMeasure:
 
 
 _EMPTY_SPATIAL = DiscreteSpatialMeasure(())
+
+
+def _padded(point_sets) -> np.ndarray:
+    """Points of each set as a read-only ``(3, K, sets)`` array of (z1, z2,
+    weight); K is the largest set size, and the slots past a set's own
+    points hold zeros, so they add nothing to a weighted sum."""
+    counts = np.fromiter(map(len, point_sets), np.intp, len(point_sets))
+    out = np.zeros((3, int(counts.max(initial=0)), counts.size))
+    flat = np.array(list(chain.from_iterable(point_sets)), dtype=float)
+    col = np.repeat(np.arange(counts.size), counts)
+    slot = np.arange(col.size) - (np.cumsum(counts) - counts)[col]
+    out[:, slot, col] = flat.reshape(-1, 3).T
+    out.setflags(write=False)
+    return out
+
+
+def _slot_sums(fn, points: np.ndarray) -> np.ndarray:
+    """Sum of ``fn(z1, z2) * weight`` per set, adding one slot at a time:
+    the order of a per-point loop, where ``sum(axis=0)`` may go pairwise."""
+    z1, z2, w = points
+    total = np.zeros(points.shape[2])
+    for term in fn(z1, z2) * w:
+        total += term
+    return total
 
 
 @dataclass(frozen=True, eq=False)
@@ -374,6 +391,23 @@ class JumpMeasure:
         """Spatial points of the time atom at each atom node index."""
         return {idx: spatial.points for _, spatial, idx in self._atom_entries}
 
+    @cached_property
+    def cell_points(self) -> np.ndarray:
+        """Cell kernel points as a read-only, zero-padded ``(3, K, cells)``
+        array of (z1, z2, weight), the form every projection reads."""
+        return _padded([kern.points for kern in self.cell_kernels])
+
+    @cached_property
+    def atom_points(self) -> np.ndarray:
+        """Time-atom points like :attr:`cell_points`, ``(3, Ka, nodes)`` and
+        indexed by grid node."""
+        points = self.node_points
+        dense = _padded(list(points.values()))
+        out = np.zeros((3, dense.shape[1], self.grid.nodes.size))
+        out[:, :, list(points)] = dense
+        out.setflags(write=False)
+        return out
+
     def atom_at(self, t: float) -> DiscreteSpatialMeasure:
         idx = self.grid.index_of(t)
         for time, spatial, i in self._atom_entries:
@@ -382,14 +416,28 @@ class JumpMeasure:
         return _EMPTY_SPATIAL
 
     def moment_measure(self, fn) -> StieltjesMeasure:
-        """Project onto time: cell densities and atoms weighted by ``fn(z)``."""
-        dens = np.array([k.weighted_total(fn) for k in self.cell_kernels])
-        atoms = []
-        for t, spatial, _ in self._atom_entries:
-            m = spatial.weighted_total(fn)
-            if m != 0.0:
-                atoms.append((t, m))
-        return StieltjesMeasure(self.grid, dens, tuple(atoms))
+        """Project onto time: cell densities and atoms weighted by ``fn(z)``.
+
+        ``fn(z1, z2)`` receives numpy arrays (:attr:`cell_points`, then
+        :attr:`atom_points`) and must work elementwise and be finite at the
+        origin, where the zero-weight padded slots sit."""
+        dens = _slot_sums(fn, self.cell_points)
+        node_mass = _slot_sums(fn, self.atom_points)
+        atoms = tuple((t, m) for t, _, idx in self._atom_entries
+                      if (m := float(node_mass[idx])) != 0.0)
+        return StieltjesMeasure(self.grid, dens, atoms)
+
+    @cached_property
+    def _coordinate_moments(self) -> tuple:
+        return (self.moment_measure(lambda z1, z2: z1),
+                self.moment_measure(lambda z1, z2: z2))
+
+    def coordinate_moment(self, i: int) -> StieltjesMeasure:
+        """Mean z_i inflow: :meth:`moment_measure` of coordinate ``i`` (1 or
+        2), computed once per kernel."""
+        if i not in (1, 2):
+            raise ValueError("coordinate index must be 1 or 2")
+        return self._coordinate_moments[i - 1]
 
     def thinned(self, factor_fn) -> "JumpMeasure":
         kernels = tuple(k.scaled(factor_fn) for k in self.cell_kernels)

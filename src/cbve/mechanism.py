@@ -119,8 +119,7 @@ def mechanism_atom_increment(env: Environment, i: int, lam, s: float) -> float:
     j = _other(i)
     out = env.b_diag(i).atom_mass_at(s) * lam[i - 1]
     cross = env.b_cross(i, j).atom_mass_at(s)
-    cross_fn = (lambda z1, z2: z2) if j == 2 else (lambda z1, z2: z1)
-    cross += env.m_jump(i).atom_at(s).weighted_total(cross_fn)
+    cross += env.m_jump(i).coordinate_moment(j).atom_mass_at(s)
     out -= cross * lam[j - 1]
     pts = env.m_jump(i).atom_at(s).points
     if pts:

@@ -537,15 +537,14 @@ def apriori_growth_exponent(sf: SpecialForm, t: float) -> float:
     grid = sf.grid
     total = 0.0
     for i in (1, 2):
-        own_fn = (lambda z1, z2: z1) if i == 1 else (lambda z1, z2: z2)
         combined = StieltjesMeasure.linear_combination(
             grid,
-            [(1.0, sf.gamma_diag(i)), (1.0, sf.mu_jump(i).moment_measure(own_fn))],
+            [(1.0, sf.gamma_diag(i)), (1.0, sf.mu_jump(i).coordinate_moment(i))],
         )
         total += combined.total_variation(t)
     total += sf.gamma12.cumulative(t) + sf.gamma21.cumulative(t)
-    total += sf.mu2.moment_measure(lambda z1, z2: z1).cumulative(t)
-    total += sf.mu1.moment_measure(lambda z1, z2: z2).cumulative(t)
+    total += sf.mu2.coordinate_moment(1).cumulative(t)
+    total += sf.mu1.coordinate_moment(2).cumulative(t)
     return total
 
 
@@ -560,9 +559,9 @@ def cumulant_upper_bound(env: Environment, i: int, r: float, t: float, lam) -> f
     lam1, lam2 = _check_lambda(lam)
     j = _other(i)
     norm = math.hypot(lam1, lam2)
-    bb_ij = effective_cross_drift(env, i, j).cumulative(t)
     bb12 = effective_cross_drift(env, 1, 2).cumulative(t)
     bb21 = effective_cross_drift(env, 2, 1).cumulative(t)
+    bb_ij = bb12 if i == 1 else bb21
     tv_jj = env.b_diag(j).total_variation(t)
     expo = math.exp(tv_jj) * bb12 * bb21
     expo += env.b11.total_variation(t) + env.b22.total_variation(t)

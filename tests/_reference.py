@@ -1,10 +1,17 @@
-"""Scalar reference implementation of the monotone Picard solve.
+"""Scalar reference implementations kept as test oracles.
 
-This is the cell-by-cell loop that :func:`cbve.solve_special_picard`
-replaced with whole-array steps, kept unchanged as the test oracle: the
-tuple table builder and the iteration read the same coefficients in the
-same per-term order, so the two solvers agree to rounding (numpy's
-``expm1``/``exp`` and :mod:`math`'s may differ in the last bit).
+:func:`solve_special_picard` is the cell-by-cell loop that
+:func:`cbve.solve_special_picard` replaced with whole-array steps, kept
+unchanged: the tuple table builder and the iteration read the same
+coefficients in the same per-term order, so the two solvers agree to
+rounding (numpy's ``expm1``/``exp`` and :mod:`math`'s may differ in the
+last bit).
+
+:func:`moment_measure` is the per-point projection that
+:meth:`cbve.JumpMeasure.moment_measure` replaced with one call on padded
+arrays, and :func:`admissibility_integrand` the scalar integrand it was
+called with; the two add the same terms in the same order, so they agree
+bit for bit.
 """
 from __future__ import annotations
 
@@ -14,6 +21,7 @@ import numpy as np
 
 from cbve.compiled import _scaled_points, cell_table
 from cbve.errors import ConvergenceError, NumericalError
+from cbve.measures import StieltjesMeasure
 from cbve.solver import (
     _DEFAULT_OPTS,
     CumulantSolution,
@@ -194,3 +202,32 @@ def solve_special_picard(sf, t: float, lam, opts=None) -> CumulantSolution:
         picard_iterate_maxima=tuple(max_vals),
         picard_bound=2.0 * math.hypot(lam1, lam2) * math.exp(rho),
     )
+
+
+def admissibility_integrand(i):
+    """Scalar form of ``cbve.environment._admissibility_integrand``."""
+    def fn(z1, z2):
+        zi, zj = (z1, z2) if i == 1 else (z2, z1)
+        own = zi * zi if z1 * z1 + z2 * z2 <= 1.0 else zi
+        return own + zj
+
+    return fn
+
+
+def moment_measure(jump, fn):
+    """Cell densities and atoms of ``jump`` weighted by ``fn(z1, z2)``,
+    one point at a time."""
+    def weighted_total(spatial):
+        # left to right, as sum() did before Python 3.12 made it compensated
+        acc = 0
+        for z1, z2, w in spatial.points:
+            acc += fn(z1, z2) * w
+        return acc
+
+    dens = np.array([weighted_total(k) for k in jump.cell_kernels])
+    atoms = []
+    for t, spatial in jump.time_atoms:
+        m = weighted_total(spatial)
+        if m != 0.0:
+            atoms.append((t, m))
+    return StieltjesMeasure(jump.grid, dens, tuple(atoms))

@@ -135,6 +135,13 @@ class TestStateGuard:
         with pytest.raises(NumericalError, match="overflow"):
             simulate_path(sf, (1.0, 1.0), 1.0, 3)
 
+    def test_flow_matrix_overflow_is_typed(self):
+        # on one cell the flow matrix exp(800) itself overflows
+        grid = uniform_grid(cells=1)
+        sf = make_sf(grid, g11=StieltjesMeasure.from_segments(grid, [(0.0, 1.0, 800.0)]))
+        with pytest.raises(NumericalError, match="overflow"):
+            simulate_path(sf, (1.0, 1.0), 1.0, 3)
+
     def test_cross_blow_up_is_typed(self):
         grid = uniform_grid(cells=64)
         cross = StieltjesMeasure.from_segments(grid, [(0.0, 1.0, 300.0)], (), True)
