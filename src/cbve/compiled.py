@@ -1,10 +1,10 @@
 """Compiled coefficient tables consumed by the solver and simulator loops.
 
 :func:`cell_table` flattens measures into Python rows once, so the scalar
-loops of the general sweep, the moment system and the simulator index
-tuples instead of arrays: one row ``(h, densities..., kernel points...)``
-per grid cell and one entry ``(atom masses..., atom points...)`` per node
-that carries any time atom.  The simulator table is derived from it.
+loops of the general sweep and the simulator index tuples instead of
+arrays: one row ``(h, densities..., kernel points...)`` per grid cell and
+one entry ``(atom masses..., atom points...)`` per node that carries any
+time atom.  The simulator table is derived from it.
 
 :func:`picard_table` is the array form consumed by the whole-array Picard
 iteration: per-cell vectors, the kernels' padded ``(3, K, cells)`` point
@@ -123,7 +123,9 @@ def picard_table(sf):
     Za1, Za2 = Z1[nodes], Z2[nodes]
     za1, za2 = Za1 - dZ1[nodes], Za2 - dZ2[nodes]
     P1, P2 = mu1.cell_points, mu2.cell_points
-    A1, A2 = mu1.atom_points[:, :, nodes], mu2.atom_points[:, :, nodes]
+    A1, A2 = (np.zeros((3, mu.atom_points.shape[1], nodes.size)) for mu in (mu1, mu2))
+    for A, mu in ((A1, mu1), (A2, mu2)):
+        A[:, :, np.searchsorted(nodes, list(mu.node_points))] = mu.atom_points
     exp = np.exp
     with np.errstate(over="ignore", invalid="ignore"):
         eL1, eL2, eR1, eR2 = exp(-ZL1), exp(-ZL2), exp(-ZR1), exp(-ZR2)

@@ -164,11 +164,16 @@ class Environment(_Model):
             raise AdmissibilityError("; ".join(report.messages) or "invalid environment")
 
     @cached_property
+    def _cross_drifts(self) -> tuple:
+        """(bb12, bb21) of :func:`effective_cross_drift`, built once."""
+        return tuple(StieltjesMeasure.linear_combination(
+            self.grid, [(1.0, b), (1.0, m.coordinate_moment(j))], nondecreasing=True)
+            for b, m, j in ((self.b12, self.m1, 2), (self.b21, self.m2, 1)))
+
+    @cached_property
     def _table(self):
-        """Cells and atoms of the general sweep and the moment system."""
-        bb12 = effective_cross_drift(self, 1, 2)
-        bb21 = effective_cross_drift(self, 2, 1)
-        return cell_table((self.b11, self.b22, bb12, bb21, self.c1, self.c2),
+        """Cells and atoms of the general sweep."""
+        return cell_table((self.b11, self.b22, *self._cross_drifts, self.c1, self.c2),
                           (self.m1, self.m2))
 
 
@@ -289,11 +294,7 @@ def effective_cross_drift(env: Environment, i: int, j: int) -> StieltjesMeasure:
     """Cross drift plus the mean cross-coordinate inflow of the jump kernel."""
     if j != _other(i):
         raise ValueError("need i != j in {1, 2}")
-    return StieltjesMeasure.linear_combination(
-        env.grid,
-        [(1.0, env.b_cross(i, j)), (1.0, env.m_jump(i).coordinate_moment(j))],
-        nondecreasing=True,
-    )
+    return env._cross_drifts[i - 1]
 
 
 def special_to_general(sf: SpecialForm) -> Environment:

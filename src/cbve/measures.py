@@ -399,14 +399,9 @@ class JumpMeasure:
 
     @cached_property
     def atom_points(self) -> np.ndarray:
-        """Time-atom points like :attr:`cell_points`, ``(3, Ka, nodes)`` and
-        indexed by grid node."""
-        points = self.node_points
-        dense = _padded(list(points.values()))
-        out = np.zeros((3, dense.shape[1], self.grid.nodes.size))
-        out[:, :, list(points)] = dense
-        out.setflags(write=False)
-        return out
+        """Time-atom points like :attr:`cell_points`, ``(3, Ka, atoms)``: one
+        column per time atom, in the order of :attr:`node_points`."""
+        return _padded(list(self.node_points.values()))
 
     def atom_at(self, t: float) -> DiscreteSpatialMeasure:
         idx = self.grid.index_of(t)
@@ -422,9 +417,9 @@ class JumpMeasure:
         :attr:`atom_points`) and must work elementwise and be finite at the
         origin, where the zero-weight padded slots sit."""
         dens = _slot_sums(fn, self.cell_points)
-        node_mass = _slot_sums(fn, self.atom_points)
-        atoms = tuple((t, m) for t, _, idx in self._atom_entries
-                      if (m := float(node_mass[idx])) != 0.0)
+        masses = _slot_sums(fn, self.atom_points).tolist()
+        atoms = tuple((t, m) for (t, _, _), m in zip(self._atom_entries, masses)
+                      if m != 0.0)
         return StieltjesMeasure(self.grid, dens, atoms)
 
     @cached_property

@@ -118,9 +118,7 @@ def mechanism_atom_increment(env: Environment, i: int, lam, s: float) -> float:
     """Mechanism mass concentrated at the single time atom s."""
     j = _other(i)
     out = env.b_diag(i).atom_mass_at(s) * lam[i - 1]
-    cross = env.b_cross(i, j).atom_mass_at(s)
-    cross += env.m_jump(i).coordinate_moment(j).atom_mass_at(s)
-    out -= cross * lam[j - 1]
+    out -= effective_cross_drift(env, i, j).atom_mass_at(s) * lam[j - 1]
     pts = env.m_jump(i).atom_at(s).points
     if pts:
         out += _full_kernel_sum((lam[0], lam[1]), pts)

@@ -1,11 +1,11 @@
 """Linear backward system for first moments.
 
 The mean of the process against a fixed pair lam solves a linear backward
-system driven by the diagonal drifts and the effective cross drifts.  The
-sweep shares the atom-exact stepping and the predictor/corrector cell
-passes of the nonlinear solver.  Signed lam always routes through the
-axis decomposition sgn(lam_1) (|lam_1|, 0) + sgn(lam_2) (0, |lam_2|), so
-there is a single code path and linearity holds to rounding.
+system driven by the diagonal drifts and the effective cross drifts, with
+the atom-exact steps and predictor/corrector cell passes of the nonlinear
+solver.  Each step is a 2x2 matrix free of lam, so ``pi_k = Phi(k) lam``
+with one propagator per node, built for all cells at once, and linearity
+in lam, signed or not, holds by construction.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .environment import Environment
+from .environment import Environment, effective_cross_drift
 from .errors import NumericalError
 from .measures import TimeGrid
 from .solver import SolverOptions, _DEFAULT_OPTS, solve_general
@@ -42,35 +42,41 @@ class MomentSolution:
         return self.pi[min(idx, self.terminal_index)].copy()
 
 
-def _moment_axis(env: Environment, M: int, lam1: float, lam2: float,
-                 npass: int) -> np.ndarray:
-    cells, atoms = env._table
-    pi = np.empty((M + 1, 2))
-    pi[M, 0], pi[M, 1] = lam1, lam2
-    p1, p2 = lam1, lam2
-    for k in range(M - 1, -1, -1):
-        a = atoms.get(k + 1)
-        if a is not None:
-            a11, a22, ab12, ab21, _, _, _, _ = a
-            q1 = ab12 * p2 - a11 * p1
-            q2 = ab21 * p1 - a22 * p2
-            p1 += q1
-            p2 += q2
-        h, b11d, b22d, bb12d, bb21d, _, _, _, _ = cells[k]
-        d1 = bb12d * p2 - b11d * p1
-        d2 = bb21d * p1 - b22d * p2
-        c1 = p1 + h * d1
-        c2 = p2 + h * d2
-        for _ in range(npass - 1):
-            e1 = bb12d * c2 - b11d * c1
-            e2 = bb21d * c1 - b22d * c2
-            c1 = p1 + 0.5 * h * (d1 + e1)
-            c2 = p2 + 0.5 * h * (d2 + e2)
-        p1, p2 = c1, c2
-        if not (math.isfinite(p1) and math.isfinite(p2)):
-            raise NumericalError("moment sweep produced non-finite values")
-        pi[k, 0], pi[k, 1] = p1, p2
-    return pi
+def _compose(x, y):
+    """``(I + x)(I + y) - I`` for ``(2, 2, n)`` stacks of deviations from I."""
+    out = np.einsum("ijk,jlk->ilk", x, y)
+    out += x
+    out += y
+    return out
+
+
+def _propagators(env: Environment, M: int, npass: int) -> np.ndarray:
+    """``Phi(k) - I`` for the backward propagators ``Phi(k) = P(k) ... P(M-1)``,
+    ``(2, 2, M)``.  ``P(k) = C(k) (I - J(k+1))`` applies the atom at node k+1,
+    then the passes ``C = I + hA``, ``C = I + hA (I + C) / 2`` over cell k;
+    recursive doubling takes log2(M) whole-array products.  Carrying
+    ``Phi - I`` rounds each product relative to the change it makes, where
+    ``Phi`` itself would round a near-identity step alike on every cell of a
+    constant stretch, an error that grows like M * eps.
+    """
+    bb12, bb21 = effective_cross_drift(env, 1, 2), effective_cross_drift(env, 2, 1)
+    # in-place steps keep at most three (2, 2, M) arrays alive at a time
+    hA = np.array(((-env.b11.density[:M], bb12.density[:M]),
+                   (bb21.density[:M], -env.b22.density[:M]))) * env.grid.widths[:M]
+    D = hA
+    for _ in range(npass - 1):
+        D = np.einsum("ijk,jlk->ilk", hA, D)
+        D *= 0.5
+        D += hA
+    del hA
+    a11, ab12, ab21, a22 = (meas.node_atom_masses[1:M + 1]
+                            for meas in (env.b11, bb12, bb21, env.b22))
+    E = _compose(D, np.array(((-a11, ab12), (ab21, -a22))))
+    s = 1
+    while s < M:
+        E[:, :, :M - s] = _compose(E[:, :, :M - s], E[:, :, s:])
+        s *= 2
+    return E
 
 
 def solve_moment(env: Environment, t: float, lam,
@@ -82,13 +88,11 @@ def solve_moment(env: Environment, t: float, lam,
     if not (math.isfinite(lam1) and math.isfinite(lam2)):
         raise ValueError("lambda must be finite")
     M = env.grid.index_of(t)
-    npass = opts.cell_fixed_point_iters
-    axis1 = _moment_axis(env, M, abs(lam1), 0.0, npass)
-    axis2 = _moment_axis(env, M, 0.0, abs(lam2), npass)
-    sgn1 = math.copysign(1.0, lam1) if lam1 != 0.0 else 0.0
-    sgn2 = math.copysign(1.0, lam2) if lam2 != 0.0 else 0.0
-    pi = sgn1 * axis1 + sgn2 * axis2
-    pi[M, 0], pi[M, 1] = lam1, lam2
+    with np.errstate(over="ignore", invalid="ignore"):
+        E = _propagators(env, M, opts.cell_fixed_point_iters)
+        pi = np.vstack(((E[:, 0] * lam1 + E[:, 1] * lam2).T + (lam1, lam2), (lam1, lam2)))
+    if not np.all(np.isfinite(pi)):
+        raise NumericalError("moment propagator produced non-finite values")
     return MomentSolution(t=float(env.grid.nodes[M]), lam=(lam1, lam2),
                           grid=env.grid, pi=pi)
 

@@ -23,8 +23,7 @@ Two routes produce the same discrete solution:
 Both routes hold only their loops over the compiled tables of
 :mod:`cbve.compiled`, which each model builds once and caches: tuple rows
 for the sweep (which is sequential and nonlinear, so it stays a scalar
-loop), padded arrays for Picard; the moment system shares the general
-table.  The module also houses the h-transform
+loop), padded arrays for Picard.  The module also houses the h-transform
 utilities, the two-dimensional Gronwall bound, the a-priori growth
 exponent and upper bound, and the flow-property check.
 """

@@ -12,6 +12,13 @@ last bit).
 arrays, and :func:`admissibility_integrand` the scalar integrand it was
 called with; the two add the same terms in the same order, so they agree
 bit for bit.
+
+:func:`solve_moment` is the scalar moment sweep that
+:func:`cbve.solve_moment` replaced with one product of 2x2 propagators:
+it runs once per axis, (|lam_1|, 0) and (0, |lam_2|), over the tuple
+table of the general sweep and puts the signs back afterwards.  The
+propagator multiplies the same steps in another order, so the two agree
+to rounding.
 """
 from __future__ import annotations
 
@@ -22,6 +29,7 @@ import numpy as np
 from cbve.compiled import _scaled_points, cell_table
 from cbve.errors import ConvergenceError, NumericalError
 from cbve.measures import StieltjesMeasure
+from cbve.moments import MomentSolution
 from cbve.solver import (
     _DEFAULT_OPTS,
     CumulantSolution,
@@ -231,3 +239,52 @@ def moment_measure(jump, fn):
         if m != 0.0:
             atoms.append((t, m))
     return StieltjesMeasure(jump.grid, dens, tuple(atoms))
+
+
+def _moment_axis(env, M: int, lam1: float, lam2: float, npass: int) -> np.ndarray:
+    cells, atoms = env._table
+    pi = np.empty((M + 1, 2))
+    pi[M, 0], pi[M, 1] = lam1, lam2
+    p1, p2 = lam1, lam2
+    for k in range(M - 1, -1, -1):
+        a = atoms.get(k + 1)
+        if a is not None:
+            a11, a22, ab12, ab21, _, _, _, _ = a
+            q1 = ab12 * p2 - a11 * p1
+            q2 = ab21 * p1 - a22 * p2
+            p1 += q1
+            p2 += q2
+        h, b11d, b22d, bb12d, bb21d, _, _, _, _ = cells[k]
+        d1 = bb12d * p2 - b11d * p1
+        d2 = bb21d * p1 - b22d * p2
+        c1 = p1 + h * d1
+        c2 = p2 + h * d2
+        for _ in range(npass - 1):
+            e1 = bb12d * c2 - b11d * c1
+            e2 = bb21d * c1 - b22d * c2
+            c1 = p1 + 0.5 * h * (d1 + e1)
+            c2 = p2 + 0.5 * h * (d2 + e2)
+        p1, p2 = c1, c2
+        if not (math.isfinite(p1) and math.isfinite(p2)):
+            raise NumericalError("moment sweep produced non-finite values")
+        pi[k, 0], pi[k, 1] = p1, p2
+    return pi
+
+
+def solve_moment(env, t: float, lam, opts=None) -> MomentSolution:
+    """Solve the linear mean system for a signed terminal pair."""
+    opts = opts or _DEFAULT_OPTS
+    env.require_valid()
+    lam1, lam2 = float(lam[0]), float(lam[1])
+    if not (math.isfinite(lam1) and math.isfinite(lam2)):
+        raise ValueError("lambda must be finite")
+    M = env.grid.index_of(t)
+    npass = opts.cell_fixed_point_iters
+    axis1 = _moment_axis(env, M, abs(lam1), 0.0, npass)
+    axis2 = _moment_axis(env, M, 0.0, abs(lam2), npass)
+    sgn1 = math.copysign(1.0, lam1) if lam1 != 0.0 else 0.0
+    sgn2 = math.copysign(1.0, lam2) if lam2 != 0.0 else 0.0
+    pi = sgn1 * axis1 + sgn2 * axis2
+    pi[M, 0], pi[M, 1] = lam1, lam2
+    return MomentSolution(t=float(env.grid.nodes[M]), lam=(lam1, lam2),
+                          grid=env.grid, pi=pi)

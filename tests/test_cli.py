@@ -240,6 +240,15 @@ class TestCommands:
         assert "numerical failure" in err
         assert "Traceback" not in err
 
+    def test_moment_overflow_exit_code(self, tmp_path, capsys):
+        # b22 density -800 on 1000 cells: the mean grows past 1e308
+        path = _write(tmp_path, {"horizon": 1.0, "grid_cells": 1000,
+                                 "b22": {"density": [[0.0, 1.0, -800.0]]}})
+        assert main(["moments", "--config", path]) == 4
+        err = capsys.readouterr().err
+        assert "numerical failure" in err
+        assert "Traceback" not in err
+
     def test_verify_failure_exit_code(self, tmp_path, capsys):
         path = _write(
             tmp_path,

@@ -1,8 +1,11 @@
 """First-moment system: closed forms, linearity, flow, bounds, differencing."""
+import warnings
+
 import numpy as np
 import pytest
 
 from cbve import (
+    NumericalError,
     StieltjesMeasure,
     finite_diff_check,
     gronwall_bound,
@@ -102,6 +105,21 @@ class TestSolveMoment:
             )
             assert np.max(np.abs(sol.pi[:, 0])) <= bounds[0] + 1e-9
             assert np.max(np.abs(sol.pi[:, 1])) <= bounds[1] + 1e-9
+
+
+class TestOverflow:
+    @pytest.mark.parametrize("lam", [(1.0, 1.0), (0.0, -2.0), (1.0, 0.0)])
+    def test_overflowing_mean_is_typed(self, lam):
+        # b22 density -800 on 1000 cells: each cell step multiplies the
+        # type-2 mean by 2.12, past 1e308 long before r = 0.  With lam_2 = 0
+        # the inf meets a zero in the propagator products and gives NaN,
+        # which raises too.
+        grid = uniform_grid(cells=1000)
+        env = make_env(grid, b22=StieltjesMeasure.from_segments(grid, [(0.0, 1.0, -800.0)]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="non-finite"):
+                solve_moment(env, 1.0, lam)
 
 
 class TestFiniteDiff:
