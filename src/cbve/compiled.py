@@ -8,8 +8,9 @@ time atom.  The simulator table is derived from it.
 
 :func:`picard_table` is the array form consumed by the whole-array Picard
 iteration: per-cell vectors, the kernels' padded ``(3, K, cells)`` point
-arrays (``JumpMeasure.cell_points``) rescaled per cell, and per-atom-node
-vectors indexed by an ascending node array.
+arrays (``JumpMeasure.cell_points``) rescaled per cell by :func:`_rescaled`
+(the h-transform's rescaling too), and per-atom-node vectors indexed by an
+ascending node array.
 
 The frozen model classes of :mod:`cbve.environment` cache each table on
 first use; this module reads models by attribute only and does not import
@@ -54,13 +55,9 @@ def cell_table(scalars, jumps):
     return rows, atoms
 
 
-def _scaled_points(points, e1, e2, wfac):
-    return tuple((z1 * e1, z2 * e2, w * wfac) for z1, z2, w in points)
-
-
 def _rescaled(points, e1, e2, wfac):
-    """Padded points with z1, z2 and weight scaled per set (array form of
-    :func:`_scaled_points`)."""
+    """Padded points with z1, z2 and weight scaled per set: the change of
+    scale of the Picard table and of the h-transform."""
     return points * np.stack((e1, e2, wfac))[:, None, :]
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .compiled import cell_table, picard_table, sim_table
 from .errors import AdmissibilityError
-from .measures import DiscreteSpatialMeasure, JumpMeasure, StieltjesMeasure, TimeGrid
+from .measures import JumpMeasure, StieltjesMeasure, TimeGrid
 
 __all__ = [
     "Environment",
@@ -50,6 +50,10 @@ def _other(i: int) -> int:
     if i not in (1, 2):
         raise ValueError("type index must be 1 or 2")
     return 3 - i
+
+
+#: math.hypot elementwise: np.hypot differs from it in the last bit
+_hypot = np.vectorize(math.hypot, otypes=[float])
 
 
 def _admissibility_integrand(i: int):
@@ -237,16 +241,10 @@ def bottlenecks(env: Environment) -> list:
     with no compensating cross-drift jump or jump-kernel atom."""
     found = []
     for i in (1, 2):
-        j = _other(i)
-        cross = env.b_cross(i, j)
-        for t, mass in env.b_diag(i).atoms:
-            if abs(mass - 1.0) > ATOM_TOL:
-                continue
-            if cross.atom_mass_at(t) != 0.0:
-                continue
-            if env.m_jump(i).atom_at(t).points:
-                continue
-            found.append((t, i))
+        hit = np.abs(env.b_diag(i).node_atom_masses - 1.0) <= ATOM_TOL
+        hit &= env.b_cross(i, _other(i)).node_atom_masses == 0.0
+        hit[[m for m, points in env.m_jump(i).node_points.items() if points]] = False
+        found.extend((float(env.grid.nodes[m]), i) for m in np.flatnonzero(hit))
     found.sort()
     return found
 
@@ -274,11 +272,10 @@ def validate(env: Environment) -> ValidationReport:
     deltas = []
     ok = True
     for i in (1, 2):
-        worst = 0.0
-        for t, _ in env.b_diag(i).atoms:
-            worst = max(worst, atom_load(env, i, t))
-        for t, _ in env.m_jump(i).time_atoms:
-            worst = max(worst, atom_load(env, i, t))
+        # atom_load at every node: 0 where neither part has an atom
+        own = env.m_jump(i).coordinate_moment(i)
+        loads = env.b_diag(i).node_atom_masses + own.node_atom_masses
+        worst = max(0.0, float(np.max(loads)))
         deltas.append(worst)
         if worst > 1.0 + ATOM_TOL:
             ok = False
@@ -340,18 +337,19 @@ def finite_activity_approximation(env: Environment, n: int) -> SpecialForm:
     en = math.exp(-n)
     shrink = 1.0 - en
 
-    def thin_factor(z1: float, z2: float) -> float:
-        return shrink * min(1.0, n * math.hypot(z1, z2))
+    def thin_factor(z1, z2):
+        return shrink * np.minimum(1.0, n * _hypot(z1, z2))
+
+    thinned = [env.m_jump(i).thinned(thin_factor) for i in (1, 2)]
 
     def diag(i: int) -> StieltjesMeasure:
-        thinned_own = env.m_jump(i).thinned(thin_factor).coordinate_moment(i)
         return StieltjesMeasure.linear_combination(
             grid,
             [
                 (-1.0, env.b_diag(i)),
                 (en, env.b_diag(i).abs()),
                 (-2.0 * n, env.c_diag(i)),
-                (-1.0, thinned_own),
+                (-1.0, thinned[i - 1].coordinate_moment(i)),
             ],
         )
 
@@ -366,17 +364,13 @@ def finite_activity_approximation(env: Environment, n: int) -> SpecialForm:
         )
 
     def jumps(i: int) -> JumpMeasure:
-        small = (1.0 / n, 0.0) if i == 1 else (0.0, 1.0 / n)
-        c_dens = env.c_diag(i).density
-        thinned = env.m_jump(i).thinned(thin_factor)
-        kernels = []
-        for k, base in enumerate(thinned.cell_kernels):
-            pts = list(base.points)
-            rate = 2.0 * n * n * float(c_dens[k])
-            if rate > 0.0:
-                pts.append((small[0], small[1], rate))
-            kernels.append(DiscreteSpatialMeasure(tuple(pts)))
-        return JumpMeasure(grid, tuple(kernels), thinned.time_atoms)
+        # one more slot per cell: the 1/n jump at rate 2 n^2 c_i (none where 0)
+        small = np.zeros((3, 1, grid.n_cells))
+        small[i - 1] = 1.0 / n
+        small[2] = 2.0 * n * n * env.c_diag(i).density
+        base = thinned[i - 1]
+        return base._rebuilt(np.concatenate((base.cell_points, small), axis=1),
+                             base.atom_points, thin=True)
 
     return SpecialForm(
         grid, diag(1), diag(2), cross(1, 2), cross(2, 1), jumps(1), jumps(2)

@@ -299,15 +299,6 @@ class DiscreteSpatialMeasure:
             pts.append((z1, z2, w))
         object.__setattr__(self, "points", tuple(pts))
 
-    def scaled(self, factor_fn) -> "DiscreteSpatialMeasure":
-        """Thin each weight by ``factor_fn(z1, z2)``, dropping zero weights."""
-        pts = []
-        for z1, z2, w in self.points:
-            fw = factor_fn(z1, z2) * w
-            if fw > 0.0:
-                pts.append((z1, z2, fw))
-        return DiscreteSpatialMeasure(tuple(pts))
-
 
 _EMPTY_SPATIAL = DiscreteSpatialMeasure(())
 
@@ -324,6 +315,16 @@ def _padded(point_sets) -> np.ndarray:
     out[:, slot, col] = flat.reshape(-1, 3).T
     out.setflags(write=False)
     return out
+
+
+def _unpadded(points: np.ndarray, keep: np.ndarray) -> list:
+    """One spatial measure per set of padded ``points``, holding the
+    ``keep`` slots of that set in slot order."""
+    col, slot = np.nonzero(keep.T)
+    rows = list(zip(*points[:, slot, col].tolist()))
+    ends = np.cumsum(np.count_nonzero(keep, axis=0)).tolist()
+    return [DiscreteSpatialMeasure(tuple(rows[a:b]))
+            for a, b in zip([0, *ends], ends)]
 
 
 def _slot_sums(fn, points: np.ndarray) -> np.ndarray:
@@ -403,13 +404,6 @@ class JumpMeasure:
         column per time atom, in the order of :attr:`node_points`."""
         return _padded(list(self.node_points.values()))
 
-    def atom_at(self, t: float) -> DiscreteSpatialMeasure:
-        idx = self.grid.index_of(t)
-        for time, spatial, i in self._atom_entries:
-            if i == idx:
-                return spatial
-        return _EMPTY_SPATIAL
-
     def moment_measure(self, fn) -> StieltjesMeasure:
         """Project onto time: cell densities and atoms weighted by ``fn(z)``.
 
@@ -434,14 +428,26 @@ class JumpMeasure:
             raise ValueError("coordinate index must be 1 or 2")
         return self._coordinate_moments[i - 1]
 
-    def thinned(self, factor_fn) -> "JumpMeasure":
-        kernels = tuple(k.scaled(factor_fn) for k in self.cell_kernels)
-        atoms = []
-        for t, spatial, _ in self._atom_entries:
-            sc = spatial.scaled(factor_fn)
-            if sc.points:
-                atoms.append((t, sc))
-        return JumpMeasure(self.grid, kernels, tuple(atoms))
+    def _rebuilt(self, cells: np.ndarray, atoms: np.ndarray,
+                 thin: bool = False) -> "JumpMeasure":
+        """This kernel with points read from transformed copies of its padded
+        arrays: at its own points' slots (so a weight underflowing to 0 still
+        fails the spatial check), or with ``thin`` where the new weight is
+        positive, dropping emptied atoms."""
+        own = (cells, atoms) if thin else (self.cell_points, self.atom_points)
+        keep, atom_keep = (points[2] > 0.0 for points in own)
+        spatial = zip(self._atom_entries, _unpadded(atoms, atom_keep))
+        return JumpMeasure(self.grid, tuple(_unpadded(cells, keep)), tuple(
+            (t, s) for (t, _, _), s in spatial if s.points or not thin))
+
+    def thinned(self, fn) -> "JumpMeasure":
+        """Each weight times ``fn(z1, z2)``, dropping points whose new weight
+        is not positive and atoms left empty; ``fn`` is called as in
+        :meth:`moment_measure`."""
+        cells, atoms = self.cell_points.copy(), self.atom_points.copy()
+        for points in (cells, atoms):
+            points[2] *= fn(points[0], points[1])
+        return self._rebuilt(cells, atoms, thin=True)
 
     def on_refinement(self, fine: TimeGrid, factor: int) -> "JumpMeasure":
         kernels = []

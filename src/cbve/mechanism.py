@@ -7,6 +7,8 @@ special-form counterpart does the same for finite-activity coefficients.
 Evaluation follows the measures module conventions: atoms exact,
 densities per endpoint rule (right endpoint by default, matching the
 right-closed interval convention and the backward stepping direction).
+The jump part is one elementwise evaluation on the kernel's padded
+``cell_points``/``atom_points``, summed slot by slot like ``moment_measure``.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ from .environment import (
     _admissibility_integrand,
     _other,
 )
-from .measures import StieltjesMeasure
+from .measures import StieltjesMeasure, _slot_sums
 
 __all__ = [
     "compensated_jump_kernel",
@@ -58,39 +60,27 @@ def as_vector_function(grid, values) -> np.ndarray:
     return arr
 
 
-def _jump_part(jump, f, ir, it, widths, rule, kernel_values):
-    """Integrate sum of kernel_values(f(s), point) over (r, t] for one type."""
-    total = 0.0
-    for k in range(ir, it):
-        pts = jump.cell_kernels[k].points
-        if not pts:
-            continue
-        right = kernel_values(f[k + 1], pts)
-        if rule == "right":
-            total += widths[k] * right
-        else:
-            total += widths[k] * 0.5 * (kernel_values(f[k], pts) + right)
-    for t_at, spatial, idx in jump._atom_entries:
-        if ir < idx <= it and spatial.points:
-            total += kernel_values(f[idx], spatial.points)
-    return total
+def _kernel_sums(points, f1, f2, kernel) -> np.ndarray:
+    """Sum of ``kernel(f1 z1 + f2 z2) * weight`` per set of padded
+    ``points``, with f1, f2 one value per set or scalars."""
+    return _slot_sums(lambda z1, z2: kernel(f1 * z1 + f2 * z2), points)
 
 
-def _full_kernel_sum(fs, pts) -> float:
-    f1, f2 = fs
-    acc = 0.0
-    for z1, z2, w in pts:
-        x = f1 * z1 + f2 * z2
-        acc += (math.expm1(-x) + x) * w
-    return acc
+def _full_kernel(x):
+    return np.expm1(-x) + x
 
 
-def _one_minus_exp_sum(fs, pts) -> float:
-    f1, f2 = fs
-    acc = 0.0
-    for z1, z2, w in pts:
-        acc -= math.expm1(-(f1 * z1 + f2 * z2)) * w
-    return acc
+def _jump_part(jump, f, ir, it, widths, rule, kernel):
+    """Integrate the sum of kernel(<f(s), z>) * weight over (r, t] for one
+    type: cell densities by the endpoint rule, atoms on nodes in (r, t]."""
+    cells = jump.cell_points[:, :, ir:it]
+    dens = _kernel_sums(cells, *f[ir + 1 : it + 1].T, kernel)
+    if rule == "trapezoid":
+        dens = 0.5 * (_kernel_sums(cells, *f[ir:it].T, kernel) + dens)
+    nodes = np.fromiter(jump.node_points, np.intp, len(jump.node_points))
+    on = (ir < nodes) & (nodes <= it)
+    masses = _kernel_sums(jump.atom_points[:, :, on], *f[nodes[on]].T, kernel)
+    return float(np.sum(widths[ir:it] * dens)) + float(np.sum(masses))
 
 
 def mechanism_increment(env: Environment, i: int, f, r: float, t: float,
@@ -110,7 +100,7 @@ def mechanism_increment(env: Environment, i: int, f, r: float, t: float,
     total += env.c_diag(i).integrate(fi * fi, r, t, rule)
     ir, it = env.grid.index_of(r), env.grid.index_of(t)
     total += _jump_part(env.m_jump(i), f, ir, it, env.grid.widths, rule,
-                        _full_kernel_sum)
+                        _full_kernel)
     return total
 
 
@@ -119,9 +109,9 @@ def mechanism_atom_increment(env: Environment, i: int, lam, s: float) -> float:
     j = _other(i)
     out = env.b_diag(i).atom_mass_at(s) * lam[i - 1]
     out -= effective_cross_drift(env, i, j).atom_mass_at(s) * lam[j - 1]
-    pts = env.m_jump(i).atom_at(s).points
-    if pts:
-        out += _full_kernel_sum((lam[0], lam[1]), pts)
+    jump = env.m_jump(i)
+    on = np.equal(list(jump.node_points), env.grid.index_of(s))
+    out += float(np.sum(_kernel_sums(jump.atom_points[:, :, on], *lam, _full_kernel)))
     return out
 
 
@@ -137,7 +127,7 @@ def special_mechanism_increment(sf: SpecialForm, i: int, f, r: float, t: float,
     total -= sf.gamma_cross(i, j).integrate(fj, r, t, rule)
     ir, it = sf.grid.index_of(r), sf.grid.index_of(t)
     total -= _jump_part(sf.mu_jump(i), f, ir, it, sf.grid.widths, rule,
-                        _one_minus_exp_sum)
+                        lambda x: -np.expm1(-x))
     return total
 
 

@@ -121,6 +121,8 @@ def mean_of_transition(env: Environment, r: float, t: float, x, lam,
     x1, x2 = float(x[0]), float(x[1])
     if x1 < 0.0 or x2 < 0.0:
         raise ValueError("state must be componentwise nonnegative")
-    sol = solve_moment(env, t, lam, opts)
     ir = env.grid.index_of(r)
+    if ir > env.grid.index_of(t):
+        raise ValueError("need r <= t")
+    sol = solve_moment(env, t, lam, opts)
     return x1 * float(sol.pi[ir, 0]) + x2 * float(sol.pi[ir, 1])

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compiled import _scaled_points
+from .compiled import _rescaled
 from .environment import (
     Environment,
     SpecialForm,
@@ -43,7 +43,7 @@ from .environment import (
     _other,
 )
 from .errors import ConvergenceError, DiscretizationError, NumericalError
-from .measures import DiscreteSpatialMeasure, JumpMeasure, StieltjesMeasure, TimeGrid
+from .measures import JumpMeasure, StieltjesMeasure, TimeGrid
 
 __all__ = [
     "SolverOptions",
@@ -348,70 +348,51 @@ def h_transform_coefficients(sf: SpecialForm, zeta1: StieltjesMeasure,
     e^{zeta_i(s-) - zeta_j(s)}; jump points move to
     (e^{-zeta_1(s)} z_1, e^{-zeta_2(s)} z_2) with weights scaled by
     e^{zeta_i(s-)}.  Densities are materialized with the cell's left-node
-    scale, which is exact whenever zeta is piecewise constant.
+    scale, which is exact whenever zeta is piecewise constant.  A scale
+    change whose exponentials overflow raises :class:`NumericalError`.
     """
     grid = sf.grid
     if not (zeta1.grid.same_as(grid) and zeta2.grid.same_as(grid)):
         raise ValueError("zeta must live on the grid of the coefficients")
-    Zv1, dZv1 = zeta1.node_cumulatives, zeta1.node_atom_masses
-    Zv2, dZv2 = zeta2.node_cumulatives, zeta2.node_atom_masses
-    zl = (Zv1[:-1], Zv2[:-1])
-    zminus = (Zv1 - dZv1, Zv2 - dZv2)
+    Z = np.stack([zeta1.node_cumulatives, zeta2.node_cumulatives])
+    dZ = np.stack([zeta1.node_atom_masses, zeta2.node_atom_masses])
+    zl, zminus = Z[:, :-1], Z - dZ
+
+    def finite(*arrays):
+        if not all(np.all(np.isfinite(a)) for a in arrays):
+            raise NumericalError("scale change overflows")
 
     def diag(i: int) -> StieltjesMeasure:
-        zc = (zeta1, zeta2)[i - 1]
         gam = sf.gamma_diag(i)
-        dens = gam.density - zc.density
-        atom_masses: dict[int, float] = {}
-        for t_at, mass in gam.atoms:
-            atom_masses[grid.index_of(t_at)] = mass
-        out_atoms = []
-        dz_nodes = (dZv1, dZv2)[i - 1]
-        idxs = set(np.nonzero(dz_nodes)[0]) | set(atom_masses)
-        for m in sorted(idxs):
-            dz = float(dz_nodes[m])
-            g_at = atom_masses.get(int(m), 0.0)
-            mass = math.exp(-dz) * (1.0 + g_at) - 1.0
-            if mass != 0.0:
-                out_atoms.append((float(grid.nodes[m]), mass))
-        return StieltjesMeasure(grid, dens, tuple(out_atoms))
+        mass = np.exp(-dZ[i - 1]) * (1.0 + gam.node_atom_masses) - 1.0
+        finite(mass)
+        at = np.flatnonzero(mass)
+        return StieltjesMeasure(grid, gam.density - (zeta1, zeta2)[i - 1].density,
+                                tuple(zip(grid.nodes[at].tolist(), mass[at].tolist())))
 
     def cross(i: int, j: int) -> StieltjesMeasure:
         gam = sf.gamma_cross(i, j)
+        at = [m for _, _, m in gam._atom_entries]
         dens = gam.density * np.exp(zl[i - 1] - zl[j - 1])
-        out_atoms = []
-        for t_at, mass in gam.atoms:
-            m = grid.index_of(t_at)
-            out_atoms.append(
-                (t_at, mass * math.exp(zminus[i - 1][m] - (Zv1, Zv2)[j - 1][m]))
-            )
-        return StieltjesMeasure(grid, dens, tuple(out_atoms), nondecreasing=True)
+        mass = gam.node_atom_masses[at] * np.exp(zminus[i - 1, at] - Z[j - 1, at])
+        finite(dens, mass)
+        return StieltjesMeasure(grid, dens, tuple(zip([t for t, _ in gam.atoms],
+                                                      mass.tolist())), nondecreasing=True)
 
     def jumps(i: int) -> JumpMeasure:
         mu = sf.mu_jump(i)
-        kernels = []
-        for k, kern in enumerate(mu.cell_kernels):
-            if not kern.points:
-                kernels.append(kern)
-                continue
-            e1 = math.exp(-zl[0][k])
-            e2 = math.exp(-zl[1][k])
-            wf = math.exp(zl[i - 1][k])
-            kernels.append(DiscreteSpatialMeasure(
-                _scaled_points(kern.points, e1, e2, wf)))
-        out_atoms = []
-        for t_at, spatial in mu.time_atoms:
-            m = grid.index_of(t_at)
-            e1 = math.exp(-Zv1[m])
-            e2 = math.exp(-Zv2[m])
-            wf = math.exp(zminus[i - 1][m])
-            out_atoms.append(
-                (t_at, DiscreteSpatialMeasure(_scaled_points(spatial.points, e1, e2, wf)))
-            )
-        return JumpMeasure(grid, tuple(kernels), tuple(out_atoms))
+        at = list(mu.node_points)
+        cells = _rescaled(mu.cell_points, np.exp(-zl[0]), np.exp(-zl[1]),
+                          np.exp(zl[i - 1]))
+        atoms = _rescaled(mu.atom_points, np.exp(-Z[0, at]), np.exp(-Z[1, at]),
+                          np.exp(zminus[i - 1, at]))
+        # padding slots may hold 0 * inf; only the kernel's own points count
+        finite(cells[:, mu.cell_points[2] > 0.0], atoms[:, mu.atom_points[2] > 0.0])
+        return mu._rebuilt(cells, atoms)
 
-    return SpecialForm(grid, diag(1), diag(2), cross(1, 2), cross(2, 1),
-                       jumps(1), jumps(2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return SpecialForm(grid, diag(1), diag(2), cross(1, 2), cross(2, 1),
+                           jumps(1), jumps(2))
 
 
 def h_transform_solution(solution: CumulantSolution, zeta1: StieltjesMeasure,

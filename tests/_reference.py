@@ -19,6 +19,21 @@ it runs once per axis, (|lam_1|, 0) and (0, |lam_2|), over the tuple
 table of the general sweep and puts the signs back afterwards.  The
 propagator multiplies the same steps in another order, so the two agree
 to rounding.
+
+:func:`mechanism_increment`, :func:`special_mechanism_increment` and
+:func:`mechanism_atom_increment` hold the per-cell, per-point jump loops
+(``_jump_part`` and the two kernel sums) that the array evaluation over
+``JumpMeasure.cell_points``/``atom_points`` replaced; ``math.expm1`` and
+``np.expm1`` may differ in the last bit, so they agree to rounding.  The
+atom increment reads ``node_points`` where it used ``atom_at``.
+
+:func:`thinned` (with :func:`scaled`) is the per-point thinning that
+:meth:`cbve.JumpMeasure.thinned` replaced: with a scalar factor equal bit
+for bit to the elementwise one, the two give the same points.
+:func:`h_transform_coefficients` is the per-cell, per-atom change of
+scale (with :func:`_scaled_points`, the tuple form of
+``compiled._rescaled``) that the array version replaced; the two differ
+only where ``math.exp`` and ``np.exp`` round differently.
 """
 from __future__ import annotations
 
@@ -26,9 +41,11 @@ import math
 
 import numpy as np
 
-from cbve.compiled import _scaled_points, cell_table
+from cbve.compiled import cell_table
+from cbve.environment import SpecialForm, effective_cross_drift, _other
 from cbve.errors import ConvergenceError, NumericalError
-from cbve.measures import StieltjesMeasure
+from cbve.measures import DiscreteSpatialMeasure, JumpMeasure, StieltjesMeasure
+from cbve.mechanism import as_vector_function
 from cbve.moments import MomentSolution
 from cbve.solver import (
     _DEFAULT_OPTS,
@@ -36,6 +53,10 @@ from cbve.solver import (
     _check_lambda,
     apriori_growth_exponent,
 )
+
+
+def _scaled_points(points, e1, e2, wfac):
+    return tuple((z1 * e1, z2 * e2, w * wfac) for z1, z2, w in points)
 
 
 def picard_table(sf):
@@ -288,3 +309,164 @@ def solve_moment(env, t: float, lam, opts=None) -> MomentSolution:
     pi[M, 0], pi[M, 1] = lam1, lam2
     return MomentSolution(t=float(env.grid.nodes[M]), lam=(lam1, lam2),
                           grid=env.grid, pi=pi)
+
+
+def _jump_part(jump, f, ir, it, widths, rule, kernel_values):
+    """Integrate sum of kernel_values(f(s), point) over (r, t] for one type."""
+    total = 0.0
+    for k in range(ir, it):
+        pts = jump.cell_kernels[k].points
+        if not pts:
+            continue
+        right = kernel_values(f[k + 1], pts)
+        if rule == "right":
+            total += widths[k] * right
+        else:
+            total += widths[k] * 0.5 * (kernel_values(f[k], pts) + right)
+    for t_at, spatial, idx in jump._atom_entries:
+        if ir < idx <= it and spatial.points:
+            total += kernel_values(f[idx], spatial.points)
+    return total
+
+
+def _full_kernel_sum(fs, pts) -> float:
+    f1, f2 = fs
+    acc = 0.0
+    for z1, z2, w in pts:
+        x = f1 * z1 + f2 * z2
+        acc += (math.expm1(-x) + x) * w
+    return acc
+
+
+def _one_minus_exp_sum(fs, pts) -> float:
+    f1, f2 = fs
+    acc = 0.0
+    for z1, z2, w in pts:
+        acc -= math.expm1(-(f1 * z1 + f2 * z2)) * w
+    return acc
+
+
+def mechanism_increment(env, i: int, f, r: float, t: float, rule: str = "right") -> float:
+    """Mechanism mass of type i over (r, t] for a grid function f."""
+    env.require_valid()
+    j = _other(i)
+    f = as_vector_function(env.grid, f)
+    fi, fj = f[:, i - 1], f[:, j - 1]
+    total = env.b_diag(i).integrate(fi, r, t, rule)
+    total -= effective_cross_drift(env, i, j).integrate(fj, r, t, rule)
+    total += env.c_diag(i).integrate(fi * fi, r, t, rule)
+    ir, it = env.grid.index_of(r), env.grid.index_of(t)
+    total += _jump_part(env.m_jump(i), f, ir, it, env.grid.widths, rule,
+                        _full_kernel_sum)
+    return total
+
+
+def mechanism_atom_increment(env, i: int, lam, s: float) -> float:
+    """Mechanism mass concentrated at the single time atom s."""
+    j = _other(i)
+    out = env.b_diag(i).atom_mass_at(s) * lam[i - 1]
+    out -= effective_cross_drift(env, i, j).atom_mass_at(s) * lam[j - 1]
+    pts = env.m_jump(i).node_points.get(env.grid.index_of(s), ())
+    if pts:
+        out += _full_kernel_sum((lam[0], lam[1]), pts)
+    return out
+
+
+def special_mechanism_increment(sf, i: int, f, r: float, t: float,
+                                rule: str = "right") -> float:
+    """Finite-activity mechanism mass of type i over (r, t]."""
+    j = _other(i)
+    f = as_vector_function(sf.grid, f)
+    fi, fj = f[:, i - 1], f[:, j - 1]
+    total = -sf.gamma_diag(i).integrate(fi, r, t, rule)
+    total -= sf.gamma_cross(i, j).integrate(fj, r, t, rule)
+    ir, it = sf.grid.index_of(r), sf.grid.index_of(t)
+    total -= _jump_part(sf.mu_jump(i), f, ir, it, sf.grid.widths, rule,
+                        _one_minus_exp_sum)
+    return total
+
+
+def scaled(spatial, factor_fn):
+    """Thin each weight by ``factor_fn(z1, z2)``, dropping zero weights."""
+    pts = []
+    for z1, z2, w in spatial.points:
+        fw = factor_fn(z1, z2) * w
+        if fw > 0.0:
+            pts.append((z1, z2, fw))
+    return DiscreteSpatialMeasure(tuple(pts))
+
+
+def thinned(jump, factor_fn):
+    kernels = tuple(scaled(k, factor_fn) for k in jump.cell_kernels)
+    atoms = []
+    for t, spatial, _ in jump._atom_entries:
+        sc = scaled(spatial, factor_fn)
+        if sc.points:
+            atoms.append((t, sc))
+    return JumpMeasure(jump.grid, kernels, tuple(atoms))
+
+
+def h_transform_coefficients(sf, zeta1, zeta2):
+    """Coefficient set of the system solved by exp(zeta_i(r)) u_i(r)."""
+    grid = sf.grid
+    if not (zeta1.grid.same_as(grid) and zeta2.grid.same_as(grid)):
+        raise ValueError("zeta must live on the grid of the coefficients")
+    Zv1, dZv1 = zeta1.node_cumulatives, zeta1.node_atom_masses
+    Zv2, dZv2 = zeta2.node_cumulatives, zeta2.node_atom_masses
+    zl = (Zv1[:-1], Zv2[:-1])
+    zminus = (Zv1 - dZv1, Zv2 - dZv2)
+
+    def diag(i: int) -> StieltjesMeasure:
+        zc = (zeta1, zeta2)[i - 1]
+        gam = sf.gamma_diag(i)
+        dens = gam.density - zc.density
+        atom_masses: dict[int, float] = {}
+        for t_at, mass in gam.atoms:
+            atom_masses[grid.index_of(t_at)] = mass
+        out_atoms = []
+        dz_nodes = (dZv1, dZv2)[i - 1]
+        idxs = set(np.nonzero(dz_nodes)[0]) | set(atom_masses)
+        for m in sorted(idxs):
+            dz = float(dz_nodes[m])
+            g_at = atom_masses.get(int(m), 0.0)
+            mass = math.exp(-dz) * (1.0 + g_at) - 1.0
+            if mass != 0.0:
+                out_atoms.append((float(grid.nodes[m]), mass))
+        return StieltjesMeasure(grid, dens, tuple(out_atoms))
+
+    def cross(i: int, j: int) -> StieltjesMeasure:
+        gam = sf.gamma_cross(i, j)
+        dens = gam.density * np.exp(zl[i - 1] - zl[j - 1])
+        out_atoms = []
+        for t_at, mass in gam.atoms:
+            m = grid.index_of(t_at)
+            out_atoms.append(
+                (t_at, mass * math.exp(zminus[i - 1][m] - (Zv1, Zv2)[j - 1][m]))
+            )
+        return StieltjesMeasure(grid, dens, tuple(out_atoms), nondecreasing=True)
+
+    def jumps(i: int) -> JumpMeasure:
+        mu = sf.mu_jump(i)
+        kernels = []
+        for k, kern in enumerate(mu.cell_kernels):
+            if not kern.points:
+                kernels.append(kern)
+                continue
+            e1 = math.exp(-zl[0][k])
+            e2 = math.exp(-zl[1][k])
+            wf = math.exp(zl[i - 1][k])
+            kernels.append(DiscreteSpatialMeasure(
+                _scaled_points(kern.points, e1, e2, wf)))
+        out_atoms = []
+        for t_at, spatial in mu.time_atoms:
+            m = grid.index_of(t_at)
+            e1 = math.exp(-Zv1[m])
+            e2 = math.exp(-Zv2[m])
+            wf = math.exp(zminus[i - 1][m])
+            out_atoms.append(
+                (t_at, DiscreteSpatialMeasure(_scaled_points(spatial.points, e1, e2, wf)))
+            )
+        return JumpMeasure(grid, tuple(kernels), tuple(out_atoms))
+
+    return SpecialForm(grid, diag(1), diag(2), cross(1, 2), cross(2, 1),
+                       jumps(1), jumps(2))

@@ -24,7 +24,7 @@ from cbve import (
     solve_special_picard,
 )
 
-_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, database=None)
+_SETTINGS = settings(max_examples=30)
 
 # own-coordinate jump mass stays below 2 * 0.5 * 0.7 = 0.7 per atom, so with
 # diagonal drift atoms at most 0.25 every atom load is admissible

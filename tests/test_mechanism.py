@@ -148,7 +148,7 @@ class TestApproximationMechanism:
                 small = 2.0 * n * n * (np.expm1(-fi / n) + fi / n)
                 direct += env.c_diag(i).integrate(small, 0.0, 1.0)
                 thinned = env.m_jump(i).thinned(
-                    lambda z1, z2: (1 - en) * min(1.0, n * math.hypot(z1, z2))
+                    lambda z1, z2: (1 - en) * np.minimum(1.0, n * np.hypot(z1, z2))
                 )
                 for k in range(grid.n_cells):
                     pts = thinned.cell_kernels[k].points

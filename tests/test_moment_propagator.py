@@ -24,7 +24,7 @@ from cbve import (
     solve_moment,
 )
 
-_SETTINGS = settings(max_examples=120, deadline=None, derandomize=True, database=None)
+_SETTINGS = settings(max_examples=120)
 
 _LAM = st.one_of(st.floats(0.1, 3.0), st.floats(-3.0, -0.1), st.just(0.0))
 

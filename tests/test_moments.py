@@ -165,3 +165,8 @@ class TestMeanOfTransition:
         env = make_env(uniform_grid(cells=50))
         out = mean_of_transition(env, 0.2, 1.0, (2.0, 3.0), (1.5, -0.5))
         assert out == pytest.approx(2.0 * 1.5 - 3.0 * 0.5, abs=1e-14)
+
+    def test_r_after_t_is_rejected(self):
+        env = make_env(uniform_grid(cells=10))
+        with pytest.raises(ValueError, match=r"need r <= t"):
+            mean_of_transition(env, 0.8, 0.5, (1.0, 1.0), (1.0, 1.0))

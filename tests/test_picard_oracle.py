@@ -22,7 +22,7 @@ from cbve import (
     solve_special_picard,
 )
 
-_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+_SETTINGS = settings(max_examples=60)
 _TOL = 1e-14
 
 # z1 is kept off 0 so no point sits at the origin

@@ -278,6 +278,34 @@ class TestHTransform:
             mapped = h_transform_solution(base, z1, z2, lam)
             assert np.max(np.abs(direct.v - mapped.v)) <= 1e-10
 
+    @staticmethod
+    def _kernel_form(weight=0.8):
+        grid = uniform_grid(cells=4)
+        return make_sf(
+            grid,
+            g12=StieltjesMeasure(grid, np.zeros(4), ((0.5, 0.3),), True),
+            mu1=JumpMeasure.from_segments(grid, [(0.0, 1.0, [(0.3, 0.2, weight)])]),
+        )
+
+    @pytest.mark.parametrize("i", [0, 1])
+    @pytest.mark.parametrize("density", [4000.0, -4000.0])
+    def test_overflowing_scale_change_is_typed(self, i, density):
+        sf = self._kernel_form()
+        zetas = [StieltjesMeasure.zero(sf.grid)] * 2
+        zetas[i] = StieltjesMeasure.from_segments(sf.grid, [(0.0, 1.0, density)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="scale change overflows"):
+                h_transform_coefficients(sf, *zetas)
+
+    def test_underflowing_weight_is_rejected(self):
+        # e^{-75} times 1e-300 is 0 in double precision: the point is not
+        # silently dropped, its zero weight fails the kernel's check
+        sf = self._kernel_form(weight=1e-300)
+        zeta1 = StieltjesMeasure.from_segments(sf.grid, [(0.0, 1.0, -100.0)])
+        with pytest.raises(ValueError, match="positive and finite"):
+            h_transform_coefficients(sf, zeta1, StieltjesMeasure.zero(sf.grid))
+
     def test_terminal_argument_contract(self):
         rng = np.random.default_rng(41)
         sf = random_special_form(rng, cells=50, diag="none")
