@@ -30,7 +30,7 @@ from .environment import (
 from .errors import AdmissibilityError, CBVEError, ConfigError, NumericalError
 from .measures import StieltjesMeasure
 from .moments import finite_diff_check, solve_moment
-from .simulator import SeedSpec, mc_laplace, mc_mean, simulate_path
+from .simulator import _simulate_paths, mc_laplace, mc_mean
 from .solver import (
     check_flow,
     cumulant_upper_bound,
@@ -136,6 +136,12 @@ def cmd_moments(args) -> int:
     return 0
 
 
+def _seed(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
+    return args.seed
+
+
 def cmd_simulate(args) -> int:
     cfg = _load(args)
     if cfg.kind != "special_form":
@@ -145,11 +151,12 @@ def cmd_simulate(args) -> int:
         )
     t = _terminal(cfg, args)
     x0 = args.x0 or (1.0, 0.0)
+    if args.paths is not None and args.paths < 0:
+        raise ConfigError(f"--paths must be nonnegative, got {args.paths}")
     n_paths = args.paths or 1
     lines = ["path_id,time,kind,type_source,dx1,dx2,x1,x2"]
-    for pid in range(n_paths):
-        rng = SeedSpec(args.seed).generator(pid)
-        _, events = simulate_path(cfg.special_form, x0, t, rng)
+    _, paths = _simulate_paths(cfg.special_form, x0, t, _seed(args), n_paths)
+    for pid, events in enumerate(paths):
         for ev in events:
             lines.append(
                 f"{pid},{ev.time:.17g},{ev.kind},{ev.type_source},"
@@ -266,7 +273,7 @@ def _verify_special(cfg: RunConfig, args, battery: _Battery) -> None:
                   f"sup gap={rt_gap:.3e} (tol 1e-08)")
     if args.paths and args.paths >= 100:
         x0 = args.x0 or (1.0, 1.0)
-        lap = mc_laplace(sf, x0, t, lam, args.paths, args.seed)
+        lap = mc_laplace(sf, x0, t, lam, args.paths, _seed(args))
         battery.check("mc_laplace", abs(lap.z_score) <= 3.0,
                       f"z={lap.z_score:.2f} est={lap.estimate:.6g}"
                       f" target={lap.target:.6g}")

@@ -1,16 +1,20 @@
 """Compiled coefficient tables consumed by the solver and simulator loops.
 
 :func:`cell_table` flattens measures into Python rows once, so the scalar
-loops of the general sweep and the simulator index tuples instead of
-arrays: one row ``(h, densities..., kernel points...)`` per grid cell and
-one entry ``(atom masses..., atom points...)`` per node that carries any
-time atom.  The simulator table is derived from it.
+loop of the general sweep indexes tuples instead of arrays: one row
+``(h, densities..., kernel points...)`` per grid cell and one entry
+``(atom masses..., atom points...)`` per node that carries any time atom.
 
 :func:`picard_table` is the array form consumed by the whole-array Picard
 iteration: per-cell vectors, the kernels' padded ``(3, K, cells)`` point
 arrays (``JumpMeasure.cell_points``) rescaled per cell by :func:`_rescaled`
 (the h-transform's rescaling too), and per-atom-node vectors indexed by an
 ascending node array.
+
+:func:`sim_table` is the array form consumed by the lock-step simulator:
+per-cell drift matrices, thinning windows and inverse-CDF kernel tables,
+the stretches of cells with equal coefficients, and per-atom-node jump
+matrices and atom kernel tables.
 
 The frozen model classes of :mod:`cbve.environment` cache each table on
 first use; this module reads models by attribute only and does not import
@@ -23,7 +27,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NumericalError
 
 __all__ = ["cell_table", "picard_table", "sim_table"]
 
@@ -147,73 +150,118 @@ def picard_table(sf):
         )
 
 
-def _expm2(m11: float, m12: float, m21: float, m22: float):
-    """Entries of exp(M) for a 2x2 matrix M (closed form).
+def _expm2(m11, m12, m21, m22, dt=1.0):
+    """Entries of exp(M dt) for a 2x2 matrix M given entrywise (closed form).
 
-    With tau the half trace and q^2 the discriminant, exp(M) = e^tau
-    (cosh(q) I + sinh(q)/q (M - tau I)).  For real q > 0 the products
-    e^tau cosh(q) and e^tau sinh(q)/q are formed from exp(tau + q) and
-    exp(-2q) (expm1 for the sinh), so a stiff matrix whose cosh(q) alone
-    would overflow (q of 800 with tau of -800, say) still gives its
-    finite exponential.
+    The entries are floats and ``dt`` a float or an array, so the branch
+    is decided once, in Python, and only that branch is evaluated over dt.
+    With tau the half trace and q^2 the discriminant of M, exp(M dt) =
+    e^(tau dt) (cosh(q dt) I + sinh(q dt)/q (M - tau I)).  For real
+    q > 1e-8 the products e^(tau dt) cosh(q dt) and e^(tau dt) sinh(q dt)/q
+    are formed from exp((tau + q) dt) and expm1(-2q dt), so a stiff matrix
+    whose cosh alone would overflow (q of 800 with tau of -800, say) still
+    gives its finite exponential.  Smaller q takes the series, which ends
+    after one term when q is 0, and imaginary q the trigonometric form.
+    Entries that truly overflow come out inf or NaN; the caller sets the
+    warning state.
     """
     tau = 0.5 * (m11 + m22)
     d = m11 - tau
     q2 = d * d + m12 * m21
-    if q2 >= 0.0:
-        q = math.sqrt(q2)
-        if q > 1e-8:
-            ep = math.exp(tau + q)
-            ech = 0.5 * ep * (1.0 + math.exp(-2.0 * q))
-            esh = -0.5 * ep * math.expm1(-2.0 * q) / q
-        else:
-            e = math.exp(tau)
-            ech = e * (1.0 + 0.5 * q2)
-            esh = e * (1.0 + q2 / 6.0)
+    q = math.sqrt(abs(q2))
+    if q > 1e-8 and q2 >= 0.0:
+        ep = np.exp((tau + q) * dt)
+        half = 0.5 * ep * np.expm1(-2.0 * q * dt)
+        ech = ep + half
+        esh = half * (-1.0 / q)
+    elif q2 == 0.0:
+        ech = np.exp(tau * dt)
+        esh = ech * dt
     else:
-        q = math.sqrt(-q2)
-        e = math.exp(tau)
-        ech = e * math.cos(q)
-        esh = e * (math.sin(q) / q if q > 1e-8 else 1.0 + q2 / 6.0)
-    return ech + esh * d, esh * m12, esh * m21, ech - esh * d
+        e = np.exp(tau * dt)
+        qt2 = q2 * dt * dt
+        ech = e * (np.cos(q * dt) if q2 < 0.0 else 1.0 + 0.5 * qt2)
+        esh = e * (np.sin(q * dt) / q if q > 1e-8 else dt * (1.0 + qt2 / 6.0))
+    esd = esh * d
+    return ech + esd, esh * m12, esh * m21, ech - esd
 
 
-def _cumweights(points):
-    acc = 0.0
-    out = []
-    for _, _, w in points:
-        acc += w
-        out.append(acc)
-    return tuple(out), acc
+def _sampler(points):
+    """Inverse-CDF tables of padded ``(3, K, sets)`` kernel points: per set,
+    the total weight, the cumulative weights with the last own point's
+    (and the padding's) set to inf, and the points' z1 and z2, each
+    ``(sets, K)`` with K at least 1.  ``searchsorted(cuts, u * total,
+    "right")`` then picks the first point whose cumulative weight exceeds
+    ``u * total``, and the last point when rounding leaves none."""
+    if points.shape[1] == 0:
+        points = np.zeros((3, 1, points.shape[2]))
+    z1, z2, w = (np.ascontiguousarray(a.T) for a in points)
+    cuts = np.cumsum(w, axis=1)
+    total = cuts[:, -1].copy()
+    last = np.count_nonzero(w, axis=1) - 1
+    cuts[np.arange(cuts.shape[1]) >= last[:, None]] = np.inf
+    return total, cuts, z1, z2
+
+
+class SimTable(NamedTuple):
+    """Array table of the thinning simulator; see :func:`sim_table`."""
+
+    nodes: np.ndarray
+    G: np.ndarray
+    drift: np.ndarray
+    growth: np.ndarray
+    window: np.ndarray
+    kernels: tuple
+    ends: np.ndarray
+    atom_slot: np.ndarray
+    A: np.ndarray
+    atom_kernels: tuple
 
 
 def sim_table(sf):
-    """Cells, atoms and nodes of the exact thinning simulator.
+    """Cells, stretches and atoms of the exact thinning simulator, as arrays.
 
-    Cell k carries its width, the state flow matrix ``G`` and its
-    exponential over the whole cell, both kernels with cumulative and
-    total weights, and the rates that size the thinning majorant.  Atoms
-    carry the deterministic jump matrix and both atom kernels.
+    Per cell: the state flow matrix ``G`` (entries m11, m12, m21, m22 in
+    rows, type j feeding type i through the j -> i drift); ``drift``,
+    whether G is not zero (a zero G leaves the state where it is);
+    ``growth``, the larger column sum of G or 0, which bounds the growth
+    rate of x1 + x2 (G is Metzler, the cross drifts being nondecreasing, so
+    the state stays nonnegative); and the thinning ``window``,
+    ln 2 / growth (inf for no growth), over which x1 + x2 at most doubles.
+    ``kernels`` holds one :func:`_sampler` table per jump type.  A stretch
+    is a run of cells with equal drift and kernels and no atom inside:
+    ``ends`` holds the node at which each stretch ends, ascending, the last
+    one the final node.  ``atom_slot`` maps a node to its column in ``A``
+    (the deterministic jump matrix, entries as in ``G``) and
+    ``atom_kernels``, or -1 where the node carries no atom.
     """
-    rows, atoms = cell_table((sf.gamma11, sf.gamma22, sf.gamma12, sf.gamma21),
-                             (sf.mu1, sf.mu2))
-    cells = []
-    for h, g11, g22, g12, g21, pts1, pts2 in rows:
-        # state flow matrix: type j feeds type i through the (j -> i) drift
-        G = (g11, g21, g12, g22)
-        try:
-            full = _expm2(g11 * h, g21 * h, g12 * h, g22 * h)
-        except OverflowError as exc:
-            raise NumericalError("simulator flow matrix overflows on a cell") from exc
-        cw1, w1 = _cumweights(pts1)
-        cw2, w2 = _cumweights(pts2)
-        tv = abs(g11) + abs(g21) + abs(g12) + abs(g22)
-        zrate = sum((z1 + z2) * w for z1, z2, w in pts1)
-        zrate += sum((z1 + z2) * w for z1, z2, w in pts2)
-        cells.append((h, G, full, pts1, cw1, w1, pts2, cw2, w2, tv, zrate))
-    jumps = {
-        m: ((1.0 + a11, a21, a12, 1.0 + a22),
-            pts1, *_cumweights(pts1), pts2, *_cumweights(pts2))
-        for m, (a11, a22, a12, a21, pts1, pts2) in atoms.items()
-    }
-    return cells, jumps, sf.grid.nodes
+    g11, g22, g12, g21 = (g.density for g in (sf.gamma11, sf.gamma22, sf.gamma12, sf.gamma21))
+    G = np.stack((g11, g21, g12, g22))
+    growth = np.maximum(np.maximum(G[0] + G[2], G[1] + G[3]), 0.0)
+    # no growth, or growth so slow that the window overflows: inf
+    with np.errstate(divide="ignore", over="ignore"):
+        window = math.log(2.0) / growth
+    mu = (sf.mu1, sf.mu2)
+    masses = [g.node_atom_masses for g in (sf.gamma11, sf.gamma22, sf.gamma12, sf.gamma21)]
+    nodes = np.unique(np.concatenate(
+        [np.flatnonzero(m) for m in masses]
+        + [np.fromiter(k.node_points, np.intp) for k in mu]))
+    atom_slot = np.full(sf.grid.nodes.size, -1)
+    atom_slot[nodes] = np.arange(nodes.size)
+    a11, a22, a12, a21 = (m[nodes] for m in masses)
+    atom_points = []
+    for k in mu:
+        pts = np.zeros((3, k.atom_points.shape[1], nodes.size))
+        pts[:, :, atom_slot[list(k.node_points)]] = k.atom_points
+        atom_points.append(pts)
+    # does the stretch of the cell before each interior node go on past it
+    joins = np.all(G[:, 1:] == G[:, :-1], axis=0) & (atom_slot[1:-1] < 0)
+    for k in mu:
+        joins &= np.all(k.cell_points[:, :, 1:] == k.cell_points[:, :, :-1], axis=(0, 1))
+    return SimTable(
+        nodes=sf.grid.nodes, G=G, drift=G.any(axis=0), growth=growth, window=window,
+        kernels=tuple(_sampler(k.cell_points) for k in mu),
+        ends=np.append(np.flatnonzero(~joins) + 1, G.shape[1]),
+        atom_slot=atom_slot, A=np.stack((1.0 + a11, a21, a12, 1.0 + a22)),
+        atom_kernels=tuple(_sampler(p) for p in atom_points),
+    )

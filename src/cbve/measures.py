@@ -290,8 +290,9 @@ class DiscreteSpatialMeasure:
         pts = []
         for z1, z2, w in self.points:
             z1, z2, w = float(z1), float(z2), float(w)
-            if z1 < 0.0 or z2 < 0.0:
-                raise ValueError("spatial points must have nonnegative coordinates")
+            # NaN fails both comparisons
+            if not (0.0 <= z1 < math.inf and 0.0 <= z2 < math.inf):
+                raise ValueError("spatial points must have finite, nonnegative coordinates")
             if z1 == 0.0 and z2 == 0.0:
                 raise ValueError("spatial points must avoid the origin")
             if not (w > 0.0 and math.isfinite(w)):

@@ -1,28 +1,49 @@
 """Exact forward simulation of the finite-activity process.
 
 Between time atoms the state follows the linear flow of the drift
-densities (closed-form 2x2 matrix exponentials per constant-coefficient
-cell).  Type-i branch jumps arrive at instantaneous rate
+densities (closed-form 2x2 matrix exponentials per stretch of cells with
+equal coefficients).  Type-i branch jumps arrive at instantaneous rate
 ``X_i(s-) * (total kernel weight of the type-i jump kernel on the cell)``
-and are sampled exactly by thinning against a per-cell majorant that is
-recomputed after every candidate.  At a time atom the state is updated by
-the deterministic jump matrix and then receives a compound-Poisson batch
-of branch jumps whose mean uses the pre-atom state.  No step of the
-simulation discretizes time, so Monte-Carlo estimates are unbiased.
-This module holds only the event loop and the Monte-Carlo reductions; the
-per-cell flow matrices, majorant rates and cumulative kernel weights come
+and are sampled exactly by thinning (Lewis & Shedler 1979) against a
+majorant that is recomputed after every candidate and holds over a window
+in which the flow at most doubles x1 + x2.  At a time atom the state is
+updated by the deterministic jump matrix and then receives a
+compound-Poisson batch of branch jumps whose mean uses the pre-atom state.
+No step of the simulation discretizes time, so Monte-Carlo estimates are
+unbiased.
+
+One engine, :func:`_run`, advances any number of paths in lock step, as
+arrays, stretch by stretch: a stretch is a run of grid cells with equal
+drift and kernels and no time atom inside, so a model given by a few
+coefficient segments takes a few stretches whatever its grid.  Each round
+draws one candidate for every path still inside the stretch.  A round
+costs a fixed number of numpy calls whatever the number of paths, so the
+engine skips what cannot happen: the flow where there is no drift, the
+state checks where nothing moved, the search of a kernel that cannot
+fire.  Every random decision reads one uniform from the path's own
+stream, in path order:
+
+- the candidate gap, ``-log1p(-u) / majorant``;
+- acceptance, ``u * majorant < rate``, then the jump type,
+  ``u * rate < rate_1`` (type 1 wherever the type-2 kernel is empty),
+  then the kernel point, by inverse CDF;
+- the size of an atom batch, by Poisson inversion from one uniform per
+  piece of mean at most ``_POISSON_PIECE``, then one point per jump.
+
+The drift matrices, majorant rates, stretches and sampling tables come
 from :func:`cbve.compiled.sim_table`, built once per special form and
 cached on it.
 
-Reproducibility: paths are driven by independent generators derived from
-a master seed; the derivation rule is fixed and documented on
-:class:`SeedSpec`, so a seed determines the path set bit for bit,
-independent of execution order.
+Reproducibility: path k of a master seed reads the stream of
+``SeedSpec(master).generator(k)``; :class:`cbve.streams.PCGStreams`
+computes those streams for a block of paths at once, bit for bit.  A seed
+therefore determines the path set, independent of how paths are blocked.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -31,11 +52,17 @@ from .environment import SpecialForm, special_to_general
 from .errors import NumericalError
 from .moments import solve_moment
 from .solver import SolverOptions, solve_special_picard
+from .streams import WIDTH, PCGStreams
 
 __all__ = ["SeedSpec", "PathEvent", "MCEstimate", "simulate_path", "mc_laplace", "mc_mean"]
 
 _MAX_STATE = 1e12
 _MAX_CANDIDATES = 10_000_000
+#: Poisson inversion starts from exp(-mean); larger means are split into
+#: independent pieces so that it stays a normal number
+_POISSON_PIECE = 500.0
+#: paths per lock-step block; bounds memory
+_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -81,143 +108,321 @@ class MCEstimate:
     z_score: float
 
 
-def _draw_point(points, cumw, total, rng):
-    u = rng.random() * total
-    for idx, cw in enumerate(cumw):
-        if u < cw:
-            return points[idx]
-    return points[-1]
+class _Uniforms:
+    """Per-path uniforms read in stream order through a cursor.
+
+    ``fill(rows)`` returns the next ``(rows.size, WIDTH)`` uniforms of the
+    streams in ``rows``; a path's block is refilled only when it runs dry.
+    Each row of the buffer ends in the sentinel 2.0, so a cursor reads a
+    path's next uniform and finds out whether it ran dry in one gather.
+    """
+
+    def __init__(self, n: int, fill):
+        self.fill = fill
+        self.buf = np.full((n, WIDTH + 1), 2.0)
+        self.flat = self.buf.reshape(-1)
+        self.at = np.arange(WIDTH, n * (WIDTH + 1), WIDTH + 1)
+
+    def __call__(self, rows: np.ndarray) -> np.ndarray:
+        at = self.at[rows]
+        u = self.flat[at]
+        dry = (u > 1.0).nonzero()[0]
+        if dry.size:
+            self.buf[rows[dry], :WIDTH] = self.fill(rows[dry])
+            at[dry] -= WIDTH
+            u[dry] = self.flat[at[dry]]
+        self.at[rows] = at + 1
+        return u
 
 
-def _simulate(system, M: int, x1: float, x2: float, rng, events):
-    cells, atoms, nodes = system
-    candidates = 0
-    for k in range(M):
-        h, G, full, pts1, cw1, w1, pts2, cw2, w2, tv, zrate = cells[k]
-        cell_end = float(nodes[k + 1])
-        rem = h
-        totw = w1 + w2
-        while x1 + x2 > 0.0:
-            if totw <= 0.0:
-                if rem == h:
-                    e11, e12, e21, e22 = full
-                else:
-                    e11, e12, e21, e22 = _expm2(G[0] * rem, G[1] * rem,
-                                                G[2] * rem, G[3] * rem)
-                x1, x2 = e11 * x1 + e12 * x2, e21 * x1 + e22 * x2
-                break
-            majorant = (x1 + x2) * math.exp(tv * rem) * (1.0 + zrate * rem) * totw
-            gap = rng.exponential(1.0 / majorant)
-            candidates += 1
-            if candidates > _MAX_CANDIDATES:
-                raise NumericalError("thinning candidate budget exhausted")
-            if gap >= rem:
-                if rem == h:
-                    e11, e12, e21, e22 = full
-                else:
-                    e11, e12, e21, e22 = _expm2(G[0] * rem, G[1] * rem,
-                                                G[2] * rem, G[3] * rem)
-                x1, x2 = e11 * x1 + e12 * x2, e21 * x1 + e22 * x2
-                break
-            e11, e12, e21, e22 = _expm2(G[0] * gap, G[1] * gap,
-                                        G[2] * gap, G[3] * gap)
-            x1, x2 = e11 * x1 + e12 * x2, e21 * x1 + e22 * x2
-            rem -= gap
-            rate1 = x1 * w1
-            rate2 = x2 * w2
-            total_rate = rate1 + rate2
-            if rng.random() * majorant < total_rate:
-                if rng.random() * total_rate < rate1:
-                    z1, z2, _ = _draw_point(pts1, cw1, w1, rng)
+def _jump_events(events, rows, time, src, dz1, dz2, x1, x2):
+    """Record a branch jump for every path in ``rows``; ``time`` and
+    ``src`` may be scalars."""
+    time = time.tolist() if isinstance(time, np.ndarray) else repeat(time)
+    src = src.tolist() if isinstance(src, np.ndarray) else repeat(src)
+    for p, t, s, z1, z2, a, b in zip(rows.tolist(), time, src, dz1.tolist(),
+                                     dz2.tolist(), x1.tolist(), x2.tolist()):
+        events[p].append(PathEvent(t, "branch_jump", s, (z1, z2), (a, b)))
+
+
+def _check_state(s) -> None:
+    # NaN fails the comparison too
+    if np.count_nonzero(s <= _MAX_STATE) < s.size:
+        raise NumericalError("simulated state overflow")
+
+
+def _pick(kernel, k, v):
+    """Increments z1, z2 of set k of a kernel table: at each ``v``, the
+    first point whose cumulative weight exceeds it."""
+    _, cuts, z1, z2 = kernel
+    i = cuts[k].searchsorted(v, "right")
+    return z1[k, i], z2[k, i]
+
+
+def _stretch(tab, k: int, b: int, x1, x2, uniforms, cand, spent: int, events) -> int:
+    """Advance every path across the stretch of cells k..b-1, whose
+    coefficients are those of cell k; x1, x2 are updated in place.
+
+    ``spent`` bounds the candidates any path drew before; returns the most
+    candidates a path drew on the stretch."""
+    end = tab.nodes[b].item()
+    width = end - tab.nodes[k].item()
+    m11, m12, m21, m22 = tab.G[:, k].tolist()
+    kern1, kern2 = tab.kernels
+    w1, w2 = kern1[0][k].item(), kern2[0][k].item()
+    totw = w1 + w2
+    if totw <= 0.0:
+        if tab.drift[k]:
+            e11, e12, e21, e22 = _expm2(m11, m12, m21, m22, width)
+            x1[:], x2[:] = e11 * x1 + e12 * x2, e21 * x1 + e22 * x2
+            _check_state(x1 + x2)
+        return 0
+    act = (x1 + x2 > 0.0).nonzero()[0]
+    if not act.size:
+        return 0
+    ax1, ax2 = x1[act], x2[act]
+    growth, window = tab.growth[k].item(), tab.window[k].item()
+    if growth > 0.0:
+        # jumps only add mass and the flow matrix is nonnegative, so the
+        # flow alone to the stretch end bounds the state there from below
+        e11, e12, e21, e22 = _expm2(m11, m12, m21, m22, width)
+        _check_state((e11 + e21) * ax1 + (e12 + e22) * ax2)
+    flows = tab.drift[k]
+    s = ax1 + ax2
+    # time left on the stretch, a float or one entry per path
+    rem = width
+    # every path active in a round draws one candidate, and a path that
+    # leaves the stretch does not come back, so a path's count is its count
+    # at the start (cand, updated on leaving) plus the rounds it stayed
+    budget = _MAX_CANDIDATES - spent
+    rounds = 0
+    while True:
+        rounds += 1
+        if rounds > budget and cand[act].max() + rounds > _MAX_CANDIDATES:
+            raise NumericalError("thinning candidate budget exhausted")
+        # the majorant, negated: the gap is log1p(-u) / -majorant
+        if growth > 0.0:
+            win = np.minimum(rem, window)
+            neg = s * (-totw * np.exp(growth * win))
+        else:
+            # x1 + x2 cannot grow: the window is the rest of the stretch
+            win = rem
+            neg = s * -totw
+        gap = np.log1p(-uniforms(act)) / neg
+        j = (gap < win).nonzero()[0]
+        # without a candidate every path flows to the end of its window;
+        # while the windows agree, dt and rem stay one float
+        dt = np.minimum(gap, win) if j.size else win
+        if flows:
+            e11, e12, e21, e22 = _expm2(m11, m12, m21, m22, dt)
+            ax1, ax2 = e11 * ax1 + e12 * ax2, e21 * ax1 + e22 * ax2
+        rem = rem - dt
+        moved = flows
+        if j.size:
+            rows = act[j]
+            rate1 = ax1[j] * w1
+            rate = rate1 + ax2[j] * w2 if w2 > 0.0 else rate1
+            # u * majorant < rate
+            acc = (uniforms(rows) * neg[j] > -rate).nonzero()[0]
+            if acc.size:
+                moved = True
+                j, rows = j[acc], rows[acc]
+                u = uniforms(rows)
+                v = uniforms(rows)
+                # a type whose kernel is empty on the stretch cannot fire
+                if w2 <= 0.0:
                     src = 1
-                else:
-                    z1, z2, _ = _draw_point(pts2, cw2, w2, rng)
+                    dz1, dz2 = _pick(kern1, k, v * w1)
+                elif w1 <= 0.0:
                     src = 2
-                x1 += z1
-                x2 += z2
+                    dz1, dz2 = _pick(kern2, k, v * w2)
+                else:
+                    first = u * rate[acc] < rate1[acc]
+                    src = 2 - first
+                    (a1, a2), (b1, b2) = _pick(kern1, k, v * w1), _pick(kern2, k, v * w2)
+                    dz1, dz2 = np.where(first, a1, b1), np.where(first, a2, b2)
+                ax1[j] += dz1
+                ax2[j] += dz2
                 if events is not None:
-                    events.append(PathEvent(cell_end - rem, "branch_jump", src,
-                                            (z1, z2), (x1, x2)))
-            if not (x1 + x2 <= _MAX_STATE):
-                raise NumericalError("simulated state overflow")
-        # the flow-only exits above skip the in-loop check; NaN fails it too
-        if not (x1 + x2 <= _MAX_STATE):
-            raise NumericalError("simulated state overflow")
-        if x1 < 0.0 or x2 < 0.0:
-            if min(x1, x2) < -1e-9:
-                raise NumericalError("simulated state left the quadrant")
-            x1, x2 = max(x1, 0.0), max(x2, 0.0)
-        a = atoms.get(k + 1)
-        if a is not None:
-            A, apts1, acw1, aw1, apts2, acw2, aw2 = a
-            ox1, ox2 = x1, x2
-            x1 = A[0] * ox1 + A[1] * ox2
-            x2 = A[2] * ox1 + A[3] * ox2
+                    _jump_events(events, rows, end - rem[j], src, dz1, dz2, ax1[j], ax2[j])
+        if moved:
+            s = ax1 + ax2
+            _check_state(s)
+        stay = np.minimum(rem, s) > 0.0
+        keep = stay.nonzero()[0]
+        if keep.size < act.size:
+            x1[act], x2[act] = ax1, ax2
+            if not keep.size:
+                cand[act] += rounds
+                return rounds
+            cand[act[~stay]] += rounds
+            act, ax1, ax2, s = (a[keep] for a in (act, ax1, ax2, s))
+            if np.ndim(rem):
+                rem = rem[keep]
+
+
+def _poisson(mean, rows, uniforms) -> np.ndarray:
+    """Poisson counts of the given means, by inversion from one uniform per
+    piece of mean at most ``_POISSON_PIECE``."""
+    pieces = np.ceil(mean / _POISSON_PIECE)
+    part = mean / pieces
+    count = np.zeros(rows.size, np.int64)
+    for j in range(int(pieces.max())):
+        sub = (pieces > j).nonzero()[0]
+        u, m = uniforms(rows[sub]), part[sub]
+        p = np.exp(-m)
+        cdf = p.copy()
+        k = np.zeros(sub.size, np.int64)
+        # the cdf may round to just below u; stop once the terms underflow
+        act = (u > cdf).nonzero()[0]
+        while act.size:
+            k[act] += 1
+            p[act] *= m[act] / k[act]
+            cdf[act] += p[act]
+            act = act[(u[act] > cdf[act]) & (p[act] > 0.0)]
+        count[sub] += k
+    return count
+
+
+def _atom(tab, m: int, x1, x2, uniforms, cand, events) -> int:
+    """Apply the time atom at node m to every path, in place; returns a
+    bound on the jumps a path drew."""
+    most = 0
+    slot = tab.atom_slot[m]
+    a11, a12, a21, a22 = tab.A[:, slot].tolist()
+    ox1, ox2 = x1.copy(), x2.copy()
+    x1[:], x2[:] = a11 * ox1 + a12 * ox2, a21 * ox1 + a22 * ox2
+    time = tab.nodes[m].item()
+    if events is not None:
+        for p, (o1, o2, n1, n2) in enumerate(zip(ox1.tolist(), ox2.tolist(),
+                                                 x1.tolist(), x2.tolist())):
+            events[p].append(PathEvent(time, "deterministic_atom", 0,
+                                       (n1 - o1, n2 - o2), (n1, n2)))
+    for src, kernel, own in zip((1, 2), tab.atom_kernels, (ox1, ox2)):
+        w = kernel[0][slot].item()
+        if w <= 0.0:
+            continue
+        mean = own * w
+        rows = (mean > 0.0).nonzero()[0]
+        if not rows.size:
+            continue
+        mean = mean[rows]
+        if np.count_nonzero(cand[rows] + mean <= _MAX_CANDIDATES) < rows.size:
+            raise NumericalError("atom jump batch exceeds the candidate budget")
+        count = _poisson(mean, rows, uniforms)
+        cand[rows] += count
+        top = int(count.max())
+        most += top
+        for j in range(top):
+            batch = rows[count > j]
+            dz1, dz2 = _pick(kernel, slot, uniforms(batch) * w)
+            x1[batch] += dz1
+            x2[batch] += dz2
             if events is not None:
-                events.append(PathEvent(cell_end, "deterministic_atom", 0,
-                                        (x1 - ox1, x2 - ox2), (x1, x2)))
-            for i, (apts, acw, aw) in ((1, (apts1, acw1, aw1)),
-                                       (2, (apts2, acw2, aw2))):
-                if aw <= 0.0:
-                    continue
-                mean = (ox1 if i == 1 else ox2) * aw
-                if mean <= 0.0:
-                    continue
-                count = int(rng.poisson(mean))
-                for _ in range(count):
-                    z1, z2, _ = _draw_point(apts, acw, aw, rng)
-                    x1 += z1
-                    x2 += z2
-                    if events is not None:
-                        events.append(PathEvent(cell_end, "branch_jump", i,
-                                                (z1, z2), (x1, x2)))
-            if not (x1 + x2 <= _MAX_STATE):
-                raise NumericalError("simulated state overflow")
+                _jump_events(events, batch, time, src, dz1, dz2, x1[batch], x2[batch])
+    _check_state(x1 + x2)
+    return most
+
+
+def _run(tab, M: int, x1, x2, uniforms, events=None):
+    """Advance the paths with initial states ``x1``, ``x2`` (arrays,
+    updated in place) to node M; ``events``, if given, holds one list per
+    path that receives its :class:`PathEvent` records."""
+    cand = np.zeros(x1.size, np.int64)
+    # the most candidates any path may have drawn so far
+    spent = 0
+    # every state is checked after each change, so a stretch that cannot
+    # grow x1 + x2 need not check its flow
+    _check_state(x1 + x2)
+    k = 0
+    # a flow that overflows gives inf or NaN states, which the guards catch
+    with np.errstate(over="ignore", invalid="ignore"):
+        for b in tab.ends.tolist():
+            b = min(b, M)
+            if b == k:
+                break
+            spent += _stretch(tab, k, b, x1, x2, uniforms, cand, spent, events)
+            # jumps are nonnegative: only a flow's rounding leaves the quadrant
+            if tab.drift[k] and np.count_nonzero(np.minimum(x1, x2) < 0.0):
+                if min(x1.min(), x2.min()) < -1e-9:
+                    raise NumericalError("simulated state left the quadrant")
+                np.maximum(x1, 0.0, out=x1)
+                np.maximum(x2, 0.0, out=x2)
+            if tab.atom_slot[b] >= 0:
+                spent += _atom(tab, b, x1, x2, uniforms, cand, events)
+            k = b
     return x1, x2
 
 
-def _resolve_rng(seed, path_index=0):
-    if isinstance(seed, np.random.Generator):
-        return seed
-    if isinstance(seed, SeedSpec):
-        return seed.generator(path_index)
-    return SeedSpec(int(seed)).generator(path_index)
-
-
-def simulate_path(sf: SpecialForm, x0, t: float, seed):
-    """Simulate one path up to time t; returns (final state, event list)."""
+def _initial_state(x0):
     x1, x2 = float(x0[0]), float(x0[1])
     if x1 < 0.0 or x2 < 0.0:
         raise ValueError("initial state must be componentwise nonnegative")
+    return x1, x2
+
+
+def _resolve_rng(seed):
+    if isinstance(seed, np.random.Generator):
+        return seed
+    if isinstance(seed, SeedSpec):
+        return seed.generator(0)
+    return SeedSpec(int(seed)).generator(0)
+
+
+def simulate_path(sf: SpecialForm, x0, t: float, seed):
+    """Simulate one path up to time t; returns (final state, event list).
+
+    ``seed`` is an int or a :class:`SeedSpec` (path 0 of that master seed)
+    or a ``numpy.random.Generator``, read through ``random`` in blocks of
+    ``cbve.streams.WIDTH`` uniforms, so the generator may advance past the
+    draws the path used.
+    """
+    x1, x2 = _initial_state(x0)
     M = sf.grid.index_of(t)
-    system = sf._sim_table
     rng = _resolve_rng(seed)
-    events: list[PathEvent] = []
-    fx1, fx2 = _simulate(system, M, x1, x2, rng, events)
-    return (fx1, fx2), events
+    uniforms = _Uniforms(1, lambda rows: rng.random((rows.size, WIDTH)))
+    events = [[]]
+    fx1, fx2 = _run(sf._sim_table, M, np.array([x1]), np.array([x2]), uniforms, events)
+    return (float(fx1[0]), float(fx2[0])), events[0]
+
+
+def _blocks(sf, x0, t, seed, n_paths, events=None):
+    """Paths 0..n_paths-1 of ``seed`` in lock-step blocks: yields each
+    block's ``start, stop`` and final states ``(x1, x2)``."""
+    x1, x2 = _initial_state(x0)
+    M = sf.grid.index_of(t)
+    master = seed.master_seed if isinstance(seed, SeedSpec) else int(seed)
+    for start in range(0, n_paths, _BLOCK):
+        stop = min(start + _BLOCK, n_paths)
+        n = stop - start
+        streams = PCGStreams(master, np.arange(start, stop))
+        yield start, stop, _run(sf._sim_table, M, np.full(n, x1), np.full(n, x2),
+                                _Uniforms(n, streams.block),
+                                None if events is None else events[start:stop])
+
+
+def _simulate_paths(sf: SpecialForm, x0, t: float, seed, n_paths: int):
+    """Paths 0..n_paths-1 of ``seed`` (an int or a :class:`SeedSpec`) in
+    lock step: the final states as an ``(n_paths, 2)`` array and one event
+    list per path.  Path k is the path ``simulate_path(sf, x0, t,
+    SeedSpec(seed).generator(k))`` gives."""
+    events = [[] for _ in range(n_paths)]
+    states = np.empty((n_paths, 2))
+    for start, stop, (fx1, fx2) in _blocks(sf, x0, t, seed, n_paths, events):
+        states[start:stop, 0], states[start:stop, 1] = fx1, fx2
+    return states, events
 
 
 def _mc_run(sf, x0, t, n_paths, seed, functional):
     if n_paths < 100:
         raise ValueError("need at least 100 paths")
-    x1, x2 = float(x0[0]), float(x0[1])
-    if x1 < 0.0 or x2 < 0.0:
-        raise ValueError("initial state must be componentwise nonnegative")
-    M = sf.grid.index_of(t)
-    system = sf._sim_table
-    spec = seed if isinstance(seed, SeedSpec) else SeedSpec(int(seed))
     vals = np.empty(n_paths)
-    for p in range(n_paths):
-        rng = spec.generator(p)
-        fx1, fx2 = _simulate(system, M, x1, x2, rng, None)
-        vals[p] = functional(fx1, fx2)
+    for start, stop, (fx1, fx2) in _blocks(sf, x0, t, seed, n_paths):
+        vals[start:stop] = functional(fx1, fx2)
     # fixed path-index order and numpy pairwise summation keep this
     # deterministic regardless of how paths would be scheduled
     mean = float(np.sum(vals) / n_paths)
-    if n_paths > 1:
-        var = float(np.sum((vals - mean) ** 2) / (n_paths - 1))
-    else:
-        var = 0.0
+    var = float(np.sum((vals - mean) ** 2) / (n_paths - 1))
     se = math.sqrt(max(var, 0.0) / n_paths)
     return mean, se
 
@@ -246,7 +451,7 @@ def mc_laplace(sf: SpecialForm, x0, t: float, lam, n_paths: int, seed,
     lam1, lam2 = float(lam[0]), float(lam[1])
     estimate, se = _mc_run(
         sf, x0, t, n_paths, seed,
-        lambda fx1, fx2: math.exp(-(lam1 * fx1 + lam2 * fx2)),
+        lambda fx1, fx2: np.exp(-(lam1 * fx1 + lam2 * fx2)),
     )
     ref = sf.refined(reference_refine)
     sol = solve_special_picard(ref, t, (lam1, lam2), opts)

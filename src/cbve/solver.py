@@ -364,7 +364,9 @@ def h_transform_coefficients(sf: SpecialForm, zeta1: StieltjesMeasure,
 
     def diag(i: int) -> StieltjesMeasure:
         gam = sf.gamma_diag(i)
-        mass = np.exp(-dZ[i - 1]) * (1.0 + gam.node_atom_masses) - 1.0
+        # e^(-dZ) (1 + g) - 1, without the cancellation for small dZ
+        g = gam.node_atom_masses
+        mass = np.expm1(-dZ[i - 1]) * (1.0 + g) + g
         finite(mass)
         at = np.flatnonzero(mass)
         return StieltjesMeasure(grid, gam.density - (zeta1, zeta2)[i - 1].density,
@@ -408,18 +410,20 @@ def h_transform_solution(solution: CumulantSolution, zeta1: StieltjesMeasure,
     if not (zeta1.grid.same_as(grid) and zeta2.grid.same_as(grid)):
         raise ValueError("zeta must live on the solution grid")
     M = solution.terminal_index
-    Zv1 = zeta1.node_cumulatives
-    Zv2 = zeta2.node_cumulatives
-    want = (lam1 * math.exp(-Zv1[M]), lam2 * math.exp(-Zv2[M]))
-    for got, expect in zip(solution.lam, want):
+    Z = np.stack((zeta1.node_cumulatives[: M + 1], zeta2.node_cumulatives[: M + 1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.array((lam1, lam2)) * np.exp(-Z[:, M])
+        v = solution.v * np.exp(Z).T
+    if not np.isfinite(want).all():
+        raise NumericalError("h-transform terminal argument overflows")
+    for got, expect in zip(solution.lam, want.tolist()):
         if abs(got - expect) > 1e-9 * (1.0 + abs(expect)):
             raise ValueError(
                 "terminal-argument mismatch: solution was not solved for the "
                 "transformed terminal value"
             )
-    scale1 = np.exp(Zv1[: M + 1])
-    scale2 = np.exp(Zv2[: M + 1])
-    v = np.column_stack((solution.v[:, 0] * scale1, solution.v[:, 1] * scale2))
+    if not np.isfinite(v).all():
+        raise NumericalError("h-transform rescaling overflows")
     v[M, 0], v[M, 1] = lam1, lam2
     return CumulantSolution(
         t=solution.t,

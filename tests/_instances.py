@@ -46,6 +46,67 @@ def make_sf(grid, g11=None, g22=None, g12=None, g21=None, mu1=None, mu2=None
     )
 
 
+def mc_cases() -> list:
+    """The five criterion-8 special forms as (form, x0, lam): jumps feeding
+    the other type, cross drifts, atoms with an atom batch, signed diagonal
+    densities, and multi-point kernels on both types."""
+    grid8 = uniform_grid(cells=8)
+    grid16 = uniform_grid(cells=16)
+    cases = []
+    # 1: single-type jumps feeding the other type
+    cases.append((
+        make_sf(grid8, mu1=JumpMeasure.from_segments(grid8, [(0.0, 1.0, [(0.0, 1.0, 1.0)])])),
+        (1.0, 0.0), (1.0, 1.0),
+    ))
+    # 2: cross drifts with a two-coordinate kernel
+    cases.append((
+        make_sf(
+            grid8,
+            g12=StieltjesMeasure.from_segments(grid8, [(0.0, 1.0, 0.5)], (), True),
+            g21=StieltjesMeasure.from_segments(grid8, [(0.0, 1.0, 0.3)], (), True),
+            mu1=JumpMeasure.from_segments(grid8, [(0.0, 1.0, [(0.3, 0.7, 0.6)])]),
+        ),
+        (1.0, 0.5), (0.8, 1.2),
+    ))
+    # 3: deterministic atoms plus an atom batch of jumps
+    cases.append((
+        make_sf(
+            grid16,
+            g11=StieltjesMeasure(grid16, np.zeros(16), ((0.5, -0.4),)),
+            g21=StieltjesMeasure(grid16, np.zeros(16), ((0.5, 0.3),), True),
+            mu2=JumpMeasure.from_segments(
+                grid16, [(0.0, 1.0, [(0.2, 0.1, 0.4)])], [(0.5, [(0.5, 0.5, 0.7)])]
+            ),
+        ),
+        (0.8, 1.0), (1.0, 0.6),
+    ))
+    # 4: signed diagonal densities with large jumps
+    cases.append((
+        make_sf(
+            grid8,
+            g11=StieltjesMeasure.from_segments(grid8, [(0.0, 1.0, -0.6)]),
+            g22=StieltjesMeasure.from_segments(grid8, [(0.0, 1.0, 0.4)]),
+            mu1=JumpMeasure.from_segments(grid8, [(0.0, 1.0, [(1.0, 0.0, 0.8)])]),
+        ),
+        (1.0, 1.0), (0.7, 0.9),
+    ))
+    # 5: mixed atoms, multi-point kernels on both types
+    cases.append((
+        make_sf(
+            grid16,
+            g12=StieltjesMeasure.from_segments(
+                grid16, [(0.0, 1.0, 0.4)], ((0.75, 0.2),), True
+            ),
+            mu1=JumpMeasure.from_segments(
+                grid16, [(0.0, 1.0, [(0.4, 0.1, 0.5), (0.1, 0.6, 0.3)])]
+            ),
+            mu2=JumpMeasure.from_segments(grid16, [(0.0, 1.0, [(0.0, 0.8, 0.7)])]),
+        ),
+        (1.2, 0.3), (1.1, 0.5),
+    ))
+    return cases
+
+
 def feller_environment(cells=10000, b=1.0, c=1.0, T=1.0) -> Environment:
     grid = uniform_grid(T, cells)
     return make_env(

@@ -33,7 +33,20 @@ for bit to the elementwise one, the two give the same points.
 :func:`h_transform_coefficients` is the per-cell, per-atom change of
 scale (with :func:`_scaled_points`, the tuple form of
 ``compiled._rescaled``) that the array version replaced; the two differ
-only where ``math.exp`` and ``np.exp`` round differently.
+only where ``math.exp`` and ``np.exp`` round differently.  Both form a
+diagonal atom ``e^(-dZ) (1 + g) - 1`` as ``expm1(-dZ) (1 + g) + g``: the
+subtraction lost up to half the digits of a small atom, so that one ulp
+between the two exponentials showed as a relative gap of 1e-9.
+
+:func:`simulate` is the one-path thinning loop that the lock-step engine
+of :mod:`cbve.simulator` replaced, with the engine's draw mapping: it
+reads the tuple rows of :func:`sim_table` (cumulative kernel weights per
+cell, as the old simulator table held them), joins consecutive cells with
+equal drift and kernels and no atom between them into one stretch, as the
+engine does, draws each uniform through
+``rng.random()`` and uses numpy's ufuncs on scalars, as the engine does on
+arrays.  Driven by ``SeedSpec(m).generator(k)``, it reproduces path k of
+the engine: the same events, and final states equal to rounding.
 """
 from __future__ import annotations
 
@@ -41,9 +54,10 @@ import math
 
 import numpy as np
 
-from cbve.compiled import cell_table
+from cbve.compiled import _expm2, cell_table
 from cbve.environment import SpecialForm, effective_cross_drift, _other
 from cbve.errors import ConvergenceError, NumericalError
+from cbve.simulator import _MAX_CANDIDATES, _MAX_STATE, _POISSON_PIECE, PathEvent
 from cbve.measures import DiscreteSpatialMeasure, JumpMeasure, StieltjesMeasure
 from cbve.mechanism import as_vector_function
 from cbve.moments import MomentSolution
@@ -429,7 +443,7 @@ def h_transform_coefficients(sf, zeta1, zeta2):
         for m in sorted(idxs):
             dz = float(dz_nodes[m])
             g_at = atom_masses.get(int(m), 0.0)
-            mass = math.exp(-dz) * (1.0 + g_at) - 1.0
+            mass = math.expm1(-dz) * (1.0 + g_at) + g_at
             if mass != 0.0:
                 out_atoms.append((float(grid.nodes[m]), mass))
         return StieltjesMeasure(grid, dens, tuple(out_atoms))
@@ -470,3 +484,148 @@ def h_transform_coefficients(sf, zeta1, zeta2):
 
     return SpecialForm(grid, diag(1), diag(2), cross(1, 2), cross(2, 1),
                        jumps(1), jumps(2))
+
+
+def _cumweights(points):
+    acc = 0.0
+    out = []
+    for _, _, w in points:
+        acc += w
+        out.append(acc)
+    return tuple(out), acc
+
+
+def _draw_point(points, cumw, total, rng):
+    u = rng.random() * total
+    for idx, cw in enumerate(cumw):
+        if u < cw:
+            return points[idx]
+    return points[-1]
+
+
+def sim_table(sf):
+    """Per-cell rows and per-node atoms of the thinning simulator."""
+    rows, atoms = cell_table((sf.gamma11, sf.gamma22, sf.gamma12, sf.gamma21),
+                             (sf.mu1, sf.mu2))
+    cells = []
+    for _, g11, g22, g12, g21, pts1, pts2 in rows:
+        G = (g11, g21, g12, g22)
+        growth = max(g11 + g12, g21 + g22, 0.0)
+        window = math.log(2.0) / growth if growth > 0.0 else math.inf
+        cells.append((G, pts1, pts2, *_cumweights(pts1), *_cumweights(pts2),
+                      growth, window))
+    jumps = {
+        m: ((1.0 + a11, a21, a12, 1.0 + a22),
+            pts1, *_cumweights(pts1), pts2, *_cumweights(pts2))
+        for m, (a11, a22, a12, a21, pts1, pts2) in atoms.items()
+    }
+    return cells, jumps, sf.grid.nodes
+
+
+def _poisson(mean, rng):
+    pieces = np.ceil(mean / _POISSON_PIECE)
+    part = mean / pieces
+    count = 0
+    for _ in range(int(pieces)):
+        u = rng.random()
+        p = np.exp(-part)
+        cdf = p
+        k = 0
+        while u > cdf and p > 0.0:
+            k += 1
+            p *= part / k
+            cdf += p
+        count += k
+    return count
+
+
+def _check_state(x1, x2):
+    if not (x1 + x2 <= _MAX_STATE):
+        raise NumericalError("simulated state overflow")
+
+
+def simulate(sf, x0, t: float, rng):
+    """One path up to time t: (final state, event list)."""
+    cells, atoms, nodes = sim_table(sf)
+    x1, x2 = float(x0[0]), float(x0[1])
+    events = []
+    candidates = 0
+    _check_state(x1, x2)
+    M = sf.grid.index_of(t)
+    b = 0
+    while b < M:
+        # cells k..b-1 have equal drift and kernels and no atom between them
+        k, b = b, b + 1
+        while b < M and b not in atoms and cells[b][:3] == cells[k][:3]:
+            b += 1
+        (g11, g12, g21, g22), pts1, pts2, cw1, w1, cw2, w2, growth, window = cells[k]
+        cell_end = float(nodes[b])
+        h = cell_end - float(nodes[k])
+        if growth > 0.0:
+            e11, e12, e21, e22 = _expm2(g11, g12, g21, g22, h)
+            _check_state((e11 + e21) * x1, (e12 + e22) * x2)
+        totw = w1 + w2
+        if totw <= 0.0:
+            e11, e12, e21, e22 = _expm2(g11, g12, g21, g22, h)
+            x1, x2 = e11 * x1 + e12 * x2, e21 * x1 + e22 * x2
+        rem = h
+        while totw > 0.0 and x1 + x2 > 0.0:
+            win = min(rem, window)
+            majorant = (x1 + x2) * (totw * np.exp(growth * win))
+            gap = np.log1p(-rng.random()) / -majorant
+            candidates += 1
+            if candidates > _MAX_CANDIDATES:
+                raise NumericalError("thinning candidate budget exhausted")
+            dt = min(gap, win)
+            e11, e12, e21, e22 = _expm2(g11, g12, g21, g22, dt)
+            x1, x2 = e11 * x1 + e12 * x2, e21 * x1 + e22 * x2
+            rem = rem - dt
+            if gap < win:
+                rate1 = x1 * w1
+                rate = rate1 + x2 * w2
+                if rng.random() * majorant < rate:
+                    # an empty type-2 kernel cannot fire, even where
+                    # u * rate rounds up to rate1
+                    if rng.random() * rate < rate1 or w2 <= 0.0:
+                        z1, z2, _ = _draw_point(pts1, cw1, w1, rng)
+                        src = 1
+                    else:
+                        z1, z2, _ = _draw_point(pts2, cw2, w2, rng)
+                        src = 2
+                    x1 += z1
+                    x2 += z2
+                    events.append(PathEvent(cell_end - rem, "branch_jump", src,
+                                            (z1, z2), (x1, x2)))
+            _check_state(x1, x2)
+            if rem <= 0.0:
+                break
+        _check_state(x1, x2)
+        if x1 < 0.0 or x2 < 0.0:
+            if min(x1, x2) < -1e-9:
+                raise NumericalError("simulated state left the quadrant")
+            x1, x2 = max(x1, 0.0), max(x2, 0.0)
+        a = atoms.get(b)
+        if a is None:
+            continue
+        A, apts1, acw1, aw1, apts2, acw2, aw2 = a
+        ox1, ox2 = x1, x2
+        x1 = A[0] * ox1 + A[1] * ox2
+        x2 = A[2] * ox1 + A[3] * ox2
+        events.append(PathEvent(cell_end, "deterministic_atom", 0,
+                                (x1 - ox1, x2 - ox2), (x1, x2)))
+        for src, own, apts, acw, aw in ((1, ox1, apts1, acw1, aw1),
+                                        (2, ox2, apts2, acw2, aw2)):
+            mean = own * aw
+            if aw <= 0.0 or mean <= 0.0:
+                continue
+            if not candidates + mean <= _MAX_CANDIDATES:
+                raise NumericalError("atom jump batch exceeds the candidate budget")
+            count = _poisson(mean, rng)
+            candidates += count
+            for _ in range(count):
+                z1, z2, _ = _draw_point(apts, acw, aw, rng)
+                x1 += z1
+                x2 += z2
+                events.append(PathEvent(cell_end, "branch_jump", src, (z1, z2), (x1, x2)))
+        _check_state(x1, x2)
+    return (x1, x2), events

@@ -33,7 +33,7 @@ from _instances import (
     feller_environment,
     feller_oracle,
     make_env,
-    make_sf,
+    mc_cases,
     random_environment,
     random_lambda,
     random_pure_jump_zeta,
@@ -202,61 +202,7 @@ def test_criterion_7_moment_identity_and_bound():
 
 
 def _mc_battery(seed_base):
-    grid8 = uniform_grid(cells=8)
-    grid16 = uniform_grid(cells=16)
-    z8 = StieltjesMeasure.zero
-    cases = []
-    # 1: single-type jumps feeding the other type
-    cases.append((
-        make_sf(grid8, mu1=JumpMeasure.from_segments(grid8, [(0.0, 1.0, [(0.0, 1.0, 1.0)])])),
-        (1.0, 0.0), (1.0, 1.0),
-    ))
-    # 2: cross drifts with a two-coordinate kernel
-    cases.append((
-        make_sf(
-            grid8,
-            g12=StieltjesMeasure.from_segments(grid8, [(0.0, 1.0, 0.5)], (), True),
-            g21=StieltjesMeasure.from_segments(grid8, [(0.0, 1.0, 0.3)], (), True),
-            mu1=JumpMeasure.from_segments(grid8, [(0.0, 1.0, [(0.3, 0.7, 0.6)])]),
-        ),
-        (1.0, 0.5), (0.8, 1.2),
-    ))
-    # 3: deterministic atoms plus an atom batch of jumps
-    cases.append((
-        make_sf(
-            grid16,
-            g11=StieltjesMeasure(grid16, np.zeros(16), ((0.5, -0.4),)),
-            g21=StieltjesMeasure(grid16, np.zeros(16), ((0.5, 0.3),), True),
-            mu2=JumpMeasure.from_segments(
-                grid16, [(0.0, 1.0, [(0.2, 0.1, 0.4)])], [(0.5, [(0.5, 0.5, 0.7)])]
-            ),
-        ),
-        (0.8, 1.0), (1.0, 0.6),
-    ))
-    # 4: signed diagonal densities with large jumps
-    cases.append((
-        make_sf(
-            grid8,
-            g11=StieltjesMeasure.from_segments(grid8, [(0.0, 1.0, -0.6)]),
-            g22=StieltjesMeasure.from_segments(grid8, [(0.0, 1.0, 0.4)]),
-            mu1=JumpMeasure.from_segments(grid8, [(0.0, 1.0, [(1.0, 0.0, 0.8)])]),
-        ),
-        (1.0, 1.0), (0.7, 0.9),
-    ))
-    # 5: mixed atoms, multi-point kernels on both types
-    cases.append((
-        make_sf(
-            grid16,
-            g12=StieltjesMeasure.from_segments(
-                grid16, [(0.0, 1.0, 0.4)], ((0.75, 0.2),), True
-            ),
-            mu1=JumpMeasure.from_segments(
-                grid16, [(0.0, 1.0, [(0.4, 0.1, 0.5), (0.1, 0.6, 0.3)])]
-            ),
-            mu2=JumpMeasure.from_segments(grid16, [(0.0, 1.0, [(0.0, 0.8, 0.7)])]),
-        ),
-        (1.2, 0.3), (1.1, 0.5),
-    ))
+    cases = mc_cases()
     stats = []
     for k, (sf, x0, lam) in enumerate(cases):
         lap = mc_laplace(sf, x0, 1.0, lam, 100000, seed_base + 2 * k)

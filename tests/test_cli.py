@@ -173,6 +173,16 @@ class TestCommands:
         kinds = {row.split(",")[2] for row in rows[1:]}
         assert kinds <= {"deterministic_atom", "branch_jump"}
 
+    @pytest.mark.parametrize("command, flag", [
+        ("simulate", "--paths"), ("simulate", "--seed"), ("verify", "--seed"),
+    ])
+    def test_negative_count_is_a_config_error(self, capsys, command, flag):
+        assert main([
+            command, "--config", _cfg_path("jump_special.json"),
+            "--paths", "100", flag, "-1",
+        ]) == 2
+        assert flag in capsys.readouterr().err
+
     def test_approx_table(self, tmp_path, capsys):
         path = _write(
             tmp_path,

@@ -1,4 +1,6 @@
 """Grid, Stieltjes-measure and jump-kernel behaviour."""
+import math
+
 import numpy as np
 import pytest
 
@@ -215,6 +217,12 @@ class TestJumpMeasure:
             DiscreteSpatialMeasure(((0.5, 0.1, 0.0),))
         with pytest.raises(ValueError):
             DiscreteSpatialMeasure(((-0.5, 0.1, 1.0),))
+
+    @pytest.mark.parametrize("point", [(math.nan, 1.0, 1.0), (0.5, math.nan, 1.0),
+                                       (math.inf, 0.0, 1.0), (0.0, math.inf, 1.0)])
+    def test_non_finite_coordinates_rejected(self, point):
+        with pytest.raises(ValueError, match="finite, nonnegative"):
+            DiscreteSpatialMeasure((point,))
 
     def test_moment_measure(self):
         grid = uniform_grid(cells=4)

@@ -1,5 +1,6 @@
 """Exact path simulation and Monte-Carlo consistency."""
 import math
+import time
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from cbve import (
     solve_general,
 )
 from cbve.compiled import _expm2
+from cbve.simulator import _simulate_paths
 from cbve.errors import NumericalError
 
 from _instances import make_env, make_sf, uniform_grid
@@ -148,6 +150,86 @@ class TestStateGuard:
         sf = make_sf(grid, g12=cross, g21=cross)
         with pytest.raises(NumericalError, match="overflow"):
             simulate_path(sf, (1.0, 1.0), 1.0, 3)
+
+
+class TestStiffThinning:
+    # a 4-cell form whose drift makes exp(800 * cell width) about e^200: a
+    # majorant over the whole remaining cell gave gaps of about 1e-87
+
+    @staticmethod
+    def _stiff_sf(density, cross=0.0):
+        grid = uniform_grid(cells=4)
+        return make_sf(
+            grid,
+            g11=StieltjesMeasure.from_segments(grid, [(0.0, 1.0, density)]),
+            g21=StieltjesMeasure.from_segments(grid, [(0.0, 1.0, cross)], (), True),
+            mu1=JumpMeasure.from_segments(grid, [(0.0, 1.0, [(0.0, 1.0, 1.0)])]),
+        )
+
+    @pytest.mark.parametrize("cross", [0.0, 800.0])
+    def test_stiff_growth_raises_at_once(self, cross):
+        sf = self._stiff_sf(800.0, cross)
+        start = time.perf_counter()
+        with pytest.raises(NumericalError, match="overflow"):
+            simulate_path(sf, (1.0, 1.0), 1.0, 3)
+        with pytest.raises(NumericalError, match="overflow"):
+            mc_mean(sf, (1.0, 1.0), 1.0, (1.0, 1.0), 1000, 3)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("cross", [0.0, 800.0])
+    def test_stiff_decay_finishes(self, cross):
+        # pure decay cannot grow x1 + x2, so each cell is one window; type 2
+        # feeding type 1 at rate 800 gives windows of ln 2 / 800
+        sf = self._stiff_sf(-800.0, cross)
+        start = time.perf_counter()
+        state, _ = simulate_path(sf, (1.0, 1.0), 1.0, 3)
+        assert time.perf_counter() - start < 1.0
+        assert 0.0 <= state[0] < 10.0 and 1.0 <= state[1] < 10.0
+
+    def test_stiff_conservative_cell_is_one_window(self):
+        # type 1 moves into type 2 at rate 1e6: x1 + x2 is conserved, so
+        # the column sums (0, 0) allow one window in all, where the summed
+        # |drift| would have cut each cell into about 720,000 windows
+        grid = uniform_grid(cells=4)
+        sf = make_sf(
+            grid,
+            g11=StieltjesMeasure.from_segments(grid, [(0.0, 1.0, -1e6)]),
+            g12=StieltjesMeasure.from_segments(grid, [(0.0, 1.0, 1e6)], (), True),
+            mu1=JumpMeasure.from_segments(grid, [(0.0, 1.0, [(0.0, 1.0, 1.0)])]),
+        )
+        start = time.perf_counter()
+        state, _ = simulate_path(sf, (1.0, 1.0), 1.0, 3)
+        states, _ = _simulate_paths(sf, (1.0, 1.0), 1.0, 3, 1000)
+        assert time.perf_counter() - start < 1.0
+        # x1 has about 1e-6 of mass to jump with, so no path jumps
+        assert state[0] < 1e-12 and state[1] == pytest.approx(2.0, rel=1e-12)
+        assert np.allclose(states.sum(axis=1), 2.0, rtol=1e-12, atol=0.0)
+
+
+class TestAtomBatch:
+    @staticmethod
+    def _batch_sf(weight):
+        grid = uniform_grid(cells=4)
+        return make_sf(grid, mu1=JumpMeasure.from_segments(
+            grid, atoms=[(0.5, [(0.0, 1.0, weight)])]))
+
+    def test_large_mean_batch_finishes(self):
+        # mean 1200: exp(-1200) is 0, so the batch is drawn as three
+        # independent Poisson(400) pieces
+        sf = self._batch_sf(1.2)
+        state, events = simulate_path(sf, (1000.0, 0.0), 1.0, 5)
+        jumps = sum(e.kind == "branch_jump" for e in events)
+        assert abs(jumps - 1200) < 6.0 * math.sqrt(1200)
+        assert state == (1000.0, float(jumps))
+        est = mc_mean(sf, (1000.0, 0.0), 1.0, (0.0, 1.0), 400, 6)
+        assert abs(est.z_score) <= 4.0
+
+    def test_batch_beyond_the_budget_is_typed(self):
+        sf = self._batch_sf(1.0)
+        start = time.perf_counter()
+        with pytest.raises(NumericalError, match="budget"):
+            simulate_path(sf, (1e8, 0.0), 1.0, 5)
+        assert time.perf_counter() - start < 1.0
 
 
 class TestExpm2:

@@ -298,6 +298,20 @@ class TestHTransform:
             with pytest.raises(NumericalError, match="scale change overflows"):
                 h_transform_coefficients(sf, *zetas)
 
+    @pytest.mark.parametrize("density", [1000.0, -1000.0])
+    def test_overflowing_solution_rescale_is_typed(self, density):
+        # +1000: e^{zeta_1} overflows on rescaling v; -1000: the expected
+        # terminal argument e^{-zeta_1(t)} lam_1 overflows
+        sf = self._kernel_form()
+        zero = StieltjesMeasure.zero(sf.grid)
+        zeta1 = StieltjesMeasure.from_segments(sf.grid, [(0.0, 1.0, density)])
+        # solved for e^{-1000} lam_1 = 0, as the h-transform of +1000 asks
+        base = solve_special_picard(sf, 1.0, (0.0, 1.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="overflows"):
+                h_transform_solution(base, zeta1, zero, (1.0, 1.0))
+
     def test_underflowing_weight_is_rejected(self):
         # e^{-75} times 1e-300 is 0 in double precision: the point is not
         # silently dropped, its zero weight fails the kernel's check
