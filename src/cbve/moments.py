@@ -5,7 +5,9 @@ system driven by the diagonal drifts and the effective cross drifts, with
 the atom-exact steps and predictor/corrector cell passes of the nonlinear
 solver.  Each step is a 2x2 matrix free of lam, so ``pi_k = Phi(k) lam``
 with one propagator per node, built for all cells at once, and linearity
-in lam, signed or not, holds by construction.
+in lam, signed or not, holds by construction.  The passes are explicit, so
+a cell whose step would amplify a decaying mode (stiff decaying drift on a
+coarse grid) raises :class:`DiscretizationError` instead.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .environment import Environment, effective_cross_drift
-from .errors import NumericalError
+from .errors import DiscretizationError, NumericalError
 from .measures import TimeGrid
 from .solver import SolverOptions, _DEFAULT_OPTS, solve_general
 
@@ -50,6 +52,39 @@ def _compose(x, y):
     return out
 
 
+def _check_stable(hA, npass: int) -> None:
+    """Raise where a cell step ``C = p(hA)`` amplifies a decaying mode.
+
+    The passes make C a polynomial in hA: ``p_1(z) = 1 + z``,
+    ``p_n(z) = 1 + z (1 + p_{n-1}(z)) / 2``.  The cross drifts are
+    nondecreasing, so hA is Metzler and its eigenvalues z are real; C has
+    the eigenvalues p(z).  An eigenvalue z < 0 is a decaying mode, and
+    ``|p(z)| > 1`` grows it, so the propagators would carry a wrong mean.
+    Every p maps [-1, 0] into [0, 1], and by Gershgorin every z is at least
+    ``min_i hA[i, i] - hA[i, j]``, so only cells where that bound is below
+    -1 need their eigenvalues.
+    """
+    cells = np.flatnonzero(np.minimum(hA[0, 0] - hA[0, 1], hA[1, 1] - hA[1, 0]) < -1.0)
+    if not cells.size:
+        return
+    (a, b), (c, d) = hA[:, :, cells]
+    tau = 0.5 * (a + d)
+    half = 0.5 * (a - d)
+    q = np.sqrt(half * half + b * c)
+    z = np.stack((tau - q, tau + q))
+    p = 1.0 + z
+    for _ in range(npass - 1):
+        p = 1.0 + z * (1.0 + p) * 0.5
+    bad = np.flatnonzero(((z < 0.0) & (np.abs(p) > 1.0)).any(axis=0))
+    if bad.size:
+        k = bad[0]
+        raise DiscretizationError(
+            f"moment cell step is unstable on stiff decaying drift (cell "
+            f"{cells[k]}, amplification {float(np.max(np.abs(p[:, k]))):.3g}); "
+            "refine the grid"
+        )
+
+
 def _propagators(env: Environment, M: int, npass: int) -> np.ndarray:
     """``Phi(k) - I`` for the backward propagators ``Phi(k) = P(k) ... P(M-1)``,
     ``(2, 2, M)``.  ``P(k) = C(k) (I - J(k+1))`` applies the atom at node k+1,
@@ -63,6 +98,7 @@ def _propagators(env: Environment, M: int, npass: int) -> np.ndarray:
     # in-place steps keep at most three (2, 2, M) arrays alive at a time
     hA = np.array(((-env.b11.density[:M], bb12.density[:M]),
                    (bb21.density[:M], -env.b22.density[:M]))) * env.grid.widths[:M]
+    _check_stable(hA, npass)
     D = hA
     for _ in range(npass - 1):
         D = np.einsum("ijk,jlk->ilk", hA, D)
@@ -81,7 +117,12 @@ def _propagators(env: Environment, M: int, npass: int) -> np.ndarray:
 
 def solve_moment(env: Environment, t: float, lam,
                  opts: SolverOptions | None = None) -> MomentSolution:
-    """Solve the linear mean system for a signed terminal pair."""
+    """Solve the linear mean system for a signed terminal pair.
+
+    A cell step that amplifies a decaying mode raises
+    :class:`DiscretizationError`; a mean that overflows raises
+    :class:`NumericalError`.
+    """
     opts = opts or _DEFAULT_OPTS
     env.require_valid()
     lam1, lam2 = float(lam[0]), float(lam[1])

@@ -23,9 +23,13 @@ Two routes produce the same discrete solution:
 Both routes hold only their loops over the compiled tables of
 :mod:`cbve.compiled`, which each model builds once and caches: tuple rows
 for the sweep (which is sequential and nonlinear, so it stays a scalar
-loop), padded arrays for Picard.  The module also houses the h-transform
-utilities, the two-dimensional Gronwall bound, the a-priori growth
-exponent and upper bound, and the flow-property check.
+loop), padded arrays for Picard.  The sweep itself is one private loop
+over a range of rows; :func:`solve_general` runs it from the terminal node
+down to 0, and :func:`check_flow` runs it only over the nodes its residual
+reads, its refined leg on the model's own rows split into finer cells.
+The module also houses the h-transform utilities, the two-dimensional
+Gronwall bound, the a-priori growth exponent and upper bound, and the
+flow-property check.
 """
 from __future__ import annotations
 
@@ -128,26 +132,20 @@ def _check_lambda(lam):
 # general backward sweep
 # ---------------------------------------------------------------------------
 
-def solve_general(env: Environment, t: float, lam, opts: SolverOptions | None = None
-                  ) -> CumulantSolution:
-    """Solve the general backward system down from the terminal node of t.
+def _sweep(cells, atoms, lo: int, hi: int, lam, opts: SolverOptions):
+    """Backward sweep over rows ``lo .. hi - 1`` from ``lam`` at node ``hi``.
 
-    Atoms step the value exactly; each cell runs
-    ``opts.cell_fixed_point_iters`` predictor/corrector passes on the
-    density integrand.  Negative components beyond ``opts.negativity_tol``
-    raise a :class:`DiscretizationError`; smaller ones are clamped to zero.
+    ``cells`` and ``atoms`` are the rows and the atom map of
+    :func:`cbve.compiled.cell_table`; the atom of node k + 1 steps the value
+    before cell k.  Returns ``v`` with rows ``lo .. hi`` filled (those below
+    ``lo`` are left unset), the clamp count and the worst clamped deficit.
     """
-    opts = opts or _DEFAULT_OPTS
-    env.require_valid()
-    lam1, lam2 = _check_lambda(lam)
-    M = env.grid.index_of(t)
-    cells, atoms = env._table
     expm1 = math.expm1
     npass = opts.cell_fixed_point_iters
     neg_tol = opts.negativity_tol
-    v = np.empty((M + 1, 2))
-    v[M, 0], v[M, 1] = lam1, lam2
-    v1, v2 = lam1, lam2
+    v = np.empty((hi + 1, 2))
+    v1, v2 = lam
+    v[hi, 0], v[hi, 1] = v1, v2
     clamp_events = 0
     worst_deficit = 0.0
 
@@ -163,7 +161,7 @@ def solve_general(env: Environment, t: float, lam, opts: SolverOptions | None = 
         worst_deficit = max(worst_deficit, -x)
         return 0.0
 
-    for k in range(M - 1, -1, -1):
+    for k in range(hi - 1, lo - 1, -1):
         a = atoms.get(k + 1)
         if a is not None:
             a11, a22, ab12, ab21, _, _, ap1, ap2 = a
@@ -206,9 +204,26 @@ def solve_general(env: Environment, t: float, lam, opts: SolverOptions | None = 
         if not (math.isfinite(v1) and math.isfinite(v2)):
             raise NumericalError("backward sweep produced non-finite values")
         v[k, 0], v[k, 1] = v1, v2
+    return v, clamp_events, worst_deficit
+
+
+def solve_general(env: Environment, t: float, lam, opts: SolverOptions | None = None
+                  ) -> CumulantSolution:
+    """Solve the general backward system down from the terminal node of t.
+
+    Atoms step the value exactly; each cell runs
+    ``opts.cell_fixed_point_iters`` predictor/corrector passes on the
+    density integrand.  Negative components beyond ``opts.negativity_tol``
+    raise a :class:`DiscretizationError`; smaller ones are clamped to zero.
+    """
+    opts = opts or _DEFAULT_OPTS
+    env.require_valid()
+    lam = _check_lambda(lam)
+    M = env.grid.index_of(t)
+    v, clamp_events, worst_deficit = _sweep(*env._table, 0, M, lam, opts)
     return CumulantSolution(
         t=float(env.grid.nodes[M]),
-        lam=(lam1, lam2),
+        lam=lam,
         grid=env.grid,
         v=v,
         method="general_backward",
@@ -563,16 +578,31 @@ def check_flow(env: Environment, r: float, s: float, t: float, lam,
     makes the residual measure actual discretization error; it vanishes
     under grid refinement.  With s = t the terminal leg is the identity and
     the residual is exactly zero.
+
+    Each leg sweeps only the nodes the residual reads: the fine leg the
+    fine nodes of [s, t], the two base legs the nodes of [r, s] and [r, t].
+    The fine leg runs on the model's own compiled rows: each cell of
+    (s, t] becomes ``terminal_refine`` rows with the refined grid's widths
+    and the same densities and kernel points, and an atom at node m sits at
+    fine node ``m * terminal_refine``.  These are the rows the refined model
+    ``env.refined(terminal_refine)`` would compile on that window, and
+    refinement keeps every atom and its mass, so it is admissible exactly
+    when ``env`` is; the residual equals the one from solving that model,
+    without building it.  A sweep failure on nodes the residual does not
+    read (below r, or below s on the fine leg) therefore raises nothing.
     """
-    ir = env.grid.index_of(r)
-    isx = env.grid.index_of(s)
-    it = env.grid.index_of(t)
+    ir, isx, it = (env.grid.index_of(x) for x in (r, s, t))
     if not (ir <= isx <= it):
         raise ValueError("need r <= s <= t")
-    fine = env.refined(terminal_refine)
-    sol_top = solve_general(fine, t, lam, opts)
-    mu = sol_top.v[fine.grid.index_of(s)]
-    sol_mid = solve_general(env, s, (float(mu[0]), float(mu[1])), opts)
-    sol_full = solve_general(env, t, lam, opts)
-    diff = np.abs(sol_mid.v[ir] - sol_full.v[ir])
-    return float(np.max(diff))
+    f = terminal_refine
+    widths = env.grid.refine(f).widths[isx * f : it * f].tolist()
+    opts = opts or _DEFAULT_OPTS
+    env.require_valid()
+    lam = _check_lambda(lam)
+    cells, atoms = env._table
+    fine_cells = [(w, *cells[isx + j // f][1:]) for j, w in enumerate(widths)]
+    fine_atoms = {(m - isx) * f: a for m, a in atoms.items() if isx < m <= it}
+    top = _sweep(fine_cells, fine_atoms, 0, len(widths), lam, opts)[0][0]
+    mid = _sweep(cells, atoms, ir, isx, top.tolist(), opts)[0][ir]
+    full = _sweep(cells, atoms, ir, it, lam, opts)[0][ir]
+    return float(np.max(np.abs(mid - full)))

@@ -129,6 +129,27 @@ def bottleneck_environment(cells=1000, T=1.0) -> Environment:
     return make_env(grid, b11=StieltjesMeasure(grid, np.zeros(cells), ((0.5, 1.0),)))
 
 
+def atom_edge_environments(cells=40, T=1.0) -> list:
+    """Environments whose atoms sit at the edge of admissibility: bottlenecks
+    of either type, a type-1 load of exactly 1 shared with a cross-drift
+    atom or made up of a drift and an own-coordinate jump atom (neither a
+    bottleneck), and a load of 1.2 that fails validation."""
+    grid = uniform_grid(T, cells)
+    at = [float(grid.nodes[cells * k // 4]) for k in (1, 2, 3)]
+
+    def drift(*atoms, nondecreasing=False):
+        return StieltjesMeasure(grid, np.full(cells, 0.3), tuple(atoms), nondecreasing)
+
+    kernel = JumpMeasure.from_segments(
+        grid, [(0.0, T, [(0.4, 0.2, 0.5)])], [(at[1], [(0.5, 0.0, 0.8)])])
+    return [
+        make_env(grid, b11=drift((at[0], 1.0)), b22=drift((at[2], 1.0)), m1=kernel),
+        make_env(grid, b11=drift((at[0], 1.0)), b12=drift((at[0], 0.2), nondecreasing=True)),
+        make_env(grid, b11=drift((at[1], 0.6)), m1=kernel),
+        make_env(grid, b22=drift((at[1], 1.2), (at[2], 1.0))),
+    ]
+
+
 def _segment_density(rng, cells, lo, hi):
     n_cuts = int(rng.integers(0, 3))
     cuts = sorted(rng.choice(np.arange(1, cells), size=n_cuts, replace=False).tolist())

@@ -47,6 +47,12 @@ engine does, draws each uniform through
 ``rng.random()`` and uses numpy's ufuncs on scalars, as the engine does on
 arrays.  Driven by ``SeedSpec(m).generator(k)``, it reproduces path k of
 the engine: the same events, and final states equal to rounding.
+
+:func:`check_flow` is the flow residual that builds, validates and
+compiles the whole ``terminal_refine``-times refined model and solves all
+three legs down to node 0.  :func:`cbve.check_flow` sweeps only the nodes
+the residual reads, with the fine leg on the model's own rows, so the two
+agree bit for bit wherever neither raises.
 """
 from __future__ import annotations
 
@@ -66,6 +72,7 @@ from cbve.solver import (
     CumulantSolution,
     _check_lambda,
     apriori_growth_exponent,
+    solve_general,
 )
 
 
@@ -629,3 +636,29 @@ def simulate(sf, x0, t: float, rng):
                 events.append(PathEvent(cell_end, "branch_jump", src, (z1, z2), (x1, x2)))
         _check_state(x1, x2)
     return (x1, x2), events
+
+
+def check_flow(env, r: float, s: float, t: float, lam, opts=None,
+               terminal_refine: int = 2) -> float:
+    """Composition residual of the backward flow across r <= s <= t.
+
+    Solves the (s, t] leg on a ``terminal_refine``-times finer grid, feeds
+    its value at s as terminal data to an (r, s] solve on the base grid and
+    compares with the direct (r, t] solve at node r.  On a shared grid the
+    one-step recursion composes exactly, so the refined terminal leg is what
+    makes the residual measure actual discretization error; it vanishes
+    under grid refinement.  With s = t the terminal leg is the identity and
+    the residual is exactly zero.
+    """
+    ir = env.grid.index_of(r)
+    isx = env.grid.index_of(s)
+    it = env.grid.index_of(t)
+    if not (ir <= isx <= it):
+        raise ValueError("need r <= s <= t")
+    fine = env.refined(terminal_refine)
+    sol_top = solve_general(fine, t, lam, opts)
+    mu = sol_top.v[fine.grid.index_of(s)]
+    sol_mid = solve_general(env, s, (float(mu[0]), float(mu[1])), opts)
+    sol_full = solve_general(env, t, lam, opts)
+    diff = np.abs(sol_mid.v[ir] - sol_full.v[ir])
+    return float(np.max(diff))

@@ -20,6 +20,7 @@ from cbve import (
     special_to_general,
 )
 
+import _instances
 from _instances import make_env, make_sf, random_environment, uniform_grid
 
 
@@ -82,6 +83,33 @@ class TestValidate:
         small = (0.5**2 + 0.2) * 2.0
         large = (2.0 + 0.5) * 1.0
         assert env.validation.moment_values[0] == pytest.approx(small + large, rel=1e-14)
+
+
+def _instance_environments():
+    """Every model family of :mod:`_instances`, special forms converted."""
+    rng = np.random.default_rng(61)
+    special = [_instances.random_special_form(rng, cells=30, diag=d)
+               for d in ("none", "atoms", "density")]
+    special += [sf for sf, _, _ in _instances.mc_cases()]
+    return [
+        _instances.feller_environment(cells=40),
+        _instances.bottleneck_environment(cells=40),
+        *(random_environment(rng, cells=30, with_atoms=a) for a in (True, True, False)),
+        *(special_to_general(sf) for sf in special),
+        *_instances.atom_edge_environments(),
+    ]
+
+
+@pytest.mark.parametrize("factor", [2, 3, 4])
+def test_refinement_keeps_the_validation_report(factor):
+    # refinement keeps every atom and its mass, so admissibility, the worst
+    # atom loads and the bottlenecks cannot change; check_flow's fine leg
+    # relies on this instead of validating a refined model
+    for env in _instance_environments():
+        want = env.validation
+        got = env.refined(factor).validation
+        assert (got.ok, got.delta_max, got.bottleneck_times) == (
+            want.ok, want.delta_max, want.bottleneck_times)
 
 
 class TestAtomLoad:

@@ -5,18 +5,23 @@ import numpy as np
 import pytest
 
 from cbve import (
+    DiscretizationError,
+    JumpMeasure,
     NumericalError,
     StieltjesMeasure,
     finite_diff_check,
     gronwall_bound,
+    mc_mean,
     mean_of_transition,
     solve_moment,
+    special_to_general,
 )
 from cbve.environment import effective_cross_drift
 
 from _instances import (
     feller_environment,
     make_env,
+    make_sf,
     random_environment,
     uniform_grid,
 )
@@ -120,6 +125,38 @@ class TestOverflow:
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match="non-finite"):
                 solve_moment(env, 1.0, lam)
+
+
+class TestStiffDecay:
+    # gamma11 density -800 is b11 = 800: a mode decaying at rate 800, whose
+    # explicit cell step on a 4-cell grid multiplies it by 1 + z + z^2 / 2
+    # with z = -200; pi_1(0) came out 1.5e17 where the exact value is about
+    # 1 / 800
+    @staticmethod
+    def _stiff_sf():
+        grid = uniform_grid(cells=4)
+        return make_sf(
+            grid,
+            g11=StieltjesMeasure.from_segments(grid, [(0.0, 1.0, -800.0)]),
+            mu1=JumpMeasure.from_segments(grid, [(0.0, 1.0, [(0.0, 1.0, 1.0)])]),
+        )
+
+    def test_unstable_step_raises(self):
+        env = special_to_general(self._stiff_sf())
+        with pytest.raises(DiscretizationError, match="refine the grid"):
+            solve_moment(env, 1.0, (1.0, 1.0))
+
+    def test_mc_mean_target_raises(self):
+        # the 32-times refined target gave 6.4e147 and z = -inf
+        with pytest.raises(DiscretizationError, match="refine the grid"):
+            mc_mean(self._stiff_sf(), (1.0, 1.0), 1.0, (1.0, 1.0), 100, 3)
+
+    def test_fine_enough_grid_solves(self):
+        # z = -800 / 512 lies where the two-pass step contracts
+        env = special_to_general(self._stiff_sf().refined(128))
+        pi = solve_moment(env, 1.0, (1.0, 1.0)).pi[0]
+        assert pi[0] == pytest.approx(1.0 / 800.0, rel=1e-6)
+        assert pi[1] == 1.0
 
 
 class TestFiniteDiff:
