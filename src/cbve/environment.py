@@ -225,6 +225,12 @@ class SpecialForm(_Model):
     def _sim_table(self):
         return sim_table(self)
 
+    @cached_property
+    def _references(self) -> dict:
+        """Reference models of the Monte-Carlo checks of
+        :mod:`cbve.simulator`, filled as they are first built."""
+        return {}
+
 
 def atom_load(env: Environment, i: int, s: float) -> float:
     """Diagonal atom load at time s: drift jump plus own-coordinate jump mass.

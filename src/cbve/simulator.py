@@ -32,7 +32,11 @@ stream, in path order:
 
 The drift matrices, majorant rates, stretches and sampling tables come
 from :func:`cbve.compiled.sim_table`, built once per special form and
-cached on it.
+cached on it.  So are the reference models of :func:`mc_laplace` and
+:func:`mc_mean`: the form refined ``reference_refine`` times (with its own
+cached Picard table) and, for the mean, its :func:`special_to_general`
+form.  They live as long as the form; every call still solves its
+reference with the caller's ``opts``.
 
 Reproducibility: path k of a master seed reads the stream of
 ``SeedSpec(master).generator(k)``; :class:`cbve.streams.PCGStreams`
@@ -439,6 +443,18 @@ def _z_score(estimate: float, target: float, se: float) -> float:
     return diff / se
 
 
+def _reference(sf: SpecialForm, factor: int, general: bool = False):
+    """``sf.refined(factor)``, or its :func:`special_to_general` form, built
+    on first use and then kept on ``sf`` (so for as long as ``sf`` lives)."""
+    key = factor, general
+    ref = sf._references.get(key)
+    if ref is None:
+        ref = (special_to_general(_reference(sf, factor)) if general
+               else sf.refined(factor))
+        sf._references[key] = ref
+    return ref
+
+
 def mc_laplace(sf: SpecialForm, x0, t: float, lam, n_paths: int, seed,
                reference_refine: int = 32,
                opts: SolverOptions | None = None) -> MCEstimate:
@@ -446,15 +462,14 @@ def mc_laplace(sf: SpecialForm, x0, t: float, lam, n_paths: int, seed,
 
     The estimate is the sample mean of exp(-<lam, X_t>); the target is
     exp(-<x0, v_{0,t}(lam)>) with v solved on a ``reference_refine``-times
-    finer copy of the coefficient grid.
+    finer copy of the coefficient grid, built once per form and factor.
     """
     lam1, lam2 = float(lam[0]), float(lam[1])
     estimate, se = _mc_run(
         sf, x0, t, n_paths, seed,
         lambda fx1, fx2: np.exp(-(lam1 * fx1 + lam2 * fx2)),
     )
-    ref = sf.refined(reference_refine)
-    sol = solve_special_picard(ref, t, (lam1, lam2), opts)
+    sol = solve_special_picard(_reference(sf, reference_refine), t, (lam1, lam2), opts)
     target = math.exp(-(float(x0[0]) * sol.v[0, 0] + float(x0[1]) * sol.v[0, 1]))
     return MCEstimate(n_paths, estimate, se, target, _z_score(estimate, target, se))
 
@@ -465,14 +480,14 @@ def mc_mean(sf: SpecialForm, x0, t: float, lam, n_paths: int, seed,
     """Monte-Carlo check of the mean identity at (x0, t, lam).
 
     The estimate is the sample mean of <lam, X_t>; the target is
-    <x0, pi_{0,t}(lam)> from the moment solver on a refined grid.
+    <x0, pi_{0,t}(lam)> from the moment solver on the general form of the
+    same refined copy as :func:`mc_laplace`'s, built once per form and factor.
     """
     lam1, lam2 = float(lam[0]), float(lam[1])
     estimate, se = _mc_run(
         sf, x0, t, n_paths, seed,
         lambda fx1, fx2: lam1 * fx1 + lam2 * fx2,
     )
-    env = special_to_general(sf.refined(reference_refine))
-    sol = solve_moment(env, t, (lam1, lam2), opts)
+    sol = solve_moment(_reference(sf, reference_refine, general=True), t, (lam1, lam2), opts)
     target = float(x0[0]) * sol.pi[0, 0] + float(x0[1]) * sol.pi[0, 1]
     return MCEstimate(n_paths, estimate, se, target, _z_score(estimate, target, se))

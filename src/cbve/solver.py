@@ -161,49 +161,55 @@ def _sweep(cells, atoms, lo: int, hi: int, lam, opts: SolverOptions):
         worst_deficit = max(worst_deficit, -x)
         return 0.0
 
-    for k in range(hi - 1, lo - 1, -1):
-        a = atoms.get(k + 1)
-        if a is not None:
-            a11, a22, ab12, ab21, _, _, ap1, ap2 = a
-            p1 = a11 * v1 - ab12 * v2
-            # the compensated-kernel sums stay inline: a shared helper
-            # measured about 10% slower on this sweep
-            for z1, z2, w in ap1:
-                x = v1 * z1 + v2 * z2
-                p1 += (expm1(-x) + x) * w
-            p2 = a22 * v2 - ab21 * v1
-            for z1, z2, w in ap2:
-                x = v1 * z1 + v2 * z2
-                p2 += (expm1(-x) + x) * w
-            v1 = clamp(v1 - p1)
-            v2 = clamp(v2 - p2)
-        h, b11d, b22d, bb12d, bb21d, c1d, c2d, pts1, pts2 = cells[k]
-        d1 = v1 * b11d - v2 * bb12d + v1 * v1 * c1d
-        for z1, z2, w in pts1:
-            x = v1 * z1 + v2 * z2
-            d1 += (expm1(-x) + x) * w
-        d2 = v2 * b22d - v1 * bb21d + v2 * v2 * c2d
-        for z1, z2, w in pts2:
-            x = v1 * z1 + v2 * z2
-            d2 += (expm1(-x) + x) * w
-        c1x = v1 - h * d1
-        c2x = v2 - h * d2
-        for _ in range(npass - 1):
-            e1 = c1x * b11d - c2x * bb12d + c1x * c1x * c1d
+    # a predictor far below zero overflows expm1 in the corrector: the
+    # grid is too coarse for this lam, like a deficit beyond tolerance
+    try:
+        for k in range(hi - 1, lo - 1, -1):
+            a = atoms.get(k + 1)
+            if a is not None:
+                a11, a22, ab12, ab21, _, _, ap1, ap2 = a
+                p1 = a11 * v1 - ab12 * v2
+                # the compensated-kernel sums stay inline: a shared helper
+                # measured about 10% slower on this sweep
+                for z1, z2, w in ap1:
+                    x = v1 * z1 + v2 * z2
+                    p1 += (expm1(-x) + x) * w
+                p2 = a22 * v2 - ab21 * v1
+                for z1, z2, w in ap2:
+                    x = v1 * z1 + v2 * z2
+                    p2 += (expm1(-x) + x) * w
+                v1 = clamp(v1 - p1)
+                v2 = clamp(v2 - p2)
+            h, b11d, b22d, bb12d, bb21d, c1d, c2d, pts1, pts2 = cells[k]
+            d1 = v1 * b11d - v2 * bb12d + v1 * v1 * c1d
             for z1, z2, w in pts1:
-                x = c1x * z1 + c2x * z2
-                e1 += (expm1(-x) + x) * w
-            e2 = c2x * b22d - c1x * bb21d + c2x * c2x * c2d
+                x = v1 * z1 + v2 * z2
+                d1 += (expm1(-x) + x) * w
+            d2 = v2 * b22d - v1 * bb21d + v2 * v2 * c2d
             for z1, z2, w in pts2:
-                x = c1x * z1 + c2x * z2
-                e2 += (expm1(-x) + x) * w
-            c1x = v1 - 0.5 * h * (d1 + e1)
-            c2x = v2 - 0.5 * h * (d2 + e2)
-        v1 = clamp(c1x)
-        v2 = clamp(c2x)
-        if not (math.isfinite(v1) and math.isfinite(v2)):
-            raise NumericalError("backward sweep produced non-finite values")
-        v[k, 0], v[k, 1] = v1, v2
+                x = v1 * z1 + v2 * z2
+                d2 += (expm1(-x) + x) * w
+            c1x = v1 - h * d1
+            c2x = v2 - h * d2
+            for _ in range(npass - 1):
+                e1 = c1x * b11d - c2x * bb12d + c1x * c1x * c1d
+                for z1, z2, w in pts1:
+                    x = c1x * z1 + c2x * z2
+                    e1 += (expm1(-x) + x) * w
+                e2 = c2x * b22d - c1x * bb21d + c2x * c2x * c2d
+                for z1, z2, w in pts2:
+                    x = c1x * z1 + c2x * z2
+                    e2 += (expm1(-x) + x) * w
+                c1x = v1 - 0.5 * h * (d1 + e1)
+                c2x = v2 - 0.5 * h * (d2 + e2)
+            v1 = clamp(c1x)
+            v2 = clamp(c2x)
+            if not (math.isfinite(v1) and math.isfinite(v2)):
+                raise NumericalError("backward sweep produced non-finite values")
+            v[k, 0], v[k, 1] = v1, v2
+    except OverflowError:
+        raise DiscretizationError(
+            "backward sweep overflowed; refine the grid") from None
     return v, clamp_events, worst_deficit
 
 
@@ -591,18 +597,41 @@ def check_flow(env: Environment, r: float, s: float, t: float, lam,
     without building it.  A sweep failure on nodes the residual does not
     read (below r, or below s on the fine leg) therefore raises nothing.
     """
+    return _flow_residual(env, r, s, t, lam, opts, terminal_refine)
+
+
+def _split_rows(cells, atoms, lo: int, hi: int, widths, f: int):
+    """Rows ``lo .. hi - 1`` of a compiled table, each split into ``f`` rows
+    of the given widths, and the atoms of nodes ``lo + 1 .. hi``, node m
+    moved to ``(m - lo) * f``: what an ``f``-times refined model compiles on
+    that window, renumbered from 0."""
+    rows = [(w, *cells[lo + j // f][1:]) for j, w in enumerate(widths)]
+    return rows, {(m - lo) * f: a for m, a in atoms.items() if lo < m <= hi}
+
+
+def _flow_residual(env: Environment, r: float, s: float, t: float, lam,
+                   opts: SolverOptions | None, f: int, base: int = 1) -> float:
+    """:func:`check_flow` with ``terminal_refine = f`` on
+    ``env.refined(base)``, swept on ``env``'s compiled rows: the base legs
+    on them split ``base`` ways, the fine leg split ``base * f`` ways with
+    the widths of ``env.grid.refine(base).refine(f)``.  Refinement keeps
+    ``validate``'s verdict, so ``env``'s own check stands for the refined
+    model's."""
     ir, isx, it = (env.grid.index_of(x) for x in (r, s, t))
     if not (ir <= isx <= it):
         raise ValueError("need r <= s <= t")
-    f = terminal_refine
-    widths = env.grid.refine(f).widths[isx * f : it * f].tolist()
+    grid = env.grid.refine(base)
+    n = base * f
+    widths = grid.refine(f).widths[isx * n : it * n].tolist()
     opts = opts or _DEFAULT_OPTS
     env.require_valid()
     lam = _check_lambda(lam)
     cells, atoms = env._table
-    fine_cells = [(w, *cells[isx + j // f][1:]) for j, w in enumerate(widths)]
-    fine_atoms = {(m - isx) * f: a for m, a in atoms.items() if isx < m <= it}
-    top = _sweep(fine_cells, fine_atoms, 0, len(widths), lam, opts)[0][0]
+    top = _sweep(*_split_rows(cells, atoms, isx, it, widths, n), 0, len(widths), lam, opts)[0][0]
+    if base > 1:
+        coarse = grid.widths[ir * base : it * base].tolist()
+        cells, atoms = _split_rows(cells, atoms, ir, it, coarse, base)
+        ir, isx, it = 0, (isx - ir) * base, (it - ir) * base
     mid = _sweep(cells, atoms, ir, isx, top.tolist(), opts)[0][ir]
     full = _sweep(cells, atoms, ir, it, lam, opts)[0][ir]
     return float(np.max(np.abs(mid - full)))

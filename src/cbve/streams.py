@@ -12,11 +12,14 @@ operations over an array of path indices:
 - PCG64's seeding, its 128-bit LCG step on uint64 limbs and its XSL-RR
   output, with ``random()``'s 53-bit mapping to [0, 1).
 
-A block of :data:`WIDTH` uniforms comes from the LCG jump-ahead
-``s_j = A^j s + (1 + A + ... + A^(j-1)) inc``, so every block is one
-array evaluation.  The uniforms equal ``SeedSpec(m).generator(k).random()``
-bit for bit, in order.  Path indices must fit one uint32 word: larger ones
-change the length of SeedSequence's entropy, which this mix does not model.
+A block of :data:`WIDTH` uniforms comes from the LCG jump-ahead.  With
+``C_j = 1 + A + ... + A^(j-1)``, ``A^j - 1 = C_j (A - 1)``, so the j-th
+state after ``s`` is ``s_j = s + C_j y`` with ``y = (A - 1) s + inc``:
+one 128-bit product per row for ``y``, then one product by a constant per
+uniform, and every block is one array evaluation.  The uniforms equal
+``SeedSpec(m).generator(k).random()`` bit for bit, in order.  Path
+indices must fit one uint32 word: larger ones change the length of
+SeedSequence's entropy, which this mix does not model.
 """
 from __future__ import annotations
 
@@ -34,8 +37,9 @@ _POOL = 4
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 #: uniforms per stream block
 WIDTH = 32
-#: uniforms per array pass of :meth:`PCGStreams.block`
-_CHUNK = 1 << 15
+#: uniforms per array pass of :meth:`PCGStreams.block`; inside a Monte-Carlo
+#: run 1 << 13 beat 1 << 12 and 1 << 15 (the temporaries stay in cache)
+_CHUNK = 1 << 13
 
 
 def _words(n: int) -> list:
@@ -107,15 +111,13 @@ def _add128(ah, al, bh, bl):
 
 
 def _jump_constants():
-    """Limbs of A^j and of 1 + A + ... + A^(j-1) for j = 1..WIDTH: the
-    multiplier and increment factor of j LCG steps; read-only."""
-    mult, incf = [], []
-    a, c = 1, 0
+    """Limbs of C_j = 1 + A + ... + A^(j-1) for j = 1..WIDTH and of
+    A - 1; read-only."""
+    incf, c = [], 0
     for _ in range(WIDTH):
-        a, c = (a * _PCG_MULT) & _MASK128, (c * _PCG_MULT + 1) & _MASK128
-        mult.append(a)
+        c = (c * _PCG_MULT + 1) & _MASK128
         incf.append(c)
-    limbs = [*_split(np.array(mult, dtype=object)), *_split(np.array(incf, dtype=object))]
+    limbs = [*_split(np.array(incf, dtype=object)), *_split(_PCG_MULT - 1)]
     for a in limbs:
         a.setflags(write=False)
     return limbs
@@ -154,12 +156,16 @@ class PCGStreams:
         ``(rows.size, WIDTH)`` array; advances those streams past them."""
         step = _CHUNK // WIDTH
         if rows.size > step:
-            # chunks keep the two dozen uint64 temporaries in cache
+            # chunks keep the uint64 temporaries in cache
             return np.concatenate([self.block(rows[i:i + step])
                                    for i in range(0, rows.size, step)])
-        (sh, sl), (ih, il) = ((a[rows][:, None] for a in x) for x in (self.state, self.inc))
-        mh, ml, ch, cl = _JUMPS
-        hi, lo = _add128(*_mul128(sh, sl, mh, ml), *_mul128(ih, il, ch, cl))
+        ch, cl, mh, ml = _JUMPS
+        sh, sl = (a[rows] for a in self.state)
+        yh, yl = _add128(*_mul128(sh, sl, mh, ml), *(a[rows] for a in self.inc))
+        # s_j = s + C_j y: the 32-bit halves are split from the (rows, 1)
+        # column y and the WIDTH constants, only the products are full size
+        sh, sl, yh, yl = sh[:, None], sl[:, None], yh[:, None], yl[:, None]
+        hi, lo = _add128(sh, sl, *_mul128(yh, yl, ch, cl))
         self.state[0][rows], self.state[1][rows] = hi[:, -1], lo[:, -1]
         # XSL-RR output, then random()'s top 53 bits
         x = hi ^ lo

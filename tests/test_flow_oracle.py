@@ -7,7 +7,9 @@ with the fine leg on the model's own compiled rows, so the two must return
 the same float.  Grids have uneven widths, atoms sit on r, s and t (drift,
 cross-drift and jump-kernel atoms), a bottleneck may sit below r, the
 triples include r = s, s = t and r = 0, and the refinement factor runs
-from 1 to 4.
+from 1 to 4.  ``cbve verify``'s second residual, :func:`check_flow` of
+``env.refined(4)``, is computed the same way on ``env``'s rows split four
+ways, and must equal the residual of the refined model it stands for.
 """
 import numpy as np
 import pytest
@@ -24,7 +26,8 @@ from cbve import (
     TimeGrid,
     check_flow,
 )
-from cbve.errors import DiscretizationError
+from cbve.errors import CBVEError, DiscretizationError
+from cbve.solver import _flow_residual
 
 _SETTINGS = settings(max_examples=200)
 
@@ -93,6 +96,14 @@ def _cases(draw):
     return env, (r, s, t), lam, draw(st.sampled_from((2, 3, 4, 1))), draw(st.integers(1, 3))
 
 
+def _outcome(fn, *args):
+    """The residual, or the type of the typed error raised instead."""
+    try:
+        return fn(*args)
+    except CBVEError as exc:
+        return type(exc)
+
+
 @_SETTINGS
 @given(_cases())
 def test_check_flow_matches_refined_model_oracle(case):
@@ -100,6 +111,9 @@ def test_check_flow_matches_refined_model_oracle(case):
     opts = SolverOptions(cell_fixed_point_iters=npass)
     want = _reference.check_flow(env, r, s, t, lam, opts, factor)
     assert check_flow(env, r, s, t, lam, opts, factor) == want
+    # cbve verify's refine-4 residual, on the same rows split 4 ways
+    want4 = _outcome(check_flow, env.refined(4), r, s, t, lam, opts, factor)
+    assert _outcome(_flow_residual, env, r, s, t, lam, opts, factor, 4) == want4
 
 
 class TestCheckFlowContract:

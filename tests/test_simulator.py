@@ -7,8 +7,11 @@ import pytest
 from scipy import linalg, stats
 
 from cbve import (
+    Environment,
     JumpMeasure,
     SeedSpec,
+    SolverOptions,
+    SpecialForm,
     StieltjesMeasure,
     finite_activity_approximation,
     mc_laplace,
@@ -17,9 +20,10 @@ from cbve import (
     solve_special_picard,
     solve_general,
 )
+from cbve import simulator
 from cbve.compiled import _expm2
 from cbve.simulator import _simulate_paths
-from cbve.errors import NumericalError
+from cbve.errors import ConvergenceError, NumericalError
 
 from _instances import make_env, make_sf, uniform_grid
 
@@ -322,3 +326,60 @@ class TestMonteCarlo:
             target_n = solve_special_picard(sf_n.refined(64), 1.0, lam)
             gaps.append(float(np.max(np.abs(target_n.v[0] - reference.v[0]))))
         assert gaps[1] < gaps[0]
+
+
+class TestReferenceModels:
+    """mc_laplace and mc_mean build their reference models once per form
+    and factor, keep them on the form, and solve them on every call."""
+
+    @staticmethod
+    def _spy(monkeypatch):
+        built, solved = [], []
+        refine = SpecialForm.refined
+
+        def refined(self, factor):
+            built.append(factor)
+            return refine(self, factor)
+
+        monkeypatch.setattr(SpecialForm, "refined", refined)
+        for name in ("solve_special_picard", "solve_moment"):
+            def solve(model, t, lam, opts=None, _real=getattr(simulator, name)):
+                solved.append((model, opts))
+                return _real(model, t, lam, opts)
+
+            monkeypatch.setattr(simulator, name, solve)
+        return built, solved
+
+    def test_laplace_then_mean_refines_once(self, monkeypatch):
+        sf = _jump_sf(rate=1.5)
+        args = (sf, (1.0, 0.5), 1.0, (1.0, 0.5), 200, 7)
+        fresh = (mc_laplace(*args), mc_mean(*args))
+        built, solved = self._spy(monkeypatch)
+        sf = _jump_sf(rate=1.5)
+        args = (sf,) + args[1:]
+        got = mc_laplace(*args), mc_mean(*args), mc_laplace(*args), mc_mean(*args)
+        assert got == fresh + fresh
+        assert built == [32]
+        (ref, _), (env, _), (ref2, _), (env2, _) = solved
+        assert ref is ref2 and env is env2
+        assert isinstance(ref, SpecialForm) and ref.grid.n_cells == 32 * sf.grid.n_cells
+        assert isinstance(env, Environment) and env.grid.same_as(ref.grid)
+        # the public refined() still returns a new model
+        assert sf.refined(32) is not ref
+
+    def test_factors_get_their_own_models_and_opts_reach_the_solve(self, monkeypatch):
+        built, solved = self._spy(monkeypatch)
+        sf = _jump_sf(rate=1.5)
+        opts = SolverOptions(cell_fixed_point_iters=3)
+        for factor in (32, 16, 32, 16):
+            mc_laplace(sf, (1.0, 0.5), 1.0, (1.0, 0.5), 200, 7, factor, opts)
+        mc_mean(sf, (1.0, 0.5), 1.0, (1.0, 0.5), 200, 7, 16)
+        assert built == [32, 16]
+        models = [model for model, _ in solved]
+        assert [m.grid.n_cells for m in models] == [256, 128, 256, 128, 128]
+        assert models[0] is models[2] and models[1] is models[3]
+        assert [o for _, o in solved] == [opts] * 4 + [None]
+        # a cached model is still solved with the caller's options
+        with pytest.raises(ConvergenceError):
+            mc_laplace(sf, (1.0, 0.5), 1.0, (1.0, 0.5), 200, 7, 32,
+                       SolverOptions(picard_max_iter=1))

@@ -28,7 +28,7 @@ from cbve import (
     simulate_path,
 )
 from cbve.simulator import _simulate_paths
-from cbve.streams import WIDTH, PCGStreams
+from cbve.streams import _CHUNK, WIDTH, PCGStreams
 
 from _instances import mc_cases
 
@@ -38,7 +38,10 @@ _PATHS = 40
 
 @pytest.mark.parametrize("master", [0, 8200, 2**63 - 25, 2**200 + 7])
 def test_streams_match_seedspec_generators(master):
-    paths = np.array([0, 1, 2, 99, 2**16 + 3, 2**31, 2**32 - 2, 2**32 - 1])
+    edge = [0, 1, 2, 99, 2**16 + 3, 2**31, 2**32 - 2, 2**32 - 1]
+    # enough paths that one block call spans several array passes
+    paths = np.array(edge + list(range(1000, 1000 + 2 * _CHUNK // WIDTH)))
+    assert paths.size > 2 * (_CHUNK // WIDTH)
     streams = PCGStreams(master, paths)
     rows = np.arange(paths.size)
     # every stream draws three blocks; the odd rows a fourth, out of step

@@ -20,7 +20,7 @@ from cbve import (
     solve_special_picard,
     special_to_general,
 )
-from cbve.errors import NumericalError
+from cbve.errors import DiscretizationError, NumericalError
 
 from _instances import (
     bottleneck_environment,
@@ -98,6 +98,18 @@ class TestSolveGeneral:
         sol = solve_general(env, t, (1.0, 1.0))
         assert sol.v.shape == (61, 2)
         assert sol.t == t
+
+    @pytest.mark.parametrize("lam", [(1e6, 1e6), (1e12, 0.0)])
+    def test_overflow_at_large_lambda_is_typed(self, lam):
+        # h * b11 = 2.5 sends the predictor to about -1.5 * lam1, whose
+        # expm1 in the corrector overflows: the grid is too coarse
+        grid = uniform_grid(cells=8)
+        env = make_env(grid, b11=StieltjesMeasure(grid, np.full(8, 20.0)),
+                       m1=JumpMeasure.from_segments(grid, [(0.0, 1.0, [(1.0, 0.5, 0.5)])]))
+        with pytest.raises(DiscretizationError, match="refine the grid"):
+            solve_general(env, 1.0, lam)
+        with pytest.raises(DiscretizationError, match="refine the grid"):
+            check_flow(env, 0.25, 0.5, 1.0, lam)
 
     def test_rejects_negative_lambda(self):
         env = make_env(uniform_grid(cells=10))
