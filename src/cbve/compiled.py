@@ -2,14 +2,16 @@
 
 :func:`cell_table` flattens measures into Python rows once, so the scalar
 loop of the general sweep indexes tuples instead of arrays: one row
-``(h, densities..., kernel points...)`` per grid cell and one entry
+``(h, densities..., kernel points...)`` per grid cell (the points read from
+``cell_points``, one tuple per run of equal cells) and one entry
 ``(atom masses..., atom points...)`` per node that carries any time atom.
 
 :func:`picard_table` is the array form consumed by the whole-array Picard
-iteration: per-cell vectors, the kernels' padded ``(3, K, cells)`` point
-arrays (``JumpMeasure.cell_points``) rescaled per cell by :func:`_rescaled`
-(the h-transform's rescaling too), and per-atom-node vectors indexed by an
-ascending node array.
+iteration, both types stacked on a leading axis of 2: per-cell ``(2,
+cells)`` cross densities and ``(2, 3, K, cells)`` kernel points (K the
+larger slot count, the other kernel zero-padded) rescaled per cell by
+:func:`_rescaled` (the h-transform's rescaling too), and per-atom-node
+rows indexed by an ascending node array.
 
 :func:`sim_table` is the array form consumed by the lock-step simulator:
 per-cell drift matrices, thinning windows and inverse-CDF kernel tables,
@@ -27,6 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .measures import _point_sets
 
 __all__ = ["cell_table", "picard_table", "sim_table"]
 
@@ -44,10 +47,11 @@ def cell_table(scalars, jumps):
     rows = list(zip(
         grid.widths.tolist(),
         *(meas.density.tolist() for meas in scalars),
-        *((kern.points for kern in jump.cell_kernels) for jump in jumps),
+        *(_point_sets(jump.cell_points) for jump in jumps),
     ))
     masses = [meas.node_atom_masses for meas in scalars]
-    points = [jump.node_points for jump in jumps]
+    points = [dict(zip(jump.atom_nodes.tolist(), _point_sets(jump.atom_points)))
+              for jump in jumps]
     nodes = set().union(*points)
     for mass in masses:
         nodes.update(np.flatnonzero(mass).tolist())
@@ -58,29 +62,39 @@ def cell_table(scalars, jumps):
     return rows, atoms
 
 
-def _rescaled(points, e1, e2, wfac):
-    """Padded points with z1, z2 and weight scaled per set: the change of
-    scale of the Picard table and of the h-transform."""
-    return points * np.stack((e1, e2, wfac))[:, None, :]
+def _rescaled(points, e, wfac):
+    """Padded points with z1, z2 scaled by the rows of ``e`` and weights by
+    ``wfac``, per set: the change of scale of the Picard table and of the
+    h-transform.  Stacked ``(2, 3, K, sets)`` points take a row of ``wfac``
+    per type."""
+    scale = np.empty(points.shape[:-3] + (3, points.shape[-1]))
+    scale[..., :2, :] = e
+    scale[..., 2, :] = wfac
+    return points * scale[..., None, :]
+
+
+def _stacked(arrays, cols, size: int) -> np.ndarray:
+    """The padded points of both types as one ``(2, 3, K, size)`` array (K
+    the larger slot count), type i's sets at columns ``cols[i]``."""
+    out = np.zeros((2, 3, max(a.shape[1] for a in arrays), size))
+    for dest, points, at in zip(out, arrays, cols):
+        dest[:, : points.shape[1], at] = points
+    return out
 
 
 class PicardTable(NamedTuple):
-    """Array table of the diagonal-free Picard map; see :func:`picard_table`."""
+    """Array table of the diagonal-free Picard map; see :func:`picard_table`.
+    Row i of ``aL``, ``aR``, ``ab`` and ``pL``, ``pR``, ``ap`` (padded
+    ``(2, 3, K, sets)`` points) belongs to type i + 1."""
 
     widths: np.ndarray
-    a12L: np.ndarray
-    a12R: np.ndarray
-    a21L: np.ndarray
-    a21R: np.ndarray
-    p1L: np.ndarray
-    p1R: np.ndarray
-    p2L: np.ndarray
-    p2R: np.ndarray
+    aL: np.ndarray
+    aR: np.ndarray
+    pL: np.ndarray
+    pR: np.ndarray
     atom_nodes: np.ndarray
-    ab12: np.ndarray
-    ab21: np.ndarray
-    ap1: np.ndarray
-    ap2: np.ndarray
+    ab: np.ndarray
+    ap: np.ndarray
     Z: np.ndarray
     F: np.ndarray
 
@@ -91,62 +105,47 @@ def picard_table(sf):
     ``Z[i - 1]`` holds, per node, the exponent of the change of scale that
     removes the type-i diagonal drift: its density integral plus
     log(1 + atom) jumps; ``F = exp(-Z)``.  Per cell the table holds the
-    width, the rescaled cross densities at both cell edges (``a12L``,
-    ``a12R``, ``a21L``, ``a21R``) and each kernel's rescaled points at both
-    edges as ``(3, K, cells)`` arrays (from ``cell_points``).  Per atom node
-    (``atom_nodes``, ascending) it holds the rescaled cross masses and the
-    rescaled, padded atom points.  Exponentials that overflow are left as
-    inf without a warning; the solver checks the exponents it uses.
+    width, the rescaled cross densities (gamma12 then gamma21) and both
+    kernels' rescaled points (from ``cell_points``) at both cell edges:
+    ``aL``, ``aR``, ``pL``, ``pR``.  Per atom node (``atom_nodes``, ascending)
+    it holds the rescaled cross masses ``ab`` and atom points ``ap``.  Point
+    coordinates are stored negated, saving the map a negation (exactly).
+    Exponentials that overflow are left as inf without a warning; the
+    solver checks the exponents it uses.
     """
     grid = sf.grid
-    g12, g21, mu1, mu2 = sf.gamma12, sf.gamma21, sf.mu1, sf.mu2
-    Z = []
-    dZ = []
-    for g in (sf.gamma11, sf.gamma22):
-        atom = g.node_atom_masses
-        dz = np.zeros(grid.nodes.size)
-        nz = atom != 0.0
-        dz[nz] = np.log1p(atom[nz])
-        zc = np.concatenate(([0.0], np.cumsum(g.density * grid.widths)))
-        Z.append(zc + np.cumsum(dz))
-        dZ.append(dz)
-    Z1, Z2 = Z
-    dZ1, dZ2 = dZ
-    nodes = np.unique(np.concatenate((
-        np.flatnonzero(g12.node_atom_masses), np.flatnonzero(g21.node_atom_masses),
-        np.fromiter(mu1.node_points, np.intp), np.fromiter(mu2.node_points, np.intp),
-    )))
+    mu = (sf.mu1, sf.mu2)
+    cross = (sf.gamma12, sf.gamma21)
+    atom = np.stack([g.node_atom_masses for g in (sf.gamma11, sf.gamma22)])
+    dZ = np.zeros(atom.shape)
+    nz = atom != 0.0
+    dZ[nz] = np.log1p(atom[nz])
+    Z = np.stack([np.concatenate(([0.0], np.cumsum(g.density * grid.widths)))
+                  for g in (sf.gamma11, sf.gamma22)]) + np.cumsum(dZ, axis=1)
+    nodes = np.unique(np.concatenate(
+        [np.flatnonzero(g.node_atom_masses) for g in cross] + [m.atom_nodes for m in mu]))
     # edge values per cell: left node (cadlag value on the open cell) and the
     # left limit at the right node; at an atom node, its left limit and value
-    ZL1, ZL2 = Z1[:-1], Z2[:-1]
-    ZR1, ZR2 = Z1[1:] - dZ1[1:], Z2[1:] - dZ2[1:]
-    Za1, Za2 = Z1[nodes], Z2[nodes]
-    za1, za2 = Za1 - dZ1[nodes], Za2 - dZ2[nodes]
-    P1, P2 = mu1.cell_points, mu2.cell_points
-    A1, A2 = (np.zeros((3, mu.atom_points.shape[1], nodes.size)) for mu in (mu1, mu2))
-    for A, mu in ((A1, mu1), (A2, mu2)):
-        A[:, :, np.searchsorted(nodes, list(mu.node_points))] = mu.atom_points
+    ZL, ZR = Z[:, :-1], Z[:, 1:] - dZ[:, 1:]
+    Za = Z[:, nodes]
+    za = Za - dZ[:, nodes]
+    P = _stacked([m.cell_points for m in mu], (slice(None),) * 2, grid.n_cells)
+    A = _stacked([m.atom_points for m in mu],
+                 [np.searchsorted(nodes, m.atom_nodes) for m in mu], nodes.size)
+    dens = np.stack([g.density for g in cross])
     exp = np.exp
     with np.errstate(over="ignore", invalid="ignore"):
-        eL1, eL2, eR1, eR2 = exp(-ZL1), exp(-ZL2), exp(-ZR1), exp(-ZR2)
-        ea1, ea2 = exp(-Za1), exp(-Za2)
         return PicardTable(
             widths=grid.widths,
-            a12L=g12.density * exp(ZL1 - ZL2),
-            a12R=g12.density * exp(ZR1 - ZR2),
-            a21L=g21.density * exp(ZL2 - ZL1),
-            a21R=g21.density * exp(ZR2 - ZR1),
-            p1L=_rescaled(P1, eL1, eL2, exp(ZL1)),
-            p1R=_rescaled(P1, eR1, eR2, exp(ZR1)),
-            p2L=_rescaled(P2, eL1, eL2, exp(ZL2)),
-            p2R=_rescaled(P2, eR1, eR2, exp(ZR2)),
+            aL=dens * exp(ZL - ZL[::-1]),
+            aR=dens * exp(ZR - ZR[::-1]),
+            pL=_rescaled(P, -exp(-ZL), exp(ZL)),
+            pR=_rescaled(P, -exp(-ZR), exp(ZR)),
             atom_nodes=nodes,
-            ab12=g12.node_atom_masses[nodes] * exp(za1 - Za2),
-            ab21=g21.node_atom_masses[nodes] * exp(za2 - Za1),
-            ap1=_rescaled(A1, ea1, ea2, exp(za1)),
-            ap2=_rescaled(A2, ea1, ea2, exp(za2)),
-            Z=np.stack(Z),
-            F=exp(-np.stack(Z)),
+            ab=np.stack([g.node_atom_masses[nodes] for g in cross]) * exp(za - Za[::-1]),
+            ap=_rescaled(A, -exp(-Za), exp(za)),
+            Z=Z,
+            F=exp(-Z),
         )
 
 
@@ -245,15 +244,12 @@ def sim_table(sf):
     masses = [g.node_atom_masses for g in (sf.gamma11, sf.gamma22, sf.gamma12, sf.gamma21)]
     nodes = np.unique(np.concatenate(
         [np.flatnonzero(m) for m in masses]
-        + [np.fromiter(k.node_points, np.intp) for k in mu]))
+        + [k.atom_nodes for k in mu]))
     atom_slot = np.full(sf.grid.nodes.size, -1)
     atom_slot[nodes] = np.arange(nodes.size)
     a11, a22, a12, a21 = (m[nodes] for m in masses)
-    atom_points = []
-    for k in mu:
-        pts = np.zeros((3, k.atom_points.shape[1], nodes.size))
-        pts[:, :, atom_slot[list(k.node_points)]] = k.atom_points
-        atom_points.append(pts)
+    atom_points = _stacked([k.atom_points for k in mu], [atom_slot[k.atom_nodes] for k in mu],
+                           nodes.size)
     # does the stretch of the cell before each interior node go on past it
     joins = np.all(G[:, 1:] == G[:, :-1], axis=0) & (atom_slot[1:-1] < 0)
     for k in mu:

@@ -249,7 +249,7 @@ def bottlenecks(env: Environment) -> list:
     for i in (1, 2):
         hit = np.abs(env.b_diag(i).node_atom_masses - 1.0) <= ATOM_TOL
         hit &= env.b_cross(i, _other(i)).node_atom_masses == 0.0
-        hit[[m for m, points in env.m_jump(i).node_points.items() if points]] = False
+        hit[env.m_jump(i).atom_nodes[env.m_jump(i).atom_points[2].any(axis=0)]] = False
         found.extend((float(env.grid.nodes[m]), i) for m in np.flatnonzero(hit))
     found.sort()
     return found

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import accumulate
 
 import numpy as np
 
@@ -72,13 +72,6 @@ class TimeGrid:
             if 0 <= idx < self.nodes.size and abs(self.nodes[idx] - t) <= tol * scale:
                 return idx
         raise ValueError(f"time {t!r} is not a grid node")
-
-    def is_node(self, t: float, tol: float = 1e-9) -> bool:
-        try:
-            self.index_of(t, tol)
-            return True
-        except ValueError:
-            return False
 
     def refine(self, factor: int) -> "TimeGrid":
         """Split every cell into ``factor`` equal subcells, keeping all nodes."""
@@ -265,7 +258,7 @@ class StieltjesMeasure:
         return StieltjesMeasure(fine, dens, self.atoms, self.nondecreasing)
 
     @classmethod
-    def linear_combination(cls, grid, terms, atoms_extra=(), nondecreasing=False):
+    def linear_combination(cls, grid, terms, nondecreasing=False):
         """Sum ``coef * measure`` over ``terms`` (all on ``grid``)."""
         dens = np.zeros(grid.n_cells)
         atom_acc: dict[int, float] = {}
@@ -276,7 +269,6 @@ class StieltjesMeasure:
             for t, m, idx in meas._atom_entries:
                 atom_acc[idx] = atom_acc.get(idx, 0.0) + coef * m
         atoms = [(float(grid.nodes[i]), m) for i, m in atom_acc.items() if m != 0.0]
-        atoms.extend(atoms_extra)
         return cls(grid, dens, tuple(atoms), nondecreasing)
 
 
@@ -287,45 +279,87 @@ class DiscreteSpatialMeasure:
     points: tuple = ()
 
     def __post_init__(self):
-        pts = []
-        for z1, z2, w in self.points:
-            z1, z2, w = float(z1), float(z2), float(w)
-            # NaN fails both comparisons
-            if not (0.0 <= z1 < math.inf and 0.0 <= z2 < math.inf):
-                raise ValueError("spatial points must have finite, nonnegative coordinates")
-            if z1 == 0.0 and z2 == 0.0:
-                raise ValueError("spatial points must avoid the origin")
-            if not (w > 0.0 and math.isfinite(w)):
-                raise ValueError("spatial weights must be positive and finite")
-            pts.append((z1, z2, w))
-        object.__setattr__(self, "points", tuple(pts))
+        pts = tuple((float(z1), float(z2), float(w)) for z1, z2, w in self.points)
+        for point in pts:
+            _check_point(*point)
+        object.__setattr__(self, "points", pts)
 
 
-_EMPTY_SPATIAL = DiscreteSpatialMeasure(())
+def _check_point(z1: float, z2: float, w: float) -> None:
+    """Raise a ValueError unless (z1, z2) are finite, nonnegative coordinates
+    off the origin and the weight w is positive and finite."""
+    # NaN fails every comparison
+    if not (0.0 <= z1 < math.inf and 0.0 <= z2 < math.inf):
+        raise ValueError("spatial points must have finite, nonnegative coordinates")
+    if z1 == 0.0 and z2 == 0.0:
+        raise ValueError("spatial points must avoid the origin")
+    if not 0.0 < w < math.inf:
+        raise ValueError("spatial weights must be positive and finite")
 
 
-def _padded(point_sets) -> np.ndarray:
-    """Points of each set as a read-only ``(3, K, sets)`` array of (z1, z2,
-    weight); K is the largest set size, and the slots past a set's own
-    points hold zeros, so they add nothing to a weighted sum."""
-    counts = np.fromiter(map(len, point_sets), np.intp, len(point_sets))
-    out = np.zeros((3, int(counts.max(initial=0)), counts.size))
-    flat = np.array(list(chain.from_iterable(point_sets)), dtype=float)
-    col = np.repeat(np.arange(counts.size), counts)
-    slot = np.arange(col.size) - (np.cumsum(counts) - counts)[col]
-    out[:, slot, col] = flat.reshape(-1, 3).T
-    out.setflags(write=False)
+def _check_points(pts: np.ndarray) -> None:
+    """:func:`_check_point` on each (z1, z2, weight) column of ``pts``, as
+    arrays; the first bad point raises its error."""
+    ok = (pts >= 0.0) & (pts < np.inf) & (pts[2] > 0.0) & pts[:2].any(axis=0)
+    if not ok.all():
+        _check_point(*pts[:, np.argmin(ok.all(axis=0))].tolist())
+
+
+def _filled(size: int, sets) -> np.ndarray:
+    """Padded ``(3, K, size)`` points of ``(i0, i1, points)`` sets: the
+    ``(n, 3)`` array ``points`` fills sets i0..i1-1, replacing what an earlier
+    set put there; K is the largest set left (the slots with a weight)."""
+    out = np.zeros((3, max((len(p) for *_, p in sets), default=0), size))
+    for i0, i1, points in sets:
+        out[:, : len(points), i0:i1] = points.T[:, :, None]
+        out[:, len(points) :, i0:i1] = 0.0
+    return np.ascontiguousarray(out[:, : np.count_nonzero(out[2].any(axis=1))])
+
+
+def _arrays(grid: TimeGrid, spans, atoms) -> tuple:
+    """Cell points, atom points and atom nodes of the kernel with points
+    ``pts`` on each ``(i0, i1, pts)`` span of cells and ``(time, pts)`` atom
+    (a grid node in (0, T], used once), every point checked once."""
+    nodes = {}
+    for time, pts in atoms:
+        idx = grid.index_of(float(time))
+        if idx == 0:
+            raise ValueError("jump atoms must lie in (0, T]")
+        if idx in nodes:
+            raise ValueError(f"duplicate jump atom at {time}")
+        nodes[idx] = pts
+    atoms = sorted(nodes.items())
+    sets = spans + [(j, j + 1, pts) for j, (_, pts) in enumerate(atoms)]
+    flat = [p for *_, pts in sets for p in pts]
+    flat = np.array(flat, dtype=float).reshape(len(flat), 3)
+    _check_points(flat.T)
+    ends = accumulate(len(pts) for *_, pts in sets)
+    sets = [(i0, i1, flat[b - len(pts) : b]) for (i0, i1, pts), b in zip(sets, ends)]
+    return (_filled(grid.n_cells, sets[: len(spans)]), _filled(len(atoms), sets[len(spans) :]),
+            [m for m, _ in atoms])
+
+
+def _packed(points: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """The ``keep`` slots of padded ``points``, checked, then moved to the
+    front of their set in slot order with zeros after: their padded form."""
+    _check_points(points.transpose(0, 2, 1)[:, keep.T])
+    out = np.zeros((3, int(np.count_nonzero(keep, axis=0).max(initial=0)), keep.shape[1]))
+    slot, col = np.nonzero(keep)
+    out[:, (np.cumsum(keep, axis=0) - 1)[slot, col], col] = points[:, slot, col]
     return out
 
 
-def _unpadded(points: np.ndarray, keep: np.ndarray) -> list:
-    """One spatial measure per set of padded ``points``, holding the
-    ``keep`` slots of that set in slot order."""
-    col, slot = np.nonzero(keep.T)
-    rows = list(zip(*points[:, slot, col].tolist()))
-    ends = np.cumsum(np.count_nonzero(keep, axis=0)).tolist()
-    return [DiscreteSpatialMeasure(tuple(rows[a:b]))
-            for a, b in zip([0, *ends], ends)]
+def _point_sets(points: np.ndarray, make=tuple) -> list:
+    """``make`` of the tuple of (z1, z2, weight) points (the slots of
+    positive weight) of each set of padded ``points``, made once per run of
+    bitwise equal sets and shared along it."""
+    size = points.shape[2]
+    bits = np.ascontiguousarray(points).view(np.int64)
+    starts = [0, *(np.flatnonzero((bits[:, :, 1:] != bits[:, :, :-1]).any(axis=(0, 1))) + 1)]
+    out = []
+    for a, b in zip(starts, starts[1:] + [size]) if size else ():
+        out += [make(tuple(p for p in zip(*points[:, :, a].tolist()) if p[2] > 0.0))] * (b - a)
+    return out
 
 
 def _slot_sums(fn, points: np.ndarray) -> np.ndarray:
@@ -338,39 +372,44 @@ def _slot_sums(fn, points: np.ndarray) -> np.ndarray:
     return total
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class JumpMeasure:
     """Kernel in time with finite discrete spatial slices.
 
-    ``cell_kernels[k]`` is the rate density on cell k (weight per unit
-    time); ``time_atoms`` holds (time, spatial measure) pairs whose
-    weights are total masses, with times at grid nodes in (0, T].
+    A kernel is its read-only padded arrays of (z1, z2, weight) points, a
+    set's own points in its first slots and zeros after: ``cell_points``
+    ``(3, K, cells)`` holds each cell's rate density (weight per unit time),
+    ``atom_points`` ``(3, Ka, atoms)`` each time atom's total masses, at the
+    ascending node indices ``atom_nodes`` in (0, T].  The constructor takes
+    one spatial measure per cell and (time, spatial measure) pairs, which
+    :attr:`cell_kernels` and :attr:`time_atoms` give back as read-only views.
     """
 
     grid: TimeGrid
-    cell_kernels: tuple = ()
-    time_atoms: tuple = ()
+    cell_points: np.ndarray
+    atom_points: np.ndarray
+    atom_nodes: np.ndarray
 
-    def __post_init__(self):
-        kernels = tuple(self.cell_kernels)
-        if not kernels:
-            kernels = (_EMPTY_SPATIAL,) * self.grid.n_cells
-        if len(kernels) != self.grid.n_cells:
+    def __init__(self, grid: TimeGrid, cell_kernels=(), time_atoms=()):
+        kernels = tuple(cell_kernels)
+        if kernels and len(kernels) != grid.n_cells:
             raise ValueError("need one spatial kernel per grid cell")
-        atoms = []
-        seen = set()
-        for time, spatial in self.time_atoms:
-            idx = self.grid.index_of(float(time))
-            if idx == 0:
-                raise ValueError("jump atoms must lie in (0, T]")
-            if idx in seen:
-                raise ValueError(f"duplicate jump atom at {time}")
-            seen.add(idx)
-            atoms.append((float(self.grid.nodes[idx]), spatial, idx))
-        atoms.sort(key=lambda a: a[2])
-        object.__setattr__(self, "cell_kernels", kernels)
-        object.__setattr__(self, "time_atoms", tuple((t, s) for t, s, _ in atoms))
-        object.__setattr__(self, "_atom_entries", tuple(atoms))
+        # one span per run of the same spatial measure object
+        starts = [k for k, kern in enumerate(kernels) if not k or kern is not kernels[k - 1]]
+        spans = [(a, b, kernels[a].points) for a, b in zip(starts, starts[1:] + [len(kernels)])]
+        self._store(grid, *_arrays(grid, spans, ((t, s.points) for t, s in time_atoms)))
+
+    def _store(self, grid: TimeGrid, cells, atoms, nodes) -> "JumpMeasure":
+        nodes = np.asarray(nodes, dtype=np.intp)
+        for arr in (cells, atoms, nodes):
+            arr.setflags(write=False)
+        self.__dict__.update(grid=grid, cell_points=cells, atom_points=atoms, atom_nodes=nodes)
+        return self
+
+    @classmethod
+    def _of(cls, grid: TimeGrid, cells, atoms, nodes) -> "JumpMeasure":
+        """The kernel of padded arrays whose points are already checked."""
+        return cls.__new__(cls)._store(grid, cells, atoms, nodes)
 
     @classmethod
     def zero(cls, grid: TimeGrid) -> "JumpMeasure":
@@ -378,32 +417,21 @@ class JumpMeasure:
 
     @classmethod
     def from_segments(cls, grid, segments=(), atoms=()):
-        """Build from [(t0, t1, points), ...] plus [(t, points), ...] atoms."""
-        kernels = [_EMPTY_SPATIAL] * grid.n_cells
-        for t0, t1, points in segments:
-            i0, i1 = grid.index_of(t0), grid.index_of(t1)
-            spatial = DiscreteSpatialMeasure(tuple(points))
-            for k in range(i0, i1):
-                kernels[k] = spatial
-        at = tuple((t, DiscreteSpatialMeasure(tuple(points))) for t, points in atoms)
-        return cls(grid, tuple(kernels), at)
+        """Build from [(t0, t1, points), ...] plus [(t, points), ...] atoms;
+        a later segment replaces an earlier one on the cells they share."""
+        spans = [(grid.index_of(t0), grid.index_of(t1), pts) for t0, t1, pts in segments]
+        return cls._of(grid, *_arrays(grid, spans, atoms))
 
     @cached_property
-    def node_points(self) -> dict:
-        """Spatial points of the time atom at each atom node index."""
-        return {idx: spatial.points for _, spatial, idx in self._atom_entries}
+    def cell_kernels(self) -> tuple:
+        """One spatial measure per cell, shared along runs of equal cells."""
+        return tuple(_point_sets(self.cell_points, DiscreteSpatialMeasure))
 
     @cached_property
-    def cell_points(self) -> np.ndarray:
-        """Cell kernel points as a read-only, zero-padded ``(3, K, cells)``
-        array of (z1, z2, weight), the form every projection reads."""
-        return _padded([kern.points for kern in self.cell_kernels])
-
-    @cached_property
-    def atom_points(self) -> np.ndarray:
-        """Time-atom points like :attr:`cell_points`, ``(3, Ka, atoms)``: one
-        column per time atom, in the order of :attr:`node_points`."""
-        return _padded(list(self.node_points.values()))
+    def time_atoms(self) -> tuple:
+        """(time, spatial measure) of each time atom, in time order."""
+        return tuple(zip(self.grid.nodes[self.atom_nodes].tolist(),
+                         _point_sets(self.atom_points, DiscreteSpatialMeasure)))
 
     def moment_measure(self, fn) -> StieltjesMeasure:
         """Project onto time: cell densities and atoms weighted by ``fn(z)``.
@@ -412,10 +440,10 @@ class JumpMeasure:
         :attr:`atom_points`) and must work elementwise and be finite at the
         origin, where the zero-weight padded slots sit."""
         dens = _slot_sums(fn, self.cell_points)
-        masses = _slot_sums(fn, self.atom_points).tolist()
-        atoms = tuple((t, m) for (t, _, _), m in zip(self._atom_entries, masses)
-                      if m != 0.0)
-        return StieltjesMeasure(self.grid, dens, atoms)
+        masses = _slot_sums(fn, self.atom_points)
+        on = masses != 0.0
+        times = self.grid.nodes[self.atom_nodes[on]].tolist()
+        return StieltjesMeasure(self.grid, dens, tuple(zip(times, masses[on].tolist())))
 
     @cached_property
     def _coordinate_moments(self) -> tuple:
@@ -431,15 +459,15 @@ class JumpMeasure:
 
     def _rebuilt(self, cells: np.ndarray, atoms: np.ndarray,
                  thin: bool = False) -> "JumpMeasure":
-        """This kernel with points read from transformed copies of its padded
-        arrays: at its own points' slots (so a weight underflowing to 0 still
-        fails the spatial check), or with ``thin`` where the new weight is
+        """This kernel with transformed copies of its padded arrays as
+        points: at its own points' slots (so a weight underflowing to 0 still
+        fails the point check), or with ``thin`` where the new weight is
         positive, dropping emptied atoms."""
         own = (cells, atoms) if thin else (self.cell_points, self.atom_points)
         keep, atom_keep = (points[2] > 0.0 for points in own)
-        spatial = zip(self._atom_entries, _unpadded(atoms, atom_keep))
-        return JumpMeasure(self.grid, tuple(_unpadded(cells, keep)), tuple(
-            (t, s) for (t, _, _), s in spatial if s.points or not thin))
+        on = atom_keep.any(axis=0) if thin else slice(None)
+        return JumpMeasure._of(self.grid, _packed(cells, keep),
+                               _packed(atoms[:, :, on], atom_keep[:, on]), self.atom_nodes[on])
 
     def thinned(self, fn) -> "JumpMeasure":
         """Each weight times ``fn(z1, z2)``, dropping points whose new weight
@@ -451,7 +479,6 @@ class JumpMeasure:
         return self._rebuilt(cells, atoms, thin=True)
 
     def on_refinement(self, fine: TimeGrid, factor: int) -> "JumpMeasure":
-        kernels = []
-        for k in self.cell_kernels:
-            kernels.extend([k] * factor)
-        return JumpMeasure(fine, tuple(kernels), self.time_atoms)
+        """Re-materialize on a ``factor``-refined copy of the same grid."""
+        return JumpMeasure._of(fine, np.repeat(self.cell_points, factor, axis=2),
+                               self.atom_points, self.atom_nodes * factor)

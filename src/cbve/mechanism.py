@@ -77,7 +77,7 @@ def _jump_part(jump, f, ir, it, widths, rule, kernel):
     dens = _kernel_sums(cells, *f[ir + 1 : it + 1].T, kernel)
     if rule == "trapezoid":
         dens = 0.5 * (_kernel_sums(cells, *f[ir:it].T, kernel) + dens)
-    nodes = np.fromiter(jump.node_points, np.intp, len(jump.node_points))
+    nodes = jump.atom_nodes
     on = (ir < nodes) & (nodes <= it)
     masses = _kernel_sums(jump.atom_points[:, :, on], *f[nodes[on]].T, kernel)
     return float(np.sum(widths[ir:it] * dens)) + float(np.sum(masses))
@@ -110,7 +110,7 @@ def mechanism_atom_increment(env: Environment, i: int, lam, s: float) -> float:
     out = env.b_diag(i).atom_mass_at(s) * lam[i - 1]
     out -= effective_cross_drift(env, i, j).atom_mass_at(s) * lam[j - 1]
     jump = env.m_jump(i)
-    on = np.equal(list(jump.node_points), env.grid.index_of(s))
+    on = jump.atom_nodes == env.grid.index_of(s)
     out += float(np.sum(_kernel_sums(jump.atom_points[:, :, on], *lam, _full_kernel)))
     return out
 

@@ -37,12 +37,6 @@ class MomentSolution:
     def terminal_index(self) -> int:
         return self.pi.shape[0] - 1
 
-    def value_at(self, r: float) -> np.ndarray:
-        if r < 0.0 or r > self.t:
-            raise ValueError("r outside [0, t]")
-        idx = int(np.searchsorted(self.grid.nodes[: self.terminal_index + 1], r))
-        return self.pi[min(idx, self.terminal_index)].copy()
-
 
 def _compose(x, y):
     """``(I + x)(I + y) - I`` for ``(2, 2, n)`` stacks of deviations from I."""

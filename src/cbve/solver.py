@@ -113,13 +113,6 @@ class CumulantSolution:
     def terminal_index(self) -> int:
         return self.v.shape[0] - 1
 
-    def value_at(self, r: float) -> np.ndarray:
-        """Step interpolation from the right (cadlag convention)."""
-        if r < 0.0 or r > self.t:
-            raise ValueError("r outside [0, t]")
-        idx = int(np.searchsorted(self.grid.nodes[: self.terminal_index + 1], r))
-        return self.v[min(idx, self.terminal_index)].copy()
-
 
 def _check_lambda(lam):
     lam1, lam2 = float(lam[0]), float(lam[1])
@@ -157,6 +150,8 @@ def _sweep(cells, atoms, lo: int, hi: int, lam, opts: SolverOptions):
             raise DiscretizationError(
                 f"negative component {x:.3e} beyond tolerance; refine the grid"
             )
+        if x != x:  # NaN fails both tests above, but is no small deficit
+            raise NumericalError("backward sweep produced non-finite values")
         clamp_events += 1
         worst_deficit = max(worst_deficit, -x)
         return 0.0
@@ -243,18 +238,17 @@ def solve_general(env: Environment, t: float, lam, opts: SolverOptions | None = 
 # finite-activity Picard iteration
 # ---------------------------------------------------------------------------
 
-def _drift(out, a12, a21, p1, p2, x):
+def _drift(out, a, p, x):
     """Both rows of the diagonal-free drift at x, written to ``out``.
 
-    Row 1 is ``a12 * x2`` minus the compensated-kernel terms of ``p1`` at
-    (x1, x2), row 2 likewise with ``a21 * x1`` and ``p2``; the terms are
-    subtracted one padded slot at a time, in the order of the points.
+    Row i is ``a[i]`` times the other type's value minus the
+    compensated-kernel terms of the type-i points ``p[i]`` (coordinates
+    negated) at (x1, x2); the terms are subtracted one padded slot at a
+    time, in the order of the points, both types in each step.
     """
-    np.multiply(a12, x[1], out=out[0])
-    np.multiply(a21, x[0], out=out[1])
-    for row, points in zip(out, (p1, p2)):
-        for term in np.expm1(-(x[0] * points[0] + x[1] * points[1])) * points[2]:
-            row -= term
+    np.multiply(a, x[::-1], out=out)
+    for term in (np.expm1(x[0] * p[:, 0] + x[1] * p[:, 1]) * p[:, 2]).swapaxes(0, 1):
+        out -= term
     return out
 
 
@@ -288,14 +282,11 @@ def solve_special_picard(sf: SpecialForm, t: float, lam,
     npass = opts.cell_fixed_point_iters
     h = tab.widths[:M]
     half_h = 0.5 * h
-    a12L, a12R, a21L, a21R = tab.a12L[:M], tab.a12R[:M], tab.a21L[:M], tab.a21R[:M]
-    p1L, p1R = tab.p1L[:, :, :M], tab.p1R[:, :, :M]
-    p2L, p2R = tab.p2L[:, :, :M], tab.p2R[:, :, :M]
+    aL, aR, pL, pR = tab.aL[:, :M], tab.aR[:, :M], tab.pL[..., :M], tab.pR[..., :M]
     # atoms at nodes 1..M step the value of the cell to their left
     lo, hi = np.searchsorted(tab.atom_nodes, (1, M + 1))
     an = tab.atom_nodes[lo:hi]
-    ab12, ab21 = tab.ab12[lo:hi], tab.ab21[lo:hi]
-    ap1, ap2 = tab.ap1[:, :, lo:hi], tab.ap2[:, :, lo:hi]
+    ab, ap = tab.ab[:, lo:hi], tab.ap[..., lo:hi]
     ainc = np.empty((2, an.size))
     ai = np.zeros((2, M))
     dR = np.empty((2, M))
@@ -308,12 +299,12 @@ def solve_special_picard(sf: SpecialForm, t: float, lam,
     iterations = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for iterations in range(1, opts.picard_max_iter + 1):
-            ai[:, an - 1] = _drift(ainc, ab12, ab21, ap1, ap2, V[:, an])
+            ai[:, an - 1] = _drift(ainc, ab, ap, V[:, an])
             w = V[:, 1:] + ai
-            _drift(dR, a12R, a21R, p1R, p2R, w)
+            _drift(dR, aR, pR, w)
             c = w + h * dR
             for _ in range(npass - 1):
-                _drift(dL, a12L, a21L, p1L, p2L, c)
+                _drift(dL, aL, pL, c)
                 c = w + half_h * (dR + dL)
             # np.cumsum accumulates sequentially, from node M - 1 down to 0
             acc = np.cumsum((ai + (c - w))[:, ::-1], axis=1)[:, ::-1]
@@ -404,11 +395,9 @@ def h_transform_coefficients(sf: SpecialForm, zeta1: StieltjesMeasure,
 
     def jumps(i: int) -> JumpMeasure:
         mu = sf.mu_jump(i)
-        at = list(mu.node_points)
-        cells = _rescaled(mu.cell_points, np.exp(-zl[0]), np.exp(-zl[1]),
-                          np.exp(zl[i - 1]))
-        atoms = _rescaled(mu.atom_points, np.exp(-Z[0, at]), np.exp(-Z[1, at]),
-                          np.exp(zminus[i - 1, at]))
+        at = mu.atom_nodes
+        cells = _rescaled(mu.cell_points, np.exp(-zl), np.exp(zl[i - 1]))
+        atoms = _rescaled(mu.atom_points, np.exp(-Z[:, at]), np.exp(zminus[i - 1, at]))
         # padding slots may hold 0 * inf; only the kernel's own points count
         finite(cells[:, mu.cell_points[2] > 0.0], atoms[:, mu.atom_points[2] > 0.0])
         return mu._rebuilt(cells, atoms)
@@ -511,18 +500,11 @@ def gronwall_bound(beta, a, t: float):
         if np.any(meas.density < 0.0) or any(m < 0.0 for _, m in meas.atoms):
             raise ValueError("beta measures must be nondecreasing")
     it = grid.index_of(t)
-    a1 = _as_node_function(grid, a[0])
-    a2 = _as_node_function(grid, a[1])
+    a1, a2 = (_as_node_function(grid, x) for x in a)
     out = []
-    for i in (1, 2):
-        if i == 1:
-            bii, bij, bji, bjj = b11, b12, b21, b22
-            aj = a2
-            ai_t = float(a1[it])
-        else:
-            bii, bij, bji, bjj = b22, b21, b12, b11
-            aj = a1
-            ai_t = float(a2[it])
+    for bii, bij, bji, bjj, ai, aj in ((b11, b12, b21, b22, a1, a2),
+                                       (b22, b21, b12, b11, a2, a1)):
+        ai_t = float(ai[it])
         g = np.exp(bjj.node_cumulatives[: it + 1])
         inner = _backward_stieltjes(bij, g, it)
         double = _forward_stieltjes(bji, inner, it)

@@ -25,11 +25,20 @@ to rounding.
 (``_jump_part`` and the two kernel sums) that the array evaluation over
 ``JumpMeasure.cell_points``/``atom_points`` replaced; ``math.expm1`` and
 ``np.expm1`` may differ in the last bit, so they agree to rounding.  The
-atom increment reads ``node_points`` where it used ``atom_at``.
+atom increment reads ``time_atoms`` where it used ``atom_at``.
 
 :func:`thinned` (with :func:`scaled`) is the per-point thinning that
 :meth:`cbve.JumpMeasure.thinned` replaced: with a scalar factor equal bit
 for bit to the elementwise one, the two give the same points.
+
+:func:`padded` is the per-object padding that built a kernel's
+``cell_points``/``atom_points`` from one spatial measure per cell, before
+a :class:`cbve.JumpMeasure` stored those arrays;
+:func:`kernel_sets`, :func:`thinned_sets` and :func:`refined_sets` are the
+per-cell, per-object forms of ``from_segments``, ``thinned`` and
+``on_refinement``.  Padded, their sets must equal the kernel's arrays bit
+for bit.
+
 :func:`h_transform_coefficients` is the per-cell, per-atom change of
 scale (with :func:`_scaled_points`, the tuple form of
 ``compiled._rescaled``) that the array version replaced; the two differ
@@ -344,7 +353,7 @@ def _jump_part(jump, f, ir, it, widths, rule, kernel_values):
             total += widths[k] * right
         else:
             total += widths[k] * 0.5 * (kernel_values(f[k], pts) + right)
-    for t_at, spatial, idx in jump._atom_entries:
+    for idx, (_, spatial) in zip(jump.atom_nodes.tolist(), jump.time_atoms):
         if ir < idx <= it and spatial.points:
             total += kernel_values(f[idx], spatial.points)
     return total
@@ -387,7 +396,8 @@ def mechanism_atom_increment(env, i: int, lam, s: float) -> float:
     j = _other(i)
     out = env.b_diag(i).atom_mass_at(s) * lam[i - 1]
     out -= effective_cross_drift(env, i, j).atom_mass_at(s) * lam[j - 1]
-    pts = env.m_jump(i).node_points.get(env.grid.index_of(s), ())
+    pts = dict(env.m_jump(i).time_atoms).get(env.grid.nodes[env.grid.index_of(s)])
+    pts = pts.points if pts else ()
     if pts:
         out += _full_kernel_sum((lam[0], lam[1]), pts)
     return out
@@ -407,20 +417,65 @@ def special_mechanism_increment(sf, i: int, f, r: float, t: float,
     return total
 
 
-def scaled(spatial, factor_fn):
-    """Thin each weight by ``factor_fn(z1, z2)``, dropping zero weights."""
+def _thinned_points(points, factor_fn):
     pts = []
-    for z1, z2, w in spatial.points:
+    for z1, z2, w in points:
         fw = factor_fn(z1, z2) * w
         if fw > 0.0:
             pts.append((z1, z2, fw))
-    return DiscreteSpatialMeasure(tuple(pts))
+    return tuple(pts)
+
+
+def scaled(spatial, factor_fn):
+    """Thin each weight by ``factor_fn(z1, z2)``, dropping zero weights."""
+    return DiscreteSpatialMeasure(_thinned_points(spatial.points, factor_fn))
+
+
+def padded(point_sets):
+    """Points of each set as a ``(3, K, sets)`` array of (z1, z2, weight),
+    zeros after each set's own points: the padding that built a kernel's
+    ``cell_points`` and ``atom_points`` from its spatial measures before
+    the arrays became the kernel."""
+    counts = np.fromiter(map(len, point_sets), np.intp, len(point_sets))
+    out = np.zeros((3, int(counts.max(initial=0)), counts.size))
+    flat = np.array([p for pts in point_sets for p in pts], dtype=float)
+    col = np.repeat(np.arange(counts.size), counts)
+    slot = np.arange(col.size) - (np.cumsum(counts) - counts)[col]
+    out[:, slot, col] = flat.reshape(-1, 3).T
+    return out
+
+
+def kernel_sets(grid, segments=(), atoms=()):
+    """Point tuples per cell and (node, point tuple) atoms sorted by node of
+    ``JumpMeasure.from_segments``, built as it did before the arrays: one
+    spatial measure per segment and per atom, stored cell by cell."""
+    kernels = [()] * grid.n_cells
+    for t0, t1, points in segments:
+        i0, i1 = grid.index_of(t0), grid.index_of(t1)
+        spatial = DiscreteSpatialMeasure(tuple(points)).points
+        for k in range(i0, i1):
+            kernels[k] = spatial
+    at = sorted((grid.index_of(t), DiscreteSpatialMeasure(tuple(points)).points)
+                for t, points in atoms)
+    return kernels, at
+
+
+def thinned_sets(kernels, atoms, factor_fn):
+    """:func:`thinned` on the sets of :func:`kernel_sets`."""
+    at = [(m, _thinned_points(pts, factor_fn)) for m, pts in atoms]
+    return [_thinned_points(k, factor_fn) for k in kernels], [(m, p) for m, p in at if p]
+
+
+def refined_sets(kernels, atoms, factor):
+    """``JumpMeasure.on_refinement`` on the sets of :func:`kernel_sets`:
+    each cell's kernel repeated ``factor`` times, atoms at the same times."""
+    return [k for k in kernels for _ in range(factor)], [(m * factor, p) for m, p in atoms]
 
 
 def thinned(jump, factor_fn):
     kernels = tuple(scaled(k, factor_fn) for k in jump.cell_kernels)
     atoms = []
-    for t, spatial, _ in jump._atom_entries:
+    for t, spatial in jump.time_atoms:
         sc = scaled(spatial, factor_fn)
         if sc.points:
             atoms.append((t, sc))

@@ -1,0 +1,237 @@
+"""A jump kernel is its padded arrays: oracles against per-object building.
+
+:mod:`_reference` keeps the construction the arrays replaced: one spatial
+measure per cell, padded into ``(3, K, sets)`` arrays by
+:func:`_reference.padded`, and the per-cell forms of ``from_segments``,
+``thinned`` and ``on_refinement``.  Over drawn kernels (runs of shared and
+distinct cells, 0 to 5 points a cell, atoms given in any order, segments
+that overlap or are empty) the kernel's arrays must equal the padded
+per-object sets bit for bit, its views must give the same points back,
+and ``cell_table`` must build the same sweep rows.
+
+Every bad point still raises its ``ValueError``, whichever way it enters
+a kernel, and every array a kernel stores or hands out is read-only.
+"""
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import _reference
+from cbve import (
+    DiscreteSpatialMeasure,
+    JumpMeasure,
+    StieltjesMeasure,
+    TimeGrid,
+    finite_activity_approximation,
+    h_transform_coefficients,
+    solve_special_picard,
+)
+from cbve.compiled import cell_table
+
+from _instances import make_sf, random_environment, random_special_form, uniform_grid
+
+_SETTINGS = settings(max_examples=150)
+
+# -0.0 is a valid coordinate that equals 0.0 but must come back as itself
+_COORD = st.one_of(st.floats(0.0, 2.0), st.just(-0.0))
+_POINT = st.tuples(_COORD, _COORD, st.floats(0.01, 5.0)).filter(lambda p: p[:2] != (0.0, 0.0))
+_POINTS = st.lists(_POINT, max_size=5)
+
+# (elementwise factor, scalar factor of the reference loop), equal bit for
+# bit; some return 0 or negative values, whose points must be dropped
+_FACTORS = [
+    (lambda z1, z2: 0.5 * z1 - 0.3 * z2 + 0.1, lambda z1, z2: 0.5 * z1 - 0.3 * z2 + 0.1),
+    (lambda z1, z2: np.where(z1 > 1.0, 0.0, 2.0), lambda z1, z2: 0.0 if z1 > 1.0 else 2.0),
+    (lambda z1, z2: z2 * z2, lambda z1, z2: z2 * z2),
+]
+
+
+def _bits(arr):
+    return arr.shape, arr.tobytes()
+
+
+def _exact(point_sets):
+    """Point sets as bytes, so that -0.0 and 0.0 differ."""
+    return [np.array(pts, dtype=float).tobytes() for pts in point_sets]
+
+
+def _same_arrays(jump, kernels, atoms):
+    """The kernel's arrays against the padded per-object sets, bit for bit."""
+    assert _bits(jump.cell_points) == _bits(_reference.padded(kernels))
+    assert _bits(jump.atom_points) == _bits(_reference.padded([p for _, p in atoms]))
+    assert jump.atom_nodes.tolist() == [m for m, _ in atoms]
+
+
+@st.composite
+def _grids(draw):
+    cells = draw(st.integers(1, 12))
+    widths = draw(st.lists(st.floats(0.02, 0.3), min_size=cells, max_size=cells))
+    return TimeGrid(np.concatenate(([0.0], np.cumsum(widths))))
+
+
+@st.composite
+def _kernels(draw):
+    """A grid, one spatial measure per cell (a run of cells may share one
+    object) and (node, points) atoms in drawn order."""
+    grid = draw(_grids())
+    kernels = []
+    while len(kernels) < grid.n_cells:
+        spatial = DiscreteSpatialMeasure(tuple(draw(_POINTS)))
+        kernels += [spatial] * draw(st.integers(1, grid.n_cells - len(kernels)))
+    nodes = draw(st.lists(st.integers(1, grid.n_cells), max_size=4, unique=True))
+    atoms = [(m, tuple(draw(_POINTS))) for m in nodes]
+    return grid, kernels, atoms
+
+
+@_SETTINGS
+@given(_kernels(), st.integers(1, 3))
+def test_kernel_arrays_match_per_object_padding(case, factor):
+    grid, kernels, atoms = case
+    jump = JumpMeasure(grid, kernels, [(grid.nodes[m], DiscreteSpatialMeasure(p))
+                                       for m, p in atoms])
+    sets = [k.points for k in kernels]
+    at = sorted((m, DiscreteSpatialMeasure(p).points) for m, p in atoms)
+    _same_arrays(jump, sets, at)
+    assert _exact(k.points for k in jump.cell_kernels) == _exact(sets)
+    assert [t for t, _ in jump.time_atoms] == [grid.nodes[m] for m, _ in at]
+    assert _exact(s.points for _, s in jump.time_atoms) == _exact(p for _, p in at)
+    # the sweep rows: one tuple of points per cell, () where a cell has none
+    rows, atom_rows = cell_table((StieltjesMeasure.zero(grid),), (jump,))
+    assert _exact(row[2] for row in rows) == _exact(sets)
+    assert sorted(atom_rows) == [m for m, _ in at]
+    assert _exact(atom_rows[m][1] for m, _ in at) == _exact(p for _, p in at)
+    _same_arrays(jump.on_refinement(grid.refine(factor), factor),
+                 *_reference.refined_sets(sets, at, factor))
+    for fn, scalar_fn in _FACTORS:
+        _same_arrays(jump.thinned(fn), *_reference.thinned_sets(sets, at, scalar_fn))
+
+
+def test_cells_equal_but_for_the_sign_of_zero_stay_apart():
+    grid = uniform_grid(cells=3)
+    sets = [((0.0, 1.0, 1.0),), ((-0.0, 1.0, 1.0),), ((-0.0, 1.0, 1.0),)]
+    jump = JumpMeasure(grid, [DiscreteSpatialMeasure(p) for p in sets])
+    rows, _ = cell_table((StieltjesMeasure.zero(grid),), (jump,))
+    assert _exact(row[2] for row in rows) == _exact(sets)
+    assert _exact(k.points for k in jump.cell_kernels) == _exact(sets)
+
+
+@st.composite
+def _segment_kernels(draw):
+    """A grid and from_segments input: segments between drawn nodes, which
+    may overlap (a later one wins) or be empty, and atoms in drawn order."""
+    grid = draw(_grids())
+    cells = grid.n_cells
+    segments = []
+    for _ in range(draw(st.integers(0, 4))):
+        i0 = draw(st.integers(0, cells))
+        i1 = draw(st.integers(i0, cells))
+        segments.append((float(grid.nodes[i0]), float(grid.nodes[i1]), draw(_POINTS)))
+    nodes = draw(st.lists(st.integers(1, cells), max_size=4, unique=True))
+    return grid, segments, [(float(grid.nodes[m]), draw(_POINTS)) for m in nodes]
+
+
+@_SETTINGS
+@given(_segment_kernels())
+def test_from_segments_matches_per_cell_build(case):
+    grid, segments, atoms = case
+    jump = JumpMeasure.from_segments(grid, segments, atoms)
+    _same_arrays(jump, *_reference.kernel_sets(grid, segments, atoms))
+
+
+_GOOD = (0.5, 0.1, 1.0)
+_BAD = [
+    ((math.nan, 1.0, 1.0), "finite, nonnegative"),
+    ((0.5, math.nan, 1.0), "finite, nonnegative"),
+    ((-0.5, 0.1, 1.0), "finite, nonnegative"),
+    ((math.inf, 0.0, 1.0), "finite, nonnegative"),
+    ((0.0, math.inf, 1.0), "finite, nonnegative"),
+    ((0.0, 0.0, 1.0), "avoid the origin"),
+    ((0.5, 0.1, 0.0), "positive and finite"),
+    ((0.5, 0.1, -1.0), "positive and finite"),
+    ((0.5, 0.1, math.inf), "positive and finite"),
+    ((0.5, 0.1, math.nan), "positive and finite"),
+]
+
+
+@pytest.mark.parametrize("point, message", _BAD)
+def test_bad_points_raise_on_every_input(point, message):
+    grid = uniform_grid(cells=4)
+    with pytest.raises(ValueError, match=message):
+        DiscreteSpatialMeasure((_GOOD, point))
+    with pytest.raises(ValueError, match=message):
+        JumpMeasure.from_segments(grid, [(0.0, 0.5, [_GOOD]), (0.5, 1.0, [_GOOD, point])])
+    with pytest.raises(ValueError, match=message):
+        JumpMeasure.from_segments(grid, [(0.0, 1.0, [_GOOD])], [(0.5, [point])])
+    # a segment that a later one overwrites is checked all the same
+    with pytest.raises(ValueError, match=message):
+        JumpMeasure.from_segments(grid, [(0.0, 1.0, [point]), (0.0, 1.0, [_GOOD])])
+
+
+def test_transformed_weights_are_checked():
+    grid = uniform_grid(cells=4)
+    jump = JumpMeasure.from_segments(grid, [(0.0, 1.0, [(0.5, 0.1, 1e300)])],
+                                     [(0.5, [(1.0, 0.0, 1.0)])])
+    # a thinned weight that overflows to inf raises; one that is NaN or
+    # not positive drops its point, as every thinning does
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="positive and finite"):
+        jump.thinned(lambda z1, z2: np.full(np.shape(z1), 1e10))
+    with np.errstate(invalid="ignore"):
+        dropped = jump.thinned(lambda z1, z2: np.where(z1 > 0.7, np.nan, -1.0))
+    assert dropped.cell_points.shape == (3, 0, 4)
+    assert dropped.atom_nodes.size == 0
+    # an h-transform keeps every own point, so one whose weight underflows
+    # to 0 fails the check instead of vanishing
+    small = JumpMeasure.from_segments(grid, [(0.0, 1.0, [(0.5, 0.1, 1e-300)])])
+    zeta = StieltjesMeasure.from_segments(grid, [(0.0, 1.0, -100.0)])
+    with pytest.raises(ValueError, match="positive and finite"):
+        h_transform_coefficients(make_sf(grid, mu1=small), zeta, StieltjesMeasure.zero(grid))
+
+
+def _kernels_of_every_origin():
+    rng = np.random.default_rng(7)
+    grid = uniform_grid(cells=6)
+    built = JumpMeasure(grid, [DiscreteSpatialMeasure(((0.5, 0.2, 1.0),))] * 6,
+                        [(0.5, DiscreteSpatialMeasure(((0.1, 0.4, 0.3),)))])
+    sf = random_special_form(rng, cells=20)
+    zeta = StieltjesMeasure(sf.grid, np.full(20, 0.3), ((0.5, 0.2),))
+    return [
+        ("constructor", built),
+        ("from_segments", sf.mu1),
+        ("thinned", sf.mu1.thinned(lambda z1, z2: 0.5 + z1)),
+        ("on_refinement", sf.mu1.on_refinement(sf.grid.refine(3), 3)),
+        ("h_transform", h_transform_coefficients(sf, zeta, zeta).mu1),
+        ("approximation", finite_activity_approximation(random_environment(rng, 20), 2).mu1),
+    ]
+
+
+@pytest.mark.parametrize("origin, jump", _kernels_of_every_origin())
+def test_kernel_arrays_are_read_only(origin, jump):
+    arrays = (jump.cell_points, jump.atom_points, jump.atom_nodes)
+    for arr in arrays:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        jump.cell_points = np.zeros_like(jump.cell_points)
+    # the views are tuples of frozen spatial measures holding tuples
+    for views in (jump.cell_kernels, tuple(s for _, s in jump.time_atoms)):
+        assert isinstance(views, tuple)
+        for spatial in views:
+            assert isinstance(spatial.points, tuple)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                spatial.points = ()
+    assert all(isinstance(atom, tuple) for atom in jump.time_atoms)
+
+
+def test_failed_writes_leave_the_model_and_its_tables_intact():
+    sf = random_special_form(np.random.default_rng(8), cells=30)
+    before = solve_special_picard(sf, 1.0, (0.7, 1.1))
+    for arr in (sf.mu1.cell_points, sf.mu1.atom_points, sf.mu2.cell_points):
+        with pytest.raises(ValueError, match="read-only"):
+            arr *= 2.0
+    after = solve_special_picard(sf, 1.0, (0.7, 1.1))
+    fresh = solve_special_picard(dataclasses.replace(sf), 1.0, (0.7, 1.1))
+    assert np.array_equal(before.v, after.v) and np.array_equal(after.v, fresh.v)

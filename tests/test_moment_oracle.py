@@ -113,8 +113,8 @@ def _kernel_pairs(draw):
     m1, m2 = _jump_on(draw, grid), _jump_on(draw, grid)
     size = grid.nodes.size
     f = np.array(draw(st.lists(st.floats(0.0, 3.0), min_size=2 * size, max_size=2 * size)))
-    nodes = {0, grid.n_cells, draw(st.integers(0, grid.n_cells)), *m1.node_points,
-             *m2.node_points}
+    nodes = {0, grid.n_cells, draw(st.integers(0, grid.n_cells)), *m1.atom_nodes.tolist(),
+             *m2.atom_nodes.tolist()}
     lam = (draw(st.floats(0.0, 3.0)), draw(st.floats(0.0, 3.0)))
     return m1, m2, f.reshape(size, 2), sorted(nodes), lam
 

@@ -16,6 +16,7 @@ from cbve import (
     gronwall_bound,
     h_transform_coefficients,
     h_transform_solution,
+    parse_config,
     solve_general,
     solve_special_picard,
     special_to_general,
@@ -110,6 +111,19 @@ class TestSolveGeneral:
             solve_general(env, 1.0, lam)
         with pytest.raises(DiscretizationError, match="refine the grid"):
             check_flow(env, 0.25, 0.5, 1.0, lam)
+
+    def test_nan_is_not_clamped_to_zero(self):
+        # h * b11 = -2.5e9 and lam1 = 1e300: the predictor is -inf, and
+        # -inf + inf in the corrector is NaN, which the clamp must not
+        # count as a small deficit and return as 0
+        env = parse_config({"kind": "environment", "horizon": 1.0, "grid_cells": 4,
+                            "b11": {"density": [[0.0, 1.0, -1e10]]},
+                            "c1": {"density": [[0.0, 1.0, 1.0]]}}).environment
+        assert env.validation.ok
+        with pytest.raises(NumericalError, match="non-finite"):
+            solve_general(env, 1.0, (1e300, 1.0))
+        with pytest.raises(NumericalError, match="non-finite"):
+            check_flow(env, 0.0, 0.5, 1.0, (1e300, 1.0))
 
     def test_rejects_negative_lambda(self):
         env = make_env(uniform_grid(cells=10))
