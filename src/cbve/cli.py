@@ -255,13 +255,12 @@ def _verify_special(cfg: RunConfig, args, battery: _Battery) -> None:
     gap = float(np.max(np.abs(general.v - sol.v)))
     battery.check("special_general_agreement", gap <= 1e-6,
                   f"sup gap={gap:.3e} (tol 1e-06)")
-    # pure-jump scale change at two interior nodes: exact round trip
+    # pure-jump scale change at two nodes in (0, T]: exact round trip
     grid = sf.grid
     n = grid.nodes.size
-    zeta1 = StieltjesMeasure(grid, np.zeros(grid.n_cells),
-                             ((float(grid.nodes[n // 3]), 0.4),))
-    zeta2 = StieltjesMeasure(grid, np.zeros(grid.n_cells),
-                             ((float(grid.nodes[(2 * n) // 3]), -0.3),))
+    jumps = np.zeros((2, n))
+    jumps[0, max(n // 3, 1)], jumps[1, (2 * n) // 3] = 0.4, -0.3
+    zeta1, zeta2 = (StieltjesMeasure._of(grid, np.zeros(grid.n_cells), z) for z in jumps)
     transformed = h_transform_coefficients(sf, zeta1, zeta2)
     direct = solve_special_picard(transformed, t, lam)
     z1t = zeta1.node_cumulatives[grid.index_of(t)]

@@ -20,11 +20,12 @@ matrices and atom kernel tables.
 
 The frozen model classes of :mod:`cbve.environment` cache each table on
 first use; this module reads models by attribute only and does not import
-them.
+them.  Tables are read-only, so a cached table cannot drift from its model.
 """
 from __future__ import annotations
 
 import math
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -37,18 +38,18 @@ __all__ = ["cell_table", "picard_table", "sim_table"]
 def cell_table(scalars, jumps):
     """Per-cell rows and per-node atoms of ``scalars`` then ``jumps``.
 
-    Row k is ``(h, density_k of each scalar measure..., cell-k points of
-    each jump kernel...)``.  The atom map sends every node where some
-    measure has a time atom to ``(atom mass of each scalar measure...,
-    atom points of each jump kernel...)``, with 0.0 and () where one has
-    none.
+    Row k of the rows tuple is ``(h, density_k of each scalar measure...,
+    cell-k points of each jump kernel...)``.  The read-only atom map sends
+    every node where some measure has a time atom to ``(atom mass of each
+    scalar measure..., atom points of each jump kernel...)``, with 0.0 and
+    () where one has none.
     """
     grid = scalars[0].grid
-    rows = list(zip(
+    rows = zip(
         grid.widths.tolist(),
         *(meas.density.tolist() for meas in scalars),
         *(_point_sets(jump.cell_points) for jump in jumps),
-    ))
+    )
     masses = [meas.node_atom_masses for meas in scalars]
     points = [dict(zip(jump.atom_nodes.tolist(), _point_sets(jump.atom_points)))
               for jump in jumps]
@@ -59,7 +60,17 @@ def cell_table(scalars, jumps):
         m: (*(float(mass[m]) for mass in masses), *(pts.get(m, ()) for pts in points))
         for m in nodes
     }
-    return rows, atoms
+    return tuple(rows), MappingProxyType(atoms)
+
+
+def _frozen(table):
+    """``table`` with every array in it, nested tuples included, read-only."""
+    for part in table:
+        if isinstance(part, tuple):
+            _frozen(part)
+        else:
+            part.setflags(write=False)
+    return table
 
 
 def _rescaled(points, e, wfac):
@@ -120,8 +131,7 @@ def picard_table(sf):
     dZ = np.zeros(atom.shape)
     nz = atom != 0.0
     dZ[nz] = np.log1p(atom[nz])
-    Z = np.stack([np.concatenate(([0.0], np.cumsum(g.density * grid.widths)))
-                  for g in (sf.gamma11, sf.gamma22)]) + np.cumsum(dZ, axis=1)
+    Z = np.stack([g._cumdens for g in (sf.gamma11, sf.gamma22)]) + np.cumsum(dZ, axis=1)
     nodes = np.unique(np.concatenate(
         [np.flatnonzero(g.node_atom_masses) for g in cross] + [m.atom_nodes for m in mu]))
     # edge values per cell: left node (cadlag value on the open cell) and the
@@ -135,7 +145,7 @@ def picard_table(sf):
     dens = np.stack([g.density for g in cross])
     exp = np.exp
     with np.errstate(over="ignore", invalid="ignore"):
-        return PicardTable(
+        return _frozen(PicardTable(
             widths=grid.widths,
             aL=dens * exp(ZL - ZL[::-1]),
             aR=dens * exp(ZR - ZR[::-1]),
@@ -146,7 +156,7 @@ def picard_table(sf):
             ap=_rescaled(A, -exp(-Za), exp(za)),
             Z=Z,
             F=exp(-Z),
-        )
+        ))
 
 
 def _expm2(m11, m12, m21, m22, dt=1.0):
@@ -243,8 +253,7 @@ def sim_table(sf):
     mu = (sf.mu1, sf.mu2)
     masses = [g.node_atom_masses for g in (sf.gamma11, sf.gamma22, sf.gamma12, sf.gamma21)]
     nodes = np.unique(np.concatenate(
-        [np.flatnonzero(m) for m in masses]
-        + [k.atom_nodes for k in mu]))
+        [np.flatnonzero(m) for m in masses] + [k.atom_nodes for k in mu]))
     atom_slot = np.full(sf.grid.nodes.size, -1)
     atom_slot[nodes] = np.arange(nodes.size)
     a11, a22, a12, a21 = (m[nodes] for m in masses)
@@ -254,10 +263,10 @@ def sim_table(sf):
     joins = np.all(G[:, 1:] == G[:, :-1], axis=0) & (atom_slot[1:-1] < 0)
     for k in mu:
         joins &= np.all(k.cell_points[:, :, 1:] == k.cell_points[:, :, :-1], axis=(0, 1))
-    return SimTable(
+    return _frozen(SimTable(
         nodes=sf.grid.nodes, G=G, drift=G.any(axis=0), growth=growth, window=window,
         kernels=tuple(_sampler(k.cell_points) for k in mu),
         ends=np.append(np.flatnonzero(~joins) + 1, G.shape[1]),
         atom_slot=atom_slot, A=np.stack((1.0 + a11, a21, a12, 1.0 + a22)),
         atom_kernels=tuple(_sampler(p) for p in atom_points),
-    )
+    ))

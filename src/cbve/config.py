@@ -19,7 +19,7 @@ import numpy as np
 
 from .environment import Environment, SpecialForm
 from .errors import ConfigError
-from .measures import JumpMeasure, StieltjesMeasure, TimeGrid
+from .measures import _NODE_TOL, JumpMeasure, StieltjesMeasure, TimeGrid
 
 __all__ = ["RunConfig", "parse_config", "load_config", "emit_config"]
 
@@ -132,7 +132,7 @@ def _build_grid(data: dict, sections: dict) -> TimeGrid:
             _fail("grid", f"time {t} outside [0, {horizon}]")
     special = np.asarray(sorted(times))
     uniform = np.linspace(0.0, horizon, cells + 1)
-    tol = 1e-9 * max(1.0, horizon)
+    tol = _NODE_TOL * max(1.0, horizon)
     pos = np.searchsorted(special, uniform)
     keep = np.ones(uniform.size, dtype=bool)
     for side in (np.clip(pos, 0, special.size - 1), np.clip(pos - 1, 0, special.size - 1)):

@@ -106,7 +106,7 @@ class _Model:
                 raise ValueError(f"{name} lives on a different grid")
             if kind in ("nondecreasing", "continuous") and not meas.nondecreasing:
                 raise ValueError(f"{name} must be a nondecreasing measure")
-            if kind == "continuous" and meas.atoms:
+            if kind == "continuous" and meas.atom_nodes.size:
                 raise ValueError(f"{name} must be continuous (no time atoms)")
 
     @property
@@ -200,9 +200,9 @@ class SpecialForm(_Model):
     def __post_init__(self):
         super().__post_init__()
         for name, meas in (("gamma11", self.gamma11), ("gamma22", self.gamma22)):
-            for t, mass in meas.atoms:
-                if not mass > -1.0:
-                    raise ValueError(f"{name} atom at {t} must exceed -1")
+            low = self.grid.nodes[meas.node_atom_masses <= -1.0].tolist()
+            if low:
+                raise ValueError(f"{name} atom at {low[0]} must exceed -1")
 
     def gamma_diag(self, i: int) -> StieltjesMeasure:
         return self.gamma11 if i == 1 else self.gamma22
@@ -319,8 +319,7 @@ def special_to_general(sf: SpecialForm) -> Environment:
     env = Environment(
         grid,
         diag(1), diag(2),
-        StieltjesMeasure(grid, sf.gamma12.density, sf.gamma12.atoms, True),
-        StieltjesMeasure(grid, sf.gamma21.density, sf.gamma21.atoms, True),
+        sf.gamma12, sf.gamma21,
         StieltjesMeasure.zero(grid, True), StieltjesMeasure.zero(grid, True),
         sf.mu1, sf.mu2,
     )

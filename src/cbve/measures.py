@@ -2,21 +2,21 @@
 
 All coefficient data lives on a finite horizon [0, T] carried by a
 :class:`TimeGrid`.  A :class:`StieltjesMeasure` is a signed measure on
-(0, T] given by a piecewise-constant density (one value per grid cell)
-plus finitely many time atoms located at grid nodes; its cumulative
-function is cadlag and vanishes at 0.  A :class:`JumpMeasure` is a
-kernel in time whose spatial slice is a finite discrete measure on the
-closed positive quadrant minus the origin.
+(0, T] stored as node arrays, a density per cell and an atom mass per node,
+so past construction its operations are array work however many nodes
+carry atoms; its cumulative function is cadlag and vanishes at 0.  A
+:class:`JumpMeasure` is a kernel in time whose spatial slice is a finite
+discrete measure on the closed positive quadrant minus the origin.
 
-Integrals over an interval (r, t] treat atoms exactly and apply a
-per-cell endpoint rule ("right" or "trapezoid") to the density part, so
-all discretization error sits in the integrand, never in the measure.
+Integrals over an interval (r, t] treat atoms exactly, added in time order,
+and apply a per-cell endpoint rule ("right" or "trapezoid") to the density
+part, so all discretization error sits in the integrand, not the measure.
 Every type here is immutable after construction and safe to share.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 
@@ -30,6 +30,9 @@ __all__ = [
 ]
 
 _RULES = ("right", "trapezoid")
+
+#: slack, relative to max(1, T), within which a time names a grid node
+_NODE_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,12 +67,12 @@ class TimeGrid:
         w.setflags(write=False)
         return w
 
-    def index_of(self, t: float, tol: float = 1e-9) -> int:
-        """Index of the node equal to ``t`` (within ``tol`` relative slack)."""
+    def index_of(self, t: float) -> int:
+        """Index of the node equal to ``t`` (within :data:`_NODE_TOL` relative slack)."""
         k = int(np.searchsorted(self.nodes, t))
-        scale = max(1.0, self.horizon)
+        slack = _NODE_TOL * max(1.0, self.horizon)
         for idx in (k, k - 1, k + 1):
-            if 0 <= idx < self.nodes.size and abs(self.nodes[idx] - t) <= tol * scale:
+            if 0 <= idx < self.nodes.size and abs(self.nodes[idx] - t) <= slack:
                 return idx
         raise ValueError(f"time {t!r} is not a grid node")
 
@@ -88,61 +91,74 @@ class TimeGrid:
         return TimeGrid(new)
 
     def same_as(self, other: "TimeGrid") -> bool:
-        return self.nodes.size == other.nodes.size and bool(
-            np.array_equal(self.nodes, other.nodes)
-        )
+        return self is other or bool(np.array_equal(self.nodes, other.nodes))
 
 
-def _check_atoms(grid: TimeGrid, atoms) -> tuple:
-    seen = set()
-    out = []
-    for time, mass in atoms:
-        time = float(time)
-        mass = float(mass)
-        idx = grid.index_of(time)
+def _check_atoms(grid: TimeGrid, atoms) -> list:
+    """(node, value) of each (time, value) atom at its own grid node in (0, T], in node order."""
+    out = {}
+    for time, value in atoms:
+        idx = grid.index_of(float(time))
         if idx == 0:
             raise ValueError("atom times must lie in (0, T]")
-        time = float(grid.nodes[idx])
-        if idx in seen:
-            raise ValueError(f"duplicate atom at time {time}")
-        if not math.isfinite(mass):
-            raise ValueError("atom masses must be finite")
-        seen.add(idx)
-        out.append((time, mass, idx))
-    out.sort(key=lambda a: a[2])
-    return tuple(out)
+        if idx in out:
+            raise ValueError(f"duplicate atom at time {float(grid.nodes[idx])}")
+        out[idx] = value
+    return sorted(out.items())
 
 
-@dataclass(frozen=True, eq=False)
+def _running_sum(start: float, terms: np.ndarray) -> float:
+    """``start`` plus ``terms`` added one at a time, in order (``np.sum`` may add pairwise)."""
+    return float(np.cumsum(np.append(start, terms))[-1])
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class StieltjesMeasure:
     """Signed measure on (0, T]: piecewise-constant density plus time atoms.
 
-    ``density[k]`` is the mass per unit time on cell k; ``atoms`` holds
-    (time, mass) pairs whose times must be grid nodes in (0, T].  With
-    ``nondecreasing=True`` both parts must be nonnegative.
+    A measure is its read-only arrays: ``density``, the mass per unit time
+    on each cell; ``node_atom_masses``, the atom mass at each node (0 where
+    none); and ``atom_nodes``, the ascending nodes in (0, T] given an atom,
+    a zero mass included.  The constructor takes (time, mass) pairs whose
+    times must be grid nodes in (0, T], which :attr:`atoms` gives back.
+    With ``nondecreasing=True`` both parts must be nonnegative.
     """
 
     grid: TimeGrid
     density: np.ndarray
-    atoms: tuple = ()
-    nondecreasing: bool = False
-    _atom_entries: tuple = field(init=False, repr=False)
+    node_atom_masses: np.ndarray
+    atom_nodes: np.ndarray
+    nondecreasing: bool
 
-    def __post_init__(self):
-        dens = np.asarray(self.density, dtype=float)
-        if dens.shape != (self.grid.n_cells,):
+    def __init__(self, grid: TimeGrid, density, atoms=(), nondecreasing: bool = False):
+        at = _check_atoms(grid, atoms)
+        self._store(grid, np.array(density, dtype=float), np.array([m for m, _ in at], np.intp),
+                    np.array([float(mass) for _, mass in at]), nondecreasing)
+
+    def _store(self, grid, density, nodes, masses, nondecreasing) -> "StieltjesMeasure":
+        """Check and keep ``density`` and the atom ``masses`` at ``nodes``."""
+        if density.shape != (grid.n_cells,):
             raise ValueError("density must hold one value per grid cell")
-        if not np.all(np.isfinite(dens)):
+        if not np.isfinite(density).all():
             raise ValueError("density values must be finite")
-        entries = _check_atoms(self.grid, self.atoms)
-        if self.nondecreasing:
-            if np.any(dens < 0.0) or any(m < 0.0 for _, m, _ in entries):
-                raise ValueError("nondecreasing measure needs nonnegative parts")
-        dens = dens.copy()
-        dens.setflags(write=False)
-        object.__setattr__(self, "density", dens)
-        object.__setattr__(self, "atoms", tuple((t, m) for t, m, _ in entries))
-        object.__setattr__(self, "_atom_entries", entries)
+        if not np.isfinite(masses).all():
+            raise ValueError("atom masses must be finite")
+        if nondecreasing and ((density < 0.0).any() or (masses < 0.0).any()):
+            raise ValueError("nondecreasing measure needs nonnegative parts")
+        node_masses = np.zeros(grid.nodes.size)
+        node_masses[nodes] = masses
+        for arr in (density, node_masses, nodes):
+            arr.setflags(write=False)
+        self.__dict__.update(grid=grid, density=density, node_atom_masses=node_masses,
+                             atom_nodes=nodes, nondecreasing=nondecreasing)
+        return self
+
+    @classmethod
+    def _of(cls, grid, density, masses, nodes=None, nondecreasing=False) -> "StieltjesMeasure":
+        """The measure of a new ``density`` array and of the node ``masses`` at the
+        ascending ``nodes`` in (0, T] (default: where nonzero); others are dropped."""
+        nodes = np.flatnonzero(masses) if nodes is None else nodes
+        return cls.__new__(cls)._store(grid, density, nodes, masses[nodes], nondecreasing)
 
     @classmethod
     def zero(cls, grid: TimeGrid, nondecreasing: bool = False) -> "StieltjesMeasure":
@@ -157,20 +173,17 @@ class StieltjesMeasure:
             if i1 <= i0:
                 raise ValueError(f"empty density segment [{t0}, {t1})")
             dens[i0:i1] = value
-        return cls(grid, dens, tuple(atoms), nondecreasing)
+        return cls(grid, dens, atoms, nondecreasing)
+
+    @cached_property
+    def atoms(self) -> tuple:
+        """(time, mass) of each atom, in time order."""
+        at = self.atom_nodes
+        return tuple(zip(self.grid.nodes[at].tolist(), self.node_atom_masses[at].tolist()))
 
     @cached_property
     def _cumdens(self) -> np.ndarray:
         out = np.concatenate(([0.0], np.cumsum(self.density * self.grid.widths)))
-        out.setflags(write=False)
-        return out
-
-    @cached_property
-    def node_atom_masses(self) -> np.ndarray:
-        """Atom mass sitting at each grid node (0 where none)."""
-        out = np.zeros(self.grid.nodes.size)
-        for _, mass, idx in self._atom_entries:
-            out[idx] = mass
         out.setflags(write=False)
         return out
 
@@ -182,36 +195,33 @@ class StieltjesMeasure:
         return out
 
     def atom_mass_at(self, t: float) -> float:
-        idx = self.grid.index_of(t)
-        return float(self.node_atom_masses[idx])
+        return float(self.node_atom_masses[self.grid.index_of(t)])
 
-    def _density_cumulative(self, t: float, dens_cum: np.ndarray) -> float:
+    def _last_node(self, t: float) -> int:
+        """Index of the last node at or before ``t`` in [0, T]."""
         nodes = self.grid.nodes
         if t < 0.0 or t > nodes[-1]:
             raise ValueError(f"time {t!r} outside [0, {nodes[-1]}]")
-        k = int(np.searchsorted(nodes, t, side="right")) - 1
-        if k >= self.grid.n_cells:
-            return float(dens_cum[-1])
-        return float(dens_cum[k]) + float(self.density[k]) * max(t - nodes[k], 0.0)
+        return int(np.searchsorted(nodes, t, side="right")) - 1
 
     def cumulative(self, t: float) -> float:
         """Total mass of (0, t]; cadlag in t, zero at t = 0."""
-        base = self._density_cumulative(t, self._cumdens)
-        return base + sum(m for tt, m, _ in self._atom_entries if tt <= t)
+        k = self._last_node(t)
+        base = float(self._cumdens[k])
+        if k < self.grid.n_cells:
+            base += float(self.density[k]) * max(t - self.grid.nodes[k], 0.0)
+        return base + _running_sum(0.0, self.node_atom_masses[: k + 1])
 
     def total_variation(self, t: float) -> float:
         """Variation mass of (0, t]: density and atoms in absolute value."""
-        nodes = self.grid.nodes
-        if t < 0.0 or t > nodes[-1]:
-            raise ValueError(f"time {t!r} outside [0, {nodes[-1]}]")
-        k = int(np.searchsorted(nodes, t, side="right")) - 1
+        k = self._last_node(t)
         absdens = np.abs(self.density)
         if k >= self.grid.n_cells:
             base = float(np.sum(absdens * self.grid.widths))
         else:
             base = float(np.sum(absdens[:k] * self.grid.widths[:k]))
-            base += float(absdens[k]) * (t - nodes[k])
-        return base + sum(abs(m) for tt, m, _ in self._atom_entries if tt <= t)
+            base += float(absdens[k]) * (t - self.grid.nodes[k])
+        return base + _running_sum(0.0, np.abs(self.node_atom_masses[: k + 1]))
 
     def integrate(self, f: np.ndarray, r: float, t: float, rule: str = "right") -> float:
         """Stieltjes integral of a node-indexed function over (r, t].
@@ -238,38 +248,33 @@ class StieltjesMeasure:
             total = float(np.sum(f[ir + 1 : it + 1] * d * h))
         else:
             total = float(np.sum(0.5 * (f[ir:it] + f[ir + 1 : it + 1]) * d * h))
-        for _, mass, idx in self._atom_entries:
-            if ir < idx <= it:
-                total += float(f[idx]) * mass
-        return total
+        at = self.atom_nodes[(ir < self.atom_nodes) & (self.atom_nodes <= it)]
+        return _running_sum(total, f[at] * self.node_atom_masses[at])
 
     def abs(self) -> "StieltjesMeasure":
         """Total-variation measure: absolute density and atom masses."""
-        return StieltjesMeasure(
-            self.grid,
-            np.abs(self.density),
-            tuple((t, abs(m)) for t, m in self.atoms),
-            nondecreasing=True,
-        )
+        return StieltjesMeasure._of(self.grid, np.abs(self.density),
+                                    np.abs(self.node_atom_masses), self.atom_nodes, True)
 
     def on_refinement(self, fine: TimeGrid, factor: int) -> "StieltjesMeasure":
         """Re-materialize on a ``factor``-refined copy of the same grid."""
-        dens = np.repeat(self.density, factor)
-        return StieltjesMeasure(fine, dens, self.atoms, self.nondecreasing)
+        masses = np.zeros(fine.nodes.size)
+        masses[::factor] = self.node_atom_masses
+        return StieltjesMeasure._of(fine, np.repeat(self.density, factor), masses,
+                                    self.atom_nodes * factor, self.nondecreasing)
 
     @classmethod
     def linear_combination(cls, grid, terms, nondecreasing=False):
-        """Sum ``coef * measure`` over ``terms`` (all on ``grid``)."""
+        """Sum ``coef * measure`` over ``terms`` (all on ``grid``); atoms
+        summing to zero are dropped."""
         dens = np.zeros(grid.n_cells)
-        atom_acc: dict[int, float] = {}
+        masses = np.zeros(grid.nodes.size)
         for coef, meas in terms:
             if not meas.grid.same_as(grid):
                 raise ValueError("all measures must share the grid")
             dens += coef * meas.density
-            for t, m, idx in meas._atom_entries:
-                atom_acc[idx] = atom_acc.get(idx, 0.0) + coef * m
-        atoms = [(float(grid.nodes[i]), m) for i, m in atom_acc.items() if m != 0.0]
-        return cls(grid, dens, tuple(atoms), nondecreasing)
+            masses += coef * meas.node_atom_masses
+        return cls._of(grid, dens, masses, nondecreasing=nondecreasing)
 
 
 @dataclass(frozen=True, eq=False)
@@ -320,15 +325,7 @@ def _arrays(grid: TimeGrid, spans, atoms) -> tuple:
     """Cell points, atom points and atom nodes of the kernel with points
     ``pts`` on each ``(i0, i1, pts)`` span of cells and ``(time, pts)`` atom
     (a grid node in (0, T], used once), every point checked once."""
-    nodes = {}
-    for time, pts in atoms:
-        idx = grid.index_of(float(time))
-        if idx == 0:
-            raise ValueError("jump atoms must lie in (0, T]")
-        if idx in nodes:
-            raise ValueError(f"duplicate jump atom at {time}")
-        nodes[idx] = pts
-    atoms = sorted(nodes.items())
+    atoms = _check_atoms(grid, atoms)
     sets = spans + [(j, j + 1, pts) for j, (_, pts) in enumerate(atoms)]
     flat = [p for *_, pts in sets for p in pts]
     flat = np.array(flat, dtype=float).reshape(len(flat), 3)
@@ -439,11 +436,9 @@ class JumpMeasure:
         ``fn(z1, z2)`` receives numpy arrays (:attr:`cell_points`, then
         :attr:`atom_points`) and must work elementwise and be finite at the
         origin, where the zero-weight padded slots sit."""
-        dens = _slot_sums(fn, self.cell_points)
-        masses = _slot_sums(fn, self.atom_points)
-        on = masses != 0.0
-        times = self.grid.nodes[self.atom_nodes[on]].tolist()
-        return StieltjesMeasure(self.grid, dens, tuple(zip(times, masses[on].tolist())))
+        masses = np.zeros(self.grid.nodes.size)
+        masses[self.atom_nodes] = _slot_sums(fn, self.atom_points)
+        return StieltjesMeasure._of(self.grid, _slot_sums(fn, self.cell_points), masses)
 
     @cached_property
     def _coordinate_moments(self) -> tuple:

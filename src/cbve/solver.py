@@ -134,6 +134,7 @@ def _sweep(cells, atoms, lo: int, hi: int, lam, opts: SolverOptions):
     ``lo`` are left unset), the clamp count and the worst clamped deficit.
     """
     expm1 = math.expm1
+    atom_at = dict(atoms).get  # a plain dict: the read-only map's lookups cost ~2%
     npass = opts.cell_fixed_point_iters
     neg_tol = opts.negativity_tol
     v = np.empty((hi + 1, 2))
@@ -160,7 +161,7 @@ def _sweep(cells, atoms, lo: int, hi: int, lam, opts: SolverOptions):
     # grid is too coarse for this lam, like a deficit beyond tolerance
     try:
         for k in range(hi - 1, lo - 1, -1):
-            a = atoms.get(k + 1)
+            a = atom_at(k + 1)
             if a is not None:
                 a11, a22, ab12, ab21, _, _, ap1, ap2 = a
                 p1 = a11 * v1 - ab12 * v2
@@ -380,18 +381,14 @@ def h_transform_coefficients(sf: SpecialForm, zeta1: StieltjesMeasure,
         g = gam.node_atom_masses
         mass = np.expm1(-dZ[i - 1]) * (1.0 + g) + g
         finite(mass)
-        at = np.flatnonzero(mass)
-        return StieltjesMeasure(grid, gam.density - (zeta1, zeta2)[i - 1].density,
-                                tuple(zip(grid.nodes[at].tolist(), mass[at].tolist())))
+        return StieltjesMeasure._of(grid, gam.density - (zeta1, zeta2)[i - 1].density, mass)
 
     def cross(i: int, j: int) -> StieltjesMeasure:
         gam = sf.gamma_cross(i, j)
-        at = [m for _, _, m in gam._atom_entries]
         dens = gam.density * np.exp(zl[i - 1] - zl[j - 1])
-        mass = gam.node_atom_masses[at] * np.exp(zminus[i - 1, at] - Z[j - 1, at])
-        finite(dens, mass)
-        return StieltjesMeasure(grid, dens, tuple(zip([t for t, _ in gam.atoms],
-                                                      mass.tolist())), nondecreasing=True)
+        mass = gam.node_atom_masses * np.exp(zminus[i - 1] - Z[j - 1])
+        finite(dens, mass[gam.atom_nodes])
+        return StieltjesMeasure._of(grid, dens, mass, gam.atom_nodes, nondecreasing=True)
 
     def jumps(i: int) -> JumpMeasure:
         mu = sf.mu_jump(i)
@@ -497,7 +494,7 @@ def gronwall_bound(beta, a, t: float):
     for meas in (b11, b12, b21, b22):
         if not meas.grid.same_as(grid):
             raise ValueError("beta measures must share one grid")
-        if np.any(meas.density < 0.0) or any(m < 0.0 for _, m in meas.atoms):
+        if np.any(meas.density < 0.0) or np.any(meas.node_atom_masses < 0.0):
             raise ValueError("beta measures must be nondecreasing")
     it = grid.index_of(t)
     a1, a2 = (_as_node_function(grid, x) for x in a)

@@ -13,6 +13,14 @@ arrays, and :func:`admissibility_integrand` the scalar integrand it was
 called with; the two add the same terms in the same order, so they agree
 bit for bit.
 
+:func:`cumulative`, :func:`total_variation`, :func:`integrate`,
+:func:`abs_measure`, :func:`on_refinement`, :func:`linear_combination`,
+:func:`node_atom_masses` and :func:`node_cumulatives` are the per-atom
+methods of :class:`cbve.StieltjesMeasure` from before it was its node
+arrays: they read its atoms as (time, mass, node) entries and build
+measures from (time, mass) pairs.  The arrays add the same atoms in the
+same order, so the two agree bit for bit.
+
 :func:`solve_moment` is the scalar moment sweep that
 :func:`cbve.solve_moment` replaced with one product of 2x2 propagators:
 it runs once per axis, (|lam_1|, 0) and (0, |lam_2|), over the tuple
@@ -290,6 +298,108 @@ def moment_measure(jump, fn):
         if m != 0.0:
             atoms.append((t, m))
     return StieltjesMeasure(jump.grid, dens, tuple(atoms))
+
+
+def _atom_entries(meas):
+    """(time, mass, node) of each atom, in node order: the third copy of the
+    atoms a measure kept before it was its node arrays."""
+    return tuple((t, m, meas.grid.index_of(t)) for t, m in meas.atoms)
+
+
+def _cumdens(meas) -> np.ndarray:
+    return np.concatenate(([0.0], np.cumsum(meas.density * meas.grid.widths)))
+
+
+def node_atom_masses(meas) -> np.ndarray:
+    out = np.zeros(meas.grid.nodes.size)
+    for _, mass, idx in _atom_entries(meas):
+        out[idx] = mass
+    return out
+
+
+def node_cumulatives(meas) -> np.ndarray:
+    return _cumdens(meas) + np.cumsum(node_atom_masses(meas))
+
+
+def _atom_sum(masses):
+    # left to right, as sum() did before Python 3.12 made it compensated
+    acc = 0
+    for m in masses:
+        acc += m
+    return acc
+
+
+def cumulative(meas, t: float) -> float:
+    """Total mass of (0, t], the atoms added one entry at a time."""
+    nodes = meas.grid.nodes
+    if t < 0.0 or t > nodes[-1]:
+        raise ValueError(f"time {t!r} outside [0, {nodes[-1]}]")
+    k = int(np.searchsorted(nodes, t, side="right")) - 1
+    if k >= meas.grid.n_cells:
+        base = float(_cumdens(meas)[-1])
+    else:
+        base = float(_cumdens(meas)[k]) + float(meas.density[k]) * max(t - nodes[k], 0.0)
+    return base + _atom_sum(m for tt, m, _ in _atom_entries(meas) if tt <= t)
+
+
+def total_variation(meas, t: float) -> float:
+    """Variation mass of (0, t], the atoms added one entry at a time."""
+    nodes = meas.grid.nodes
+    if t < 0.0 or t > nodes[-1]:
+        raise ValueError(f"time {t!r} outside [0, {nodes[-1]}]")
+    k = int(np.searchsorted(nodes, t, side="right")) - 1
+    absdens = np.abs(meas.density)
+    if k >= meas.grid.n_cells:
+        base = float(np.sum(absdens * meas.grid.widths))
+    else:
+        base = float(np.sum(absdens[:k] * meas.grid.widths[:k]))
+        base += float(absdens[k]) * (t - nodes[k])
+    return base + _atom_sum(abs(m) for tt, m, _ in _atom_entries(meas) if tt <= t)
+
+
+def integrate(meas, f, r: float, t: float, rule: str = "right") -> float:
+    """Stieltjes integral of a node function over (r, t], one atom at a time."""
+    ir, it = meas.grid.index_of(r), meas.grid.index_of(t)
+    if ir > it:
+        raise ValueError("need r <= t")
+    f = np.asarray(f, dtype=float)
+    if ir == it:
+        return 0.0
+    h = meas.grid.widths[ir:it]
+    d = meas.density[ir:it]
+    if rule == "right":
+        total = float(np.sum(f[ir + 1 : it + 1] * d * h))
+    else:
+        total = float(np.sum(0.5 * (f[ir:it] + f[ir + 1 : it + 1]) * d * h))
+    for _, mass, idx in _atom_entries(meas):
+        if ir < idx <= it:
+            total += float(f[idx]) * mass
+    return total
+
+
+def abs_measure(meas):
+    """Total-variation measure, rebuilt from (time, mass) pairs."""
+    return StieltjesMeasure(meas.grid, np.abs(meas.density),
+                            tuple((t, abs(m)) for t, m in meas.atoms), nondecreasing=True)
+
+
+def on_refinement(meas, fine, factor: int):
+    """The measure on a ``factor``-refined grid, its atom times looked up
+    again on the fine grid."""
+    return StieltjesMeasure(fine, np.repeat(meas.density, factor), meas.atoms,
+                            meas.nondecreasing)
+
+
+def linear_combination(grid, terms, nondecreasing=False):
+    """Sum of ``coef * measure``, the atoms added per node in a dict."""
+    dens = np.zeros(grid.n_cells)
+    atom_acc: dict[int, float] = {}
+    for coef, meas in terms:
+        dens += coef * meas.density
+        for _, m, idx in _atom_entries(meas):
+            atom_acc[idx] = atom_acc.get(idx, 0.0) + coef * m
+    atoms = [(float(grid.nodes[i]), m) for i, m in atom_acc.items() if m != 0.0]
+    return StieltjesMeasure(grid, dens, tuple(atoms), nondecreasing)
 
 
 def _moment_axis(env, M: int, lam1: float, lam2: float, npass: int) -> np.ndarray:

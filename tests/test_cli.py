@@ -214,6 +214,15 @@ class TestCommands:
         assert "PASS special_general_agreement" in out
         assert "PASS h_transform_round_trip" in out
 
+    @pytest.mark.parametrize("cells", [1, 2])
+    def test_verify_special_form_on_one_or_two_cells(self, tmp_path, capsys, cells):
+        # the scale change's atoms need a node in (0, T]
+        path = _write(tmp_path, {"kind": "special_form", "grid_cells": cells,
+                                 "mu1": {"kernel": [[0.0, 1.0, [[0.5, 0.0, 1.0]]]]}})
+        assert main(["verify", "--config", path]) == 0
+        out = capsys.readouterr().out
+        assert "FAIL" not in out and "PASS h_transform_round_trip" in out
+
     def test_out_file(self, tmp_path):
         path = _write(tmp_path, {"horizon": 1.0, "grid_cells": 8})
         out_file = tmp_path / "result.csv"

@@ -10,7 +10,8 @@ per-object sets bit for bit, its views must give the same points back,
 and ``cell_table`` must build the same sweep rows.
 
 Every bad point still raises its ``ValueError``, whichever way it enters
-a kernel, and every array a kernel stores or hands out is read-only.
+a kernel, and every array a kernel stores or hands out is read-only, as is
+every compiled table a model caches.
 """
 import dataclasses
 import math
@@ -27,6 +28,8 @@ from cbve import (
     TimeGrid,
     finite_activity_approximation,
     h_transform_coefficients,
+    simulate_path,
+    solve_general,
     solve_special_picard,
 )
 from cbve.compiled import cell_table
@@ -235,3 +238,37 @@ def test_failed_writes_leave_the_model_and_its_tables_intact():
     after = solve_special_picard(sf, 1.0, (0.7, 1.1))
     fresh = solve_special_picard(dataclasses.replace(sf), 1.0, (0.7, 1.1))
     assert np.array_equal(before.v, after.v) and np.array_equal(after.v, fresh.v)
+
+
+def _table_arrays(table):
+    """Every array in a compiled table, nested tuples included."""
+    for part in table:
+        if isinstance(part, tuple):
+            yield from _table_arrays(part)
+        else:
+            yield part
+
+
+def test_compiled_tables_refuse_writes():
+    sf = random_special_form(np.random.default_rng(3), cells=20)
+    env = random_environment(np.random.default_rng(3), cells=20)
+    lam = (1.0, 1.0)
+
+    def results():
+        return (solve_special_picard(sf, 1.0, lam).v.tobytes(),
+                repr(simulate_path(sf, (1.0, 0.5), 1.0, 7)),
+                solve_general(env, 1.0, lam).v.tobytes())
+
+    before = results()
+    assert not any(a.flags.writeable for a in _table_arrays(sf._picard_table))
+    assert not any(a.flags.writeable for a in _table_arrays(sf._sim_table))
+    with pytest.raises(ValueError, match="read-only"):
+        sf._picard_table.aR[...] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        sf._sim_table.kernels[0][1][...] = 0.0
+    rows, atoms = env._table
+    with pytest.raises(TypeError):
+        rows[0] = ()
+    with pytest.raises(TypeError):
+        atoms[min(atoms)] = ()
+    assert atoms and results() == before
