@@ -75,6 +75,8 @@ def _write(args, lines) -> None:
 
 
 def _load(args) -> RunConfig:
+    if args.refine < 1:
+        raise ConfigError(f"--refine must be a positive integer, got {args.refine}")
     cfg = load_config(args.config)
     if args.refine > 1:
         cfg = dataclasses.replace(cfg, **{cfg.kind: cfg.model.refined(args.refine)})
@@ -89,8 +91,22 @@ def _as_environment(cfg: RunConfig):
 
 def _terminal(cfg: RunConfig, args) -> float:
     t = args.t if args.t is not None else cfg.horizon
-    idx = cfg.grid.index_of(t)
+    try:
+        idx = cfg.grid.index_of(t)
+    except ValueError:
+        raise ConfigError(f"--t must be a grid node in [0, {cfg.horizon:g}], got {t!r}") from None
     return float(cfg.grid.nodes[idx])
+
+
+def _checked(flag: str, pair, default=(1.0, 1.0), signed: bool = False):
+    """``pair`` as given to ``flag``, or ``default`` when it was not: finite,
+    and componentwise nonnegative unless ``signed``."""
+    if pair is None:
+        return default
+    if not all(math.isfinite(x) and (signed or x >= 0.0) for x in pair):
+        need = "finite" if signed else "finite and componentwise nonnegative"
+        raise ConfigError(f"{flag} must be {need}, got {pair[0]!r},{pair[1]!r}")
+    return pair
 
 
 def cmd_validate(args) -> int:
@@ -119,7 +135,7 @@ def _write_nodes(args, header: str, nodes, values) -> None:
 def cmd_solve(args) -> int:
     cfg = _load(args)
     t = _terminal(cfg, args)
-    lam = args.lam or (1.0, 1.0)
+    lam = _checked("--lambda", args.lam)
     if cfg.kind == "environment":
         sol = solve_general(cfg.environment, t, lam)
     else:
@@ -132,7 +148,7 @@ def cmd_moments(args) -> int:
     cfg = _load(args)
     env = _as_environment(cfg)
     t = _terminal(cfg, args)
-    sol = solve_moment(env, t, args.lam or (1.0, 1.0))
+    sol = solve_moment(env, t, _checked("--lambda", args.lam, signed=True))
     _write_nodes(args, "r,pi1,pi2", cfg.grid.nodes, sol.pi)
     return 0
 
@@ -151,10 +167,10 @@ def cmd_simulate(args) -> int:
             "(finite-activity coefficients)"
         )
     t = _terminal(cfg, args)
-    x0 = args.x0 or (1.0, 0.0)
+    x0 = _checked("--x0", args.x0, (1.0, 0.0))
     if args.paths is not None and args.paths < 0:
         raise ConfigError(f"--paths must be nonnegative, got {args.paths}")
-    n_paths = args.paths or 1
+    n_paths = 1 if args.paths is None else args.paths
     lines = ["path_id,time,kind,type_source,dx1,dx2,x1,x2"]
     _, paths = _simulate_paths(cfg.special_form, x0, t, _seed(args), n_paths)
     for pid, events in enumerate(paths):
@@ -172,7 +188,7 @@ def cmd_approx(args) -> int:
     cfg = _load(args)
     env = _as_environment(cfg)
     t = _terminal(cfg, args)
-    lam = args.lam or (1.0, 1.0)
+    lam = _checked("--lambda", args.lam)
     reference = solve_general(env, t, lam)
     lines = ["n,sup_gap"]
     for n in _APPROX_LEVELS:
@@ -202,7 +218,7 @@ def _verify_environment(cfg: RunConfig, args, battery: _Battery) -> None:
     if not report.ok:
         return
     t = _terminal(cfg, args)
-    lam = args.lam or (1.0, 1.0)
+    lam = _checked("--lambda", args.lam)
     it = env.grid.index_of(t)
     ir, isx = it // 4, it // 2
     r = float(env.grid.nodes[ir])
@@ -239,7 +255,7 @@ def _verify_environment(cfg: RunConfig, args, battery: _Battery) -> None:
 def _verify_special(cfg: RunConfig, args, battery: _Battery) -> None:
     sf = cfg.special_form
     t = _terminal(cfg, args)
-    lam = args.lam or (1.0, 1.0)
+    lam = _checked("--lambda", args.lam)
     sol = solve_special_picard(sf, t, lam)
     min_inc = min(sol.picard_min_increments) if sol.picard_min_increments else 0.0
     battery.check("picard_monotonicity", min_inc >= -1e-12,
@@ -272,7 +288,7 @@ def _verify_special(cfg: RunConfig, args, battery: _Battery) -> None:
     battery.check("h_transform_round_trip", rt_gap <= 1e-8,
                   f"sup gap={rt_gap:.3e} (tol 1e-08)")
     if args.paths and args.paths >= 100:
-        x0 = args.x0 or (1.0, 1.0)
+        x0 = _checked("--x0", args.x0)
         lap = mc_laplace(sf, x0, t, lam, args.paths, _seed(args))
         battery.check("mc_laplace", abs(lap.z_score) <= 3.0,
                       f"z={lap.z_score:.2f} est={lap.estimate:.6g}"

@@ -2,9 +2,10 @@
 
 :func:`cell_table` flattens measures into Python rows once, so the scalar
 loop of the general sweep indexes tuples instead of arrays: one row
-``(h, densities..., kernel points...)`` per grid cell (the points read from
-``cell_points``, one tuple per run of equal cells) and one entry
-``(atom masses..., atom points...)`` per node that carries any time atom.
+``(atom, h, densities..., kernel points...)`` per grid cell (the points
+read from ``cell_points``, one tuple per run of equal cells), where
+``atom`` is None or the ``(atom masses..., atom points...)`` of the cell's
+right node.  A stretch of the grid is a slice of the rows.
 
 :func:`picard_table` is the array form consumed by the whole-array Picard
 iteration, both types stacked on a leading axis of 2: per-cell ``(2,
@@ -25,7 +26,6 @@ them.  Tables are read-only, so a cached table cannot drift from its model.
 from __future__ import annotations
 
 import math
-from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -36,31 +36,27 @@ __all__ = ["cell_table", "picard_table", "sim_table"]
 
 
 def cell_table(scalars, jumps):
-    """Per-cell rows and per-node atoms of ``scalars`` then ``jumps``.
+    """Per-cell rows of ``scalars`` then ``jumps``.
 
-    Row k of the rows tuple is ``(h, density_k of each scalar measure...,
-    cell-k points of each jump kernel...)``.  The read-only atom map sends
-    every node where some measure has a time atom to ``(atom mass of each
-    scalar measure..., atom points of each jump kernel...)``, with 0.0 and
-    () where one has none.
+    Row k is ``(atom, h, density_k of each scalar measure..., cell-k points
+    of each jump kernel...)``.  ``atom`` belongs to node k + 1, whose atom
+    the sweep steps just before cell k: None where no measure has a time
+    atom there, else ``(atom mass of each scalar measure..., atom points of
+    each jump kernel...)``, with 0.0 and () where one has none.
     """
     grid = scalars[0].grid
-    rows = zip(
-        grid.widths.tolist(),
-        *(meas.density.tolist() for meas in scalars),
-        *(_point_sets(jump.cell_points) for jump in jumps),
-    )
     masses = [meas.node_atom_masses for meas in scalars]
     points = [dict(zip(jump.atom_nodes.tolist(), _point_sets(jump.atom_points)))
               for jump in jumps]
-    nodes = set().union(*points)
-    for mass in masses:
-        nodes.update(np.flatnonzero(mass).tolist())
-    atoms = {
-        m: (*(float(mass[m]) for mass in masses), *(pts.get(m, ()) for pts in points))
-        for m in nodes
-    }
-    return tuple(rows), MappingProxyType(atoms)
+    atoms = [None] * grid.nodes.size
+    for m in set().union(*points, *(np.flatnonzero(mass).tolist() for mass in masses)):
+        atoms[m] = (*(float(mass[m]) for mass in masses), *(pts.get(m, ()) for pts in points))
+    return tuple(zip(
+        atoms[1:],
+        grid.widths.tolist(),
+        *(meas.density.tolist() for meas in scalars),
+        *(_point_sets(jump.cell_points) for jump in jumps),
+    ))
 
 
 def _frozen(table):

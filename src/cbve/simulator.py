@@ -360,8 +360,8 @@ def _run(tab, M: int, x1, x2, uniforms, events=None):
 
 def _initial_state(x0):
     x1, x2 = float(x0[0]), float(x0[1])
-    if x1 < 0.0 or x2 < 0.0:
-        raise ValueError("initial state must be componentwise nonnegative")
+    if not (0.0 <= x1 < math.inf and 0.0 <= x2 < math.inf):
+        raise ValueError("initial state must be finite and componentwise nonnegative")
     return x1, x2
 
 

@@ -23,9 +23,10 @@ Two routes produce the same discrete solution:
 Both routes hold only their loops over the compiled tables of
 :mod:`cbve.compiled`, which each model builds once and caches: tuple rows
 for the sweep (which is sequential and nonlinear, so it stays a scalar
-loop), padded arrays for Picard.  The sweep itself is one private loop
-over a range of rows; :func:`solve_general` runs it from the terminal node
-down to 0, and :func:`check_flow` runs it only over the nodes its residual
+loop), padded arrays for Picard.  Each sweep row carries the atom stepped
+just before its cell, so the sweep itself is one private loop over a slice
+of rows; :func:`solve_general` runs it over the rows below the terminal
+node, and :func:`check_flow` runs it only over the nodes its residual
 reads, its refined leg on the model's own rows split into finer cells.
 The module also houses the h-transform utilities, the two-dimensional
 Gronwall bound, the a-priori growth exponent and upper bound, and the
@@ -70,16 +71,18 @@ class SolverOptions:
     picard_tol: float = 1e-12
     picard_max_iter: int = 200
     cell_fixed_point_iters: int = 2
-    negativity_tol: float = 1e-9
 
     def __post_init__(self):
-        if self.picard_tol <= 0 or self.negativity_tol <= 0:
+        if self.picard_tol <= 0:
             raise ValueError("tolerances must be positive")
         if self.picard_max_iter < 1 or self.cell_fixed_point_iters < 1:
             raise ValueError("iteration counts must be positive")
 
 
 _DEFAULT_OPTS = SolverOptions()
+
+# the sweep clamps smaller negative deficits to zero and refuses larger ones
+_NEGATIVITY_TOL = 1e-9
 
 # largest exponent whose exponential is a finite double
 _LOG_MAX = math.log(sys.float_info.max)
@@ -125,21 +128,20 @@ def _check_lambda(lam):
 # general backward sweep
 # ---------------------------------------------------------------------------
 
-def _sweep(cells, atoms, lo: int, hi: int, lam, opts: SolverOptions):
-    """Backward sweep over rows ``lo .. hi - 1`` from ``lam`` at node ``hi``.
+def _sweep(rows, lam, opts: SolverOptions):
+    """Backward sweep over ``rows`` from ``lam`` after the last row.
 
-    ``cells`` and ``atoms`` are the rows and the atom map of
-    :func:`cbve.compiled.cell_table`; the atom of node k + 1 steps the value
-    before cell k.  Returns ``v`` with rows ``lo .. hi`` filled (those below
-    ``lo`` are left unset), the clamp count and the worst clamped deficit.
+    ``rows`` is a slice of the rows of :func:`cbve.compiled.cell_table`; a
+    row's atom steps the value before its cell.  Returns ``v`` with one
+    value per node of the slice, the clamp count and the worst clamped
+    deficit.
     """
     expm1 = math.expm1
-    atom_at = dict(atoms).get  # a plain dict: the read-only map's lookups cost ~2%
     npass = opts.cell_fixed_point_iters
-    neg_tol = opts.negativity_tol
-    v = np.empty((hi + 1, 2))
+    n = len(rows)
+    v = np.empty((n + 1, 2))
     v1, v2 = lam
-    v[hi, 0], v[hi, 1] = v1, v2
+    v[n, 0], v[n, 1] = v1, v2
     clamp_events = 0
     worst_deficit = 0.0
 
@@ -147,7 +149,7 @@ def _sweep(cells, atoms, lo: int, hi: int, lam, opts: SolverOptions):
         nonlocal clamp_events, worst_deficit
         if x >= 0.0:
             return x
-        if x < -neg_tol:
+        if x < -_NEGATIVITY_TOL:
             raise DiscretizationError(
                 f"negative component {x:.3e} beyond tolerance; refine the grid"
             )
@@ -160,8 +162,8 @@ def _sweep(cells, atoms, lo: int, hi: int, lam, opts: SolverOptions):
     # a predictor far below zero overflows expm1 in the corrector: the
     # grid is too coarse for this lam, like a deficit beyond tolerance
     try:
-        for k in range(hi - 1, lo - 1, -1):
-            a = atom_at(k + 1)
+        for k in range(n - 1, -1, -1):
+            a, h, b11d, b22d, bb12d, bb21d, c1d, c2d, pts1, pts2 = rows[k]
             if a is not None:
                 a11, a22, ab12, ab21, _, _, ap1, ap2 = a
                 p1 = a11 * v1 - ab12 * v2
@@ -176,7 +178,6 @@ def _sweep(cells, atoms, lo: int, hi: int, lam, opts: SolverOptions):
                     p2 += (expm1(-x) + x) * w
                 v1 = clamp(v1 - p1)
                 v2 = clamp(v2 - p2)
-            h, b11d, b22d, bb12d, bb21d, c1d, c2d, pts1, pts2 = cells[k]
             d1 = v1 * b11d - v2 * bb12d + v1 * v1 * c1d
             for z1, z2, w in pts1:
                 x = v1 * z1 + v2 * z2
@@ -215,14 +216,14 @@ def solve_general(env: Environment, t: float, lam, opts: SolverOptions | None = 
 
     Atoms step the value exactly; each cell runs
     ``opts.cell_fixed_point_iters`` predictor/corrector passes on the
-    density integrand.  Negative components beyond ``opts.negativity_tol``
-    raise a :class:`DiscretizationError`; smaller ones are clamped to zero.
+    density integrand.  Negative components beyond 1e-9 raise a
+    :class:`DiscretizationError`; smaller ones are clamped to zero.
     """
     opts = opts or _DEFAULT_OPTS
     env.require_valid()
     lam = _check_lambda(lam)
     M = env.grid.index_of(t)
-    v, clamp_events, worst_deficit = _sweep(*env._table, 0, M, lam, opts)
+    v, clamp_events, worst_deficit = _sweep(env._table[:M], lam, opts)
     return CumulantSolution(
         t=float(env.grid.nodes[M]),
         lam=lam,
@@ -568,24 +569,23 @@ def check_flow(env: Environment, r: float, s: float, t: float, lam,
     fine nodes of [s, t], the two base legs the nodes of [r, s] and [r, t].
     The fine leg runs on the model's own compiled rows: each cell of
     (s, t] becomes ``terminal_refine`` rows with the refined grid's widths
-    and the same densities and kernel points, and an atom at node m sits at
-    fine node ``m * terminal_refine``.  These are the rows the refined model
-    ``env.refined(terminal_refine)`` would compile on that window, and
-    refinement keeps every atom and its mass, so it is admissible exactly
-    when ``env`` is; the residual equals the one from solving that model,
-    without building it.  A sweep failure on nodes the residual does not
+    and the same densities and kernel points, its atom on the last of them
+    (fine node ``m * terminal_refine`` for an atom at node m).  These are
+    the rows the refined model ``env.refined(terminal_refine)`` would
+    compile on that window, and refinement keeps every atom and its mass,
+    so it is admissible exactly when ``env`` is; the residual equals the
+    one from solving that model, without building it.  A sweep failure on nodes the residual does not
     read (below r, or below s on the fine leg) therefore raises nothing.
     """
     return _flow_residual(env, r, s, t, lam, opts, terminal_refine)
 
 
-def _split_rows(cells, atoms, lo: int, hi: int, widths, f: int):
-    """Rows ``lo .. hi - 1`` of a compiled table, each split into ``f`` rows
-    of the given widths, and the atoms of nodes ``lo + 1 .. hi``, node m
-    moved to ``(m - lo) * f``: what an ``f``-times refined model compiles on
-    that window, renumbered from 0."""
-    rows = [(w, *cells[lo + j // f][1:]) for j, w in enumerate(widths)]
-    return rows, {(m - lo) * f: a for m, a in atoms.items() if lo < m <= hi}
+def _split_rows(rows, widths, f: int):
+    """``rows`` of a compiled table, each split into ``f`` rows of the given
+    widths, its atom on the last: what an ``f``-times refined model compiles
+    on that stretch."""
+    return [(rows[j // f][0] if j % f == f - 1 else None, w, *rows[j // f][2:])
+            for j, w in enumerate(widths)]
 
 
 def _flow_residual(env: Environment, r: float, s: float, t: float, lam,
@@ -605,12 +605,10 @@ def _flow_residual(env: Environment, r: float, s: float, t: float, lam,
     opts = opts or _DEFAULT_OPTS
     env.require_valid()
     lam = _check_lambda(lam)
-    cells, atoms = env._table
-    top = _sweep(*_split_rows(cells, atoms, isx, it, widths, n), 0, len(widths), lam, opts)[0][0]
+    rows = env._table[ir:it]
+    top = _sweep(_split_rows(rows[isx - ir :], widths, n), lam, opts)[0][0]
     if base > 1:
-        coarse = grid.widths[ir * base : it * base].tolist()
-        cells, atoms = _split_rows(cells, atoms, ir, it, coarse, base)
-        ir, isx, it = 0, (isx - ir) * base, (it - ir) * base
-    mid = _sweep(cells, atoms, ir, isx, top.tolist(), opts)[0][ir]
-    full = _sweep(cells, atoms, ir, it, lam, opts)[0][ir]
+        rows = _split_rows(rows, grid.widths[ir * base : it * base].tolist(), base)
+    mid = _sweep(rows[: (isx - ir) * base], top.tolist(), opts)[0][0]
+    full = _sweep(rows, lam, opts)[0][0]
     return float(np.max(np.abs(mid - full)))

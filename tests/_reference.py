@@ -65,6 +65,11 @@ engine does, draws each uniform through
 arrays.  Driven by ``SeedSpec(m).generator(k)``, it reproduces path k of
 the engine: the same events, and final states equal to rounding.
 
+:func:`split_table` turns the sweep rows of
+:func:`cbve.compiled.cell_table`, each of which carries its node's atom,
+back into the rows and the node-to-atom map that the Picard, moment and
+simulator oracles were written against, so their arithmetic is unchanged.
+
 :func:`check_flow` is the flow residual that builds, validates and
 compiles the whole ``terminal_refine``-times refined model and solves all
 three legs down to node 0.  :func:`cbve.check_flow` sweeps only the nodes
@@ -93,6 +98,14 @@ from cbve.solver import (
 )
 
 
+def split_table(rows):
+    """The rows of :func:`cbve.compiled.cell_table` in the form the oracles
+    were written for: rows without their atom, and a map from each node
+    that carries an atom to that atom."""
+    return ([row[1:] for row in rows],
+            {k + 1: row[0] for k, row in enumerate(rows) if row[0] is not None})
+
+
 def _scaled_points(points, e1, e2, wfac):
     return tuple((z1 * e1, z2 * e2, w * wfac) for z1, z2, w in points)
 
@@ -107,7 +120,7 @@ def picard_table(sf):
     kernel points at both cell edges; atoms carry the rescaled cross
     masses and jump points.
     """
-    rows, atoms = cell_table((sf.gamma12, sf.gamma21), (sf.mu1, sf.mu2))
+    rows, atoms = split_table(cell_table((sf.gamma12, sf.gamma21), (sf.mu1, sf.mu2)))
     grid = sf.grid
     Z = []
     dZ = []
@@ -403,7 +416,7 @@ def linear_combination(grid, terms, nondecreasing=False):
 
 
 def _moment_axis(env, M: int, lam1: float, lam2: float, npass: int) -> np.ndarray:
-    cells, atoms = env._table
+    cells, atoms = split_table(env._table)
     pi = np.empty((M + 1, 2))
     pi[M, 0], pi[M, 1] = lam1, lam2
     p1, p2 = lam1, lam2
@@ -677,8 +690,8 @@ def _draw_point(points, cumw, total, rng):
 
 def sim_table(sf):
     """Per-cell rows and per-node atoms of the thinning simulator."""
-    rows, atoms = cell_table((sf.gamma11, sf.gamma22, sf.gamma12, sf.gamma21),
-                             (sf.mu1, sf.mu2))
+    rows, atoms = split_table(cell_table((sf.gamma11, sf.gamma22, sf.gamma12, sf.gamma21),
+                                         (sf.mu1, sf.mu2)))
     cells = []
     for _, g11, g22, g12, g21, pts1, pts2 in rows:
         G = (g11, g21, g12, g22)

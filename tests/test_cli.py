@@ -183,6 +183,35 @@ class TestCommands:
         ]) == 2
         assert flag in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, flags", [
+        ("solve", ["--t", "0.123456789"]),
+        ("simulate", ["--t=-0.5"]),
+        ("solve", ["--lambda", "nan,1"]),
+        ("solve", ["--lambda=-1,1"]),
+        ("moments", ["--lambda", "inf,1"]),
+        ("approx", ["--lambda=-1,0"]),
+        ("verify", ["--lambda", "nan,1"]),
+        ("simulate", ["--x0=-1,0"]),
+        ("simulate", ["--x0", "nan,0"]),
+        ("solve", ["--refine", "0"]),
+        ("simulate", ["--refine=-2"]),
+    ])
+    def test_bad_flag_is_a_config_error(self, capsys, command, flags):
+        assert main([command, "--config", _cfg_path("jump_special.json"), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {flags[0].split('=')[0]} must be")
+        assert "Traceback" not in err
+
+    def test_moments_take_a_signed_lambda(self, capsys):
+        assert main(["moments", "--config", _cfg_path("jump_special.json"),
+                     "--lambda=-1,0.5"]) == 0
+        assert capsys.readouterr().out.startswith("r,pi1,pi2\n")
+
+    def test_simulate_zero_paths_writes_the_header_only(self, capsys):
+        assert main(["simulate", "--config", _cfg_path("jump_special.json"),
+                     "--paths", "0"]) == 0
+        assert capsys.readouterr().out == "path_id,time,kind,type_source,dx1,dx2,x1,x2\n"
+
     def test_approx_table(self, tmp_path, capsys):
         path = _write(
             tmp_path,

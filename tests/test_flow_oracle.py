@@ -10,6 +10,7 @@ triples include r = s, s = t and r = 0, and the refinement factor runs
 from 1 to 4.  ``cbve verify``'s second residual, :func:`check_flow` of
 ``env.refined(4)``, is computed the same way on ``env``'s rows split four
 ways, and must equal the residual of the refined model it stands for.
+On ``env.refined(2)`` the residual is at most half of ``env``'s.
 """
 import numpy as np
 import pytest
@@ -114,6 +115,20 @@ def test_check_flow_matches_refined_model_oracle(case):
     # cbve verify's refine-4 residual, on the same rows split 4 ways
     want4 = _outcome(check_flow, env.refined(4), r, s, t, lam, opts, factor)
     assert _outcome(_flow_residual, env, r, s, t, lam, opts, factor, 4) == want4
+
+
+@_SETTINGS
+@given(_cases())
+def test_flow_residual_shrinks_under_refinement(case):
+    # the residual is a discretization error of order at least one, so on
+    # env.refined(2) it is at most half of env's; a typed failure is allowed
+    env, (r, s, t), lam, _, _ = case
+    try:
+        coarse = check_flow(env, r, s, t, lam)
+        fine = _flow_residual(env, r, s, t, lam, None, 2, base=2)
+    except CBVEError:
+        return
+    assert fine <= coarse / 2 + 1e-12
 
 
 class TestCheckFlowContract:

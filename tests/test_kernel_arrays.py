@@ -102,10 +102,10 @@ def test_kernel_arrays_match_per_object_padding(case, factor):
     assert [t for t, _ in jump.time_atoms] == [grid.nodes[m] for m, _ in at]
     assert _exact(s.points for _, s in jump.time_atoms) == _exact(p for _, p in at)
     # the sweep rows: one tuple of points per cell, () where a cell has none
-    rows, atom_rows = cell_table((StieltjesMeasure.zero(grid),), (jump,))
-    assert _exact(row[2] for row in rows) == _exact(sets)
-    assert sorted(atom_rows) == [m for m, _ in at]
-    assert _exact(atom_rows[m][1] for m, _ in at) == _exact(p for _, p in at)
+    rows = cell_table((StieltjesMeasure.zero(grid),), (jump,))
+    assert _exact(row[3] for row in rows) == _exact(sets)
+    assert [k + 1 for k, row in enumerate(rows) if row[0] is not None] == [m for m, _ in at]
+    assert _exact(rows[m - 1][0][1] for m, _ in at) == _exact(p for _, p in at)
     _same_arrays(jump.on_refinement(grid.refine(factor), factor),
                  *_reference.refined_sets(sets, at, factor))
     for fn, scalar_fn in _FACTORS:
@@ -116,8 +116,8 @@ def test_cells_equal_but_for_the_sign_of_zero_stay_apart():
     grid = uniform_grid(cells=3)
     sets = [((0.0, 1.0, 1.0),), ((-0.0, 1.0, 1.0),), ((-0.0, 1.0, 1.0),)]
     jump = JumpMeasure(grid, [DiscreteSpatialMeasure(p) for p in sets])
-    rows, _ = cell_table((StieltjesMeasure.zero(grid),), (jump,))
-    assert _exact(row[2] for row in rows) == _exact(sets)
+    rows = cell_table((StieltjesMeasure.zero(grid),), (jump,))
+    assert _exact(row[3] for row in rows) == _exact(sets)
     assert _exact(k.points for k in jump.cell_kernels) == _exact(sets)
 
 
@@ -266,9 +266,12 @@ def test_compiled_tables_refuse_writes():
         sf._picard_table.aR[...] = 0.0
     with pytest.raises(ValueError, match="read-only"):
         sf._sim_table.kernels[0][1][...] = 0.0
-    rows, atoms = env._table
+    rows = env._table
+    atom = next(row[0] for row in rows if row[0] is not None)
     with pytest.raises(TypeError):
         rows[0] = ()
     with pytest.raises(TypeError):
-        atoms[min(atoms)] = ()
-    assert atoms and results() == before
+        rows[0][0] = ()
+    with pytest.raises(TypeError):
+        atom[0] = 0.0
+    assert results() == before

@@ -155,6 +155,15 @@ class TestStateGuard:
         with pytest.raises(NumericalError, match="overflow"):
             simulate_path(sf, (1.0, 1.0), 1.0, 3)
 
+    @pytest.mark.parametrize("x0", [(-1.0, 0.0), (math.nan, 0.0), (0.0, math.inf),
+                                    (1.0, -math.inf)])
+    def test_bad_initial_state_is_refused(self, x0):
+        sf = _jump_sf()
+        with pytest.raises(ValueError, match="initial state"):
+            simulate_path(sf, x0, 1.0, 0)
+        with pytest.raises(ValueError, match="initial state"):
+            mc_laplace(sf, x0, 1.0, (1.0, 1.0), 100, 0)
+
 
 class TestStiffThinning:
     # a 4-cell form whose drift makes exp(800 * cell width) about e^200: a

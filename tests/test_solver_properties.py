@@ -68,8 +68,7 @@ def test_solution_is_monotone_in_lambda(model, lam, step):
 def _bottlenecked(draw):
     env, _ = draw(_models())
     grid = env.grid
-    taken = set(env._table[1])
-    free = [m for m in range(1, grid.n_cells + 1) if m not in taken]
+    free = [k + 1 for k, row in enumerate(env._table) if row[0] is None]
     m = draw(st.sampled_from(free))
     i = draw(st.sampled_from((1, 2)))
     name = "b11" if i == 1 else "b22"
