@@ -38,7 +38,6 @@ from .moments import MomentSolution, finite_diff_check, mean_of_transition, solv
 from .simulator import MCEstimate, PathEvent, SeedSpec, mc_laplace, mc_mean, simulate_path
 from .solver import (
     CumulantSolution,
-    SolverOptions,
     apriori_growth_exponent,
     check_flow,
     cumulant_upper_bound,

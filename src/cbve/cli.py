@@ -211,6 +211,10 @@ class _Battery:
 
 
 def _verify_environment(cfg: RunConfig, args, battery: _Battery) -> None:
+    for flag, value in (("--paths", args.paths), ("--x0", args.x0)):
+        if value is not None:
+            raise ConfigError(f"{flag} sets up the Monte-Carlo checks, which need a "
+                              "special_form configuration")
     env = cfg.environment
     report = env.validation
     battery.check("admissibility", report.ok,
@@ -225,7 +229,7 @@ def _verify_environment(cfg: RunConfig, args, battery: _Battery) -> None:
     s = float(env.grid.nodes[isx])
     residual = check_flow(env, r, s, t, lam)
     # check_flow on env.refined(4), without building that model
-    residual4 = _flow_residual(env, r, s, t, lam, None, 2, base=4)
+    residual4 = _flow_residual(env, r, s, t, lam, 2, base=4)
     battery.check("flow_residual", residual <= 1e-5,
                   f"residual={residual:.3e} (tol 1e-05)")
     battery.check(
@@ -256,6 +260,9 @@ def _verify_special(cfg: RunConfig, args, battery: _Battery) -> None:
     sf = cfg.special_form
     t = _terminal(cfg, args)
     lam = _checked("--lambda", args.lam)
+    if args.paths is not None and args.paths < 100:
+        raise ConfigError(f"--paths must be at least 100 for the Monte-Carlo "
+                          f"checks, got {args.paths}")
     sol = solve_special_picard(sf, t, lam)
     min_inc = min(sol.picard_min_increments) if sol.picard_min_increments else 0.0
     battery.check("picard_monotonicity", min_inc >= -1e-12,
@@ -287,7 +294,7 @@ def _verify_special(cfg: RunConfig, args, battery: _Battery) -> None:
     rt_gap = float(np.max(np.abs(direct.v - mapped.v)))
     battery.check("h_transform_round_trip", rt_gap <= 1e-8,
                   f"sup gap={rt_gap:.3e} (tol 1e-08)")
-    if args.paths and args.paths >= 100:
+    if args.paths is not None:
         x0 = _checked("--x0", args.x0)
         lap = mc_laplace(sf, x0, t, lam, args.paths, _seed(args))
         battery.check("mc_laplace", abs(lap.z_score) <= 3.0,

@@ -226,10 +226,13 @@ class SpecialForm(_Model):
         return sim_table(self)
 
     @cached_property
-    def _references(self) -> dict:
-        """Reference models of the Monte-Carlo checks of
-        :mod:`cbve.simulator`, filled as they are first built."""
-        return {}
+    def _reference(self) -> SpecialForm:
+        """The form refined 32 times, solved for the Monte-Carlo targets."""
+        return self.refined(32)
+
+    @cached_property
+    def _reference_general(self) -> Environment:
+        return special_to_general(self._reference)
 
 
 def atom_load(env: Environment, i: int, s: float) -> float:

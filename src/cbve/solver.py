@@ -4,18 +4,17 @@ Two routes produce the same discrete solution:
 
 * :func:`solve_general` sweeps the general system backward from the
   terminal time, applying time atoms exactly (an atom at node s changes
-  the value strictly left of s) and integrating each atom-free cell with
-  a fixed number of predictor/corrector passes (pass 1 is the right
-  endpoint rule, later passes are trapezoid correctors).
+  the value strictly left of s) and integrating each atom-free cell in
+  two passes: a right-endpoint predictor and one trapezoid corrector.
 
 * :func:`solve_special_picard` iterates the monotone integral map of the
   finite-activity system.  Diagonal drifts are first removed by an
   exponential change of scale (the h-transform with the diagonal drift's
   continuous part and log(1 + jump) atoms), so every Picard increment is
   nonnegative and the iterates increase node-wise to the solution.  Cell
-  increments reuse the same predictor/corrector structure as the general
-  sweep, so on matched grids the two solvers agree to roughly the Picard
-  tolerance whenever the coefficients correspond.  Each sweep reads only
+  increments reuse the two-pass cell step of the general sweep, so on
+  matched grids the two solvers agree to roughly the Picard tolerance
+  whenever the coefficients correspond.  Each sweep reads only
   the previous iterate, so one iteration is a fixed set of whole-array
   steps over all cells (atom increments, both cell edges, then a reverse
   cumulative sum), in the per-term order of the cell-by-cell loop.
@@ -51,7 +50,6 @@ from .errors import ConvergenceError, DiscretizationError, NumericalError
 from .measures import JumpMeasure, StieltjesMeasure, TimeGrid
 
 __all__ = [
-    "SolverOptions",
     "CumulantSolution",
     "solve_general",
     "solve_special_picard",
@@ -64,22 +62,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SolverOptions:
-    """Numerical knobs shared by the backward solvers."""
-
-    picard_tol: float = 1e-12
-    picard_max_iter: int = 200
-    cell_fixed_point_iters: int = 2
-
-    def __post_init__(self):
-        if self.picard_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.picard_max_iter < 1 or self.cell_fixed_point_iters < 1:
-            raise ValueError("iteration counts must be positive")
-
-
-_DEFAULT_OPTS = SolverOptions()
+# Picard's stopping tolerance on the sup-node change, and its iteration cap
+_PICARD_TOL = 1e-12
+_PICARD_MAX_ITER = 200
 
 # the sweep clamps smaller negative deficits to zero and refuses larger ones
 _NEGATIVITY_TOL = 1e-9
@@ -128,7 +113,7 @@ def _check_lambda(lam):
 # general backward sweep
 # ---------------------------------------------------------------------------
 
-def _sweep(rows, lam, opts: SolverOptions):
+def _sweep(rows, lam):
     """Backward sweep over ``rows`` from ``lam`` after the last row.
 
     ``rows`` is a slice of the rows of :func:`cbve.compiled.cell_table`; a
@@ -137,7 +122,6 @@ def _sweep(rows, lam, opts: SolverOptions):
     deficit.
     """
     expm1 = math.expm1
-    npass = opts.cell_fixed_point_iters
     n = len(rows)
     v = np.empty((n + 1, 2))
     v1, v2 = lam
@@ -186,21 +170,19 @@ def _sweep(rows, lam, opts: SolverOptions):
             for z1, z2, w in pts2:
                 x = v1 * z1 + v2 * z2
                 d2 += (expm1(-x) + x) * w
+            # right-endpoint predictor, then one trapezoid corrector
             c1x = v1 - h * d1
             c2x = v2 - h * d2
-            for _ in range(npass - 1):
-                e1 = c1x * b11d - c2x * bb12d + c1x * c1x * c1d
-                for z1, z2, w in pts1:
-                    x = c1x * z1 + c2x * z2
-                    e1 += (expm1(-x) + x) * w
-                e2 = c2x * b22d - c1x * bb21d + c2x * c2x * c2d
-                for z1, z2, w in pts2:
-                    x = c1x * z1 + c2x * z2
-                    e2 += (expm1(-x) + x) * w
-                c1x = v1 - 0.5 * h * (d1 + e1)
-                c2x = v2 - 0.5 * h * (d2 + e2)
-            v1 = clamp(c1x)
-            v2 = clamp(c2x)
+            e1 = c1x * b11d - c2x * bb12d + c1x * c1x * c1d
+            for z1, z2, w in pts1:
+                x = c1x * z1 + c2x * z2
+                e1 += (expm1(-x) + x) * w
+            e2 = c2x * b22d - c1x * bb21d + c2x * c2x * c2d
+            for z1, z2, w in pts2:
+                x = c1x * z1 + c2x * z2
+                e2 += (expm1(-x) + x) * w
+            v1 = clamp(v1 - 0.5 * h * (d1 + e1))
+            v2 = clamp(v2 - 0.5 * h * (d2 + e2))
             if not (math.isfinite(v1) and math.isfinite(v2)):
                 raise NumericalError("backward sweep produced non-finite values")
             v[k, 0], v[k, 1] = v1, v2
@@ -210,20 +192,18 @@ def _sweep(rows, lam, opts: SolverOptions):
     return v, clamp_events, worst_deficit
 
 
-def solve_general(env: Environment, t: float, lam, opts: SolverOptions | None = None
-                  ) -> CumulantSolution:
+def solve_general(env: Environment, t: float, lam) -> CumulantSolution:
     """Solve the general backward system down from the terminal node of t.
 
-    Atoms step the value exactly; each cell runs
-    ``opts.cell_fixed_point_iters`` predictor/corrector passes on the
-    density integrand.  Negative components beyond 1e-9 raise a
-    :class:`DiscretizationError`; smaller ones are clamped to zero.
+    Atoms step the value exactly; each cell takes a right-endpoint
+    predictor and one trapezoid corrector on the density integrand, which
+    is second order on smooth stretches.  Negative components beyond 1e-9
+    raise a :class:`DiscretizationError`; smaller ones are clamped to zero.
     """
-    opts = opts or _DEFAULT_OPTS
     env.require_valid()
     lam = _check_lambda(lam)
     M = env.grid.index_of(t)
-    v, clamp_events, worst_deficit = _sweep(env._table[:M], lam, opts)
+    v, clamp_events, worst_deficit = _sweep(env._table[:M], lam)
     return CumulantSolution(
         t=float(env.grid.nodes[M]),
         lam=lam,
@@ -254,21 +234,20 @@ def _drift(out, a, p, x):
     return out
 
 
-def solve_special_picard(sf: SpecialForm, t: float, lam,
-                         opts: SolverOptions | None = None) -> CumulantSolution:
+def solve_special_picard(sf: SpecialForm, t: float, lam) -> CumulantSolution:
     """Solve the finite-activity system by monotone Picard iteration.
 
     The diagonal drift is removed by an exponential change of scale before
-    iterating, so iterate k+1 dominates iterate k node-wise; iteration stops
-    once the sup-node change (in original coordinates) drops below
-    ``opts.picard_tol``.  Per-iteration minima of the node-wise increments
-    and maxima of the iterate values are recorded on the solution, together
-    with the a-priori bound ``2 |lam| exp(rho(t))`` (inf once exp(rho)
-    overflows).  A change of scale
-    whose exponentials overflow before t, or an iterate that stops being
-    finite, raises :class:`NumericalError`.
+    iterating, so iterate k+1 dominates iterate k node-wise; each cell
+    increment is the sweep's two-pass step.  Iteration stops once the
+    sup-node change (in original coordinates) drops below 1e-12, and raises
+    :class:`ConvergenceError` with the last residual after 200 iterations.
+    Per-iteration minima of the node-wise increments and maxima of the
+    iterate values are recorded on the solution, together with the a-priori
+    bound ``2 |lam| exp(rho(t))`` (inf once exp(rho) overflows).  A change
+    of scale whose exponentials overflow before t, or an iterate that stops
+    being finite, raises :class:`NumericalError`.
     """
-    opts = opts or _DEFAULT_OPTS
     lam1, lam2 = _check_lambda(lam)
     M = sf.grid.index_of(t)
     tab = sf._picard_table
@@ -281,7 +260,6 @@ def solve_special_picard(sf: SpecialForm, t: float, lam,
     # e^{zeta(t)} lam and deflated node-wise by e^{-zeta(r)} afterwards
     F = tab.F[:, : M + 1]
     lamp = np.array([lam1 * math.exp(tab.Z[0, M]), lam2 * math.exp(tab.Z[1, M])])
-    npass = opts.cell_fixed_point_iters
     h = tab.widths[:M]
     half_h = 0.5 * h
     aL, aR, pL, pR = tab.aL[:, :M], tab.aR[:, :M], tab.pL[..., :M], tab.pR[..., :M]
@@ -300,14 +278,12 @@ def solve_special_picard(sf: SpecialForm, t: float, lam,
     sup = math.inf
     iterations = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for iterations in range(1, opts.picard_max_iter + 1):
+        for iterations in range(1, _PICARD_MAX_ITER + 1):
             ai[:, an - 1] = _drift(ainc, ab, ap, V[:, an])
             w = V[:, 1:] + ai
             _drift(dR, aR, pR, w)
-            c = w + h * dR
-            for _ in range(npass - 1):
-                _drift(dL, aL, pL, c)
-                c = w + half_h * (dR + dL)
+            _drift(dL, aL, pL, w + h * dR)
+            c = w + half_h * (dR + dL)
             # np.cumsum accumulates sequentially, from node M - 1 down to 0
             acc = np.cumsum((ai + (c - w))[:, ::-1], axis=1)[:, ::-1]
             new = np.empty((2, M + 1))
@@ -322,12 +298,12 @@ def solve_special_picard(sf: SpecialForm, t: float, lam,
             mapped = nm
             if not math.isfinite(sup):
                 raise NumericalError("Picard iteration produced non-finite values")
-            if sup < opts.picard_tol:
+            if sup < _PICARD_TOL:
                 break
         else:
             raise ConvergenceError(
-                f"Picard iteration did not reach tol {opts.picard_tol:g} in "
-                f"{opts.picard_max_iter} iterations (residual {sup:.3e})",
+                f"Picard iteration did not reach tol {_PICARD_TOL:g} in "
+                f"{_PICARD_MAX_ITER} iterations (residual {sup:.3e})",
                 residual=sup,
             )
     v = mapped.T.copy()
@@ -554,7 +530,7 @@ def cumulant_upper_bound(env: Environment, i: int, r: float, t: float, lam) -> f
 
 
 def check_flow(env: Environment, r: float, s: float, t: float, lam,
-               opts: SolverOptions | None = None, terminal_refine: int = 2) -> float:
+               terminal_refine: int = 2) -> float:
     """Composition residual of the backward flow across r <= s <= t.
 
     Solves the (s, t] leg on a ``terminal_refine``-times finer grid, feeds
@@ -577,7 +553,7 @@ def check_flow(env: Environment, r: float, s: float, t: float, lam,
     one from solving that model, without building it.  A sweep failure on nodes the residual does not
     read (below r, or below s on the fine leg) therefore raises nothing.
     """
-    return _flow_residual(env, r, s, t, lam, opts, terminal_refine)
+    return _flow_residual(env, r, s, t, lam, terminal_refine)
 
 
 def _split_rows(rows, widths, f: int):
@@ -589,7 +565,7 @@ def _split_rows(rows, widths, f: int):
 
 
 def _flow_residual(env: Environment, r: float, s: float, t: float, lam,
-                   opts: SolverOptions | None, f: int, base: int = 1) -> float:
+                   f: int, base: int = 1) -> float:
     """:func:`check_flow` with ``terminal_refine = f`` on
     ``env.refined(base)``, swept on ``env``'s compiled rows: the base legs
     on them split ``base`` ways, the fine leg split ``base * f`` ways with
@@ -602,13 +578,12 @@ def _flow_residual(env: Environment, r: float, s: float, t: float, lam,
     grid = env.grid.refine(base)
     n = base * f
     widths = grid.refine(f).widths[isx * n : it * n].tolist()
-    opts = opts or _DEFAULT_OPTS
     env.require_valid()
     lam = _check_lambda(lam)
     rows = env._table[ir:it]
-    top = _sweep(_split_rows(rows[isx - ir :], widths, n), lam, opts)[0][0]
+    top = _sweep(_split_rows(rows[isx - ir :], widths, n), lam)[0][0]
     if base > 1:
         rows = _split_rows(rows, grid.widths[ir * base : it * base].tolist(), base)
-    mid = _sweep(rows[: (isx - ir) * base], top.tolist(), opts)[0][0]
-    full = _sweep(rows, lam, opts)[0][0]
+    mid = _sweep(rows[: (isx - ir) * base], top.tolist())[0][0]
+    full = _sweep(rows, lam)[0][0]
     return float(np.max(np.abs(mid - full)))

@@ -90,12 +90,16 @@ from cbve.measures import DiscreteSpatialMeasure, JumpMeasure, StieltjesMeasure
 from cbve.mechanism import as_vector_function
 from cbve.moments import MomentSolution
 from cbve.solver import (
-    _DEFAULT_OPTS,
     CumulantSolution,
     _check_lambda,
     apriori_growth_exponent,
     solve_general,
 )
+
+# the solvers' fixed numerics: passes per cell, Picard tolerance and cap
+_NPASS = 2
+_PICARD_TOL = 1e-12
+_PICARD_MAX_ITER = 200
 
 
 def split_table(rows):
@@ -172,17 +176,16 @@ def picard_table(sf):
     return cells, scaled, Z1, Z2, np.exp(-Z1), np.exp(-Z2)
 
 
-def solve_special_picard(sf, t: float, lam, opts=None) -> CumulantSolution:
+def solve_special_picard(sf, t: float, lam) -> CumulantSolution:
     """Solve the finite-activity system by monotone Picard iteration.
 
     The diagonal drift is removed by an exponential change of scale before
     iterating, so iterate k+1 dominates iterate k node-wise; iteration stops
     once the sup-node change (in original coordinates) drops below
-    ``opts.picard_tol``.  Per-iteration minima of the node-wise increments
+    ``_PICARD_TOL``.  Per-iteration minima of the node-wise increments
     and maxima of the iterate values are recorded on the solution, together
     with the a-priori bound ``2 |lam| exp(rho(t))``.
     """
-    opts = opts or _DEFAULT_OPTS
     lam1, lam2 = _check_lambda(lam)
     M = sf.grid.index_of(t)
     cells, atoms, Z1, Z2, F1full, F2full = picard_table(sf)
@@ -193,7 +196,6 @@ def solve_special_picard(sf, t: float, lam, opts=None) -> CumulantSolution:
     lam1p = lam1 * math.exp(Z1[M])
     lam2p = lam2 * math.exp(Z2[M])
     expm1 = math.expm1
-    npass = opts.cell_fixed_point_iters
     V1 = [lam1p] * (M + 1)
     V2 = [lam2p] * (M + 1)
     mapped1 = F1 * lam1p
@@ -202,7 +204,7 @@ def solve_special_picard(sf, t: float, lam, opts=None) -> CumulantSolution:
     max_vals = []
     sup = math.inf
     iterations = 0
-    for iterations in range(1, opts.picard_max_iter + 1):
+    for iterations in range(1, _PICARD_MAX_ITER + 1):
         new1 = [0.0] * (M + 1)
         new2 = [0.0] * (M + 1)
         new1[M] = lam1p
@@ -235,7 +237,7 @@ def solve_special_picard(sf, t: float, lam, opts=None) -> CumulantSolution:
                 dR2 -= expm1(-(w1 * q1 + w2 * q2)) * qw
             c1 = w1 + h * dR1
             c2 = w2 + h * dR2
-            for _ in range(npass - 1):
+            for _ in range(_NPASS - 1):
                 dL1 = a12L * c2
                 for q1, q2, qw in p1L:
                     dL1 -= expm1(-(c1 * q1 + c2 * q2)) * qw
@@ -259,12 +261,12 @@ def solve_special_picard(sf, t: float, lam, opts=None) -> CumulantSolution:
         mapped1, mapped2 = nm1, nm2
         if not math.isfinite(sup):
             raise NumericalError("Picard iteration produced non-finite values")
-        if sup < opts.picard_tol:
+        if sup < _PICARD_TOL:
             break
     else:
         raise ConvergenceError(
-            f"Picard iteration did not reach tol {opts.picard_tol:g} in "
-            f"{opts.picard_max_iter} iterations (residual {sup:.3e})",
+            f"Picard iteration did not reach tol {_PICARD_TOL:g} in "
+            f"{_PICARD_MAX_ITER} iterations (residual {sup:.3e})",
             residual=sup,
         )
     v = np.column_stack((mapped1, mapped2))
@@ -415,7 +417,7 @@ def linear_combination(grid, terms, nondecreasing=False):
     return StieltjesMeasure(grid, dens, tuple(atoms), nondecreasing)
 
 
-def _moment_axis(env, M: int, lam1: float, lam2: float, npass: int) -> np.ndarray:
+def _moment_axis(env, M: int, lam1: float, lam2: float) -> np.ndarray:
     cells, atoms = split_table(env._table)
     pi = np.empty((M + 1, 2))
     pi[M, 0], pi[M, 1] = lam1, lam2
@@ -433,7 +435,7 @@ def _moment_axis(env, M: int, lam1: float, lam2: float, npass: int) -> np.ndarra
         d2 = bb21d * p1 - b22d * p2
         c1 = p1 + h * d1
         c2 = p2 + h * d2
-        for _ in range(npass - 1):
+        for _ in range(_NPASS - 1):
             e1 = bb12d * c2 - b11d * c1
             e2 = bb21d * c1 - b22d * c2
             c1 = p1 + 0.5 * h * (d1 + e1)
@@ -445,17 +447,15 @@ def _moment_axis(env, M: int, lam1: float, lam2: float, npass: int) -> np.ndarra
     return pi
 
 
-def solve_moment(env, t: float, lam, opts=None) -> MomentSolution:
+def solve_moment(env, t: float, lam) -> MomentSolution:
     """Solve the linear mean system for a signed terminal pair."""
-    opts = opts or _DEFAULT_OPTS
     env.require_valid()
     lam1, lam2 = float(lam[0]), float(lam[1])
     if not (math.isfinite(lam1) and math.isfinite(lam2)):
         raise ValueError("lambda must be finite")
     M = env.grid.index_of(t)
-    npass = opts.cell_fixed_point_iters
-    axis1 = _moment_axis(env, M, abs(lam1), 0.0, npass)
-    axis2 = _moment_axis(env, M, 0.0, abs(lam2), npass)
+    axis1 = _moment_axis(env, M, abs(lam1), 0.0)
+    axis2 = _moment_axis(env, M, 0.0, abs(lam2))
     sgn1 = math.copysign(1.0, lam1) if lam1 != 0.0 else 0.0
     sgn2 = math.copysign(1.0, lam2) if lam2 != 0.0 else 0.0
     pi = sgn1 * axis1 + sgn2 * axis2
@@ -816,7 +816,7 @@ def simulate(sf, x0, t: float, rng):
     return (x1, x2), events
 
 
-def check_flow(env, r: float, s: float, t: float, lam, opts=None,
+def check_flow(env, r: float, s: float, t: float, lam,
                terminal_refine: int = 2) -> float:
     """Composition residual of the backward flow across r <= s <= t.
 
@@ -834,9 +834,9 @@ def check_flow(env, r: float, s: float, t: float, lam, opts=None,
     if not (ir <= isx <= it):
         raise ValueError("need r <= s <= t")
     fine = env.refined(terminal_refine)
-    sol_top = solve_general(fine, t, lam, opts)
+    sol_top = solve_general(fine, t, lam)
     mu = sol_top.v[fine.grid.index_of(s)]
-    sol_mid = solve_general(env, s, (float(mu[0]), float(mu[1])), opts)
-    sol_full = solve_general(env, t, lam, opts)
+    sol_mid = solve_general(env, s, (float(mu[0]), float(mu[1])))
+    sol_full = solve_general(env, t, lam)
     diff = np.abs(sol_mid.v[ir] - sol_full.v[ir])
     return float(np.max(diff))

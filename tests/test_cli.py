@@ -195,12 +195,29 @@ class TestCommands:
         ("simulate", ["--x0", "nan,0"]),
         ("solve", ["--refine", "0"]),
         ("simulate", ["--refine=-2"]),
+        # the Monte-Carlo checks need 100 paths; fewer used to skip them
+        ("verify", ["--paths", "50"]),
+        ("verify", ["--paths", "0", "--x0", "1,1"]),
     ])
     def test_bad_flag_is_a_config_error(self, capsys, command, flags):
         assert main([command, "--config", _cfg_path("jump_special.json"), *flags]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {flags[0].split('=')[0]} must be")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flags", [["--paths", "500"], ["--x0", "1,1"]])
+    def test_monte_carlo_flags_need_a_special_form(self, capsys, flags):
+        # an environment has no simulator, so verify cannot honour these
+        assert main(["verify", "--config", _cfg_path("bottleneck.json"), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {flags[0]} ")
+        assert "special_form" in err
+
+    def test_verify_runs_the_monte_carlo_checks_from_100_paths(self, capsys):
+        assert main(["verify", "--config", _cfg_path("jump_special.json"),
+                     "--paths", "100", "--x0", "1,1", "--seed", "3"]) == 0
+        out = capsys.readouterr().out
+        assert "PASS mc_laplace" in out and "PASS mc_mean" in out
 
     def test_moments_take_a_signed_lambda(self, capsys):
         assert main(["moments", "--config", _cfg_path("jump_special.json"),

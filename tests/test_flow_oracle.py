@@ -22,7 +22,6 @@ from cbve import (
     DiscreteSpatialMeasure,
     Environment,
     JumpMeasure,
-    SolverOptions,
     StieltjesMeasure,
     TimeGrid,
     check_flow,
@@ -94,7 +93,7 @@ def _cases(draw):
     )
     lam = tuple(draw(st.one_of(st.floats(0.05, 2.0), st.just(0.0))) for _ in range(2))
     r, s, t = (float(grid.nodes[k]) for k in (ir, isx, it))
-    return env, (r, s, t), lam, draw(st.sampled_from((2, 3, 4, 1))), draw(st.integers(1, 3))
+    return env, (r, s, t), lam, draw(st.sampled_from((2, 3, 4, 1)))
 
 
 def _outcome(fn, *args):
@@ -108,13 +107,12 @@ def _outcome(fn, *args):
 @_SETTINGS
 @given(_cases())
 def test_check_flow_matches_refined_model_oracle(case):
-    env, (r, s, t), lam, factor, npass = case
-    opts = SolverOptions(cell_fixed_point_iters=npass)
-    want = _reference.check_flow(env, r, s, t, lam, opts, factor)
-    assert check_flow(env, r, s, t, lam, opts, factor) == want
+    env, (r, s, t), lam, factor = case
+    want = _reference.check_flow(env, r, s, t, lam, factor)
+    assert check_flow(env, r, s, t, lam, factor) == want
     # cbve verify's refine-4 residual, on the same rows split 4 ways
-    want4 = _outcome(check_flow, env.refined(4), r, s, t, lam, opts, factor)
-    assert _outcome(_flow_residual, env, r, s, t, lam, opts, factor, 4) == want4
+    want4 = _outcome(check_flow, env.refined(4), r, s, t, lam, factor)
+    assert _outcome(_flow_residual, env, r, s, t, lam, factor, 4) == want4
 
 
 @_SETTINGS
@@ -122,10 +120,10 @@ def test_check_flow_matches_refined_model_oracle(case):
 def test_flow_residual_shrinks_under_refinement(case):
     # the residual is a discretization error of order at least one, so on
     # env.refined(2) it is at most half of env's; a typed failure is allowed
-    env, (r, s, t), lam, _, _ = case
+    env, (r, s, t), lam, _ = case
     try:
         coarse = check_flow(env, r, s, t, lam)
-        fine = _flow_residual(env, r, s, t, lam, None, 2, base=2)
+        fine = _flow_residual(env, r, s, t, lam, 2, base=2)
     except CBVEError:
         return
     assert fine <= coarse / 2 + 1e-12

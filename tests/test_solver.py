@@ -1,4 +1,5 @@
 """Backward solvers: general sweep, Picard iteration, h-transform, bounds."""
+import json
 import math
 import warnings
 
@@ -8,7 +9,6 @@ from scipy.integrate import solve_ivp
 
 from cbve import (
     JumpMeasure,
-    SolverOptions,
     StieltjesMeasure,
     apriori_growth_exponent,
     check_flow,
@@ -21,7 +21,8 @@ from cbve import (
     solve_special_picard,
     special_to_general,
 )
-from cbve.errors import DiscretizationError, NumericalError
+from cbve.cli import main
+from cbve.errors import ConvergenceError, DiscretizationError, NumericalError
 
 from _instances import (
     bottleneck_environment,
@@ -130,19 +131,6 @@ class TestSolveGeneral:
         with pytest.raises(ValueError):
             solve_general(env, 1.0, (-0.5, 1.0))
 
-    def test_first_order_convergence_right_endpoint(self):
-        # single predictor pass = right endpoint rule: order one on smooth data
-        opts = SolverOptions(cell_fixed_point_iters=1)
-        errors = []
-        for cells in (200, 400, 800):
-            env = feller_environment(cells=cells)
-            sol = solve_general(env, 1.0, (1.0, 0.0), opts)
-            errors.append(abs(sol.v[0, 0] - feller_oracle(1.0, 1.0, 1.0, 1.0)))
-        r1 = errors[0] / errors[1]
-        r2 = errors[1] / errors[2]
-        assert 1.6 <= r1 <= 2.4
-        assert 1.6 <= r2 <= 2.4
-
     def test_second_order_convergence_default(self):
         errors = []
         for cells in (100, 200, 400):
@@ -239,6 +227,40 @@ class TestSolvePicard:
         sol = solve_special_picard(make_sf(grid, g12=cross, g21=cross), 1.0, (1.0, 1.0))
         assert np.all(np.isfinite(sol.v))
         assert sol.picard_bound == math.inf
+
+    @pytest.mark.parametrize("T, cross, diag, solves", [
+        (5.0, 20.0, (0.0, 0.0), True),      # stiff cross coupling: 191 iterations
+        (40.0, 2.0, (1.0, -1.0), True),     # long horizon: 169 iterations
+        (5.0, 25.0, (0.0, 0.0), False),     # stiffer coupling: past the cap
+        (200.0, 1.0, (0.0, 0.0), False),    # longer horizon: past the cap
+    ])
+    def test_extreme_inputs_solve_or_raise_a_typed_error(self, tmp_path, capsys,
+                                                         T, cross, diag, solves):
+        # constant coefficients on 2,000 cells, one jump point for type 1;
+        # rho(T) is 200 or more, and the solved iterates pass 1e38
+        def const(value):
+            return {"density": [[0.0, T, value]]}
+
+        data = {"kind": "special_form", "horizon": T, "grid_cells": 2000,
+                "gamma11": const(diag[0]), "gamma22": const(diag[1]),
+                "gamma12": const(cross), "gamma21": const(cross),
+                "mu1": {"kernel": [[0.0, T, [[0.5, 0.2, 1.0]]]]}}
+        sf = parse_config(data).special_form
+        if solves:
+            sol = solve_special_picard(sf, T, (1.0, 1.0))
+            assert sol.iterations_used <= 200
+            # monotone up to rounding at the scale of the iterates
+            for inc, top in zip(sol.picard_min_increments, sol.picard_iterate_maxima):
+                assert inc >= -1e-12 * (1.0 + top)
+            assert max(sol.picard_iterate_maxima) <= sol.picard_bound
+            return
+        with pytest.raises(ConvergenceError, match="200 iterations") as exc:
+            solve_special_picard(sf, T, (1.0, 1.0))
+        assert exc.value.residual > 1e-12
+        path = tmp_path / "extreme.json"
+        path.write_text(json.dumps(data))
+        assert main(["solve", "--config", str(path), "--lambda", "1,1"]) == 4
+        assert capsys.readouterr().err.startswith("numerical failure: Picard iteration")
 
 
 class TestHTransform:
