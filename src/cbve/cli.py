@@ -2,8 +2,12 @@
 
 Subcommands: ``validate`` (admissibility report), ``solve`` (backward
 solution CSV), ``moments`` (mean-system CSV), ``simulate`` (path event
-CSV), ``approx`` (finite-activity approximation gap table) and ``verify``
-(a per-config verification battery with PASS/FAIL lines).
+CSV), ``approx`` (finite-activity approximation gap table), ``verify``
+(a per-config verification battery with PASS/FAIL lines) and ``emit``
+(canonical JSON).  Each takes ``--config``, ``--refine`` and ``--out``;
+``solve``, ``moments`` and ``approx`` also ``--t`` and ``--lambda``,
+``simulate`` ``--t``, ``--x0``, ``--paths`` and ``--seed``, and ``verify``
+all five.  Any other flag is refused (exit 2).
 
 Exit codes: 0 success, 2 configuration error, 3 admissibility failure,
 4 numerical failure (a typed :class:`NumericalError`, or a floating-point
@@ -33,6 +37,7 @@ from .moments import finite_diff_check, solve_moment
 from .simulator import _simulate_paths, mc_laplace, mc_mean
 from .solver import (
     _flow_residual,
+    _pair,
     check_flow,
     cumulant_upper_bound,
     h_transform_coefficients,
@@ -55,7 +60,7 @@ def _setup_logging() -> None:
         )
 
 
-def _pair(text: str):
+def _two_floats(text: str):
     parts = text.split(",")
     if len(parts) != 2:
         raise argparse.ArgumentTypeError(f"expected 'a,b', got {text!r}")
@@ -68,8 +73,11 @@ def _pair(text: str):
 def _write(args, lines) -> None:
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write --out: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -103,10 +111,10 @@ def _checked(flag: str, pair, default=(1.0, 1.0), signed: bool = False):
     and componentwise nonnegative unless ``signed``."""
     if pair is None:
         return default
-    if not all(math.isfinite(x) and (signed or x >= 0.0) for x in pair):
-        need = "finite" if signed else "finite and componentwise nonnegative"
-        raise ConfigError(f"{flag} must be {need}, got {pair[0]!r},{pair[1]!r}")
-    return pair
+    try:
+        return _pair(pair, flag, signed)
+    except ValueError as exc:
+        raise ConfigError(f"{exc}, got {pair[0]!r},{pair[1]!r}") from None
 
 
 def cmd_validate(args) -> int:
@@ -154,9 +162,9 @@ def cmd_moments(args) -> int:
 
 
 def _seed(args) -> int:
-    if args.seed < 0:
+    if args.seed is not None and args.seed < 0:
         raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
-    return args.seed
+    return args.seed or 0
 
 
 def cmd_simulate(args) -> int:
@@ -210,19 +218,22 @@ class _Battery:
         self.lines.append(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")
 
 
-def _verify_environment(cfg: RunConfig, args, battery: _Battery) -> None:
-    for flag, value in (("--paths", args.paths), ("--x0", args.x0)):
-        if value is not None:
-            raise ConfigError(f"{flag} sets up the Monte-Carlo checks, which need a "
-                              "special_form configuration")
+def _refuse_monte_carlo_flags(args, flags, need: str) -> None:
+    """Refuse each of ``flags`` that was given: its Monte-Carlo checks need ``need``."""
+    for flag in flags:
+        if getattr(args, flag[2:]) is not None:
+            raise ConfigError(f"{flag} sets up the Monte-Carlo checks, which need {need}")
+
+
+def _verify_environment(cfg: RunConfig, args, t: float, lam, battery: _Battery) -> None:
+    _refuse_monte_carlo_flags(args, ("--paths", "--x0", "--seed"),
+                              "a special_form configuration")
     env = cfg.environment
     report = env.validation
     battery.check("admissibility", report.ok,
                   f"delta_max={max(report.delta_max):.3g}")
     if not report.ok:
         return
-    t = _terminal(cfg, args)
-    lam = _checked("--lambda", args.lam)
     it = env.grid.index_of(t)
     ir, isx = it // 4, it // 2
     r = float(env.grid.nodes[ir])
@@ -256,13 +267,15 @@ def _verify_environment(cfg: RunConfig, args, battery: _Battery) -> None:
                   f"min increment={mono:.3e}")
 
 
-def _verify_special(cfg: RunConfig, args, battery: _Battery) -> None:
+def _verify_special(cfg: RunConfig, args, t: float, lam, battery: _Battery) -> None:
     sf = cfg.special_form
-    t = _terminal(cfg, args)
-    lam = _checked("--lambda", args.lam)
-    if args.paths is not None and args.paths < 100:
+    if args.paths is None:
+        _refuse_monte_carlo_flags(args, ("--x0", "--seed"), "--paths")
+    elif args.paths < 100:
         raise ConfigError(f"--paths must be at least 100 for the Monte-Carlo "
                           f"checks, got {args.paths}")
+    else:
+        x0, seed = _checked("--x0", args.x0), _seed(args)
     sol = solve_special_picard(sf, t, lam)
     min_inc = min(sol.picard_min_increments) if sol.picard_min_increments else 0.0
     battery.check("picard_monotonicity", min_inc >= -1e-12,
@@ -295,12 +308,11 @@ def _verify_special(cfg: RunConfig, args, battery: _Battery) -> None:
     battery.check("h_transform_round_trip", rt_gap <= 1e-8,
                   f"sup gap={rt_gap:.3e} (tol 1e-08)")
     if args.paths is not None:
-        x0 = _checked("--x0", args.x0)
-        lap = mc_laplace(sf, x0, t, lam, args.paths, _seed(args))
+        lap = mc_laplace(sf, x0, t, lam, args.paths, seed)
         battery.check("mc_laplace", abs(lap.z_score) <= 3.0,
                       f"z={lap.z_score:.2f} est={lap.estimate:.6g}"
                       f" target={lap.target:.6g}")
-        mean = mc_mean(sf, x0, t, lam, args.paths, args.seed + 1)
+        mean = mc_mean(sf, x0, t, lam, args.paths, seed + 1)
         battery.check("mc_mean", abs(mean.z_score) <= 3.0,
                       f"z={mean.z_score:.2f} est={mean.estimate:.6g}"
                       f" target={mean.target:.6g}")
@@ -308,11 +320,12 @@ def _verify_special(cfg: RunConfig, args, battery: _Battery) -> None:
 
 def cmd_verify(args) -> int:
     cfg = _load(args)
+    t, lam = _terminal(cfg, args), _checked("--lambda", args.lam)
     battery = _Battery()
     if cfg.kind == "environment":
-        _verify_environment(cfg, args, battery)
+        _verify_environment(cfg, args, t, lam, battery)
     else:
-        _verify_special(cfg, args, battery)
+        _verify_special(cfg, args, t, lam, battery)
     _write(args, battery.lines)
     return 0 if battery.ok else 5
 
@@ -332,25 +345,27 @@ def _build_parser() -> argparse.ArgumentParser:
                     "environments: solve, verify and simulate.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    flags = {
+        "--t": dict(type=float, help="terminal time"),
+        "--lambda": dict(dest="lam", type=_two_floats, metavar="A,B", help="terminal pair"),
+        "--x0": dict(type=_two_floats, metavar="A,B", help="initial state"),
+        "--paths": dict(type=int, help="number of paths"),
+        "--seed": dict(type=int, help="master seed (default 0)"),
+    }
     specs = (
-        ("validate", cmd_validate, "admissibility report"),
-        ("solve", cmd_solve, "backward solution CSV (r, v1, v2)"),
-        ("moments", cmd_moments, "mean-system CSV (r, pi1, pi2)"),
-        ("simulate", cmd_simulate, "path event CSV"),
-        ("approx", cmd_approx, "finite-activity approximation gap table"),
-        ("verify", cmd_verify, "verification battery with PASS/FAIL lines"),
-        ("emit", cmd_emit, "canonical JSON for the parsed configuration"),
+        ("validate", cmd_validate, "admissibility report", ()),
+        ("solve", cmd_solve, "backward solution CSV (r, v1, v2)", ("--t", "--lambda")),
+        ("moments", cmd_moments, "mean-system CSV (r, pi1, pi2)", ("--t", "--lambda")),
+        ("simulate", cmd_simulate, "path event CSV", ("--t", "--x0", "--paths", "--seed")),
+        ("approx", cmd_approx, "finite-activity approximation gap table", ("--t", "--lambda")),
+        ("verify", cmd_verify, "verification battery with PASS/FAIL lines", tuple(flags)),
+        ("emit", cmd_emit, "canonical JSON for the parsed configuration", ()),
     )
-    for name, func, help_text in specs:
+    for name, func, help_text, own in specs:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to a JSON config")
-        p.add_argument("--t", type=float, default=None, help="terminal time")
-        p.add_argument("--lambda", dest="lam", type=_pair, default=None,
-                       metavar="A,B", help="terminal pair")
-        p.add_argument("--x0", type=_pair, default=None, metavar="A,B",
-                       help="initial state for simulation")
-        p.add_argument("--paths", type=int, default=None, help="number of paths")
-        p.add_argument("--seed", type=int, default=0, help="master seed")
+        for flag in own:
+            p.add_argument(flag, **flags[flag])
         p.add_argument("--refine", type=int, default=1,
                        help="grid refinement factor")
         p.add_argument("--out", default=None, help="output file (default stdout)")

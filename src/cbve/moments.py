@@ -12,7 +12,6 @@ amplify a decaying mode (stiff decaying drift on a coarse grid) raises
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +19,7 @@ import numpy as np
 from .environment import Environment, effective_cross_drift
 from .errors import DiscretizationError, NumericalError
 from .measures import TimeGrid
-from .solver import solve_general
+from .solver import _pair, solve_general
 
 __all__ = ["MomentSolution", "solve_moment", "finite_diff_check", "mean_of_transition"]
 
@@ -113,9 +112,7 @@ def solve_moment(env: Environment, t: float, lam) -> MomentSolution:
     :class:`NumericalError`.
     """
     env.require_valid()
-    lam1, lam2 = float(lam[0]), float(lam[1])
-    if not (math.isfinite(lam1) and math.isfinite(lam2)):
-        raise ValueError("lambda must be finite")
+    lam1, lam2 = _pair(lam, signed=True)
     M = env.grid.index_of(t)
     with np.errstate(over="ignore", invalid="ignore"):
         E = _propagators(env, M)
@@ -134,9 +131,7 @@ def finite_diff_check(env: Environment, t: float, lam, h: float):
     """
     if not 0.0 < h <= 0.1:
         raise ValueError("h must lie in (0, 0.1]")
-    lam1, lam2 = float(lam[0]), float(lam[1])
-    if lam1 < 0.0 or lam2 < 0.0:
-        raise ValueError("lambda must be componentwise nonnegative")
+    lam1, lam2 = _pair(lam)
     sol_v = solve_general(env, t, (h * lam1, h * lam2))
     sol_pi = solve_moment(env, t, (lam1, lam2))
     diff = np.abs(sol_v.v / h - sol_pi.pi)
@@ -144,10 +139,9 @@ def finite_diff_check(env: Environment, t: float, lam, h: float):
 
 
 def mean_of_transition(env: Environment, r: float, t: float, x, lam) -> float:
-    """Mean of <lam, X_t> started from state x at time r."""
-    x1, x2 = float(x[0]), float(x[1])
-    if x1 < 0.0 or x2 < 0.0:
-        raise ValueError("state must be componentwise nonnegative")
+    """Mean of <lam, X_t> started from state x at time r.  ``x`` must be finite
+    and nonnegative, ``lam`` finite (it may be signed), else ``ValueError``."""
+    x1, x2 = _pair(x, "state")
     ir = env.grid.index_of(r)
     if ir > env.grid.index_of(t):
         raise ValueError("need r <= t")

@@ -46,6 +46,7 @@ therefore determines the path set, independent of how paths are blocked.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -55,7 +56,7 @@ from .compiled import _expm2
 from .environment import SpecialForm
 from .errors import NumericalError
 from .moments import solve_moment
-from .solver import solve_special_picard
+from .solver import _pair, solve_special_picard
 from .streams import WIDTH, PCGStreams
 
 __all__ = ["SeedSpec", "PathEvent", "MCEstimate", "simulate_path", "mc_laplace", "mc_mean"]
@@ -358,19 +359,15 @@ def _run(tab, M: int, x1, x2, uniforms, events=None):
     return x1, x2
 
 
-def _initial_state(x0):
-    x1, x2 = float(x0[0]), float(x0[1])
-    if not (0.0 <= x1 < math.inf and 0.0 <= x2 < math.inf):
-        raise ValueError("initial state must be finite and componentwise nonnegative")
-    return x1, x2
-
-
-def _resolve_rng(seed):
-    if isinstance(seed, np.random.Generator):
-        return seed
-    if isinstance(seed, SeedSpec):
-        return seed.generator(0)
-    return SeedSpec(int(seed)).generator(0)
+def _master_seed(seed) -> int:
+    """The master seed of an int or a :class:`SeedSpec`, or ``ValueError``."""
+    try:
+        master = operator.index(seed.master_seed if isinstance(seed, SeedSpec) else seed)
+    except TypeError:
+        master = -1
+    if master < 0:
+        raise ValueError("seed must be a nonnegative integer")
+    return master
 
 
 def simulate_path(sf: SpecialForm, x0, t: float, seed):
@@ -379,12 +376,13 @@ def simulate_path(sf: SpecialForm, x0, t: float, seed):
     ``seed`` is an int or a :class:`SeedSpec` (path 0 of that master seed)
     or a ``numpy.random.Generator``, read through ``random`` in blocks of
     ``cbve.streams.WIDTH`` uniforms, so the generator may advance past the
-    draws the path used.
+    draws the path used.  A bad ``x0`` or ``seed`` raises ``ValueError``.
     """
-    x1, x2 = _initial_state(x0)
+    x1, x2 = _pair(x0, "initial state")
     M = sf.grid.index_of(t)
-    rng = _resolve_rng(seed)
-    uniforms = _Uniforms(1, lambda rows: rng.random((rows.size, WIDTH)))
+    if not isinstance(seed, np.random.Generator):
+        seed = SeedSpec(_master_seed(seed)).generator(0)
+    uniforms = _Uniforms(1, lambda rows: seed.random((rows.size, WIDTH)))
     events = [[]]
     fx1, fx2 = _run(sf._sim_table, M, np.array([x1]), np.array([x2]), uniforms, events)
     return (float(fx1[0]), float(fx2[0])), events[0]
@@ -393,9 +391,9 @@ def simulate_path(sf: SpecialForm, x0, t: float, seed):
 def _blocks(sf, x0, t, seed, n_paths, events=None):
     """Paths 0..n_paths-1 of ``seed`` in lock-step blocks: yields each
     block's ``start, stop`` and final states ``(x1, x2)``."""
-    x1, x2 = _initial_state(x0)
+    x1, x2 = _pair(x0, "initial state")
     M = sf.grid.index_of(t)
-    master = seed.master_seed if isinstance(seed, SeedSpec) else int(seed)
+    master = _master_seed(seed)
     for start in range(0, n_paths, _BLOCK):
         stop = min(start + _BLOCK, n_paths)
         n = stop - start
@@ -448,9 +446,10 @@ def mc_laplace(sf: SpecialForm, x0, t: float, lam, n_paths: int, seed) -> MCEsti
 
     The estimate is the sample mean of exp(-<lam, X_t>); the target is
     exp(-<x0, v_{0,t}(lam)>) with v solved by Picard on a 32-times finer
-    copy of the coefficient grid, built once per form.
+    copy of the coefficient grid, built once per form.  A bad ``lam``, ``x0``
+    or ``seed`` raises ``ValueError`` before any path is simulated.
     """
-    lam1, lam2 = float(lam[0]), float(lam[1])
+    lam1, lam2 = _pair(lam)
     estimate, se = _mc_run(
         sf, x0, t, n_paths, seed,
         lambda fx1, fx2: np.exp(-(lam1 * fx1 + lam2 * fx2)),
@@ -465,9 +464,10 @@ def mc_mean(sf: SpecialForm, x0, t: float, lam, n_paths: int, seed) -> MCEstimat
 
     The estimate is the sample mean of <lam, X_t>; the target is
     <x0, pi_{0,t}(lam)> from the moment solver on the general form of the
-    same refined copy as :func:`mc_laplace`'s, built once per form.
+    same refined copy as :func:`mc_laplace`'s, built once per form.  Inputs
+    are checked as there, except that ``lam`` may be signed.
     """
-    lam1, lam2 = float(lam[0]), float(lam[1])
+    lam1, lam2 = _pair(lam, signed=True)
     estimate, se = _mc_run(
         sf, x0, t, n_paths, seed,
         lambda fx1, fx2: lam1 * fx1 + lam2 * fx2,

@@ -102,11 +102,14 @@ class CumulantSolution:
         return self.v.shape[0] - 1
 
 
-def _check_lambda(lam):
-    lam1, lam2 = float(lam[0]), float(lam[1])
-    if lam1 < 0.0 or lam2 < 0.0 or not (math.isfinite(lam1) and math.isfinite(lam2)):
-        raise ValueError("lambda must be finite and componentwise nonnegative")
-    return lam1, lam2
+def _pair(value, what: str = "lambda", signed: bool = False):
+    """``value`` as two floats; ``ValueError`` unless both are finite and,
+    unless ``signed`` (the mean system's lambda), nonnegative."""
+    a, b = float(value[0]), float(value[1])
+    if not (math.isfinite(a) and math.isfinite(b) and (signed or min(a, b) >= 0.0)):
+        raise ValueError(f"{what} must be finite"
+                         + ("" if signed else " and componentwise nonnegative"))
+    return a, b
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +204,7 @@ def solve_general(env: Environment, t: float, lam) -> CumulantSolution:
     raise a :class:`DiscretizationError`; smaller ones are clamped to zero.
     """
     env.require_valid()
-    lam = _check_lambda(lam)
+    lam = _pair(lam)
     M = env.grid.index_of(t)
     v, clamp_events, worst_deficit = _sweep(env._table[:M], lam)
     return CumulantSolution(
@@ -248,7 +251,7 @@ def solve_special_picard(sf: SpecialForm, t: float, lam) -> CumulantSolution:
     of scale whose exponentials overflow before t, or an iterate that stops
     being finite, raises :class:`NumericalError`.
     """
-    lam1, lam2 = _check_lambda(lam)
+    lam1, lam2 = _pair(lam)
     M = sf.grid.index_of(t)
     tab = sf._picard_table
     if not np.all(np.abs(tab.Z[:, : M + 1]) <= _LOG_MAX):
@@ -389,7 +392,7 @@ def h_transform_solution(solution: CumulantSolution, zeta1: StieltjesMeasure,
     (e^{-zeta_1(t)} lam_1, e^{-zeta_2(t)} lam_2); anything else is a
     contract violation and raises.
     """
-    lam1, lam2 = _check_lambda(lam)
+    lam1, lam2 = _pair(lam)
     grid = solution.grid
     if not (zeta1.grid.same_as(grid) and zeta2.grid.same_as(grid)):
         raise ValueError("zeta must live on the solution grid")
@@ -517,7 +520,7 @@ def cumulant_upper_bound(env: Environment, i: int, r: float, t: float, lam) -> f
     exponential of the Gronwall double integral bound.
     """
     del r
-    lam1, lam2 = _check_lambda(lam)
+    lam1, lam2 = _pair(lam)
     j = _other(i)
     norm = math.hypot(lam1, lam2)
     bb12 = effective_cross_drift(env, 1, 2).cumulative(t)
@@ -579,7 +582,7 @@ def _flow_residual(env: Environment, r: float, s: float, t: float, lam,
     n = base * f
     widths = grid.refine(f).widths[isx * n : it * n].tolist()
     env.require_valid()
-    lam = _check_lambda(lam)
+    lam = _pair(lam)
     rows = env._table[ir:it]
     top = _sweep(_split_rows(rows[isx - ir :], widths, n), lam)[0][0]
     if base > 1:

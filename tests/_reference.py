@@ -91,7 +91,7 @@ from cbve.mechanism import as_vector_function
 from cbve.moments import MomentSolution
 from cbve.solver import (
     CumulantSolution,
-    _check_lambda,
+    _pair,
     apriori_growth_exponent,
     solve_general,
 )
@@ -186,7 +186,7 @@ def solve_special_picard(sf, t: float, lam) -> CumulantSolution:
     and maxima of the iterate values are recorded on the solution, together
     with the a-priori bound ``2 |lam| exp(rho(t))``.
     """
-    lam1, lam2 = _check_lambda(lam)
+    lam1, lam2 = _pair(lam)
     M = sf.grid.index_of(t)
     cells, atoms, Z1, Z2, F1full, F2full = picard_table(sf)
     # the diagonal-free system is solved for the inflated terminal argument

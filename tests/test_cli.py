@@ -205,13 +205,42 @@ class TestCommands:
         assert err.startswith(f"config error: {flags[0].split('=')[0]} must be")
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("flags", [["--paths", "500"], ["--x0", "1,1"]])
+    @pytest.mark.parametrize("flags", [["--paths", "500"], ["--x0", "1,1"], ["--seed", "5"]])
     def test_monte_carlo_flags_need_a_special_form(self, capsys, flags):
         # an environment has no simulator, so verify cannot honour these
         assert main(["verify", "--config", _cfg_path("bottleneck.json"), *flags]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {flags[0]} ")
         assert "special_form" in err
+
+    @pytest.mark.parametrize("flags", [["--x0", "nan,1"], ["--x0", "1,1"], ["--seed", "5"]])
+    def test_monte_carlo_flags_need_paths(self, capsys, flags):
+        # without --paths no Monte-Carlo check runs, so these did nothing
+        assert main(["verify", "--config", _cfg_path("jump_special.json"), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {flags[0]} ") and "--paths" in err
+
+    @pytest.mark.parametrize("command, flag", [
+        *((command, flag) for command in ("validate", "emit")
+          for flag in ("--t", "--lambda", "--x0", "--paths", "--seed")),
+        *((command, flag) for command in ("solve", "moments", "approx")
+          for flag in ("--x0", "--paths", "--seed")),
+        ("simulate", "--lambda"),
+    ])
+    def test_undeclared_flag_is_refused(self, capsys, command, flag):
+        value = {"--t": "1", "--paths": "100", "--seed": "3"}.get(flag, "1,1")
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", _cfg_path("jump_special.json"), flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+    def test_unwritable_out_is_a_config_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.txt"
+        assert main(["validate", "--config", _cfg_path("bottleneck.json"),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot write --out: ")
+        assert "Traceback" not in err
 
     def test_verify_runs_the_monte_carlo_checks_from_100_paths(self, capsys):
         assert main(["verify", "--config", _cfg_path("jump_special.json"),

@@ -207,3 +207,10 @@ class TestMeanOfTransition:
         env = make_env(uniform_grid(cells=10))
         with pytest.raises(ValueError, match=r"need r <= t"):
             mean_of_transition(env, 0.8, 0.5, (1.0, 1.0), (1.0, 1.0))
+
+    @pytest.mark.parametrize("x", [(np.nan, 0.0), (np.inf, 0.0), (0.0, -np.inf), (-1.0, 1.0)])
+    def test_bad_state_is_rejected(self, x):
+        # a NaN or infinite state used to give a NaN or infinite mean
+        env = make_env(uniform_grid(cells=10))
+        with pytest.raises(ValueError, match="state must be finite and componentwise"):
+            mean_of_transition(env, 0.0, 1.0, x, (1.0, 1.0))

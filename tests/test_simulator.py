@@ -163,6 +163,37 @@ class TestStateGuard:
         with pytest.raises(ValueError, match="initial state"):
             mc_laplace(sf, x0, 1.0, (1.0, 1.0), 100, 0)
 
+    @staticmethod
+    def _no_paths(monkeypatch, name="_blocks"):
+        def fail(*args, **kwargs):
+            raise AssertionError("a path was simulated")
+        monkeypatch.setattr(simulator, name, fail)
+
+    @pytest.mark.parametrize("lam", [(-1.0, 1.0), (math.nan, 1.0), (1.0, math.inf)])
+    def test_bad_lambda_is_refused_before_any_path(self, monkeypatch, lam):
+        sf = _jump_sf()
+        self._no_paths(monkeypatch)
+        with pytest.raises(ValueError, match="lambda must be finite and componentwise"):
+            mc_laplace(sf, (1.0, 1.0), 1.0, lam, 20_000, 0)
+
+    @pytest.mark.parametrize("lam", [(math.inf, 0.0), (math.nan, -1.0)])
+    def test_mc_mean_refuses_a_non_finite_lambda_first(self, monkeypatch, lam):
+        # inf * 0 in the path values used to warn before anything raised
+        sf = _jump_sf()
+        self._no_paths(monkeypatch)
+        with pytest.raises(ValueError, match="lambda must be finite$"):
+            mc_mean(sf, (1.0, 1.0), 1.0, lam, 20_000, 0)
+
+    @pytest.mark.parametrize("seed", [1.5, -1, "3", None, SeedSpec(2.0), SeedSpec(-4)])
+    def test_bad_seed_is_refused_before_any_path(self, monkeypatch, seed):
+        # int(seed) used to run seed 1's paths for seed 1.5
+        sf = _jump_sf()
+        self._no_paths(monkeypatch, "_run")
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+            simulate_path(sf, (1.0, 1.0), 1.0, seed)
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+            mc_laplace(sf, (1.0, 1.0), 1.0, (1.0, 1.0), 100, seed)
+
 
 class TestStiffThinning:
     # a 4-cell form whose drift makes exp(800 * cell width) about e^200: a
