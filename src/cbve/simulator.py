@@ -416,8 +416,12 @@ def _simulate_paths(sf: SpecialForm, x0, t: float, seed, n_paths: int):
 
 
 def _mc_run(sf, x0, t, n_paths, seed, functional):
+    try:
+        n_paths = operator.index(n_paths)
+    except TypeError:
+        n_paths = -1
     if n_paths < 100:
-        raise ValueError("need at least 100 paths")
+        raise ValueError("n_paths must be an integer of at least 100")
     vals = np.empty(n_paths)
     for start, stop, (fx1, fx2) in _blocks(sf, x0, t, seed, n_paths):
         vals[start:stop] = functional(fx1, fx2)
@@ -446,8 +450,9 @@ def mc_laplace(sf: SpecialForm, x0, t: float, lam, n_paths: int, seed) -> MCEsti
 
     The estimate is the sample mean of exp(-<lam, X_t>); the target is
     exp(-<x0, v_{0,t}(lam)>) with v solved by Picard on a 32-times finer
-    copy of the coefficient grid, built once per form.  A bad ``lam``, ``x0``
-    or ``seed`` raises ``ValueError`` before any path is simulated.
+    copy of the coefficient grid, built once per form.  A bad ``lam``,
+    ``n_paths``, ``x0`` or ``seed`` raises ``ValueError`` before any path is
+    simulated.
     """
     lam1, lam2 = _pair(lam)
     estimate, se = _mc_run(

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 import sys
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,22 +126,23 @@ def _sweep(rows, lam):
     deficit.
     """
     expm1 = math.expm1
+    inf = math.inf
     n = len(rows)
-    v = np.empty((n + 1, 2))
     v1, v2 = lam
-    v[n, 0], v[n, 1] = v1, v2
+    # node k's pair sits at buf[2k], buf[2k + 1]; every node starts at lam
+    buf = array("d", (v1, v2)) * (n + 1)
+    k = 2 * n
     clamp_events = 0
     worst_deficit = 0.0
 
     def clamp(x: float) -> float:
+        # only called off the fast path, where ``not x >= 0.0``
         nonlocal clamp_events, worst_deficit
-        if x >= 0.0:
-            return x
         if x < -_NEGATIVITY_TOL:
             raise DiscretizationError(
                 f"negative component {x:.3e} beyond tolerance; refine the grid"
             )
-        if x != x:  # NaN fails both tests above, but is no small deficit
+        if x != x:  # NaN fails both tests, but is no small deficit
             raise NumericalError("backward sweep produced non-finite values")
         clamp_events += 1
         worst_deficit = max(worst_deficit, -x)
@@ -149,8 +151,7 @@ def _sweep(rows, lam):
     # a predictor far below zero overflows expm1 in the corrector: the
     # grid is too coarse for this lam, like a deficit beyond tolerance
     try:
-        for k in range(n - 1, -1, -1):
-            a, h, b11d, b22d, bb12d, bb21d, c1d, c2d, pts1, pts2 = rows[k]
+        for a, h, b11d, b22d, bb12d, bb21d, c1d, c2d, pts1, pts2 in reversed(rows):
             if a is not None:
                 a11, a22, ab12, ab21, _, _, ap1, ap2 = a
                 p1 = a11 * v1 - ab12 * v2
@@ -163,8 +164,12 @@ def _sweep(rows, lam):
                 for z1, z2, w in ap2:
                     x = v1 * z1 + v2 * z2
                     p2 += (expm1(-x) + x) * w
-                v1 = clamp(v1 - p1)
-                v2 = clamp(v2 - p2)
+                v1 -= p1
+                v2 -= p2
+                if not v1 >= 0.0:
+                    v1 = clamp(v1)
+                if not v2 >= 0.0:
+                    v2 = clamp(v2)
             d1 = v1 * b11d - v2 * bb12d + v1 * v1 * c1d
             for z1, z2, w in pts1:
                 x = v1 * z1 + v2 * z2
@@ -184,15 +189,22 @@ def _sweep(rows, lam):
             for z1, z2, w in pts2:
                 x = c1x * z1 + c2x * z2
                 e2 += (expm1(-x) + x) * w
-            v1 = clamp(v1 - 0.5 * h * (d1 + e1))
-            v2 = clamp(v2 - 0.5 * h * (d2 + e2))
-            if not (math.isfinite(v1) and math.isfinite(v2)):
+            v1 -= 0.5 * h * (d1 + e1)
+            v2 -= 0.5 * h * (d2 + e2)
+            if not v1 >= 0.0:
+                v1 = clamp(v1)
+            if not v2 >= 0.0:
+                v2 = clamp(v2)
+            # clamp refused NaN and -inf, so +inf is the one non-finite left
+            if v1 == inf or v2 == inf:
                 raise NumericalError("backward sweep produced non-finite values")
-            v[k, 0], v[k, 1] = v1, v2
+            k -= 2
+            buf[k] = v1
+            buf[k + 1] = v2
     except OverflowError:
         raise DiscretizationError(
             "backward sweep overflowed; refine the grid") from None
-    return v, clamp_events, worst_deficit
+    return np.frombuffer(buf).reshape(n + 1, 2), clamp_events, worst_deficit
 
 
 def solve_general(env: Environment, t: float, lam) -> CumulantSolution:
@@ -553,8 +565,9 @@ def check_flow(env: Environment, r: float, s: float, t: float, lam,
     the rows the refined model ``env.refined(terminal_refine)`` would
     compile on that window, and refinement keeps every atom and its mass,
     so it is admissible exactly when ``env`` is; the residual equals the
-    one from solving that model, without building it.  A sweep failure on nodes the residual does not
-    read (below r, or below s on the fine leg) therefore raises nothing.
+    one from solving that model, without building it.  A sweep failure on
+    nodes the residual does not read (below r, or below s on the fine leg)
+    therefore raises nothing.
     """
     return _flow_residual(env, r, s, t, lam, terminal_refine)
 
@@ -562,9 +575,13 @@ def check_flow(env: Environment, r: float, s: float, t: float, lam,
 def _split_rows(rows, widths, f: int):
     """``rows`` of a compiled table, each split into ``f`` rows of the given
     widths, its atom on the last: what an ``f``-times refined model compiles
-    on that stretch."""
-    return [(rows[j // f][0] if j % f == f - 1 else None, w, *rows[j // f][2:])
-            for j, w in enumerate(widths)]
+    on that stretch.  The split rows of one parent share its tail."""
+    split = []
+    for row, j in zip(rows, range(0, len(widths), f)):
+        tail = row[2:]
+        split += [(None, w) + tail for w in widths[j : j + f - 1]]
+        split.append((row[0], widths[j + f - 1]) + tail)
+    return split
 
 
 def _flow_residual(env: Environment, r: float, s: float, t: float, lam,

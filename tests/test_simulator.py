@@ -24,7 +24,7 @@ from cbve.compiled import _expm2
 from cbve.simulator import _simulate_paths
 from cbve.errors import NumericalError
 
-from _instances import make_env, make_sf, uniform_grid
+from _instances import make_env, make_sf, mc_cases, uniform_grid
 
 
 def _jump_sf(cells=8, rate=1.0, point=(0.0, 1.0)):
@@ -193,6 +193,15 @@ class TestStateGuard:
             simulate_path(sf, (1.0, 1.0), 1.0, seed)
         with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
             mc_laplace(sf, (1.0, 1.0), 1.0, (1.0, 1.0), 100, seed)
+
+    @pytest.mark.parametrize("n_paths", [150.5, "200", None])
+    def test_bad_path_count_is_refused_before_any_path(self, monkeypatch, n_paths):
+        # numpy's np.empty and the comparison with 100 used to raise TypeError
+        sf, x0, lam = mc_cases()[0]
+        self._no_paths(monkeypatch)
+        for mc in (mc_laplace, mc_mean):
+            with pytest.raises(ValueError, match="n_paths must be an integer of at least 100"):
+                mc(sf, x0, 1.0, lam, n_paths, 0)
 
 
 class TestStiffThinning:

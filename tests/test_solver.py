@@ -126,6 +126,25 @@ class TestSolveGeneral:
         with pytest.raises(NumericalError, match="non-finite"):
             check_flow(env, 0.0, 0.5, 1.0, (1e300, 1.0))
 
+    @pytest.mark.parametrize("cells, density, lam_i", [(4, -1e300, 1.0),
+                                                        (1, -1e200, 1e-50)])
+    @pytest.mark.parametrize("i", [1, 2])
+    def test_overflow_to_inf_is_refused(self, i, cells, density, lam_i):
+        # the corrector's b_ii term overflows to -inf and sends v_i to +inf.
+        # At -1e300 the predictor's square overflows too, and inf * 0 is a
+        # NaN that the clamp refuses; from lam_i = 1e-50 at -1e200 on one
+        # cell the square stays finite, so v_i is +inf with no NaN on the
+        # way, and only the sweep's test for +inf refuses it
+        grid = uniform_grid(cells=cells)
+        diag = StieltjesMeasure(grid, np.full(cells, density))
+        env = make_env(grid, **{f"b{i}{i}": diag})
+        lam = (lam_i, 0.0) if i == 1 else (0.0, lam_i)
+        assert env.validation.ok
+        with pytest.raises(NumericalError, match="non-finite"):
+            solve_general(env, 1.0, lam)
+        with pytest.raises(NumericalError, match="non-finite"):
+            check_flow(env, 0.0, 1.0, 1.0, lam)
+
     def test_rejects_negative_lambda(self):
         env = make_env(uniform_grid(cells=10))
         with pytest.raises(ValueError):
