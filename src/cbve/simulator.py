@@ -56,7 +56,7 @@ from .compiled import _expm2
 from .environment import SpecialForm
 from .errors import NumericalError
 from .moments import solve_moment
-from .solver import _pair, solve_special_picard
+from .solver import _LOG_MAX, _pair, solve_special_picard
 from .streams import WIDTH, PCGStreams
 
 __all__ = ["SeedSpec", "PathEvent", "MCEstimate", "simulate_path", "mc_laplace", "mc_mean"]
@@ -194,6 +194,14 @@ def _stretch(tab, k: int, b: int, x1, x2, uniforms, cand, spent: int, events) ->
         _check_state((e11 + e21) * ax1 + (e12 + e22) * ax2)
     flows = tab.drift[k]
     s = ax1 + ax2
+    # between jumps x1 + x2 grows at least at the smaller column sum c of the
+    # drift matrix, and jumps only add, so candidates arrive at least at rate
+    # s0 e^{c tau} totw; a path whose mean over the stretch exceeds twice the
+    # budget stays within it with probability below e^-2.5e6: refuse it now
+    c = min(m11 + m21, m12 + m22)
+    span = math.expm1(min(c * width, _LOG_MAX)) / c if c else width
+    if s.max() * totw * span > 2 * _MAX_CANDIDATES:
+        raise NumericalError("thinning candidate budget exhausted")
     # time left on the stretch, a float or one entry per path
     rem = width
     # every path active in a round draws one candidate, and a path that

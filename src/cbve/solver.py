@@ -17,7 +17,8 @@ Two routes produce the same discrete solution:
   whenever the coefficients correspond.  Each sweep reads only
   the previous iterate, so one iteration is a fixed set of whole-array
   steps over all cells (atom increments, both cell edges, then a reverse
-  cumulative sum), in the per-term order of the cell-by-cell loop.
+  cumulative sum), in the per-term order of the cell-by-cell loop, written
+  into buffers allocated once per solve.
 
 Both routes hold only their loops over the compiled tables of
 :mod:`cbve.compiled`, which each model builds once and caches: tuple rows
@@ -235,16 +236,21 @@ def solve_general(env: Environment, t: float, lam) -> CumulantSolution:
 # finite-activity Picard iteration
 # ---------------------------------------------------------------------------
 
-def _drift(out, a, p, x):
+def _drift(out, a, p, x, tmp):
     """Both rows of the diagonal-free drift at x, written to ``out``.
 
     Row i is ``a[i]`` times the other type's value minus the
     compensated-kernel terms of the type-i points ``p[i]`` (coordinates
     negated) at (x1, x2); the terms are subtracted one padded slot at a
-    time, in the order of the points, both types in each step.
+    time, in the order of the points, both types in each step.  The terms
+    are formed in the scratch buffer ``tmp``, shaped like ``p[:, 0]``.
     """
     np.multiply(a, x[::-1], out=out)
-    for term in (np.expm1(x[0] * p[:, 0] + x[1] * p[:, 1]) * p[:, 2]).swapaxes(0, 1):
+    np.multiply(x[0], p[:, 0], out=tmp)
+    tmp += x[1] * p[:, 1]
+    np.expm1(tmp, out=tmp)
+    tmp *= p[:, 2]
+    for term in tmp.swapaxes(0, 1):
         out -= term
     return out
 
@@ -282,10 +288,13 @@ def solve_special_picard(sf: SpecialForm, t: float, lam) -> CumulantSolution:
     lo, hi = np.searchsorted(tab.atom_nodes, (1, M + 1))
     an = tab.atom_nodes[lo:hi]
     ab, ap = tab.ab[:, lo:hi], tab.ap[..., lo:hi]
+    an1 = an - 1
     ainc = np.empty((2, an.size))
     ai = np.zeros((2, M))
-    dR = np.empty((2, M))
-    dL = np.empty((2, M))
+    # per-iteration arrays and the drift's scratch, allocated once
+    dR, dL, w, c = (np.empty((2, M)) for _ in range(4))
+    atmp = np.empty(ap.shape[:1] + ap.shape[2:])
+    ctmp = np.empty(pL.shape[:1] + pL.shape[2:])
     V = np.repeat(lamp[:, None], M + 1, axis=1)
     mapped = F * lamp[:, None]
     min_incs = []
@@ -294,21 +303,33 @@ def solve_special_picard(sf: SpecialForm, t: float, lam) -> CumulantSolution:
     iterations = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for iterations in range(1, _PICARD_MAX_ITER + 1):
-            ai[:, an - 1] = _drift(ainc, ab, ap, V[:, an])
-            w = V[:, 1:] + ai
-            _drift(dR, aR, pR, w)
-            _drift(dL, aL, pL, w + h * dR)
-            c = w + half_h * (dR + dL)
+            if an.size:
+                ai[:, an1] = _drift(ainc, ab, ap, V[:, an], atmp)
+            np.add(V[:, 1:], ai, out=w)
+            _drift(dR, aR, pR, w, ctmp)
+            # the left edge is read at w + h dR, formed in c
+            np.multiply(h, dR, out=c)
+            c += w
+            _drift(dL, aL, pL, c, ctmp)
+            # ai + ((w + half_h (dR + dL)) - w), one operation at a time
+            np.add(dR, dL, out=c)
+            c *= half_h
+            c += w
+            c -= w
+            c += ai
             # np.cumsum accumulates sequentially, from node M - 1 down to 0
-            acc = np.cumsum((ai + (c - w))[:, ::-1], axis=1)[:, ::-1]
+            acc = np.cumsum(c[:, ::-1], axis=1)[:, ::-1]
             new = np.empty((2, M + 1))
             new[:, M] = lamp
-            new[:, :M] = lamp[:, None] + acc
+            np.add(lamp[:, None], acc, out=new[:, :M])
             nm = F * new
             diff = nm - mapped
-            sup = float(np.max(np.abs(diff)))
-            min_incs.append(float(np.min(diff)))
-            max_vals.append(float(np.max(nm)))
+            # max |diff| from its two extremes: a NaN shows in both, and with
+            # hi first a change of +0.0 everywhere gives +0.0
+            lo_d, hi_d = float(diff.min()), float(diff.max())
+            sup = max(hi_d, -lo_d)
+            min_incs.append(lo_d)
+            max_vals.append(float(nm.max()))
             V = new
             mapped = nm
             if not math.isfinite(sup):
@@ -508,15 +529,15 @@ def apriori_growth_exponent(sf: SpecialForm, t: float) -> float:
     Sums the total variations of the combined diagonal measures (diagonal
     drift plus mean own-coordinate jump inflow, as one signed measure, so
     cancellations reduce the bound), the cross-drift masses and the mean
-    cross-coordinate jump inflows.
+    cross-coordinate jump inflows.  Each combined measure is the sum of the
+    two measures' density and node-mass arrays.
     """
     grid = sf.grid
     total = 0.0
     for i in (1, 2):
-        combined = StieltjesMeasure.linear_combination(
-            grid,
-            [(1.0, sf.gamma_diag(i)), (1.0, sf.mu_jump(i).coordinate_moment(i))],
-        )
+        g, m = sf.gamma_diag(i), sf.mu_jump(i).coordinate_moment(i)
+        combined = StieltjesMeasure._of(grid, g.density + m.density,
+                                        g.node_atom_masses + m.node_atom_masses)
         total += combined.total_variation(t)
     total += sf.gamma12.cumulative(t) + sf.gamma21.cumulative(t)
     total += sf.mu2.coordinate_moment(1).cumulative(t)

@@ -2,6 +2,7 @@
 import json
 import math
 import os
+import time
 
 import numpy as np
 import pytest
@@ -172,6 +173,15 @@ class TestCommands:
         assert len(rows) > 1
         kinds = {row.split(",")[2] for row in rows[1:]}
         assert kinds <= {"deterministic_atom", "branch_jump"}
+
+    def test_simulate_past_the_candidate_budget_fails_fast(self, capsys):
+        start = time.perf_counter()
+        assert main([
+            "simulate", "--config", _cfg_path("jump_special.json"),
+            "--paths", "3", "--x0", "1e11,1e11",
+        ]) == 4
+        assert time.perf_counter() - start < 1.0
+        assert "budget" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, flag", [
         ("simulate", "--paths"), ("simulate", "--seed"), ("verify", "--seed"),

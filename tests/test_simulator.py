@@ -1,5 +1,6 @@
 """Exact path simulation and Monte-Carlo consistency."""
 import math
+import os
 import time
 
 import numpy as np
@@ -13,6 +14,7 @@ from cbve import (
     SpecialForm,
     StieltjesMeasure,
     finite_activity_approximation,
+    load_config,
     mc_laplace,
     mc_mean,
     simulate_path,
@@ -282,6 +284,36 @@ class TestAtomBatch:
         with pytest.raises(NumericalError, match="budget"):
             simulate_path(sf, (1e8, 0.0), 1.0, 5)
         assert time.perf_counter() - start < 1.0
+
+
+class TestCandidateBudget:
+    # x1 + x2 = 2e11 on jump_special.json's first stretch (width 0.5, total
+    # kernel weight 1) means about 1e11 candidates against a budget of 1e7;
+    # the engine pays one round per candidate, so drawing them took minutes
+
+    @staticmethod
+    def _jump_special():
+        return load_config(os.path.join(os.path.dirname(__file__), os.pardir,
+                                        "configs", "jump_special.json")).special_form
+
+    @staticmethod
+    def _decaying():
+        # each type decays at rate 50, so x1 + x2 shrinks and the candidate
+        # mean on the unit stretch is about 1e11 / 50 = 2e9
+        grid = uniform_grid(cells=4)
+        decay = StieltjesMeasure.from_segments(grid, [(0.0, 1.0, -50.0)])
+        mu = JumpMeasure.from_segments(grid, [(0.0, 1.0, [(1.0, 0.0, 1.0)])])
+        return make_sf(grid, g11=decay, g22=decay, mu1=mu, mu2=mu)
+
+    @pytest.mark.parametrize("form", ["_jump_special", "_decaying"])
+    def test_path_past_the_budget_is_refused_before_drawing(self, form):
+        sf = getattr(self, form)()
+        for run in (lambda: simulate_path(sf, (1e11, 1e11), 1.0, 3),
+                    lambda: mc_laplace(sf, (1e11, 1e11), 1.0, (1.0, 1.0), 100, 3)):
+            start = time.perf_counter()
+            with pytest.raises(NumericalError, match="budget"):
+                run()
+            assert time.perf_counter() - start < 1.0
 
 
 class TestExpm2:
