@@ -27,10 +27,7 @@ import sys
 import numpy as np
 
 from .config import RunConfig, emit_config, load_config
-from .environment import (
-    finite_activity_approximation,
-    special_to_general,
-)
+from .environment import finite_activity_approximation
 from .errors import AdmissibilityError, CBVEError, ConfigError, NumericalError
 from .measures import StieltjesMeasure
 from .moments import finite_diff_check, solve_moment
@@ -94,7 +91,7 @@ def _load(args) -> RunConfig:
 def _as_environment(cfg: RunConfig):
     if cfg.kind == "environment":
         return cfg.environment
-    return special_to_general(cfg.special_form)
+    return cfg.special_form._general
 
 
 def _terminal(cfg: RunConfig, args) -> float:
@@ -286,7 +283,7 @@ def _verify_special(cfg: RunConfig, args, t: float, lam, battery: _Battery) -> N
         max_val <= sol.picard_bound + 1e-9,
         f"max iterate={max_val:.6g} vs bound {sol.picard_bound:.6g}",
     )
-    env = special_to_general(sf)
+    env = sf._general
     general = solve_general(env, t, lam)
     gap = float(np.max(np.abs(general.v - sol.v)))
     battery.check("special_general_agreement", gap <= 1e-6,

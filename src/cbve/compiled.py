@@ -156,39 +156,70 @@ def picard_table(sf):
 
 
 def _expm2(m11, m12, m21, m22, dt=1.0):
-    """Entries of exp(M dt) for a 2x2 matrix M given entrywise (closed form).
+    """Entries of exp(M dt) for a Metzler 2x2 matrix M (m12, m21 >= 0).
 
     The entries are floats and ``dt`` a float or an array, so the branch
     is decided once, in Python, and only that branch is evaluated over dt.
-    With tau the half trace and q^2 the discriminant of M, exp(M dt) =
-    e^(tau dt) (cosh(q dt) I + sinh(q dt)/q (M - tau I)).  For real
-    q > 1e-8 the products e^(tau dt) cosh(q dt) and e^(tau dt) sinh(q dt)/q
-    are formed from exp((tau + q) dt) and expm1(-2q dt), so a stiff matrix
-    whose cosh alone would overflow (q of 800 with tau of -800, say) still
-    gives its finite exponential.  Smaller q takes the series, which ends
-    after one term when q is 0, and imaginary q the trigonometric form.
-    Entries that truly overflow come out inf or NaN; the caller sets the
-    warning state.
+    With tau the half trace and q^2 >= 0 the discriminant of M, exp(M dt) =
+    e^(tau dt) (cosh(q dt) I + sinh(q dt)/q (M - tau I)).  For q > 1e-8 the
+    products e^(tau dt) cosh(q dt) and e^(tau dt) sinh(q dt)/q are formed
+    from exp((tau + q) dt) and expm1(-2q dt), so a stiff matrix whose cosh
+    alone would overflow (q of 800 with tau of -800, say) still gives its
+    finite exponential; smaller q takes the series.  Entries that truly
+    overflow come out inf or NaN; the caller sets the warning state.
     """
     tau = 0.5 * (m11 + m22)
     d = m11 - tau
     q2 = d * d + m12 * m21
-    q = math.sqrt(abs(q2))
-    if q > 1e-8 and q2 >= 0.0:
+    q = math.sqrt(q2)
+    if q > 1e-8:
         ep = np.exp((tau + q) * dt)
         half = 0.5 * ep * np.expm1(-2.0 * q * dt)
         ech = ep + half
         esh = half * (-1.0 / q)
-    elif q2 == 0.0:
-        ech = np.exp(tau * dt)
-        esh = ech * dt
     else:
         e = np.exp(tau * dt)
         qt2 = q2 * dt * dt
-        ech = e * (np.cos(q * dt) if q2 < 0.0 else 1.0 + 0.5 * qt2)
-        esh = e * (np.sin(q * dt) / q if q > 1e-8 else dt * (1.0 + qt2 / 6.0))
+        ech = e * (1.0 + 0.5 * qt2)
+        esh = e * (dt * (1.0 + qt2 / 6.0))
     esd = esh * d
     return ech + esd, esh * m12, esh * m21, ech - esd
+
+
+def _expm1_cells(hA) -> np.ndarray:
+    """``exp(hA) - I`` for a ``(2, 2, n)`` stack of Metzler matrices hA.
+
+    With tau, q as in :func:`_expm2`, that is ``(e^tau cosh(q) - 1) I +
+    e^tau sinh(q)/q (hA - tau I)``.  For q > 1e-8 the first coefficient is
+    the mean of expm1(tau + q) and expm1(tau - q), and the second
+    exp(tau + q) expm1(-2q) / -2q, so a stiff decaying cell gives its
+    finite step; smaller q takes the series.  Either way the step is accurate relative
+    to its largest entry, a near-identity one too.  Each branch runs on
+    its own cells only; steps that truly overflow come out inf or NaN.
+    """
+    (a, b), (c, d) = hA
+    tau = 0.5 * (a + d)
+    delta = a - tau
+    q2 = delta * delta + b * c
+    q = np.sqrt(q2)
+    cm1, sh = np.empty_like(q), np.empty_like(q)
+    big = q > 1e-8
+    for k, series in ((big, False), (~big, True)):
+        if not k.any():
+            continue
+        k = slice(None) if k.all() else k
+        t = tau[k]
+        if series:
+            e = np.exp(t)
+            cm1[k] = np.expm1(t) + e * (0.5 * q2[k])
+            sh[k] = e * (1.0 + q2[k] / 6.0)
+        else:
+            r = q[k]
+            tr = t + r
+            cm1[k] = 0.5 * (np.expm1(tr) + np.expm1(t - r))
+            sh[k] = np.exp(tr) * np.expm1(-2.0 * r) * (-0.5 / r)
+    sd = sh * delta
+    return np.array(((cm1 + sd, sh * b), (sh * c, cm1 - sd)))
 
 
 def _sampler(points):

@@ -227,12 +227,13 @@ class SpecialForm(_Model):
 
     @cached_property
     def _reference(self) -> SpecialForm:
-        """The form refined 32 times, solved for the Monte-Carlo targets."""
+        """The form refined 32 times, solved for the Laplace targets."""
         return self.refined(32)
 
     @cached_property
-    def _reference_general(self) -> Environment:
-        return special_to_general(self._reference)
+    def _general(self) -> Environment:
+        """The form's general form, validated once, solved for the means."""
+        return special_to_general(self)
 
 
 def atom_load(env: Environment, i: int, s: float) -> float:

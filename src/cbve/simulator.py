@@ -32,11 +32,11 @@ stream, in path order:
 
 The drift matrices, majorant rates, stretches and sampling tables come
 from :func:`cbve.compiled.sim_table`, built once per special form and
-cached on it.  So are the reference models of :func:`mc_laplace` and
-:func:`mc_mean`: the form refined 32 times (with its own cached Picard
-table) and, for the mean, its :func:`special_to_general` form.  They live
-as long as the form; every call solves its reference afresh, so a repeated
-check returns what it would on a fresh form.
+cached on it.  So are the models the targets are solved on: the form
+refined 32 times for :func:`mc_laplace` (with its own cached Picard table)
+and the form's own :func:`special_to_general` form for :func:`mc_mean`.
+They live as long as the form; every call solves its model afresh, so a
+repeated check returns what it would on a fresh form.
 
 Reproducibility: path k of a master seed reads the stream of
 ``SeedSpec(master).generator(k)``; :class:`cbve.streams.PCGStreams`
@@ -476,15 +476,15 @@ def mc_mean(sf: SpecialForm, x0, t: float, lam, n_paths: int, seed) -> MCEstimat
     """Monte-Carlo check of the mean identity at (x0, t, lam).
 
     The estimate is the sample mean of <lam, X_t>; the target is
-    <x0, pi_{0,t}(lam)> from the moment solver on the general form of the
-    same refined copy as :func:`mc_laplace`'s, built once per form.  Inputs
-    are checked as there, except that ``lam`` may be signed.
+    <x0, pi_{0,t}(lam)>, exact, from the moment solver on the form's own
+    general form, built once per form.  Inputs are checked as in
+    :func:`mc_laplace`, except that ``lam`` may be signed.
     """
     lam1, lam2 = _pair(lam, signed=True)
     estimate, se = _mc_run(
         sf, x0, t, n_paths, seed,
         lambda fx1, fx2: lam1 * fx1 + lam2 * fx2,
     )
-    sol = solve_moment(sf._reference_general, t, (lam1, lam2))
-    target = float(x0[0]) * sol.pi[0, 0] + float(x0[1]) * sol.pi[0, 1]
+    sol = solve_moment(sf._general, t, (lam1, lam2))
+    target = float(x0[0]) * sol.pi[0, 0].item() + float(x0[1]) * sol.pi[0, 1].item()
     return MCEstimate(n_paths, estimate, se, target, _z_score(estimate, target, se))

@@ -21,12 +21,19 @@ arrays: they read its atoms as (time, mass, node) entries and build
 measures from (time, mass) pairs.  The arrays add the same atoms in the
 same order, so the two agree bit for bit.
 
-:func:`solve_moment` is the scalar moment sweep that
-:func:`cbve.solve_moment` replaced with one product of 2x2 propagators:
-it runs once per axis, (|lam_1|, 0) and (0, |lam_2|), over the tuple
-table of the general sweep and puts the signs back afterwards.  The
-propagator multiplies the same steps in another order, so the two agree
-to rounding.
+:func:`solve_moment` is the scalar moment sweep with the general sweep's
+two-pass cell step (right-endpoint predictor, one trapezoid corrector)
+that :func:`cbve.solve_moment` replaced with one product of exact 2x2
+propagators: it runs once per axis, (|lam_1|, 0) and (0, |lam_2|), over
+the tuple table of the general sweep and puts the signs back afterwards.
+Its cell step is the exact one to second order, so on a grid fine enough
+for the two-pass step to be stable it converges to the exact mean at
+second order.
+
+:func:`expm2` is the closed-form 2x2 exponential of
+:mod:`cbve.compiled` as it was before it took Metzler matrices only: it
+kept a trigonometric branch for a negative discriminant and a separate
+branch for a zero one.  On Metzler input the two agree bit for bit.
 
 :func:`mechanism_increment`, :func:`special_mechanism_increment` and
 :func:`mechanism_atom_increment` hold the per-cell, per-point jump loops
@@ -60,7 +67,7 @@ of :mod:`cbve.simulator` replaced, with the engine's draw mapping: it
 reads the tuple rows of :func:`sim_table` (cumulative kernel weights per
 cell, as the old simulator table held them), joins consecutive cells with
 equal drift and kernels and no atom between them into one stretch, as the
-engine does, draws each uniform through
+engine does, flows by :func:`expm2`, draws each uniform through
 ``rng.random()`` and uses numpy's ufuncs on scalars, as the engine does on
 arrays.  Driven by ``SeedSpec(m).generator(k)``, it reproduces path k of
 the engine: the same events, and final states equal to rounding.
@@ -102,7 +109,7 @@ import math
 
 import numpy as np
 
-from cbve.compiled import _expm2, cell_table
+from cbve.compiled import cell_table
 from cbve.environment import SpecialForm, effective_cross_drift, _other
 from cbve.errors import ConvergenceError, DiscretizationError, NumericalError
 from cbve.simulator import _MAX_CANDIDATES, _MAX_STATE, _POISSON_PIECE, PathEvent
@@ -693,6 +700,42 @@ def h_transform_coefficients(sf, zeta1, zeta2):
                        jumps(1), jumps(2))
 
 
+def expm2(m11, m12, m21, m22, dt=1.0):
+    """Entries of exp(M dt) for a 2x2 matrix M given entrywise (closed form).
+
+    The entries are floats and ``dt`` a float or an array, so the branch
+    is decided once, in Python, and only that branch is evaluated over dt.
+    With tau the half trace and q^2 the discriminant of M, exp(M dt) =
+    e^(tau dt) (cosh(q dt) I + sinh(q dt)/q (M - tau I)).  For real
+    q > 1e-8 the products e^(tau dt) cosh(q dt) and e^(tau dt) sinh(q dt)/q
+    are formed from exp((tau + q) dt) and expm1(-2q dt), so a stiff matrix
+    whose cosh alone would overflow (q of 800 with tau of -800, say) still
+    gives its finite exponential.  Smaller q takes the series, which ends
+    after one term when q is 0, and imaginary q the trigonometric form.
+    Entries that truly overflow come out inf or NaN; the caller sets the
+    warning state.
+    """
+    tau = 0.5 * (m11 + m22)
+    d = m11 - tau
+    q2 = d * d + m12 * m21
+    q = math.sqrt(abs(q2))
+    if q > 1e-8 and q2 >= 0.0:
+        ep = np.exp((tau + q) * dt)
+        half = 0.5 * ep * np.expm1(-2.0 * q * dt)
+        ech = ep + half
+        esh = half * (-1.0 / q)
+    elif q2 == 0.0:
+        ech = np.exp(tau * dt)
+        esh = ech * dt
+    else:
+        e = np.exp(tau * dt)
+        qt2 = q2 * dt * dt
+        ech = e * (np.cos(q * dt) if q2 < 0.0 else 1.0 + 0.5 * qt2)
+        esh = e * (np.sin(q * dt) / q if q > 1e-8 else dt * (1.0 + qt2 / 6.0))
+    esd = esh * d
+    return ech + esd, esh * m12, esh * m21, ech - esd
+
+
 def _cumweights(points):
     acc = 0.0
     out = []
@@ -769,11 +812,11 @@ def simulate(sf, x0, t: float, rng):
         cell_end = float(nodes[b])
         h = cell_end - float(nodes[k])
         if growth > 0.0:
-            e11, e12, e21, e22 = _expm2(g11, g12, g21, g22, h)
+            e11, e12, e21, e22 = expm2(g11, g12, g21, g22, h)
             _check_state((e11 + e21) * x1, (e12 + e22) * x2)
         totw = w1 + w2
         if totw <= 0.0:
-            e11, e12, e21, e22 = _expm2(g11, g12, g21, g22, h)
+            e11, e12, e21, e22 = expm2(g11, g12, g21, g22, h)
             x1, x2 = e11 * x1 + e12 * x2, e21 * x1 + e22 * x2
         rem = h
         while totw > 0.0 and x1 + x2 > 0.0:
@@ -784,7 +827,7 @@ def simulate(sf, x0, t: float, rng):
             if candidates > _MAX_CANDIDATES:
                 raise NumericalError("thinning candidate budget exhausted")
             dt = min(gap, win)
-            e11, e12, e21, e22 = _expm2(g11, g12, g21, g22, dt)
+            e11, e12, e21, e22 = expm2(g11, g12, g21, g22, dt)
             x1, x2 = e11 * x1 + e12 * x2, e21 * x1 + e22 * x2
             rem = rem - dt
             if gap < win:

@@ -1,11 +1,14 @@
 """First-moment system: closed forms, linearity, flow, bounds, differencing."""
+import json
+import math
 import warnings
 
 import numpy as np
 import pytest
+from scipy import linalg
 
+import _reference
 from cbve import (
-    DiscretizationError,
     JumpMeasure,
     NumericalError,
     StieltjesMeasure,
@@ -16,6 +19,7 @@ from cbve import (
     solve_moment,
     special_to_general,
 )
+from cbve.cli import main
 from cbve.environment import effective_cross_drift
 
 from _instances import (
@@ -128,10 +132,12 @@ class TestOverflow:
 
 
 class TestStiffDecay:
-    # gamma11 density -800 is b11 = 800: a mode decaying at rate 800, whose
-    # explicit cell step on a 4-cell grid multiplies it by 1 + z + z^2 / 2
-    # with z = -200; pi_1(0) came out 1.5e17 where the exact value is about
-    # 1 / 800
+    # gamma11 density -800 is b11 = 800: a mode decaying at rate 800 on a
+    # 4-cell grid, where hA of each cell has the eigenvalue -200.  The exact
+    # cell step gives pi_1(0) = e^-800 + (1 - e^-800) / 800 on the form's own
+    # grid; the two-pass step 1 + z + z^2 / 2 made it 1.5e17.
+    PI1 = math.exp(-800.0) + -math.expm1(-800.0) / 800.0
+
     @staticmethod
     def _stiff_sf():
         grid = uniform_grid(cells=4)
@@ -141,22 +147,62 @@ class TestStiffDecay:
             mu1=JumpMeasure.from_segments(grid, [(0.0, 1.0, [(0.0, 1.0, 1.0)])]),
         )
 
-    def test_unstable_step_raises(self):
+    def test_coarse_grid_solves_exactly(self):
         env = special_to_general(self._stiff_sf())
-        with pytest.raises(DiscretizationError, match="refine the grid"):
-            solve_moment(env, 1.0, (1.0, 1.0))
+        pi = solve_moment(env, 1.0, (1.0, 1.0)).pi[0]
+        assert pi[0] == pytest.approx(self.PI1, rel=1e-12)
+        assert pi[1] == 1.0
 
-    def test_mc_mean_target_raises(self):
-        # the 32-times refined target gave 6.4e147 and z = -inf
-        with pytest.raises(DiscretizationError, match="refine the grid"):
-            mc_mean(self._stiff_sf(), (1.0, 1.0), 1.0, (1.0, 1.0), 100, 3)
+    def test_mc_mean_target_is_exact(self):
+        # the 32-times refined two-pass target raised; on 100 paths a jump
+        # (chance about 1/800 per path) seldom happens, so z is not read
+        est = mc_mean(self._stiff_sf(), (1.0, 1.0), 1.0, (1.0, 1.0), 100, 3)
+        assert est.target == pytest.approx(self.PI1 + 1.0, rel=1e-12)
 
     def test_fine_enough_grid_solves(self):
-        # z = -800 / 512 lies where the two-pass step contracts
+        # refining a piecewise-constant form leaves the exact mean alone
         env = special_to_general(self._stiff_sf().refined(128))
         pi = solve_moment(env, 1.0, (1.0, 1.0)).pi[0]
-        assert pi[0] == pytest.approx(1.0 / 800.0, rel=1e-6)
+        assert pi[0] == pytest.approx(self.PI1, rel=1e-12)
         assert pi[1] == 1.0
+
+
+class TestFalseMeanFailure:
+    # gamma11 density 8 and one mu1 point (0, 1, 0.01) on 4 cells: the mean
+    # grows like e^8, and the two-pass step on the 32-times refined copy
+    # gave a target of 2,970.885, which 2,000 paths at seed 3 (2,985.748,
+    # SE 0.043) put at z = +347.6
+    X0 = LAM = (1.0, 1.0)
+
+    @staticmethod
+    def _sf():
+        grid = uniform_grid(cells=4)
+        return make_sf(
+            grid,
+            g11=StieltjesMeasure.from_segments(grid, [(0.0, 1.0, 8.0)]),
+            mu1=JumpMeasure.from_segments(grid, [(0.0, 1.0, [(0.0, 1.0, 0.01)])]),
+        )
+
+    def test_mc_mean_target_is_the_exact_mean(self):
+        # x0 expm(A) lam with A the mean system's constant matrix: b11 = -8,
+        # and type 1 feeds type 2 at the kernel's mean z2 inflow, 0.01
+        want = np.array(self.X0) @ linalg.expm(np.array([[8.0, 0.01], [0.0, 0.0]])) @ self.LAM
+        assert want == pytest.approx(2985.683, abs=5e-4)
+        est = mc_mean(self._sf(), self.X0, 1.0, self.LAM, 100, 3)
+        assert est.target == pytest.approx(want, rel=1e-12)
+
+    def test_verify_passes_mc_mean(self, tmp_path, capsys):
+        # special_general_agreement FAILs here: the sweep's own error on 4
+        # coarse cells, which the Monte-Carlo target no longer shares
+        path = tmp_path / "stiff_growth.json"
+        path.write_text(json.dumps({
+            "kind": "special_form", "horizon": 1.0, "grid_cells": 4,
+            "gamma11": {"density": [[0.0, 1.0, 8.0]]},
+            "mu1": {"kernel": [[0.0, 1.0, [[0.0, 1.0, 0.01]]]]},
+        }))
+        assert main(["verify", "--config", str(path), "--paths", "2000", "--seed", "3"]) == 5
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines if "mc_mean" in line] == ["PASS mc_mean"]
 
 
 class TestFiniteDiff:
@@ -166,15 +212,24 @@ class TestFiniteDiff:
         assert max(res) == 0.0
 
     def test_linear_environment_exact(self):
+        # no diffusion and no jumps: the sweep is linear in lam, so v(h lam) / h
+        # is the two-pass mean of the sweep's steps for every h, and the
+        # residual is that mean's gap to the exact one, expm(T A) lam
         grid = uniform_grid(cells=100)
         env = make_env(
             grid,
             b11=StieltjesMeasure.from_segments(grid, [(0.0, 1.0, 0.5)]),
             b12=StieltjesMeasure.from_segments(grid, [(0.0, 1.0, 0.3)], (), True),
         )
+        lam = (1.0, 1.0)
+        pi = solve_moment(env, 1.0, lam).pi
+        want = linalg.expm(np.array([[-0.5, 0.3], [0.0, 0.0]])) @ lam
+        assert np.max(np.abs(pi[0] - want)) <= 1e-12 * np.max(np.abs(want))
+        gap = np.max(np.abs(_reference.solve_moment(env, 1.0, lam).pi - pi), axis=0)
+        assert 1e-8 < max(gap)
         for h in (1e-2, 1e-3):
-            res = finite_diff_check(env, 1.0, (1.0, 1.0), h)
-            assert max(res) <= 1e-10
+            res = finite_diff_check(env, 1.0, lam, h)
+            assert np.max(np.abs(np.array(res) - gap)) <= 1e-10
 
     def test_first_order_in_h(self):
         env = feller_environment(cells=2000)

@@ -5,6 +5,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import linalg, stats
 
 from cbve import (
@@ -26,6 +27,7 @@ from cbve.compiled import _expm2
 from cbve.simulator import _simulate_paths
 from cbve.errors import NumericalError
 
+import _reference
 from _instances import make_env, make_sf, mc_cases, uniform_grid
 
 
@@ -324,15 +326,46 @@ class TestExpm2:
         assert np.allclose(got, linalg.expm(m), rtol=1e-13, atol=0.0)
 
     def test_matches_scipy(self):
-        # entries up to magnitude 1, where scipy's expm is itself accurate to
-        # a few ulps, compared relative to the largest entry; signed m12 * m21
-        # reaches the real and the oscillating branch, tiny scales the series
+        # Metzler matrices (nonnegative off-diagonals, the only ones the
+        # callers pass) with entries up to magnitude 1, where scipy's expm is
+        # itself accurate to a few ulps, compared relative to the largest
+        # entry; tiny scales reach the series
         rng = np.random.default_rng(2024)
         for _ in range(500):
             m = rng.uniform(-1.0, 1.0, (2, 2)) * 10.0 ** rng.uniform(-9.0, 0.0)
+            m[0, 1], m[1, 0] = abs(m[0, 1]), abs(m[1, 0])
             ref = linalg.expm(m)
             got = np.array(_expm2(m[0, 0], m[0, 1], m[1, 0], m[1, 1])).reshape(2, 2)
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+_ENTRY = st.one_of(
+    st.floats(-1e3, 1e3), st.floats(-1e-6, 1e-6), st.sampled_from([0.0, -800.0, 800.0]))
+_CROSS = st.one_of(
+    st.floats(0.0, 1e3), st.floats(0.0, 1e-6), st.sampled_from([0.0, -0.0, 800.0]))
+_DT = st.one_of(
+    st.floats(0.0, 2.0),
+    st.lists(st.floats(0.0, 2.0), min_size=1, max_size=4).map(np.array))
+
+
+@settings(max_examples=300, derandomize=True)
+@given(_ENTRY, _CROSS, _CROSS, _ENTRY, _DT, st.booleans())
+@example(-800.0, 800.0, 800.0, -800.0, 1.0, False)
+@example(-800.0, 800.0, 800.0, -800.0, np.array([0.0, 0.5, 1.0]), False)
+@example(0.3, 0.0, 2.0, 0.3, 1.0, False)
+@example(0.3, 1e-17, 1e-17, 0.3, np.array([0.25, 2.0]), False)
+def test_expm2_matches_its_reference_bits(m11, m12, m21, m22, dt, equal_diagonal):
+    # the reference keeps the trigonometric and the q == 0 branches; on
+    # Metzler input they are dead or give the same bits as the series, so
+    # the two agree bit for bit: q = 0 (equal diagonals with a zero cross
+    # entry), tiny q, and the stiff (-800, 800) case included
+    if equal_diagonal:
+        m22 = m11
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _expm2(m11, m12, m21, m22, dt)
+        want = _reference.expm2(m11, m12, m21, m22, dt)
+    for g, w in zip(got, want):
+        assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
 
 
 class TestMonteCarlo:
@@ -359,6 +392,14 @@ class TestMonteCarlo:
         mean = mc_mean(sf, (1.0, 0.0), 1.0, (0.0, 1.0), 20000, 44)
         assert mean.target == pytest.approx(1.0, abs=1e-3)
         assert abs(mean.z_score) <= 4.0
+
+    def test_estimates_hold_plain_floats(self):
+        sf = _jump_sf(rate=1.5)
+        for check in (mc_laplace, mc_mean):
+            est = check(sf, (1.0, 0.5), 1.0, (1.0, 0.5), 200, 7)
+            assert type(est.n_paths) is int
+            for field in ("estimate", "std_error", "target", "z_score"):
+                assert type(getattr(est, field)) is float, (check.__name__, field)
 
     def test_needs_enough_paths(self):
         sf = make_sf(uniform_grid(cells=8))
@@ -409,8 +450,10 @@ class TestMonteCarlo:
 
 
 class TestReferenceModels:
-    """mc_laplace and mc_mean build their reference models once per form,
-    keep them on the form, and solve them on every call."""
+    """mc_laplace and mc_mean build the models their targets are solved on
+    once per form, keep them on the form, and solve them on every call:
+    the 32-times refined form for the Laplace target, and the form's own
+    general form for the mean, which is exact on the form's grid."""
 
     @staticmethod
     def _spy(monkeypatch):
@@ -443,6 +486,6 @@ class TestReferenceModels:
         ref, env, ref2, env2 = solved
         assert ref is ref2 and env is env2
         assert isinstance(ref, SpecialForm) and ref.grid.n_cells == 32 * sf.grid.n_cells
-        assert isinstance(env, Environment) and env.grid.same_as(ref.grid)
+        assert isinstance(env, Environment) and env.grid is sf.grid
         # the public refined() still returns a new model
         assert sf.refined(32) is not ref
