@@ -244,9 +244,6 @@ class SimTable(NamedTuple):
 
     nodes: np.ndarray
     G: np.ndarray
-    drift: np.ndarray
-    growth: np.ndarray
-    window: np.ndarray
     kernels: tuple
     ends: np.ndarray
     atom_slot: np.ndarray
@@ -258,12 +255,9 @@ def sim_table(sf):
     """Cells, stretches and atoms of the exact thinning simulator, as arrays.
 
     Per cell: the state flow matrix ``G`` (entries m11, m12, m21, m22 in
-    rows, type j feeding type i through the j -> i drift); ``drift``,
-    whether G is not zero (a zero G leaves the state where it is);
-    ``growth``, the larger column sum of G or 0, which bounds the growth
-    rate of x1 + x2 (G is Metzler, the cross drifts being nondecreasing, so
-    the state stays nonnegative); and the thinning ``window``,
-    ln 2 / growth (inf for no growth), over which x1 + x2 at most doubles.
+    rows, type j feeding type i through the j -> i drift; G is Metzler, the
+    cross drifts being nondecreasing, so its flow keeps the state
+    nonnegative), from which the simulator derives its thinning rates.
     ``kernels`` holds one :func:`_sampler` table per jump type.  A stretch
     is a run of cells with equal drift and kernels and no atom inside:
     ``ends`` holds the node at which each stretch ends, ascending, the last
@@ -273,10 +267,6 @@ def sim_table(sf):
     """
     g11, g22, g12, g21 = (g.density for g in (sf.gamma11, sf.gamma22, sf.gamma12, sf.gamma21))
     G = np.stack((g11, g21, g12, g22))
-    growth = np.maximum(np.maximum(G[0] + G[2], G[1] + G[3]), 0.0)
-    # no growth, or growth so slow that the window overflows: inf
-    with np.errstate(divide="ignore", over="ignore"):
-        window = math.log(2.0) / growth
     mu = (sf.mu1, sf.mu2)
     masses = [g.node_atom_masses for g in (sf.gamma11, sf.gamma22, sf.gamma12, sf.gamma21)]
     nodes = np.unique(np.concatenate(
@@ -291,7 +281,7 @@ def sim_table(sf):
     for k in mu:
         joins &= np.all(k.cell_points[:, :, 1:] == k.cell_points[:, :, :-1], axis=(0, 1))
     return _frozen(SimTable(
-        nodes=sf.grid.nodes, G=G, drift=G.any(axis=0), growth=growth, window=window,
+        nodes=sf.grid.nodes, G=G,
         kernels=tuple(_sampler(k.cell_points) for k in mu),
         ends=np.append(np.flatnonzero(~joins) + 1, G.shape[1]),
         atom_slot=atom_slot, A=np.stack((1.0 + a11, a21, a12, 1.0 + a22)),

@@ -261,7 +261,7 @@ def bottlenecks(env: Environment) -> list:
 
 def last_bottleneck(env: Environment, t: float):
     """Largest bottleneck time in (0, t], or None when there is none."""
-    if t < 0.0 or t > env.horizon:
+    if not 0.0 <= t <= env.horizon:
         raise ValueError("t outside [0, T]")
     times = [s for s, _ in bottlenecks(env) if s <= t]
     return max(times) if times else None

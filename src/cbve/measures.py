@@ -200,7 +200,7 @@ class StieltjesMeasure:
     def _last_node(self, t: float) -> int:
         """Index of the last node at or before ``t`` in [0, T]."""
         nodes = self.grid.nodes
-        if t < 0.0 or t > nodes[-1]:
+        if not 0.0 <= t <= nodes[-1]:
             raise ValueError(f"time {t!r} outside [0, {nodes[-1]}]")
         return int(np.searchsorted(nodes, t, side="right")) - 1
 

@@ -30,7 +30,14 @@ stream, in path order:
 - the size of an atom batch, by Poisson inversion from one uniform per
   piece of mean at most ``_POISSON_PIECE``, then one point per jump.
 
-The drift matrices, majorant rates, stretches and sampling tables come
+A path may draw at most ``_MAX_CANDIDATES`` candidates and atom-batch
+jumps; at each stretch start it is refused where a lower bound on the
+mean of what it has left to draw (:func:`_stretches`) passes the room
+left by 10 standard deviations, and past that a count of rounds stops
+it.  Flows, jumps and atom matrices are nonnegative (G is Metzler), so a
+negative state after a flow is rounding, and is clamped at 0.
+
+The drift matrices, stretches and sampling tables come
 from :func:`cbve.compiled.sim_table`, built once per special form and
 cached on it.  So are the models the targets are solved on: the form
 refined 32 times for :func:`mc_laplace` (with its own cached Picard table)
@@ -164,50 +171,55 @@ def _pick(kernel, k, v):
     return z1[k, i], z2[k, i]
 
 
-def _stretch(tab, k: int, b: int, x1, x2, uniforms, cand, spent: int, events) -> int:
+def _stretch(tab, k: int, b: int, ahead: float, x1, x2, uniforms, cand, events) -> None:
     """Advance every path across the stretch of cells k..b-1, whose
-    coefficients are those of cell k; x1, x2 are updated in place.
+    coefficients are those of cell k; x1, x2 and the per-path candidate
+    counts ``cand`` are updated in place.
 
-    ``spent`` bounds the candidates any path drew before; returns the most
-    candidates a path drew on the stretch."""
+    ``ahead`` bounds from below the expected candidates and atom-batch jumps
+    per unit of x1 + x2 from this stretch to the end of the run."""
     end = tab.nodes[b].item()
     width = end - tab.nodes[k].item()
     m11, m12, m21, m22 = tab.G[:, k].tolist()
+    # a zero G leaves the state where it is
+    flows = bool(m11 or m12 or m21 or m22)
     kern1, kern2 = tab.kernels
     w1, w2 = kern1[0][k].item(), kern2[0][k].item()
     totw = w1 + w2
     if totw <= 0.0:
-        if tab.drift[k]:
+        if flows:
             e11, e12, e21, e22 = _expm2(m11, m12, m21, m22, width)
             x1[:], x2[:] = e11 * x1 + e12 * x2, e21 * x1 + e22 * x2
             _check_state(x1 + x2)
-        return 0
+        return
     act = (x1 + x2 > 0.0).nonzero()[0]
     if not act.size:
-        return 0
+        return
     ax1, ax2 = x1[act], x2[act]
-    growth, window = tab.growth[k].item(), tab.window[k].item()
+    s = ax1 + ax2
+    # G is Metzler (the cross drifts are nondecreasing), so the larger column
+    # sum bounds the growth rate of x1 + x2, which at most doubles over a
+    # window of ln 2 / growth
+    growth = max(m11 + m21, m12 + m22, 0.0)
     if growth > 0.0:
+        window = math.log(2.0) / growth
         # jumps only add mass and the flow matrix is nonnegative, so the
         # flow alone to the stretch end bounds the state there from below
         e11, e12, e21, e22 = _expm2(m11, m12, m21, m22, width)
         _check_state((e11 + e21) * ax1 + (e12 + e22) * ax2)
-    flows = tab.drift[k]
-    s = ax1 + ax2
-    # between jumps x1 + x2 grows at least at the smaller column sum c of the
-    # drift matrix, and jumps only add, so candidates arrive at least at rate
-    # s0 e^{c tau} totw; a path whose mean over the stretch exceeds twice the
-    # budget stays within it with probability below e^-2.5e6: refuse it now
-    c = min(m11 + m21, m12 + m22)
-    span = math.expm1(min(c * width, _LOG_MAX)) / c if c else width
-    if s.max() * totw * span > 2 * _MAX_CANDIDATES:
-        raise NumericalError("thinning candidate budget exhausted")
-    # time left on the stretch, a float or one entry per path
-    rem = width
     # every path active in a round draws one candidate, and a path that
     # leaves the stretch does not come back, so a path's count is its count
     # at the start (cand, updated on leaving) plus the rounds it stayed
-    budget = _MAX_CANDIDATES - spent
+    budget = _MAX_CANDIDATES - cand[act].max().item()
+    # a path whose mean s * ahead passes its room r by 10 standard deviations
+    # (its root passes 5 + sqrt(25 + r)) fits with probability below e^-50:
+    # refuse it before it draws; the largest mean meets the smallest room first
+    if s.max() * ahead > (5.0 + math.sqrt(25.0 + budget)) ** 2:
+        room = _MAX_CANDIDATES - cand[act]
+        if np.count_nonzero(s * ahead > (5.0 + np.sqrt(25.0 + room)) ** 2):
+            raise NumericalError("thinning candidate budget exhausted")
+    # time left on the stretch, a float or one entry per path
+    rem = width
     rounds = 0
     while True:
         rounds += 1
@@ -267,7 +279,7 @@ def _stretch(tab, k: int, b: int, x1, x2, uniforms, cand, spent: int, events) ->
             x1[act], x2[act] = ax1, ax2
             if not keep.size:
                 cand[act] += rounds
-                return rounds
+                return
             cand[act[~stay]] += rounds
             act, ax1, ax2, s = (a[keep] for a in (act, ax1, ax2, s))
             if np.ndim(rem):
@@ -297,10 +309,8 @@ def _poisson(mean, rows, uniforms) -> np.ndarray:
     return count
 
 
-def _atom(tab, m: int, x1, x2, uniforms, cand, events) -> int:
-    """Apply the time atom at node m to every path, in place; returns a
-    bound on the jumps a path drew."""
-    most = 0
+def _atom(tab, m: int, x1, x2, uniforms, cand, events) -> None:
+    """Apply the time atom at node m to every path, in place."""
     slot = tab.atom_slot[m]
     a11, a12, a21, a22 = tab.A[:, slot].tolist()
     ox1, ox2 = x1.copy(), x2.copy()
@@ -324,9 +334,7 @@ def _atom(tab, m: int, x1, x2, uniforms, cand, events) -> int:
             raise NumericalError("atom jump batch exceeds the candidate budget")
         count = _poisson(mean, rows, uniforms)
         cand[rows] += count
-        top = int(count.max())
-        most += top
-        for j in range(top):
+        for j in range(int(count.max())):
             batch = rows[count > j]
             dz1, dz2 = _pick(kernel, slot, uniforms(batch) * w)
             x1[batch] += dz1
@@ -334,7 +342,46 @@ def _atom(tab, m: int, x1, x2, uniforms, cand, events) -> int:
             if events is not None:
                 _jump_events(events, batch, time, src, dz1, dz2, x1[batch], x2[batch])
     _check_state(x1 + x2)
-    return most
+
+
+def _stretches(tab, M: int) -> list:
+    """The stretches (k, b) up to node M, each with ``ahead``: a lower bound
+    on the expected candidates and atom-batch jumps per unit of x1 + x2 at
+    its start, from there to node M.
+
+    Candidates arrive at least at rate (x1 + x2) * (total kernel weight),
+    between jumps x1 + x2 grows at least at the smaller column sum c of G,
+    an atom scales it by at least the smaller column sum of its matrix and
+    draws at least the smaller atom-kernel total per unit, and jumps only
+    add.  A factor that is not positive drops what follows it."""
+    spans = []
+    k = 0
+    for b in tab.ends.tolist():
+        b = min(b, M)
+        if b == k:
+            break
+        spans.append((k, b))
+        k = b
+    (w1, _, _, _), (w2, _, _, _) = tab.kernels
+    (a1, _, _, _), (a2, _, _, _) = tab.atom_kernels
+    out = []
+    ahead = 0.0
+    for k, b in reversed(spans):
+        slot = tab.atom_slot[b].item()
+        if slot >= 0:
+            a11, a12, a21, a22 = tab.A[:, slot].tolist()
+            scale = min(a11 + a21, a12 + a22)
+            ahead = (min(a1[slot].item(), a2[slot].item())
+                     + (scale * ahead if scale > 0.0 else 0.0))
+        m11, m12, m21, m22 = tab.G[:, k].tolist()
+        width = tab.nodes[b].item() - tab.nodes[k].item()
+        c = min(m11 + m21, m12 + m22)
+        ct = min(c * width, _LOG_MAX)
+        span = math.expm1(ct) / c if c else width
+        scale = math.exp(ct)
+        ahead = (w1[k].item() + w2[k].item()) * span + (scale * ahead if scale > 0.0 else 0.0)
+        out.append((k, b, ahead))
+    return out[::-1]
 
 
 def _run(tab, M: int, x1, x2, uniforms, events=None):
@@ -342,28 +389,21 @@ def _run(tab, M: int, x1, x2, uniforms, events=None):
     updated in place) to node M; ``events``, if given, holds one list per
     path that receives its :class:`PathEvent` records."""
     cand = np.zeros(x1.size, np.int64)
-    # the most candidates any path may have drawn so far
-    spent = 0
     # every state is checked after each change, so a stretch that cannot
     # grow x1 + x2 need not check its flow
     _check_state(x1 + x2)
-    k = 0
     # a flow that overflows gives inf or NaN states, which the guards catch
     with np.errstate(over="ignore", invalid="ignore"):
-        for b in tab.ends.tolist():
-            b = min(b, M)
-            if b == k:
-                break
-            spent += _stretch(tab, k, b, x1, x2, uniforms, cand, spent, events)
-            # jumps are nonnegative: only a flow's rounding leaves the quadrant
-            if tab.drift[k] and np.count_nonzero(np.minimum(x1, x2) < 0.0):
-                if min(x1.min(), x2.min()) < -1e-9:
-                    raise NumericalError("simulated state left the quadrant")
+        for k, b, ahead in _stretches(tab, M):
+            _stretch(tab, k, b, ahead, x1, x2, uniforms, cand, events)
+            # G is Metzler, so exp(hG) is nonnegative, and so are jumps and
+            # atom matrices: a negative state is the flow's rounding, about
+            # eps times the state before it
+            if tab.G[:, k].any() and np.count_nonzero(np.minimum(x1, x2) < 0.0):
                 np.maximum(x1, 0.0, out=x1)
                 np.maximum(x2, 0.0, out=x2)
             if tab.atom_slot[b] >= 0:
-                spent += _atom(tab, b, x1, x2, uniforms, cand, events)
-            k = b
+                _atom(tab, b, x1, x2, uniforms, cand, events)
     return x1, x2
 
 
@@ -463,12 +503,13 @@ def mc_laplace(sf: SpecialForm, x0, t: float, lam, n_paths: int, seed) -> MCEsti
     simulated.
     """
     lam1, lam2 = _pair(lam)
+    x1, x2 = _pair(x0, "initial state")
     estimate, se = _mc_run(
-        sf, x0, t, n_paths, seed,
+        sf, (x1, x2), t, n_paths, seed,
         lambda fx1, fx2: np.exp(-(lam1 * fx1 + lam2 * fx2)),
     )
     sol = solve_special_picard(sf._reference, t, (lam1, lam2))
-    target = math.exp(-(float(x0[0]) * sol.v[0, 0] + float(x0[1]) * sol.v[0, 1]))
+    target = math.exp(-(x1 * sol.v[0, 0] + x2 * sol.v[0, 1]))
     return MCEstimate(n_paths, estimate, se, target, _z_score(estimate, target, se))
 
 
@@ -481,10 +522,11 @@ def mc_mean(sf: SpecialForm, x0, t: float, lam, n_paths: int, seed) -> MCEstimat
     :func:`mc_laplace`, except that ``lam`` may be signed.
     """
     lam1, lam2 = _pair(lam, signed=True)
+    x1, x2 = _pair(x0, "initial state")
     estimate, se = _mc_run(
-        sf, x0, t, n_paths, seed,
+        sf, (x1, x2), t, n_paths, seed,
         lambda fx1, fx2: lam1 * fx1 + lam2 * fx2,
     )
     sol = solve_moment(sf._general, t, (lam1, lam2))
-    target = float(x0[0]) * sol.pi[0, 0].item() + float(x0[1]) * sol.pi[0, 1].item()
+    target = x1 * sol.pi[0, 0].item() + x2 * sol.pi[0, 1].item()
     return MCEstimate(n_paths, estimate, se, target, _z_score(estimate, target, se))

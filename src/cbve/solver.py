@@ -38,6 +38,7 @@ import math
 import sys
 from array import array
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -105,9 +106,16 @@ class CumulantSolution:
 
 
 def _pair(value, what: str = "lambda", signed: bool = False):
-    """``value`` as two floats; ``ValueError`` unless both are finite and,
+    """``value`` as two floats; ``ValueError`` unless it holds exactly two
+    real numbers (a string holds characters, not numbers), both finite and,
     unless ``signed`` (the mean system's lambda), nonnegative."""
-    a, b = float(value[0]), float(value[1])
+    try:
+        pair = tuple(value)
+    except TypeError:
+        pair = ()
+    if len(pair) != 2 or not all(isinstance(v, Real) for v in pair):
+        raise ValueError(f"{what} must be a pair of real numbers")
+    a, b = float(pair[0]), float(pair[1])
     if not (math.isfinite(a) and math.isfinite(b) and (signed or min(a, b) >= 0.0)):
         raise ValueError(f"{what} must be finite"
                          + ("" if signed else " and componentwise nonnegative"))

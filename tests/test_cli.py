@@ -183,6 +183,30 @@ class TestCommands:
         assert time.perf_counter() - start < 1.0
         assert "budget" in capsys.readouterr().err
 
+    @staticmethod
+    def _decay(tmp_path, g11, g22):
+        return _write(tmp_path, {"kind": "special_form", "horizon": 1.0, "grid_cells": 1,
+                                 "gamma11": {"density": [[0.0, 1.0, g11]]},
+                                 "gamma22": {"density": [[0.0, 1.0, g22]]}})
+
+    @pytest.mark.parametrize("g11, g22, x0", [
+        (-114.97971143433165, -1.9631594705541522, "1e8,1"),
+        (-0.7728309305456271, -3791.9573920304515, "1,1e8"),
+    ])
+    def test_simulate_clamps_flow_rounding(self, tmp_path, capsys, g11, g22, x0):
+        # the flow's diagonal rounds to about -eps, which a state of 1e8 used
+        # to carry past -1e-9: exit 4, "simulated state left the quadrant"
+        path = self._decay(tmp_path, g11, g22)
+        assert main(["simulate", "--config", path, "--paths", "3", "--x0", x0]) == 0
+        assert capsys.readouterr().out == "path_id,time,kind,type_source,dx1,dx2,x1,x2\n"
+
+    def test_verify_passes_the_monte_carlo_checks_past_flow_rounding(self, tmp_path, capsys):
+        # special_general_agreement fails on its own: the sweep's error on one cell
+        path = self._decay(tmp_path, -114.97971143433165, -1.9631594705541522)
+        main(["verify", "--config", path, "--paths", "100", "--x0", "1e8,1"])
+        out = capsys.readouterr().out
+        assert "PASS mc_laplace" in out and "PASS mc_mean" in out
+
     @pytest.mark.parametrize("command, flag", [
         ("simulate", "--paths"), ("simulate", "--seed"), ("verify", "--seed"),
     ])

@@ -177,6 +177,9 @@ class TestBottlenecks:
         # the listed bottlenecks are finite and the last is their maximum
         times = [t for t, _ in bottlenecks(env)]
         assert last_bottleneck(env, 1.0) == max(times)
+        # NaN passed `t < 0 or t > T`, and no bottleneck is <= NaN
+        with pytest.raises(ValueError, match="outside"):
+            last_bottleneck(env, math.nan)
 
 
 class TestEffectiveCrossDrift:

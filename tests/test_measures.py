@@ -68,6 +68,14 @@ class TestCumulative:
         with pytest.raises(ValueError):
             meas.cumulative(1.1)
 
+    def test_nan_time_is_refused(self):
+        # NaN passed `t < 0 or t > T` and read as T: the mass of (0, T]
+        grid = uniform_grid(cells=4)
+        meas = StieltjesMeasure(grid, -np.ones(4), ((0.5, 0.25),))
+        for read in (meas.cumulative, meas.total_variation):
+            with pytest.raises(ValueError, match="outside"):
+                read(math.nan)
+
 
 class TestTotalVariation:
     def test_sign_removal(self):

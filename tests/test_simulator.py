@@ -25,6 +25,7 @@ from cbve import (
 from cbve import simulator
 from cbve.compiled import _expm2
 from cbve.simulator import _simulate_paths
+from cbve.streams import PCGStreams
 from cbve.errors import NumericalError
 
 import _reference
@@ -316,6 +317,110 @@ class TestCandidateBudget:
             with pytest.raises(NumericalError, match="budget"):
                 run()
             assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("x", [1.5e5, 7.5e4])
+    def test_path_past_the_budget_over_its_stretches_is_refused(self, monkeypatch, x):
+        # with a budget of 1e5 the first stretch expects about x candidates,
+        # under twice the budget, and at 7.5e4 only the whole path passes it;
+        # a refusal that looked at one stretch past twice the budget drew
+        # candidates for about 6 s before the budget ran out
+        monkeypatch.setattr(simulator, "_MAX_CANDIDATES", 100_000)
+        sf = self._jump_special()
+        for run in (lambda: simulate_path(sf, (x, x), 1.0, 3),
+                    lambda: mc_laplace(sf, (x, x), 1.0, (1.0, 1.0), 100, 3)):
+            start = time.perf_counter()
+            with pytest.raises(NumericalError, match="budget"):
+                run()
+            assert time.perf_counter() - start < 1.0
+
+    def test_look_ahead_values(self):
+        # jump_special: G's smaller column sum is 0, so a stretch adds its
+        # width times its kernel weight (1 before 0.5, then 1.6); the atom at
+        # 0.5 scales x1 by 0.7 and the one at 0.75 draws from mu1 only
+        sf = self._jump_special()
+        got = simulator._stretches(sf._sim_table, sf.grid.index_of(1.0))
+        want = [(0, 8, 0.5 + 0.7 * (0.4 + 0.4)), (8, 12, 0.4 + 0.4), (12, 16, 0.4)]
+        assert got == [(k, b, pytest.approx(a, rel=1e-15)) for k, b, a in want]
+        # decaying at rate 50 for unit time with kernel weight 2
+        sf = self._decaying()
+        assert simulator._stretches(sf._sim_table, 4) == [
+            (0, 4, pytest.approx(2.0 * -math.expm1(-50.0) / 50.0, rel=1e-15))]
+        assert simulator._stretches(sf._sim_table, 0) == []
+
+    def test_look_ahead_refuses_per_path(self, monkeypatch):
+        # the block's largest mean passes its smallest room, but no path's
+        # mean passes its own room: path 0 has x1 + x2 = 300 and all of the
+        # budget left, path 1 a tiny state and 10 candidates left
+        monkeypatch.setattr(simulator, "_MAX_CANDIDATES", 1_000)
+        sf = self._jump_special()
+        tab = sf._sim_table
+        k, b, ahead = simulator._stretches(tab, sf.grid.index_of(1.0))[0]
+        x1, x2 = np.array([150.0, 1e-9]), np.array([150.0, 0.0])
+        cand = np.array([0, 990])
+        uniforms = simulator._Uniforms(2, PCGStreams(3, np.arange(2)).block)
+        simulator._stretch(tab, k, b, ahead, x1, x2, uniforms, cand, None)
+        assert cand[1] <= 1_000 and 0 < cand[0] <= 1_000
+        # one path with all of the budget left: a mean of 1,400 to node M
+        # passes the room of 1,000 by more than 10 standard deviations (the
+        # bound is (5 + sqrt(1025))^2 = 1370.2) and is refused before any
+        # draw; a mean of 1,100 is not, and on this first stretch, which
+        # holds about half of it, the path draws and fits
+        def stretch(mean, draws):
+            streams = PCGStreams(3, np.arange(1))
+            uniforms = simulator._Uniforms(1, lambda rows: draws.append(rows) or streams.block(rows))
+            x = np.array([mean / ahead / 2.0])
+            simulator._stretch(tab, k, b, ahead, x, x.copy(), uniforms, np.zeros(1, np.int64), None)
+
+        draws = []
+        with pytest.raises(NumericalError, match="budget"):
+            stretch(1400.0, draws)
+        assert not draws
+        stretch(1100.0, draws)
+        assert draws
+
+    def test_in_loop_guard_stops_a_path_that_outgrows_the_budget(self, monkeypatch):
+        # each jump adds 20 to x1, so x1 + x2 grows like e^(20 t), while the
+        # look-ahead, which does not count growth by jumps, expects only one
+        # candidate per unit of x0: the round count must stop the path
+        monkeypatch.setattr(simulator, "_MAX_CANDIDATES", 2_000)
+        grid = uniform_grid(cells=1)
+        sf = make_sf(grid, mu1=JumpMeasure.from_segments(grid, [(0.0, 1.0, [(20.0, 0.0, 1.0)])]))
+        assert simulator._stretches(sf._sim_table, 1) == [(0, 1, 1.0)]
+        start = time.perf_counter()
+        with pytest.raises(NumericalError, match="thinning candidate budget exhausted"):
+            mc_laplace(sf, (1.0, 0.0), 1.0, (1.0, 1.0), 100, 3)
+        assert time.perf_counter() - start < 1.0
+
+
+class TestFlowRounding:
+    # exp(hG) is nonnegative, but the diagonal of _expm2 rounds to about -eps
+    # at these rates (e22 = -2.8e-17 for the second form): a state of 1e8
+    # flowed to about -1e-9 and was refused as having left the quadrant
+
+    @staticmethod
+    def _decay(g11, g22):
+        grid = uniform_grid(cells=1)
+        return make_sf(grid, g11=StieltjesMeasure.from_segments(grid, [(0.0, 1.0, g11)]),
+                       g22=StieltjesMeasure.from_segments(grid, [(0.0, 1.0, g22)]))
+
+    CASES = [((-114.97971143433165, -1.9631594705541522), (1e8, 1.0)),
+             ((-0.7728309305456271, -3791.9573920304515), (1.0, 1e8))]
+
+    def test_expm2_rounds_below_zero(self):
+        assert _expm2(-0.7728309305456271, 0.0, 0.0, -3791.9573920304515)[3] < 0.0
+
+    @pytest.mark.parametrize("rates, x0", CASES)
+    def test_rounding_is_clamped(self, rates, x0):
+        sf = self._decay(*rates)
+        exact = [x * math.exp(g) for x, g in zip(x0, rates)]
+        state, events = simulate_path(sf, x0, 1.0, 3)
+        assert events == [] and min(state) >= 0.0
+        assert state == pytest.approx(exact, rel=1e-14, abs=1e-8)
+        states, _ = _simulate_paths(sf, x0, 1.0, 3, 100)
+        assert states.min() >= 0.0
+        est = mc_mean(sf, x0, 1.0, (1.0, 1.0), 100, 3)
+        assert est.estimate == pytest.approx(sum(exact), rel=1e-14)
+        assert est.z_score == 0.0
 
 
 class TestExpm2:

@@ -13,11 +13,17 @@ from cbve import (
     apriori_growth_exponent,
     check_flow,
     cumulant_upper_bound,
+    finite_diff_check,
     gronwall_bound,
     h_transform_coefficients,
     h_transform_solution,
+    mc_laplace,
+    mc_mean,
+    mean_of_transition,
     parse_config,
+    simulate_path,
     solve_general,
+    solve_moment,
     solve_special_picard,
     special_to_general,
 )
@@ -445,6 +451,13 @@ class TestGrowthExponent:
         )
         assert apriori_growth_exponent(sf, 1.0) == pytest.approx(0.0, abs=1e-14)
 
+    def test_nan_time_is_refused(self):
+        # NaN used to read as T, giving rho(T)
+        grid = uniform_grid(cells=10)
+        sf = make_sf(grid, g12=StieltjesMeasure.from_segments(grid, [(0.0, 1.0, 1.0)], (), True))
+        with pytest.raises(ValueError, match="outside"):
+            apriori_growth_exponent(sf, math.nan)
+
 
 class TestUpperBound:
     def test_zero_environment(self):
@@ -466,6 +479,12 @@ class TestUpperBound:
         assert sol.v[0, 0] == pytest.approx(0.2254, abs=1e-3)
         assert np.max(sol.v[:, 0]) <= bound + 1e-12
 
+    def test_nan_time_is_refused(self):
+        grid = uniform_grid(cells=10)
+        env = make_env(grid, b12=StieltjesMeasure.from_segments(grid, [(0.0, 1.0, 1.0)], (), True))
+        with pytest.raises(ValueError, match="outside"):
+            cumulant_upper_bound(env, 1, 0.0, math.nan, (1.0, 1.0))
+
 
 class TestCheckFlow:
     def test_zero_environment_exact(self):
@@ -486,3 +505,50 @@ class TestCheckFlow:
         res = check_flow(env, 0.0, 0.5, 1.0, (1.0, 0.0))
         res4 = check_flow(env.refined(4), 0.0, 0.5, 1.0, (1.0, 0.0))
         assert res4 <= res / 3.0
+
+
+def _pair_readers():
+    """Every public entry point that reads a pair, as (name the error
+    gives, call on the pair)."""
+    grid = uniform_grid(cells=4)
+    env = make_env(grid)
+    sf = make_sf(grid, mu1=JumpMeasure.from_segments(grid, [(0.0, 1.0, [(0.0, 1.0, 1.0)])]))
+    sol = solve_general(env, 1.0, (1.0, 1.0))
+    zero = StieltjesMeasure.zero(grid)
+    ok = (1.0, 1.0)
+    return [
+        ("lambda", lambda p: solve_general(env, 1.0, p)),
+        ("lambda", lambda p: solve_special_picard(sf, 1.0, p)),
+        ("lambda", lambda p: h_transform_solution(sol, zero, zero, p)),
+        ("lambda", lambda p: cumulant_upper_bound(env, 1, 0.0, 1.0, p)),
+        ("lambda", lambda p: check_flow(env, 0.0, 0.5, 1.0, p)),
+        ("lambda", lambda p: solve_moment(env, 1.0, p)),
+        ("lambda", lambda p: finite_diff_check(env, 1.0, p, 1e-3)),
+        ("state", lambda p: mean_of_transition(env, 0.0, 1.0, p, ok)),
+        ("lambda", lambda p: mean_of_transition(env, 0.0, 1.0, ok, p)),
+        ("initial state", lambda p: simulate_path(sf, p, 1.0, 3)),
+        ("initial state", lambda p: mc_laplace(sf, p, 1.0, ok, 100, 3)),
+        ("lambda", lambda p: mc_laplace(sf, ok, 1.0, p, 100, 3)),
+        ("initial state", lambda p: mc_mean(sf, p, 1.0, ok, 100, 3)),
+        ("lambda", lambda p: mc_mean(sf, ok, 1.0, p, 100, 3)),
+    ]
+
+
+@pytest.mark.parametrize("bad", ["12", "34", (1.0, 1.0, 7.0), 1.0, (1.0,), ("1", "2"), None])
+def test_a_pair_is_exactly_two_real_numbers(bad):
+    # "12" used to read as (1, 2), (1, 1, 7) dropped its 7, and a scalar or a
+    # one-tuple raised a raw TypeError or IndexError
+    for what, read in _pair_readers():
+        with pytest.raises(ValueError, match=f"^{what} must be a pair of real numbers$"):
+            read(bad)
+
+
+def test_a_pair_may_be_any_two_real_numbers():
+    env = make_env(uniform_grid(cells=4))
+    want = solve_general(env, 1.0, (1.0, 2.0)).v
+    grid = uniform_grid(cells=4)
+    sf = make_sf(grid, mu1=JumpMeasure.from_segments(grid, [(0.0, 1.0, [(0.0, 1.0, 1.0)])]))
+    est = mc_mean(sf, (1.0, 2.0), 1.0, (1.0, 1.0), 100, 3)
+    for pair in ([1, 2], np.array([1.0, 2.0]), (np.float32(1.0), np.int64(2)), iter((1.0, 2.0))):
+        assert np.array_equal(solve_general(env, 1.0, pair).v, want)
+    assert mc_mean(sf, iter((1.0, 2.0)), 1.0, np.array([1, 1]), 100, 3) == est
