@@ -9,16 +9,22 @@ CSV), ``approx`` (finite-activity approximation gap table), ``verify``
 ``simulate`` ``--t``, ``--x0``, ``--paths`` and ``--seed``, and ``verify``
 all five.  Any other flag is refused (exit 2).
 
+Each ``cmd_*`` is a function of the loaded configuration and the flags
+that returns its output lines and exit code and does no I/O; :func:`main`
+alone loads the config and writes the lines, to ``--out`` or stdout, once
+the command has returned.  A command that raises writes nothing.
+
 Exit codes: 0 success, 2 configuration error, 3 admissibility failure,
 4 numerical failure (a typed :class:`NumericalError`, or a floating-point
 overflow, invalid operation or division by zero in a numerical layer),
-5 verification failure.  Set ``CBVE_LOG=debug`` or
-``info`` for diagnostics.
+5 verification failure.  ``CBVE_LOG=debug`` or ``info`` configures the
+``cbve`` logger, which nothing writes to yet.
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import json
 import logging
 import math
 import os
@@ -42,8 +48,6 @@ from .solver import (
     solve_general,
     solve_special_picard,
 )
-
-log = logging.getLogger("cbve")
 
 _APPROX_LEVELS = (1, 2, 4, 8, 16, 32)
 
@@ -114,8 +118,7 @@ def _checked(flag: str, pair, default=(1.0, 1.0), signed: bool = False):
         raise ConfigError(f"{exc}, got {pair[0]!r},{pair[1]!r}") from None
 
 
-def cmd_validate(args) -> int:
-    cfg = _load(args)
+def cmd_validate(cfg: RunConfig, args) -> tuple:
     env = _as_environment(cfg)
     report = env.validation
     lines = [
@@ -126,36 +129,31 @@ def cmd_validate(args) -> int:
         f"bottlenecks: {', '.join(f'{t:.17g}' for t in report.bottleneck_times) or '-'}",
     ]
     lines.extend(f"message: {m}" for m in report.messages)
-    _write(args, lines)
-    return 0 if report.ok else 3
+    return lines, 0 if report.ok else 3
 
 
-def _write_nodes(args, header: str, nodes, values) -> None:
+def _node_lines(header: str, nodes, values) -> list:
     lines = [header]
     for k in range(values.shape[0]):
         lines.append(f"{nodes[k]:.17g},{values[k, 0]:.17g},{values[k, 1]:.17g}")
-    _write(args, lines)
+    return lines
 
 
-def cmd_solve(args) -> int:
-    cfg = _load(args)
+def cmd_solve(cfg: RunConfig, args) -> tuple:
     t = _terminal(cfg, args)
     lam = _checked("--lambda", args.lam)
     if cfg.kind == "environment":
         sol = solve_general(cfg.environment, t, lam)
     else:
         sol = solve_special_picard(cfg.special_form, t, lam)
-    _write_nodes(args, "r,v1,v2", cfg.grid.nodes, sol.v)
-    return 0
+    return _node_lines("r,v1,v2", cfg.grid.nodes, sol.v), 0
 
 
-def cmd_moments(args) -> int:
-    cfg = _load(args)
+def cmd_moments(cfg: RunConfig, args) -> tuple:
     env = _as_environment(cfg)
     t = _terminal(cfg, args)
     sol = solve_moment(env, t, _checked("--lambda", args.lam, signed=True))
-    _write_nodes(args, "r,pi1,pi2", cfg.grid.nodes, sol.pi)
-    return 0
+    return _node_lines("r,pi1,pi2", cfg.grid.nodes, sol.pi), 0
 
 
 def _seed(args) -> int:
@@ -164,8 +162,7 @@ def _seed(args) -> int:
     return args.seed or 0
 
 
-def cmd_simulate(args) -> int:
-    cfg = _load(args)
+def cmd_simulate(cfg: RunConfig, args) -> tuple:
     if cfg.kind != "special_form":
         raise ConfigError(
             "simulate requires a special_form configuration "
@@ -185,12 +182,10 @@ def cmd_simulate(args) -> int:
                 f"{ev.delta[0]:.17g},{ev.delta[1]:.17g},"
                 f"{ev.x_after[0]:.17g},{ev.x_after[1]:.17g}"
             )
-    _write(args, lines)
-    return 0
+    return lines, 0
 
 
-def cmd_approx(args) -> int:
-    cfg = _load(args)
+def cmd_approx(cfg: RunConfig, args) -> tuple:
     env = _as_environment(cfg)
     t = _terminal(cfg, args)
     lam = _checked("--lambda", args.lam)
@@ -201,8 +196,7 @@ def cmd_approx(args) -> int:
         sol = solve_special_picard(sf, t, lam)
         gap = float(np.max(np.abs(sol.v - reference.v)))
         lines.append(f"{n},{gap:.17g}")
-    _write(args, lines)
-    return 0
+    return lines, 0
 
 
 class _Battery:
@@ -315,24 +309,18 @@ def _verify_special(cfg: RunConfig, args, t: float, lam, battery: _Battery) -> N
                       f" target={mean.target:.6g}")
 
 
-def cmd_verify(args) -> int:
-    cfg = _load(args)
+def cmd_verify(cfg: RunConfig, args) -> tuple:
     t, lam = _terminal(cfg, args), _checked("--lambda", args.lam)
     battery = _Battery()
     if cfg.kind == "environment":
         _verify_environment(cfg, args, t, lam, battery)
     else:
         _verify_special(cfg, args, t, lam, battery)
-    _write(args, battery.lines)
-    return 0 if battery.ok else 5
+    return battery.lines, 0 if battery.ok else 5
 
 
-def cmd_emit(args) -> int:
-    import json
-
-    cfg = _load(args)
-    _write(args, [json.dumps(emit_config(cfg.model), indent=2, sort_keys=True)])
-    return 0
+def cmd_emit(cfg: RunConfig, args) -> tuple:
+    return [json.dumps(emit_config(cfg.model), indent=2, sort_keys=True)], 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -375,7 +363,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        lines, code = args.func(_load(args), args)
+        _write(args, lines)
+        return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

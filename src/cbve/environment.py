@@ -25,7 +25,7 @@ import numpy as np
 
 from .compiled import cell_table, picard_table, sim_table
 from .errors import AdmissibilityError
-from .measures import JumpMeasure, StieltjesMeasure, TimeGrid
+from .measures import JumpMeasure, StieltjesMeasure, TimeGrid, _slot_sums
 
 __all__ = [
     "Environment",
@@ -57,10 +57,12 @@ _hypot = np.vectorize(math.hypot, otypes=[float])
 
 
 def _admissibility_integrand(i: int):
-    # z_i^2 on the unit ball, z_i outside, plus the cross coordinate (elementwise)
+    # z_i^2 on the unit ball, z_i outside, plus the cross coordinate
+    # (elementwise); a square past 1e154 overflows to inf, still outside
     def fn(z1, z2):
         zi, zj = (z1, z2) if i == 1 else (z2, z1)
-        return np.where(z1 * z1 + z2 * z2 <= 1.0, zi * zi, zi) + zj
+        with np.errstate(over="ignore"):
+            return np.where(z1 * z1 + z2 * z2 <= 1.0, zi * zi, zi) + zj
 
     return fn
 
@@ -267,24 +269,34 @@ def last_bottleneck(env: Environment, t: float):
     return max(times) if times else None
 
 
+def _moment_total(env: Environment, i: int) -> float:
+    """Type-i jump moment of :func:`validate` over (0, T]; inf where it
+    overflows, which the moment measure would refuse."""
+    with np.errstate(over="ignore"):
+        try:
+            moment = env.m_jump(i).moment_measure(_admissibility_integrand(i))
+        except ValueError:
+            return math.inf
+        return moment.cumulative(env.horizon)
+
+
 def validate(env: Environment) -> ValidationReport:
     """Admissibility report: jump-moment totals, worst atom loads, bottlenecks.
 
     Reports rather than raises; ``ok`` is False iff some atom load exceeds
     1 beyond tolerance.
     """
-    T = env.horizon
     messages = []
-    moments = tuple(
-        env.m_jump(i).moment_measure(_admissibility_integrand(i)).cumulative(T)
-        for i in (1, 2)
-    )
+    moments = tuple(_moment_total(env, i) for i in (1, 2))
     deltas = []
     ok = True
     for i in (1, 2):
         # atom_load at every node: 0 where neither part has an atom
-        own = env.m_jump(i).coordinate_moment(i)
-        loads = env.b_diag(i).node_atom_masses + own.node_atom_masses
+        jump = env.m_jump(i)
+        loads = env.b_diag(i).node_atom_masses.copy()
+        with np.errstate(over="ignore"):
+            own = _slot_sums(lambda z1, z2: (z1, z2)[i - 1], jump.atom_points)
+            loads[jump.atom_nodes] += own
         worst = max(0.0, float(np.max(loads)))
         deltas.append(worst)
         if worst > 1.0 + ATOM_TOL:

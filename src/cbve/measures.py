@@ -47,6 +47,8 @@ class TimeGrid:
             raise ValueError("grid needs at least two nodes")
         if nodes[0] != 0.0:
             raise ValueError("grid must start at 0")
+        if not np.isfinite(nodes).all():
+            raise ValueError("grid nodes must be finite")
         if not np.all(np.diff(nodes) > 0.0):
             raise ValueError("grid nodes must be strictly increasing")
         nodes = nodes.copy()

@@ -24,6 +24,7 @@ from .environment import (
     _other,
 )
 from .measures import StieltjesMeasure, _slot_sums
+from .solver import _pair
 
 __all__ = [
     "compensated_jump_kernel",
@@ -107,6 +108,7 @@ def mechanism_increment(env: Environment, i: int, f, r: float, t: float,
 def mechanism_atom_increment(env: Environment, i: int, lam, s: float) -> float:
     """Mechanism mass concentrated at the single time atom s."""
     j = _other(i)
+    lam = _pair(lam)
     out = env.b_diag(i).atom_mass_at(s) * lam[i - 1]
     out -= effective_cross_drift(env, i, j).atom_mass_at(s) * lam[j - 1]
     jump = env.m_jump(i)

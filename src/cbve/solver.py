@@ -475,40 +475,21 @@ def _as_node_function(grid: TimeGrid, a) -> np.ndarray:
         arr = np.full(grid.nodes.size, float(arr))
     if arr.shape != (grid.nodes.size,):
         raise ValueError("expected a scalar or one value per grid node")
-    if np.any(arr < 0.0) or np.any(np.diff(arr) < 0.0):
-        raise ValueError("expected a nonnegative nondecreasing node function")
+    # finiteness first: NaN passes both comparisons, and inf makes diff NaN
+    if not np.isfinite(arr).all() or (arr < 0.0).any() or (np.diff(arr) < 0.0).any():
+        raise ValueError("expected a finite, nonnegative, nondecreasing node function")
     return arr
-
-
-def _backward_stieltjes(meas: StieltjesMeasure, integrand: np.ndarray, it: int
-                        ) -> np.ndarray:
-    """F[k] = integral of ``integrand`` over (s_k, t]; trapezoid cells, exact atoms."""
-    dens = meas.density[:it]
-    widths = meas.grid.widths[:it]
-    atom = meas.node_atom_masses
-    cellc = dens * widths * 0.5 * (integrand[:it] + integrand[1 : it + 1])
-    cellc = cellc + atom[1 : it + 1] * integrand[1 : it + 1]
-    out = np.zeros(it + 1)
-    out[:it] = np.cumsum(cellc[::-1])[::-1]
-    return out
-
-
-def _forward_stieltjes(meas: StieltjesMeasure, integrand: np.ndarray, it: int) -> float:
-    dens = meas.density[:it]
-    widths = meas.grid.widths[:it]
-    atom = meas.node_atom_masses
-    total = float(np.sum(dens * widths * 0.5 * (integrand[:it] + integrand[1 : it + 1])))
-    total += float(np.sum(atom[1 : it + 1] * integrand[1 : it + 1]))
-    return total
 
 
 def gronwall_bound(beta, a, t: float):
     """Two-type Gronwall bound for g_i <= a_i + int g_i dbeta_ii + int g_j dbeta_ij.
 
     ``beta`` is the 2x2 nest ((beta11, beta12), (beta21, beta22)) of
-    nondecreasing measures; ``a`` is a pair of nondecreasing node functions
-    (or scalars).  Returns the pair of bound values at time t, computed by
-    nested Stieltjes quadrature (trapezoid cells, exact atoms).
+    nondecreasing measures; ``a`` is a pair of finite, nonnegative,
+    nondecreasing node functions (or scalars).  Returns the pair of bound
+    values at time t, computed by nested Stieltjes quadrature (trapezoid
+    cells, exact atoms).  A weight exp(beta_jj) that overflows before t
+    raises :class:`NumericalError`.
     """
     (b11, b12), (b21, b22) = beta
     grid = b11.grid
@@ -518,16 +499,23 @@ def gronwall_bound(beta, a, t: float):
         if np.any(meas.density < 0.0) or np.any(meas.node_atom_masses < 0.0):
             raise ValueError("beta measures must be nondecreasing")
     it = grid.index_of(t)
+    t = float(grid.nodes[it])
     a1, a2 = (_as_node_function(grid, x) for x in a)
     out = []
     for bii, bij, bji, bjj, ai, aj in ((b11, b12, b21, b22, a1, a2),
                                        (b22, b21, b12, b11, a2, a1)):
-        ai_t = float(ai[it])
-        g = np.exp(bjj.node_cumulatives[: it + 1])
-        inner = _backward_stieltjes(bij, g, it)
-        double = _forward_stieltjes(bji, inner, it)
-        d_i = ai_t + _forward_stieltjes(bij, aj[: it + 1] * g, it)
-        out.append(d_i * math.exp(double + bii.cumulative(float(grid.nodes[it]))))
+        g = np.zeros(grid.nodes.size)
+        with np.errstate(over="ignore"):
+            g[: it + 1] = np.exp(bjj.node_cumulatives[: it + 1])
+        if not np.isfinite(g).all():
+            raise NumericalError("Gronwall weight exp(beta_jj) overflows before t")
+        # g dbeta_ij on trapezoid cells: its mass over (s_k, t] is the inner integral
+        gb = StieltjesMeasure._of(grid, bij.density * 0.5 * (g[:-1] + g[1:]),
+                                  bij.node_atom_masses * g)
+        inner = gb.node_cumulatives[it] - gb.node_cumulatives
+        double = bji.integrate(inner, 0.0, t, "trapezoid")
+        d_i = float(ai[it]) + bij.integrate(aj * g, 0.0, t, "trapezoid")
+        out.append(d_i * math.exp(double + bii.cumulative(t)))
     return tuple(out)
 
 

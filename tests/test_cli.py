@@ -3,6 +3,7 @@ import json
 import math
 import os
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -79,6 +80,18 @@ _MALFORMED = {
     "non-list entry": ("b11.density[0]", {"b11": {"density": [5]}}),
     "short atom": ("b12.atoms[0]", {"b12": {"atoms": [[0.5]]}}),
     "short kernel segment": ("m1.kernel[0]", {"m1": {"kernel": [[0.0, 1.0]]}}),
+    "non-number horizon": ("horizon: expected a number", {"horizon": "x"}),
+    "infinite horizon": ("horizon: expected a finite number", {"horizon": math.inf}),
+    "negative horizon": ("horizon: must be positive", {"horizon": -1.0}),
+    "non-list part": ("b11.density: expected a list", {"b11": {"density": 5}}),
+    "non-object section": ("b11: expected an object", {"b11": [1]}),
+    "unknown part": ("b11: unknown fields ['values']", {"b11": {"values": []}}),
+    "empty segment": ("b11: empty density segment", {"b11": {"density": [[0.5, 0.5, 1.0]]}}),
+    "negative cross drift": ("b12: nondecreasing measure needs nonnegative parts",
+                             {"b12": {"density": [[0.0, 1.0, -1.0]]}}),
+    "unknown kind": ("kind: expected 'environment' or 'special_form'", {"kind": "model"}),
+    "gamma11 atom of -1": ("gamma11 atom at 0.5 must exceed -1",
+                           {"kind": "special_form", "gamma11": {"atoms": [[0.5, -1.0]]}}),
 }
 
 
@@ -89,6 +102,28 @@ def test_malformed_entries_are_config_errors(tmp_path, capsys, grid, case):
     path = _write(tmp_path, {"horizon": 1.0, **_GRIDS[grid], **section})
     assert main(["validate", "--config", path]) == 2
     assert f"config error: {field}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, data", [
+    ("grid_nodes: expected a list", {"grid_nodes": 5}),
+    ("grid_nodes: grid nodes must be strictly increasing", {"grid_nodes": [0.0, 0.5, 0.5, 1.0]}),
+    ("grid_cells: must be a positive integer", {"grid_cells": 0}),
+    ("grid: time 2.0 outside [0, 1.0]", {"grid_cells": 4, "b11": {"atoms": [[2.0, 0.1]]}}),
+    ("top level: expected an object", []),
+])
+def test_malformed_documents_are_config_errors(tmp_path, capsys, field, data):
+    assert main(["validate", "--config", _write(tmp_path, data)]) == 2
+    assert capsys.readouterr().err == f"config error: {field}\n"
+
+
+def test_missing_config_is_a_config_error(tmp_path, capsys):
+    assert main(["validate", "--config", str(tmp_path / "missing.json")]) == 2
+    assert capsys.readouterr().err.startswith("config error: cannot read config: ")
+
+
+def test_emit_refuses_a_non_model():
+    with pytest.raises(TypeError, match="expected an Environment or SpecialForm"):
+        emit_config(load_config(_cfg_path("jump_special.json")))
 
 
 class TestCommands:
@@ -106,6 +141,34 @@ class TestCommands:
         assert main(["validate", "--config", path]) == 3
         out = capsys.readouterr().out
         assert "exceeds 1" in out
+
+    @pytest.mark.parametrize("section, message", [
+        ({"b11": {"atoms": [[0.5, 1.2]]}}, "type-1 atom load 1.2 exceeds 1"),
+        # the moment 1e300 * 1e10 overflows; solve used to exit 1 with a traceback
+        ({"m1": {"kernel": [[0.0, 1.0, [[1e300, 0.0, 1e10]]]]}},
+         "jump moment integral is not finite"),
+    ])
+    def test_admissibility_failure_exit_code(self, tmp_path, capsys, section, message):
+        path = _write(tmp_path, {"horizon": 1.0, "grid_cells": 8, **section})
+        assert main(["solve", "--config", path]) == 3
+        assert capsys.readouterr() == ("", f"admissibility failure: {message}\n")
+
+    @pytest.mark.parametrize("point, moment, code", [
+        # |z|^2 overflows, the moment 1e200 * 1e-190 does not
+        ((1e200, 0.0, 1e-190), "10000000000", 0),
+        # the moment 1e300 * 1e10 overflows
+        ((1e300, 0.0, 1e10), "inf", 3),
+    ])
+    def test_validate_far_kernel_point(self, tmp_path, capsys, point, moment, code):
+        path = _write(tmp_path, {"horizon": 1.0, "grid_cells": 8,
+                                 "m1": {"kernel": [[0.0, 1.0, [list(point)]]]}})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["validate", "--config", path]) == code
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert f"moment_values: {moment}, 0\n" in captured.out
+        assert ("message: jump moment integral is not finite" in captured.out) == (code == 3)
 
     def test_validate_reports_bottleneck(self, capsys):
         assert main(["validate", "--config", _cfg_path("bottleneck.json")]) == 0
@@ -267,6 +330,16 @@ class TestCommands:
             main([command, "--config", _cfg_path("jump_special.json"), flag, value])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value, reason", [
+        ("1", "expected 'a,b', got '1'"),
+        ("a,1", "could not convert string to float: 'a'"),
+    ])
+    def test_unreadable_pair_is_refused(self, capsys, value, reason):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--config", _cfg_path("jump_special.json"), "--lambda", value])
+        assert exc.value.code == 2
+        assert f"argument --lambda: {reason}" in capsys.readouterr().err
 
     def test_unwritable_out_is_a_config_error(self, tmp_path, capsys):
         out = tmp_path / "missing" / "x.txt"

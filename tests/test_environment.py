@@ -1,6 +1,7 @@
 """Environment validation, bottlenecks, conversions and the approximation ladder."""
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from cbve import (
     effective_cross_drift,
     finite_activity_approximation,
     last_bottleneck,
+    lipschitz_constants,
     solve_general,
     special_to_general,
 )
@@ -84,6 +86,36 @@ class TestValidate:
         large = (2.0 + 0.5) * 1.0
         assert env.validation.moment_values[0] == pytest.approx(small + large, rel=1e-14)
 
+    def test_far_point_has_a_finite_moment_and_no_warning(self):
+        # |z|^2 overflows past 1e154, which the unit-ball test used to warn about
+        grid = uniform_grid(cells=10)
+        env = make_env(grid, m1=_jump(grid, segments=[(0.0, 1.0, [(1e200, 0.0, 1e-190)])]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = env.validation
+            lipschitz_constants(env, np.zeros((11, 2)), np.zeros((11, 2)), 1.0)
+        assert report.ok
+        assert report.moment_values == (pytest.approx(1e10, rel=1e-14), 0.0)
+
+    @pytest.mark.parametrize("at_atom", [False, True])
+    def test_overflowing_moment_is_reported(self, at_atom):
+        # the moment measure refuses the inf, so validate used to raise
+        grid = uniform_grid(cells=10)
+        point = [(1e300, 0.0, 1e10)]
+        m1 = _jump(grid, atoms=[(0.5, point)]) if at_atom else _jump(
+            grid, segments=[(0.0, 1.0, point)])
+        env = make_env(grid, m1=m1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = env.validation
+        assert not report.ok
+        assert report.moment_values == (math.inf, 0.0)
+        assert report.delta_max == ((math.inf if at_atom else 0.0), 0.0)
+        assert report.messages == (("type-1 atom load inf exceeds 1",) if at_atom else ()) + (
+            "jump moment integral is not finite",)
+        with pytest.raises(AdmissibilityError, match="jump moment integral is not finite"):
+            solve_general(env, 1.0, (1.0, 1.0))
+
 
 def _instance_environments():
     """Every model family of :mod:`_instances`, special forms converted."""
@@ -110,6 +142,33 @@ def test_refinement_keeps_the_validation_report(factor):
         got = env.refined(factor).validation
         assert (got.ok, got.delta_max, got.bottleneck_times) == (
             want.ok, want.delta_max, want.bottleneck_times)
+
+
+def _misuses():
+    grid, other = uniform_grid(cells=4), uniform_grid(cells=5)
+    env, sf = make_env(grid), make_sf(grid)
+    return {
+        "type index 3": (lambda: effective_cross_drift(env, 3, 1), "type index must be 1 or 2"),
+        "cross index 1, 1": (lambda: effective_cross_drift(env, 1, 1), "need i != j in {1, 2}"),
+        "b_cross 1, 1": (lambda: env.b_cross(1, 1), "need i != j in {1, 2}"),
+        "gamma_cross 2, 2": (lambda: sf.gamma_cross(2, 2), "need i != j in {1, 2}"),
+        "other grid": (lambda: dataclasses.replace(env, b11=StieltjesMeasure.zero(other)),
+                       "b11 lives on a different grid"),
+        "signed cross drift": (lambda: dataclasses.replace(env, b12=StieltjesMeasure.zero(grid)),
+                               "b12 must be a nondecreasing measure"),
+        "diffusion atom": (lambda: dataclasses.replace(
+            env, c1=StieltjesMeasure(grid, np.zeros(4), ((0.5, 1.0),), True)),
+            r"c1 must be continuous \(no time atoms\)"),
+        "gamma11 atom of -1": (lambda: make_sf(grid, g11=StieltjesMeasure(
+            grid, np.zeros(4), ((0.5, -1.0),))), "gamma11 atom at 0.5 must exceed -1"),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_misuses()))
+def test_bad_model_input_is_refused(case):
+    call, match = _misuses()[case]
+    with pytest.raises(ValueError, match=f"^{match}$"):
+        call()
 
 
 class TestAtomLoad:

@@ -41,6 +41,12 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             TimeGrid(np.array([0.0, 0.5, 0.5]))
 
+    @pytest.mark.parametrize("last", [math.inf, math.nan])
+    def test_non_finite_node_is_refused(self, last):
+        # [0, 1, inf] used to build a grid of horizon inf
+        with pytest.raises(ValueError, match="^grid nodes must be finite$"):
+            TimeGrid(np.array([0.0, 1.0, last]))
+
 
 class TestCumulative:
     def test_linear_accumulation(self):
@@ -215,6 +221,37 @@ class TestMeasureValidation:
         total = StieltjesMeasure.linear_combination(grid, [(1.0, a), (1.0, b)])
         for t in (0.5, 0.8, 1.0):
             assert total.total_variation(t) <= a.total_variation(t) + b.total_variation(t) + 1e-14
+
+
+def _misuses():
+    grid, other = uniform_grid(cells=4), uniform_grid(cells=5)
+    zero = StieltjesMeasure.zero(grid)
+    f = np.ones(grid.nodes.size)
+    return {
+        "short density": (lambda: StieltjesMeasure(grid, np.zeros(3)),
+                          "density must hold one value per grid cell"),
+        "NaN density": (lambda: StieltjesMeasure(grid, [0.0, math.nan, 0.0, 0.0]),
+                        "density values must be finite"),
+        "infinite atom": (lambda: StieltjesMeasure(grid, np.zeros(4), ((0.5, math.inf),)),
+                          "atom masses must be finite"),
+        "empty segment": (lambda: StieltjesMeasure.from_segments(grid, [(0.5, 0.5, 1.0)]),
+                          r"empty density segment \[0.5, 0.5\)"),
+        "unknown rule": (lambda: zero.integrate(f, 0.0, 1.0, "left"),
+                         "unknown endpoint rule 'left'"),
+        "short integrand": (lambda: zero.integrate(f[:3], 0.0, 1.0),
+                            "f must hold one value per grid node"),
+        "mixed grids": (lambda: StieltjesMeasure.linear_combination(
+            grid, [(1.0, StieltjesMeasure.zero(other))]), "all measures must share the grid"),
+        "short kernel list": (lambda: JumpMeasure(grid, [DiscreteSpatialMeasure()] * 3),
+                              "need one spatial kernel per grid cell"),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_misuses()))
+def test_bad_measure_input_is_refused(case):
+    call, match = _misuses()[case]
+    with pytest.raises(ValueError, match=f"^{match}$"):
+        call()
 
 
 class TestJumpMeasure:

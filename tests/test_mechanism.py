@@ -16,6 +16,7 @@ from cbve import (
     partially_compensated_jump_kernel,
     special_mechanism_increment,
 )
+from cbve.mechanism import as_vector_function
 
 from _instances import make_env, random_environment, uniform_grid
 
@@ -27,6 +28,10 @@ class TestKernels:
     def test_partial_own_coordinate(self):
         val = partially_compensated_jump_kernel(1, (1.0, 0.0), (1.0, 0.0))
         assert val == pytest.approx(math.exp(-1) - 1 + 1, rel=1e-12)
+
+    def test_partial_type_index(self):
+        with pytest.raises(ValueError, match="^type index must be 1 or 2$"):
+            partially_compensated_jump_kernel(3, (1.0, 1.0), (1.0, 1.0))
 
     def test_partial_negative_branch(self):
         val = partially_compensated_jump_kernel(1, (0.0, 1.0), (0.0, 1.0))
@@ -109,6 +114,22 @@ class TestMechanismAtomIncrement:
             grid, b12=StieltjesMeasure(grid, np.zeros(10), ((0.5, 0.5),), True)
         )
         assert mechanism_atom_increment(env, 1, (0.0, 2.0), 0.5) == -1.0
+
+    def test_nan_lambda_is_refused(self):
+        # it used to return nan
+        env = make_env(uniform_grid(cells=10))
+        with pytest.raises(ValueError, match="^lambda must be finite"):
+            mechanism_atom_increment(env, 1, (math.nan, 1.0), 0.5)
+
+
+@pytest.mark.parametrize("values, match", [
+    (np.ones((10, 2)), r"vector function must be \(n_nodes, 2\)"),
+    (-np.ones((11, 2)), "vector function must be finite and nonnegative"),
+    (np.full((11, 2), math.inf), "vector function must be finite and nonnegative"),
+])
+def test_bad_vector_function_is_refused(values, match):
+    with pytest.raises(ValueError, match=f"^{match}$"):
+        as_vector_function(uniform_grid(cells=10), values)
 
 
 class TestApproximationMechanism:

@@ -20,6 +20,7 @@ from cbve import (
     mc_laplace,
     mc_mean,
     mean_of_transition,
+    mechanism_atom_increment,
     parse_config,
     simulate_path,
     solve_general,
@@ -393,6 +394,17 @@ class TestHTransform:
         with pytest.raises(ValueError, match="positive and finite"):
             h_transform_coefficients(sf, zeta1, StieltjesMeasure.zero(sf.grid))
 
+    def test_zeta_on_another_grid_is_refused(self):
+        grid = uniform_grid(cells=4)
+        sf = make_sf(grid)
+        other = StieltjesMeasure.zero(uniform_grid(cells=5))
+        zero = StieltjesMeasure.zero(grid)
+        with pytest.raises(ValueError, match="^zeta must live on the grid of the coefficients$"):
+            h_transform_coefficients(sf, zero, other)
+        sol = solve_special_picard(sf, 1.0, (1.0, 1.0))
+        with pytest.raises(ValueError, match="^zeta must live on the solution grid$"):
+            h_transform_solution(sol, other, zero, (1.0, 1.0))
+
     def test_terminal_argument_contract(self):
         rng = np.random.default_rng(41)
         sf = random_special_form(rng, cells=50, diag="none")
@@ -426,6 +438,42 @@ class TestGronwallBound:
         bounds = gronwall_bound(((z, one), (one, z)), (1.0, 1.0), 1.0)
         assert bounds[0] == pytest.approx(2.0 * math.exp(0.5), rel=1e-12)
         assert bounds[1] == pytest.approx(2.0 * math.exp(0.5), rel=1e-12)
+
+    @pytest.mark.parametrize("a, match", [
+        ((np.ones(3), 1.0), "expected a scalar or one value per grid node"),
+        ((-1.0, 1.0), "expected a finite, nonnegative, nondecreasing node function"),
+        ((np.linspace(1.0, 0.0, 11), 1.0), "expected a finite, nonnegative, nondecreasing"),
+        # NaN passed both comparisons, and inf gave a NaN bound with a warning
+        ((math.nan, 1.0), "expected a finite, nonnegative, nondecreasing node function"),
+        ((1.0, math.inf), "expected a finite, nonnegative, nondecreasing node function"),
+    ])
+    def test_bad_a_is_refused(self, a, match):
+        z = StieltjesMeasure.zero(uniform_grid(cells=10), True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{match}"):
+                gronwall_bound(((z, z), (z, z)), a, 1.0)
+
+    def test_bad_beta_is_refused(self):
+        grid = uniform_grid(cells=10)
+        z = StieltjesMeasure.zero(grid, True)
+        with pytest.raises(ValueError, match="^beta measures must share one grid$"):
+            gronwall_bound(((z, StieltjesMeasure.zero(uniform_grid(cells=5))), (z, z)),
+                           (1.0, 1.0), 1.0)
+        signed = StieltjesMeasure(grid, np.full(10, -1.0))
+        with pytest.raises(ValueError, match="^beta measures must be nondecreasing$"):
+            gronwall_bound(((z, z), (signed, z)), (1.0, 1.0), 1.0)
+
+    def test_weight_overflow_is_typed(self):
+        # exp(beta_22) overflows past 0.71, but not at t = 0.5
+        grid = uniform_grid(cells=10)
+        z = StieltjesMeasure.zero(grid, True)
+        steep = StieltjesMeasure.from_segments(grid, [(0.0, 1.0, 1000.0)], (), True)
+        assert math.isfinite(gronwall_bound(((z, z), (z, steep)), (1.0, 1.0), 0.5)[1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="overflows before t"):
+                gronwall_bound(((z, z), (z, steep)), (1.0, 1.0), 1.0)
 
 
 class TestGrowthExponent:
@@ -526,6 +574,7 @@ def _pair_readers():
         ("lambda", lambda p: finite_diff_check(env, 1.0, p, 1e-3)),
         ("state", lambda p: mean_of_transition(env, 0.0, 1.0, p, ok)),
         ("lambda", lambda p: mean_of_transition(env, 0.0, 1.0, ok, p)),
+        ("lambda", lambda p: mechanism_atom_increment(env, 1, p, 0.5)),
         ("initial state", lambda p: simulate_path(sf, p, 1.0, 3)),
         ("initial state", lambda p: mc_laplace(sf, p, 1.0, ok, 100, 3)),
         ("lambda", lambda p: mc_laplace(sf, ok, 1.0, p, 100, 3)),
