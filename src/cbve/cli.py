@@ -231,7 +231,7 @@ def _verify_environment(cfg: RunConfig, args, t: float, lam, battery: _Battery) 
     s = float(env.grid.nodes[isx])
     residual = check_flow(env, r, s, t, lam)
     # check_flow on env.refined(4), without building that model
-    residual4 = _flow_residual(env, r, s, t, lam, 2, base=4)
+    residual4 = _flow_residual(env, r, s, t, lam, base=4)
     battery.check("flow_residual", residual <= 1e-5,
                   f"residual={residual:.3e} (tol 1e-05)")
     battery.check(

@@ -147,8 +147,7 @@ def _measure(grid: TimeGrid, key: str, kind: str, section: dict):
     try:
         if kind == "jump":
             return JumpMeasure.from_segments(grid, section["kernel"], section["atoms"])
-        return StieltjesMeasure.from_segments(grid, section["density"], section["atoms"],
-                                              kind != "signed")
+        return StieltjesMeasure.from_segments(grid, section["density"], section["atoms"])
     except ValueError as exc:
         _fail(key, str(exc))
 

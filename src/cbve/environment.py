@@ -52,6 +52,11 @@ def _other(i: int) -> int:
     return 3 - i
 
 
+def _of_type(i: int, one, two):
+    """``one`` for type 1, ``two`` for type 2; another index raises."""
+    return one if _other(i) == 2 else two
+
+
 #: math.hypot elementwise: np.hypot differs from it in the last bit
 _hypot = np.vectorize(math.hypot, otypes=[float])
 
@@ -117,11 +122,8 @@ class _Model:
 
     @classmethod
     def zero(cls, grid: TimeGrid):
-        return cls(grid, *(
-            JumpMeasure.zero(grid) if kind == "jump"
-            else StieltjesMeasure.zero(grid, nondecreasing=kind != "signed")
-            for _, kind in cls._coefficients()
-        ))
+        return cls(grid, *((JumpMeasure if kind == "jump" else StieltjesMeasure).zero(grid)
+                           for _, kind in cls._coefficients()))
 
     def refined(self, factor: int):
         fine = self.grid.refine(factor)
@@ -145,7 +147,7 @@ class Environment(_Model):
     m2: JumpMeasure = _coefficient("jump")
 
     def b_diag(self, i: int) -> StieltjesMeasure:
-        return self.b11 if i == 1 else self.b22
+        return _of_type(i, self.b11, self.b22)
 
     def b_cross(self, i: int, j: int) -> StieltjesMeasure:
         if (i, j) == (1, 2):
@@ -155,10 +157,10 @@ class Environment(_Model):
         raise ValueError("need i != j in {1, 2}")
 
     def c_diag(self, i: int) -> StieltjesMeasure:
-        return self.c1 if i == 1 else self.c2
+        return _of_type(i, self.c1, self.c2)
 
     def m_jump(self, i: int) -> JumpMeasure:
-        return self.m1 if i == 1 else self.m2
+        return _of_type(i, self.m1, self.m2)
 
     @cached_property
     def validation(self) -> ValidationReport:
@@ -171,9 +173,11 @@ class Environment(_Model):
 
     @cached_property
     def _cross_drifts(self) -> tuple:
-        """(bb12, bb21) of :func:`effective_cross_drift`, built once."""
+        """(bb12, bb21) of :func:`effective_cross_drift`, built once; the
+        gate of every solver, so an inadmissible model raises here."""
+        self.require_valid()
         return tuple(StieltjesMeasure.linear_combination(
-            self.grid, [(1.0, b), (1.0, m.coordinate_moment(j))], nondecreasing=True)
+            self.grid, [(1.0, b), (1.0, m.coordinate_moment(j))])
             for b, m, j in ((self.b12, self.m1, 2), (self.b21, self.m2, 1)))
 
     @cached_property
@@ -207,7 +211,7 @@ class SpecialForm(_Model):
                 raise ValueError(f"{name} atom at {low[0]} must exceed -1")
 
     def gamma_diag(self, i: int) -> StieltjesMeasure:
-        return self.gamma11 if i == 1 else self.gamma22
+        return _of_type(i, self.gamma11, self.gamma22)
 
     def gamma_cross(self, i: int, j: int) -> StieltjesMeasure:
         if (i, j) == (1, 2):
@@ -217,7 +221,7 @@ class SpecialForm(_Model):
         raise ValueError("need i != j in {1, 2}")
 
     def mu_jump(self, i: int) -> JumpMeasure:
-        return self.mu1 if i == 1 else self.mu2
+        return _of_type(i, self.mu1, self.mu2)
 
     @cached_property
     def _picard_table(self):
@@ -242,10 +246,19 @@ def atom_load(env: Environment, i: int, s: float) -> float:
     """Diagonal atom load at time s: drift jump plus own-coordinate jump mass.
 
     This is the quantity whose value 1 marks a type-i extinction point and
-    whose admissible range is (-inf, 1].
+    whose admissible range is (-inf, 1]; inf where the jump mass overflows.
     """
-    own = env.m_jump(i).coordinate_moment(i)  # validates the type index
-    return env.b_diag(i).atom_mass_at(s) + own.atom_mass_at(s)
+    return float(_atom_loads(env, i)[env.grid.index_of(s)])
+
+
+def _atom_loads(env: Environment, i: int) -> np.ndarray:
+    """Type-i :func:`atom_load` at every node: 0 where neither part has an
+    atom, inf where the own-coordinate jump mass overflows."""
+    jump = env.m_jump(i)
+    loads = env.b_diag(i).node_atom_masses.copy()
+    with np.errstate(over="ignore"):
+        loads[jump.atom_nodes] += _slot_sums(lambda z1, z2: (z1, z2)[i - 1], jump.atom_points)
+    return loads
 
 
 def bottlenecks(env: Environment) -> list:
@@ -283,30 +296,17 @@ def _moment_total(env: Environment, i: int) -> float:
 def validate(env: Environment) -> ValidationReport:
     """Admissibility report: jump-moment totals, worst atom loads, bottlenecks.
 
-    Reports rather than raises; ``ok`` is False iff some atom load exceeds
-    1 beyond tolerance.
+    Reports rather than raises; ``ok`` is False iff there is a message: an
+    atom load above 1 beyond tolerance or a jump moment that is not finite.
     """
-    messages = []
     moments = tuple(_moment_total(env, i) for i in (1, 2))
-    deltas = []
-    ok = True
-    for i in (1, 2):
-        # atom_load at every node: 0 where neither part has an atom
-        jump = env.m_jump(i)
-        loads = env.b_diag(i).node_atom_masses.copy()
-        with np.errstate(over="ignore"):
-            own = _slot_sums(lambda z1, z2: (z1, z2)[i - 1], jump.atom_points)
-            loads[jump.atom_nodes] += own
-        worst = max(0.0, float(np.max(loads)))
-        deltas.append(worst)
-        if worst > 1.0 + ATOM_TOL:
-            ok = False
-            messages.append(f"type-{i} atom load {worst:.6g} exceeds 1")
+    deltas = tuple(max(0.0, float(np.max(_atom_loads(env, i)))) for i in (1, 2))
+    messages = [f"type-{i} atom load {worst:.6g} exceeds 1"
+                for i, worst in zip((1, 2), deltas) if worst > 1.0 + ATOM_TOL]
     if not all(math.isfinite(m) for m in moments):
-        ok = False
         messages.append("jump moment integral is not finite")
     times = tuple(t for t, _ in bottlenecks(env))
-    return ValidationReport(moments, tuple(deltas), times, ok, tuple(messages))
+    return ValidationReport(moments, deltas, times, not messages, tuple(messages))
 
 
 def effective_cross_drift(env: Environment, i: int, j: int) -> StieltjesMeasure:
@@ -336,7 +336,7 @@ def special_to_general(sf: SpecialForm) -> Environment:
         grid,
         diag(1), diag(2),
         sf.gamma12, sf.gamma21,
-        StieltjesMeasure.zero(grid, True), StieltjesMeasure.zero(grid, True),
+        StieltjesMeasure.zero(grid), StieltjesMeasure.zero(grid),
         sf.mu1, sf.mu2,
     )
     env.require_valid()
@@ -354,6 +354,7 @@ def finite_activity_approximation(env: Environment, n: int) -> SpecialForm:
     """
     if not isinstance(n, int) or n < 1:
         raise ValueError("approximation level must be a positive integer")
+    env.require_valid()
     grid = env.grid
     en = math.exp(-n)
     shrink = 1.0 - en
@@ -376,13 +377,11 @@ def finite_activity_approximation(env: Environment, n: int) -> SpecialForm:
 
     def cross(i: int, j: int) -> StieltjesMeasure:
         # factored as b_ij + sum z_j w (1 - thin factor): each term is
-        # nonnegative, so the nondecreasing flag holds in floating point too
+        # nonnegative, so the sum is nondecreasing in floating point too
         kept = env.m_jump(i).thinned(
             lambda z1, z2: 1.0 - thin_factor(z1, z2)
         ).coordinate_moment(j)
-        return StieltjesMeasure.linear_combination(
-            grid, [(1.0, env.b_cross(i, j)), (1.0, kept)], nondecreasing=True
-        )
+        return StieltjesMeasure.linear_combination(grid, [(1.0, env.b_cross(i, j)), (1.0, kept)])
 
     def jumps(i: int) -> JumpMeasure:
         # one more slot per cell: the 1/n jump at rate 2 n^2 c_i (none where 0)

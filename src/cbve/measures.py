@@ -123,21 +123,20 @@ class StieltjesMeasure:
     none); and ``atom_nodes``, the ascending nodes in (0, T] given an atom,
     a zero mass included.  The constructor takes (time, mass) pairs whose
     times must be grid nodes in (0, T], which :attr:`atoms` gives back.
-    With ``nondecreasing=True`` both parts must be nonnegative.
+    :attr:`nondecreasing` is read from the arrays.
     """
 
     grid: TimeGrid
     density: np.ndarray
     node_atom_masses: np.ndarray
     atom_nodes: np.ndarray
-    nondecreasing: bool
 
-    def __init__(self, grid: TimeGrid, density, atoms=(), nondecreasing: bool = False):
+    def __init__(self, grid: TimeGrid, density, atoms=()):
         at = _check_atoms(grid, atoms)
         self._store(grid, np.array(density, dtype=float), np.array([m for m, _ in at], np.intp),
-                    np.array([float(mass) for _, mass in at]), nondecreasing)
+                    np.array([float(mass) for _, mass in at]))
 
-    def _store(self, grid, density, nodes, masses, nondecreasing) -> "StieltjesMeasure":
+    def _store(self, grid, density, nodes, masses) -> "StieltjesMeasure":
         """Check and keep ``density`` and the atom ``masses`` at ``nodes``."""
         if density.shape != (grid.n_cells,):
             raise ValueError("density must hold one value per grid cell")
@@ -145,29 +144,27 @@ class StieltjesMeasure:
             raise ValueError("density values must be finite")
         if not np.isfinite(masses).all():
             raise ValueError("atom masses must be finite")
-        if nondecreasing and ((density < 0.0).any() or (masses < 0.0).any()):
-            raise ValueError("nondecreasing measure needs nonnegative parts")
         node_masses = np.zeros(grid.nodes.size)
         node_masses[nodes] = masses
         for arr in (density, node_masses, nodes):
             arr.setflags(write=False)
         self.__dict__.update(grid=grid, density=density, node_atom_masses=node_masses,
-                             atom_nodes=nodes, nondecreasing=nondecreasing)
+                             atom_nodes=nodes)
         return self
 
     @classmethod
-    def _of(cls, grid, density, masses, nodes=None, nondecreasing=False) -> "StieltjesMeasure":
+    def _of(cls, grid, density, masses, nodes=None) -> "StieltjesMeasure":
         """The measure of a new ``density`` array and of the node ``masses`` at the
         ascending ``nodes`` in (0, T] (default: where nonzero); others are dropped."""
         nodes = np.flatnonzero(masses) if nodes is None else nodes
-        return cls.__new__(cls)._store(grid, density, nodes, masses[nodes], nondecreasing)
+        return cls.__new__(cls)._store(grid, density, nodes, masses[nodes])
 
     @classmethod
-    def zero(cls, grid: TimeGrid, nondecreasing: bool = False) -> "StieltjesMeasure":
-        return cls(grid, np.zeros(grid.n_cells), (), nondecreasing)
+    def zero(cls, grid: TimeGrid) -> "StieltjesMeasure":
+        return cls(grid, np.zeros(grid.n_cells))
 
     @classmethod
-    def from_segments(cls, grid, segments, atoms=(), nondecreasing=False):
+    def from_segments(cls, grid, segments, atoms=()):
         """Build from [(t0, t1, value), ...]; segment endpoints must be nodes."""
         dens = np.zeros(grid.n_cells)
         for t0, t1, value in segments:
@@ -175,7 +172,12 @@ class StieltjesMeasure:
             if i1 <= i0:
                 raise ValueError(f"empty density segment [{t0}, {t1})")
             dens[i0:i1] = value
-        return cls(grid, dens, atoms, nondecreasing)
+        return cls(grid, dens, atoms)
+
+    @property
+    def nondecreasing(self) -> bool:
+        """Whether the density and every atom mass are nonnegative."""
+        return not ((self.density < 0.0).any() or (self.node_atom_masses < 0.0).any())
 
     @cached_property
     def atoms(self) -> tuple:
@@ -256,17 +258,17 @@ class StieltjesMeasure:
     def abs(self) -> "StieltjesMeasure":
         """Total-variation measure: absolute density and atom masses."""
         return StieltjesMeasure._of(self.grid, np.abs(self.density),
-                                    np.abs(self.node_atom_masses), self.atom_nodes, True)
+                                    np.abs(self.node_atom_masses), self.atom_nodes)
 
     def on_refinement(self, fine: TimeGrid, factor: int) -> "StieltjesMeasure":
         """Re-materialize on a ``factor``-refined copy of the same grid."""
         masses = np.zeros(fine.nodes.size)
         masses[::factor] = self.node_atom_masses
         return StieltjesMeasure._of(fine, np.repeat(self.density, factor), masses,
-                                    self.atom_nodes * factor, self.nondecreasing)
+                                    self.atom_nodes * factor)
 
     @classmethod
-    def linear_combination(cls, grid, terms, nondecreasing=False):
+    def linear_combination(cls, grid, terms):
         """Sum ``coef * measure`` over ``terms`` (all on ``grid``); atoms
         summing to zero are dropped."""
         dens = np.zeros(grid.n_cells)
@@ -276,7 +278,7 @@ class StieltjesMeasure:
                 raise ValueError("all measures must share the grid")
             dens += coef * meas.density
             masses += coef * meas.node_atom_masses
-        return cls._of(grid, dens, masses, nondecreasing=nondecreasing)
+        return cls._of(grid, dens, masses)
 
 
 @dataclass(frozen=True, eq=False)

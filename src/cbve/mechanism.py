@@ -5,8 +5,8 @@ function f and an interval (r, t] the combined drift, cross-drift,
 diffusion and jump contribution that drives the backward system.  The
 special-form counterpart does the same for finite-activity coefficients.
 Evaluation follows the measures module conventions: atoms exact,
-densities per endpoint rule (right endpoint by default, matching the
-right-closed interval convention and the backward stepping direction).
+densities at the right endpoint of each cell, matching the right-closed
+interval convention and the backward stepping direction.
 The jump part is one elementwise evaluation on the kernel's padded
 ``cell_points``/``atom_points``, summed slot by slot like ``moment_measure``.
 """
@@ -71,37 +71,31 @@ def _full_kernel(x):
     return np.expm1(-x) + x
 
 
-def _jump_part(jump, f, ir, it, widths, rule, kernel):
+def _jump_part(jump, f, ir, it, widths, kernel):
     """Integrate the sum of kernel(<f(s), z>) * weight over (r, t] for one
-    type: cell densities by the endpoint rule, atoms on nodes in (r, t]."""
-    cells = jump.cell_points[:, :, ir:it]
-    dens = _kernel_sums(cells, *f[ir + 1 : it + 1].T, kernel)
-    if rule == "trapezoid":
-        dens = 0.5 * (_kernel_sums(cells, *f[ir:it].T, kernel) + dens)
+    type: cell densities at the right endpoint, atoms on nodes in (r, t]."""
+    dens = _kernel_sums(jump.cell_points[:, :, ir:it], *f[ir + 1 : it + 1].T, kernel)
     nodes = jump.atom_nodes
     on = (ir < nodes) & (nodes <= it)
     masses = _kernel_sums(jump.atom_points[:, :, on], *f[nodes[on]].T, kernel)
     return float(np.sum(widths[ir:it] * dens)) + float(np.sum(masses))
 
 
-def mechanism_increment(env: Environment, i: int, f, r: float, t: float,
-                        rule: str = "right") -> float:
+def mechanism_increment(env: Environment, i: int, f, r: float, t: float) -> float:
     """Mechanism mass of type i over (r, t] for a grid function f.
 
     Combines the diagonal drift against f_i, the effective cross drift
     against f_j, the diffusion against f_i^2 and the fully compensated
     jump kernel; the jump integral is an exact finite sum in space.
     """
-    env.require_valid()
     j = _other(i)
     f = as_vector_function(env.grid, f)
     fi, fj = f[:, i - 1], f[:, j - 1]
-    total = env.b_diag(i).integrate(fi, r, t, rule)
-    total -= effective_cross_drift(env, i, j).integrate(fj, r, t, rule)
-    total += env.c_diag(i).integrate(fi * fi, r, t, rule)
+    total = env.b_diag(i).integrate(fi, r, t)
+    total -= effective_cross_drift(env, i, j).integrate(fj, r, t)
+    total += env.c_diag(i).integrate(fi * fi, r, t)
     ir, it = env.grid.index_of(r), env.grid.index_of(t)
-    total += _jump_part(env.m_jump(i), f, ir, it, env.grid.widths, rule,
-                        _full_kernel)
+    total += _jump_part(env.m_jump(i), f, ir, it, env.grid.widths, _full_kernel)
     return total
 
 
@@ -117,19 +111,17 @@ def mechanism_atom_increment(env: Environment, i: int, lam, s: float) -> float:
     return out
 
 
-def special_mechanism_increment(sf: SpecialForm, i: int, f, r: float, t: float,
-                                rule: str = "right") -> float:
+def special_mechanism_increment(sf: SpecialForm, i: int, f, r: float, t: float) -> float:
     """Finite-activity mechanism mass of type i over (r, t] (negated drift form):
     -(integral of f_i against gamma_ii) - (f_j against gamma_ij)
     - (1 - exp(-<f, z>)) against mu_i."""
     j = _other(i)
     f = as_vector_function(sf.grid, f)
     fi, fj = f[:, i - 1], f[:, j - 1]
-    total = -sf.gamma_diag(i).integrate(fi, r, t, rule)
-    total -= sf.gamma_cross(i, j).integrate(fj, r, t, rule)
+    total = -sf.gamma_diag(i).integrate(fi, r, t)
+    total -= sf.gamma_cross(i, j).integrate(fj, r, t)
     ir, it = sf.grid.index_of(r), sf.grid.index_of(t)
-    total -= _jump_part(sf.mu_jump(i), f, ir, it, sf.grid.widths, rule,
-                        lambda x: -np.expm1(-x))
+    total -= _jump_part(sf.mu_jump(i), f, ir, it, sf.grid.widths, lambda x: -np.expm1(-x))
     return total
 
 
@@ -140,6 +132,7 @@ def lipschitz_constants(env: Environment, f, g, t: float):
     coefficient-variation measure: diffusion parts, doubled jump moments,
     diagonal variations and cross drifts.
     """
+    env.require_valid()
     f = as_vector_function(env.grid, f)
     g = as_vector_function(env.grid, g)
     it = env.grid.index_of(t)
@@ -154,5 +147,5 @@ def lipschitz_constants(env: Environment, f, g, t: float):
         (1.0, env.b12),
         (1.0, env.b21),
     ]
-    c2 = StieltjesMeasure.linear_combination(env.grid, terms, nondecreasing=True)
+    c2 = StieltjesMeasure.linear_combination(env.grid, terms)
     return c1, c2

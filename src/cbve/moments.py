@@ -76,7 +76,6 @@ def solve_moment(env: Environment, t: float, lam) -> MomentSolution:
     and pi is the exact mean of the model on its own grid, stiff cells
     included; a mean that overflows raises :class:`NumericalError`.
     """
-    env.require_valid()
     lam1, lam2 = _pair(lam, signed=True)
     M = env.grid.index_of(t)
     with np.errstate(over="ignore", invalid="ignore"):

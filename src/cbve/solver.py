@@ -224,7 +224,6 @@ def solve_general(env: Environment, t: float, lam) -> CumulantSolution:
     is second order on smooth stretches.  Negative components beyond 1e-9
     raise a :class:`DiscretizationError`; smaller ones are clamped to zero.
     """
-    env.require_valid()
     lam = _pair(lam)
     M = env.grid.index_of(t)
     v, clamp_events, worst_deficit = _sweep(env._table[:M], lam)
@@ -409,7 +408,7 @@ def h_transform_coefficients(sf: SpecialForm, zeta1: StieltjesMeasure,
         dens = gam.density * np.exp(zl[i - 1] - zl[j - 1])
         mass = gam.node_atom_masses * np.exp(zminus[i - 1] - Z[j - 1])
         finite(dens, mass[gam.atom_nodes])
-        return StieltjesMeasure._of(grid, dens, mass, gam.atom_nodes, nondecreasing=True)
+        return StieltjesMeasure._of(grid, dens, mass, gam.atom_nodes)
 
     def jumps(i: int) -> JumpMeasure:
         mu = sf.mu_jump(i)
@@ -496,7 +495,7 @@ def gronwall_bound(beta, a, t: float):
     for meas in (b11, b12, b21, b22):
         if not meas.grid.same_as(grid):
             raise ValueError("beta measures must share one grid")
-        if np.any(meas.density < 0.0) or np.any(meas.node_atom_masses < 0.0):
+        if not meas.nondecreasing:
             raise ValueError("beta measures must be nondecreasing")
     it = grid.index_of(t)
     t = float(grid.nodes[it])
@@ -561,32 +560,30 @@ def cumulant_upper_bound(env: Environment, i: int, r: float, t: float, lam) -> f
     return norm * (1.0 + bb_ij) * math.exp(expo)
 
 
-def check_flow(env: Environment, r: float, s: float, t: float, lam,
-               terminal_refine: int = 2) -> float:
+def check_flow(env: Environment, r: float, s: float, t: float, lam) -> float:
     """Composition residual of the backward flow across r <= s <= t.
 
-    Solves the (s, t] leg on a ``terminal_refine``-times finer grid, feeds
-    its value at s as terminal data to an (r, s] solve on the base grid and
-    compares with the direct (r, t] solve at node r.  On a shared grid the
-    one-step recursion composes exactly, so the refined terminal leg is what
-    makes the residual measure actual discretization error; it vanishes
-    under grid refinement.  With s = t the terminal leg is the identity and
-    the residual is exactly zero.
+    Solves the (s, t] leg on a twice finer grid, feeds its value at s as
+    terminal data to an (r, s] solve on the base grid and compares with the
+    direct (r, t] solve at node r.  On a shared grid the one-step recursion
+    composes exactly, so the refined terminal leg is what makes the
+    residual measure actual discretization error; it vanishes under grid
+    refinement.  With s = t the terminal leg is the identity and the
+    residual is exactly zero.
 
     Each leg sweeps only the nodes the residual reads: the fine leg the
     fine nodes of [s, t], the two base legs the nodes of [r, s] and [r, t].
     The fine leg runs on the model's own compiled rows: each cell of
-    (s, t] becomes ``terminal_refine`` rows with the refined grid's widths
-    and the same densities and kernel points, its atom on the last of them
-    (fine node ``m * terminal_refine`` for an atom at node m).  These are
-    the rows the refined model ``env.refined(terminal_refine)`` would
-    compile on that window, and refinement keeps every atom and its mass,
-    so it is admissible exactly when ``env`` is; the residual equals the
-    one from solving that model, without building it.  A sweep failure on
-    nodes the residual does not read (below r, or below s on the fine leg)
-    therefore raises nothing.
+    (s, t] becomes 2 rows with the refined grid's widths and the same
+    densities and kernel points, its atom on the last of them (fine node
+    ``2 * m`` for an atom at node m).  These are the rows the refined
+    model ``env.refined(2)`` would compile on that window, and refinement
+    keeps every atom and its mass, so it is admissible exactly when
+    ``env`` is; the residual equals the one from solving that model,
+    without building it.  A sweep failure on nodes the residual does not
+    read (below r, or below s on the fine leg) therefore raises nothing.
     """
-    return _flow_residual(env, r, s, t, lam, terminal_refine)
+    return _flow_residual(env, r, s, t, lam)
 
 
 def _split_rows(rows, widths, f: int):
@@ -602,20 +599,19 @@ def _split_rows(rows, widths, f: int):
 
 
 def _flow_residual(env: Environment, r: float, s: float, t: float, lam,
-                   f: int, base: int = 1) -> float:
-    """:func:`check_flow` with ``terminal_refine = f`` on
-    ``env.refined(base)``, swept on ``env``'s compiled rows: the base legs
-    on them split ``base`` ways, the fine leg split ``base * f`` ways with
-    the widths of ``env.grid.refine(base).refine(f)``.  Refinement keeps
-    ``validate``'s verdict, so ``env``'s own check stands for the refined
-    model's."""
+                   base: int = 1) -> float:
+    """:func:`check_flow` on ``env.refined(base)``, swept on ``env``'s
+    compiled rows: the base legs on them split ``base`` ways, the fine leg
+    split ``2 * base`` ways with the widths of
+    ``env.grid.refine(base).refine(2)``.  Refinement keeps ``validate``'s
+    verdict, so ``env``'s own check (made when its rows are compiled)
+    stands for the refined model's."""
     ir, isx, it = (env.grid.index_of(x) for x in (r, s, t))
     if not (ir <= isx <= it):
         raise ValueError("need r <= s <= t")
     grid = env.grid.refine(base)
-    n = base * f
-    widths = grid.refine(f).widths[isx * n : it * n].tolist()
-    env.require_valid()
+    n = 2 * base
+    widths = grid.refine(2).widths[isx * n : it * n].tolist()
     lam = _pair(lam)
     rows = env._table[ir:it]
     top = _sweep(_split_rows(rows[isx - ir :], widths, n), lam)[0][0]

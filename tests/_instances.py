@@ -23,10 +23,10 @@ def make_env(grid, b11=None, b22=None, b12=None, b21=None, c1=None, c2=None,
         grid,
         b11 if b11 is not None else z(grid),
         b22 if b22 is not None else z(grid),
-        b12 if b12 is not None else z(grid, True),
-        b21 if b21 is not None else z(grid, True),
-        c1 if c1 is not None else z(grid, True),
-        c2 if c2 is not None else z(grid, True),
+        b12 if b12 is not None else z(grid),
+        b21 if b21 is not None else z(grid),
+        c1 if c1 is not None else z(grid),
+        c2 if c2 is not None else z(grid),
         m1 if m1 is not None else JumpMeasure.zero(grid),
         m2 if m2 is not None else JumpMeasure.zero(grid),
     )
@@ -39,8 +39,8 @@ def make_sf(grid, g11=None, g22=None, g12=None, g21=None, mu1=None, mu2=None
         grid,
         g11 if g11 is not None else z(grid),
         g22 if g22 is not None else z(grid),
-        g12 if g12 is not None else z(grid, True),
-        g21 if g21 is not None else z(grid, True),
+        g12 if g12 is not None else z(grid),
+        g21 if g21 is not None else z(grid),
         mu1 if mu1 is not None else JumpMeasure.zero(grid),
         mu2 if mu2 is not None else JumpMeasure.zero(grid),
     )
@@ -62,8 +62,8 @@ def mc_cases() -> list:
     cases.append((
         make_sf(
             grid8,
-            g12=StieltjesMeasure.from_segments(grid8, [(0.0, 1.0, 0.5)], (), True),
-            g21=StieltjesMeasure.from_segments(grid8, [(0.0, 1.0, 0.3)], (), True),
+            g12=StieltjesMeasure.from_segments(grid8, [(0.0, 1.0, 0.5)]),
+            g21=StieltjesMeasure.from_segments(grid8, [(0.0, 1.0, 0.3)]),
             mu1=JumpMeasure.from_segments(grid8, [(0.0, 1.0, [(0.3, 0.7, 0.6)])]),
         ),
         (1.0, 0.5), (0.8, 1.2),
@@ -73,7 +73,7 @@ def mc_cases() -> list:
         make_sf(
             grid16,
             g11=StieltjesMeasure(grid16, np.zeros(16), ((0.5, -0.4),)),
-            g21=StieltjesMeasure(grid16, np.zeros(16), ((0.5, 0.3),), True),
+            g21=StieltjesMeasure(grid16, np.zeros(16), ((0.5, 0.3),)),
             mu2=JumpMeasure.from_segments(
                 grid16, [(0.0, 1.0, [(0.2, 0.1, 0.4)])], [(0.5, [(0.5, 0.5, 0.7)])]
             ),
@@ -95,7 +95,7 @@ def mc_cases() -> list:
         make_sf(
             grid16,
             g12=StieltjesMeasure.from_segments(
-                grid16, [(0.0, 1.0, 0.4)], ((0.75, 0.2),), True
+                grid16, [(0.0, 1.0, 0.4)], ((0.75, 0.2),)
             ),
             mu1=JumpMeasure.from_segments(
                 grid16, [(0.0, 1.0, [(0.4, 0.1, 0.5), (0.1, 0.6, 0.3)])]
@@ -112,7 +112,7 @@ def feller_environment(cells=10000, b=1.0, c=1.0, T=1.0) -> Environment:
     return make_env(
         grid,
         b11=StieltjesMeasure.from_segments(grid, [(0.0, T, b)]),
-        c1=StieltjesMeasure.from_segments(grid, [(0.0, T, c)], (), True),
+        c1=StieltjesMeasure.from_segments(grid, [(0.0, T, c)]),
     )
 
 
@@ -137,14 +137,14 @@ def atom_edge_environments(cells=40, T=1.0) -> list:
     grid = uniform_grid(T, cells)
     at = [float(grid.nodes[cells * k // 4]) for k in (1, 2, 3)]
 
-    def drift(*atoms, nondecreasing=False):
-        return StieltjesMeasure(grid, np.full(cells, 0.3), tuple(atoms), nondecreasing)
+    def drift(*atoms):
+        return StieltjesMeasure(grid, np.full(cells, 0.3), tuple(atoms))
 
     kernel = JumpMeasure.from_segments(
         grid, [(0.0, T, [(0.4, 0.2, 0.5)])], [(at[1], [(0.5, 0.0, 0.8)])])
     return [
         make_env(grid, b11=drift((at[0], 1.0)), b22=drift((at[2], 1.0)), m1=kernel),
-        make_env(grid, b11=drift((at[0], 1.0)), b12=drift((at[0], 0.2), nondecreasing=True)),
+        make_env(grid, b11=drift((at[0], 1.0)), b12=drift((at[0], 0.2))),
         make_env(grid, b11=drift((at[1], 0.6)), m1=kernel),
         make_env(grid, b22=drift((at[1], 1.2), (at[2], 1.0))),
     ]
@@ -199,11 +199,9 @@ def random_environment(rng, cells=200, T=1.0, with_atoms=True) -> Environment:
         rng.choice(np.arange(1, cells), size=n_atoms, replace=False).tolist()
     )
 
-    def scalar(lo, hi, atoms=(), nondecreasing=False):
+    def scalar(lo, hi, atoms=()):
         dens = _segment_density(rng, cells, lo, hi)
-        if nondecreasing:
-            dens = np.abs(dens)
-        return StieltjesMeasure(grid, dens, atoms, nondecreasing)
+        return StieltjesMeasure(grid, dens, atoms)
 
     b11_atoms = tuple(
         (float(grid.nodes[i]), float(rng.uniform(-0.4, 0.6)))
@@ -220,10 +218,10 @@ def random_environment(rng, cells=200, T=1.0, with_atoms=True) -> Environment:
         grid,
         b11=scalar(-0.6, 0.6, b11_atoms),
         b22=scalar(-0.6, 0.6),
-        b12=scalar(0.0, 0.4, b12_atoms, True),
-        b21=scalar(0.0, 0.4, (), True),
-        c1=scalar(0.0, 0.4, (), True),
-        c2=scalar(0.0, 0.4, (), True),
+        b12=scalar(0.0, 0.4, b12_atoms),
+        b21=scalar(0.0, 0.4),
+        c1=scalar(0.0, 0.4),
+        c2=scalar(0.0, 0.4),
         m1=_random_jump(rng, grid, jump_atom_nodes),
         m2=_random_jump(rng, grid),
     )
@@ -260,7 +258,7 @@ def random_special_form(rng, cells=200, T=1.0, diag="atoms") -> SpecialForm:
             if rng.random() < 0.4
         )
         return StieltjesMeasure(
-            grid, np.abs(_segment_density(rng, cells, 0.0, 0.5)), atoms, True
+            grid, np.abs(_segment_density(rng, cells, 0.0, 0.5)), atoms
         )
 
     jump_atom_nodes = [i for i in atom_nodes if rng.random() < 0.5]

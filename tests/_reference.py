@@ -424,17 +424,16 @@ def integrate(meas, f, r: float, t: float, rule: str = "right") -> float:
 def abs_measure(meas):
     """Total-variation measure, rebuilt from (time, mass) pairs."""
     return StieltjesMeasure(meas.grid, np.abs(meas.density),
-                            tuple((t, abs(m)) for t, m in meas.atoms), nondecreasing=True)
+                            tuple((t, abs(m)) for t, m in meas.atoms))
 
 
 def on_refinement(meas, fine, factor: int):
     """The measure on a ``factor``-refined grid, its atom times looked up
     again on the fine grid."""
-    return StieltjesMeasure(fine, np.repeat(meas.density, factor), meas.atoms,
-                            meas.nondecreasing)
+    return StieltjesMeasure(fine, np.repeat(meas.density, factor), meas.atoms)
 
 
-def linear_combination(grid, terms, nondecreasing=False):
+def linear_combination(grid, terms):
     """Sum of ``coef * measure``, the atoms added per node in a dict."""
     dens = np.zeros(grid.n_cells)
     atom_acc: dict[int, float] = {}
@@ -443,7 +442,7 @@ def linear_combination(grid, terms, nondecreasing=False):
         for _, m, idx in _atom_entries(meas):
             atom_acc[idx] = atom_acc.get(idx, 0.0) + coef * m
     atoms = [(float(grid.nodes[i]), m) for i, m in atom_acc.items() if m != 0.0]
-    return StieltjesMeasure(grid, dens, tuple(atoms), nondecreasing)
+    return StieltjesMeasure(grid, dens, tuple(atoms))
 
 
 def _moment_axis(env, M: int, lam1: float, lam2: float) -> np.ndarray:
@@ -671,7 +670,7 @@ def h_transform_coefficients(sf, zeta1, zeta2):
             out_atoms.append(
                 (t_at, mass * math.exp(zminus[i - 1][m] - (Zv1, Zv2)[j - 1][m]))
             )
-        return StieltjesMeasure(grid, dens, tuple(out_atoms), nondecreasing=True)
+        return StieltjesMeasure(grid, dens, tuple(out_atoms))
 
     def jumps(i: int) -> JumpMeasure:
         mu = sf.mu_jump(i)

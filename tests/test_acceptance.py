@@ -150,10 +150,10 @@ def test_criterion_6_approximation_ladder():
         grid,
         b11=StieltjesMeasure.from_segments(grid, [(0.0, 1.0, 0.3)], ((0.5, 0.3),)),
         b22=StieltjesMeasure.from_segments(grid, [(0.0, 1.0, -0.2)]),
-        b12=StieltjesMeasure.from_segments(grid, [(0.0, 1.0, 0.2)], (), True),
-        b21=StieltjesMeasure.from_segments(grid, [(0.0, 1.0, 0.15)], (), True),
-        c1=StieltjesMeasure.from_segments(grid, [(0.0, 1.0, 0.25)], (), True),
-        c2=StieltjesMeasure.from_segments(grid, [(0.0, 1.0, 0.2)], (), True),
+        b12=StieltjesMeasure.from_segments(grid, [(0.0, 1.0, 0.2)]),
+        b21=StieltjesMeasure.from_segments(grid, [(0.0, 1.0, 0.15)]),
+        c1=StieltjesMeasure.from_segments(grid, [(0.0, 1.0, 0.25)]),
+        c2=StieltjesMeasure.from_segments(grid, [(0.0, 1.0, 0.2)]),
         m1=JumpMeasure.from_segments(grid, [(0.0, 1.0, [(0.3, 0.2, 0.8)])]),
         m2=JumpMeasure.from_segments(grid, [(0.0, 1.0, [(0.1, 0.4, 0.5)])]),
     )

@@ -8,7 +8,8 @@ import warnings
 import numpy as np
 import pytest
 
-from cbve import emit_config, load_config, parse_config
+from cbve import CBVEError, emit_config, load_config, parse_config
+from cbve import cli
 from cbve.cli import main
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -87,7 +88,7 @@ _MALFORMED = {
     "non-object section": ("b11: expected an object", {"b11": [1]}),
     "unknown part": ("b11: unknown fields ['values']", {"b11": {"values": []}}),
     "empty segment": ("b11: empty density segment", {"b11": {"density": [[0.5, 0.5, 1.0]]}}),
-    "negative cross drift": ("b12: nondecreasing measure needs nonnegative parts",
+    "negative cross drift": ("b12 must be a nondecreasing measure",
                              {"b12": {"density": [[0.0, 1.0, -1.0]]}}),
     "unknown kind": ("kind: expected 'environment' or 'special_form'", {"kind": "model"}),
     "gamma11 atom of -1": ("gamma11 atom at 0.5 must exceed -1",
@@ -169,6 +170,15 @@ class TestCommands:
         assert captured.err == ""
         assert f"moment_values: {moment}, 0\n" in captured.out
         assert ("message: jump moment integral is not finite" in captured.out) == (code == 3)
+
+    def test_other_library_error_exit_code(self, monkeypatch, capsys):
+        # a CBVEError that is neither a config, admissibility nor numerical failure
+        def boom(cfg, args):
+            raise CBVEError("boom")
+
+        monkeypatch.setattr(cli, "cmd_validate", boom)
+        assert main(["validate", "--config", _cfg_path("feller.json")]) == 4
+        assert capsys.readouterr() == ("", "error: boom\n")
 
     def test_validate_reports_bottleneck(self, capsys):
         assert main(["validate", "--config", _cfg_path("bottleneck.json")]) == 0

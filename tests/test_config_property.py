@@ -60,7 +60,7 @@ def _scalars(draw, grid, lo=0.0, atoms=True):
     if atoms:
         at = tuple((float(grid.nodes[i]), draw(_values(lo, 0.25)))
                    for i in _atom_nodes(draw, grid))
-    return StieltjesMeasure(grid, np.array(dens), at, nondecreasing=lo >= 0.0)
+    return StieltjesMeasure(grid, np.array(dens), at)
 
 
 @st.composite

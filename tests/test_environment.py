@@ -1,5 +1,6 @@
 """Environment validation, bottlenecks, conversions and the approximation ladder."""
 import dataclasses
+import inspect
 import math
 import warnings
 
@@ -22,6 +23,7 @@ from cbve import (
     special_to_general,
 )
 
+import cbve
 import _instances
 from _instances import make_env, make_sf, random_environment, uniform_grid
 
@@ -154,10 +156,16 @@ def _misuses():
         "gamma_cross 2, 2": (lambda: sf.gamma_cross(2, 2), "need i != j in {1, 2}"),
         "other grid": (lambda: dataclasses.replace(env, b11=StieltjesMeasure.zero(other)),
                        "b11 lives on a different grid"),
-        "signed cross drift": (lambda: dataclasses.replace(env, b12=StieltjesMeasure.zero(grid)),
-                               "b12 must be a nondecreasing measure"),
+        "signed cross drift": (lambda: dataclasses.replace(
+            env, b12=StieltjesMeasure(grid, np.full(4, -0.1))),
+            "b12 must be a nondecreasing measure"),
+        "b_diag 3": (lambda: env.b_diag(3), "type index must be 1 or 2"),
+        "c_diag 0": (lambda: env.c_diag(0), "type index must be 1 or 2"),
+        "m_jump 5": (lambda: env.m_jump(5), "type index must be 1 or 2"),
+        "gamma_diag 3": (lambda: sf.gamma_diag(3), "type index must be 1 or 2"),
+        "mu_jump 0": (lambda: sf.mu_jump(0), "type index must be 1 or 2"),
         "diffusion atom": (lambda: dataclasses.replace(
-            env, c1=StieltjesMeasure(grid, np.zeros(4), ((0.5, 1.0),), True)),
+            env, c1=StieltjesMeasure(grid, np.zeros(4), ((0.5, 1.0),))),
             r"c1 must be continuous \(no time atoms\)"),
         "gamma11 atom of -1": (lambda: make_sf(grid, g11=StieltjesMeasure(
             grid, np.zeros(4), ((0.5, -1.0),))), "gamma11 atom at 0.5 must exceed -1"),
@@ -169,6 +177,62 @@ def test_bad_model_input_is_refused(case):
     call, match = _misuses()[case]
     with pytest.raises(ValueError, match=f"^{match}$"):
         call()
+
+
+def _inadmissible_environments():
+    """The overflowing kernel point, on the cells and as a time atom, and a
+    b11 atom load of 1.2."""
+    grid = uniform_grid(cells=4)
+    return {
+        "overflowing moment": make_env(grid, m1=_jump(
+            grid, [(0.0, 1.0, [(1e300, 0.0, 1e10)])], [(0.5, [(1e300, 1e300, 1e10)])])),
+        "excess load": make_env(grid, b11=StieltjesMeasure(grid, np.zeros(4), ((0.5, 1.2),))),
+    }
+
+
+_F = np.ones((5, 2))
+#: a call of each public function that takes an environment, and whether
+#: it reports (True) or refuses an inadmissible one with AdmissibilityError
+_ENV_CALLS = {
+    "validate": (lambda env: cbve.validate(env), True),
+    "bottlenecks": (lambda env: cbve.bottlenecks(env), True),
+    "last_bottleneck": (lambda env: cbve.last_bottleneck(env, 1.0), True),
+    "atom_load": (lambda env: cbve.atom_load(env, 1, 0.5), True),
+    "effective_cross_drift": (lambda env: cbve.effective_cross_drift(env, 1, 2), False),
+    "finite_activity_approximation": (
+        lambda env: cbve.finite_activity_approximation(env, 2), False),
+    "mechanism_increment": (lambda env: cbve.mechanism_increment(env, 1, _F, 0.0, 1.0), False),
+    "mechanism_atom_increment": (
+        lambda env: cbve.mechanism_atom_increment(env, 1, (1.0, 1.0), 0.5), False),
+    "lipschitz_constants": (lambda env: cbve.lipschitz_constants(env, _F, _F, 1.0), False),
+    "solve_general": (lambda env: cbve.solve_general(env, 1.0, (1.0, 1.0)), False),
+    "solve_moment": (lambda env: cbve.solve_moment(env, 1.0, (1.0, 1.0)), False),
+    "finite_diff_check": (lambda env: cbve.finite_diff_check(env, 1.0, (1.0, 1.0), 0.01), False),
+    "mean_of_transition": (
+        lambda env: cbve.mean_of_transition(env, 0.0, 1.0, (1.0, 1.0), (1.0, 1.0)), False),
+    "cumulant_upper_bound": (
+        lambda env: cbve.cumulant_upper_bound(env, 1, 0.0, 1.0, (1.0, 1.0)), False),
+    "check_flow": (lambda env: cbve.check_flow(env, 0.0, 0.5, 1.0, (1.0, 1.0)), False),
+}
+
+
+def test_every_public_environment_function_is_gated():
+    takes_env = {name for name in cbve.__all__ if inspect.isfunction(getattr(cbve, name))
+                 and next(iter(inspect.signature(getattr(cbve, name)).parameters)) == "env"}
+    assert takes_env == set(_ENV_CALLS)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("model", sorted(_inadmissible_environments()))
+@pytest.mark.parametrize("name", sorted(_ENV_CALLS))
+def test_inadmissible_environment_is_refused_at_one_gate(name, model):
+    call, reports = _ENV_CALLS[name]
+    env = _inadmissible_environments()[model]
+    if reports:
+        call(env)
+    else:
+        with pytest.raises(AdmissibilityError):
+            call(env)
 
 
 class TestAtomLoad:
@@ -195,6 +259,12 @@ class TestAtomLoad:
         with pytest.raises(ValueError):
             atom_load(env, 3, 0.5)
 
+    def test_overflowing_atom_load_is_the_reported_one(self):
+        # the load validate reports, not the moment measure's ValueError
+        env = _inadmissible_environments()["overflowing moment"]
+        assert atom_load(env, 1, 0.5) == math.inf == env.validation.delta_max[0]
+        assert atom_load(env, 2, 0.5) == 0.0
+
 
 class TestBottlenecks:
     def test_single_bottleneck(self):
@@ -207,7 +277,7 @@ class TestBottlenecks:
         env = make_env(
             grid,
             b11=StieltjesMeasure(grid, np.zeros(10), ((0.5, 1.0),)),
-            b12=StieltjesMeasure(grid, np.zeros(10), ((0.5, 0.1),), True),
+            b12=StieltjesMeasure(grid, np.zeros(10), ((0.5, 0.1),)),
         )
         assert bottlenecks(env) == []
 
@@ -244,7 +314,7 @@ class TestBottlenecks:
 class TestEffectiveCrossDrift:
     def test_no_jumps_identity(self):
         grid = uniform_grid(cells=10)
-        b12 = StieltjesMeasure.from_segments(grid, [(0.0, 1.0, 0.7)], (), True)
+        b12 = StieltjesMeasure.from_segments(grid, [(0.0, 1.0, 0.7)])
         env = make_env(grid, b12=b12)
         bb = effective_cross_drift(env, 1, 2)
         assert np.array_equal(bb.density, b12.density)
@@ -260,7 +330,7 @@ class TestEffectiveCrossDrift:
         grid = uniform_grid(cells=10)
         env = make_env(
             grid,
-            b12=StieltjesMeasure.from_segments(grid, [(0.0, 1.0, 1.0)], (), True),
+            b12=StieltjesMeasure.from_segments(grid, [(0.0, 1.0, 1.0)]),
             m1=_jump(grid, atoms=[(0.5, [(0.0, 0.5, 1.0)])]),
         )
         bb = effective_cross_drift(env, 1, 2)
@@ -308,7 +378,7 @@ class TestFiniteActivityApproximation:
     def test_diffusion_replacement(self):
         grid = uniform_grid(cells=10)
         env = make_env(
-            grid, c1=StieltjesMeasure.from_segments(grid, [(0.0, 1.0, 1.0)], (), True)
+            grid, c1=StieltjesMeasure.from_segments(grid, [(0.0, 1.0, 1.0)])
         )
         sf = finite_activity_approximation(env, 2)
         pts = sf.mu1.cell_kernels[0].points

@@ -1,16 +1,16 @@
 """Property test: the flow residual against the refined-model oracle.
 
 :func:`_reference.check_flow` builds, validates and compiles the whole
-``terminal_refine``-times refined model and solves every leg down to
-node 0.  :func:`cbve.check_flow` sweeps only the nodes the residual reads,
-with the fine leg on the model's own compiled rows, so the two must return
-the same float.  Grids have uneven widths, atoms sit on r, s and t (drift,
-cross-drift and jump-kernel atoms), a bottleneck may sit below r, the
-triples include r = s, s = t and r = 0, and the refinement factor runs
-from 1 to 4.  ``cbve verify``'s second residual, :func:`check_flow` of
-``env.refined(4)``, is computed the same way on ``env``'s rows split four
-ways, and must equal the residual of the refined model it stands for.
-On ``env.refined(2)`` the residual is at most half of ``env``'s.
+twice refined model and solves every leg down to node 0.
+:func:`cbve.check_flow` sweeps only the nodes the residual reads, with the
+fine leg on the model's own compiled rows, so the two must return the same
+float.  Grids have uneven widths, atoms sit on r, s and t (drift,
+cross-drift and jump-kernel atoms), a bottleneck may sit below r, and the
+triples include r = s, s = t and r = 0.  The residual of
+``env.refined(base)``, for base from 1 to 4 (``cbve verify`` uses 4), is
+computed the same way on ``env``'s rows split ``base`` ways, and must
+equal the oracle's residual of the refined model it stands for.  On
+``env.refined(2)`` the residual is at most half of ``env``'s.
 """
 import numpy as np
 import pytest
@@ -84,10 +84,10 @@ def _cases(draw):
         grid,
         b11=StieltjesMeasure(grid, density(-0.6, 0.6), atoms(-0.5, 0.6)),
         b22=StieltjesMeasure(grid, density(-0.6, 0.6), b22_atoms),
-        b12=StieltjesMeasure(grid, density(0.0, 0.4), atoms(0.0, 0.3), True),
-        b21=StieltjesMeasure(grid, density(0.0, 0.4), (), True),
-        c1=StieltjesMeasure(grid, density(0.0, 0.4), (), True),
-        c2=StieltjesMeasure(grid, density(0.0, 0.4), (), True),
+        b12=StieltjesMeasure(grid, density(0.0, 0.4), atoms(0.0, 0.3)),
+        b21=StieltjesMeasure(grid, density(0.0, 0.4)),
+        c1=StieltjesMeasure(grid, density(0.0, 0.4)),
+        c2=StieltjesMeasure(grid, density(0.0, 0.4)),
         m1=kernel(True),
         m2=kernel(False),
     )
@@ -107,12 +107,12 @@ def _outcome(fn, *args):
 @_SETTINGS
 @given(_cases())
 def test_check_flow_matches_refined_model_oracle(case):
-    env, (r, s, t), lam, factor = case
-    want = _reference.check_flow(env, r, s, t, lam, factor)
-    assert check_flow(env, r, s, t, lam, factor) == want
-    # cbve verify's refine-4 residual, on the same rows split 4 ways
-    want4 = _outcome(check_flow, env.refined(4), r, s, t, lam, factor)
-    assert _outcome(_flow_residual, env, r, s, t, lam, factor, 4) == want4
+    env, (r, s, t), lam, base = case
+    want = _outcome(_reference.check_flow, env, r, s, t, lam, 2)
+    assert _outcome(check_flow, env, r, s, t, lam) == want
+    # the residual of env.refined(base), on the same rows split base ways
+    want_base = _outcome(_reference.check_flow, env.refined(base), r, s, t, lam, 2)
+    assert _outcome(_flow_residual, env, r, s, t, lam, base) == want_base
 
 
 @_SETTINGS
@@ -123,7 +123,7 @@ def test_flow_residual_shrinks_under_refinement(case):
     env, (r, s, t), lam, _ = case
     try:
         coarse = check_flow(env, r, s, t, lam)
-        fine = _flow_residual(env, r, s, t, lam, 2, base=2)
+        fine = _flow_residual(env, r, s, t, lam, base=2)
     except CBVEError:
         return
     assert fine <= coarse / 2 + 1e-12
@@ -140,11 +140,6 @@ class TestCheckFlowContract:
         with pytest.raises(ValueError, match=r"need r <= s <= t"):
             check_flow(self._env(), r, s, t, (1.0, 1.0))
 
-    @pytest.mark.parametrize("factor", [0, -1, 2.0])
-    def test_bad_factor(self, factor):
-        with pytest.raises(ValueError, match="refinement factor"):
-            check_flow(self._env(), 0.0, 0.5, 1.0, (1.0, 1.0), terminal_refine=factor)
-
     def test_builds_no_refined_model(self, monkeypatch):
         env = self._env()
         want = _reference.check_flow(env, 0.25, 0.5, 1.0, (1.0, 2.0))
@@ -160,7 +155,7 @@ class TestCheckFlowContract:
         # sweep negative there; that node never enters the residual at r
         grid = uniform_grid(cells=4)
         env = make_env(grid, c1=StieltjesMeasure.from_segments(
-            grid, [(0.0, 0.25, 100.0)], (), True))
+            grid, [(0.0, 0.25, 100.0)]))
         with pytest.raises(DiscretizationError):
             _reference.check_flow(env, 0.25, 0.5, 1.0, (10.0, 0.0))
         assert check_flow(env, 0.25, 0.5, 1.0, (10.0, 0.0)) == 0.0

@@ -52,7 +52,7 @@ def _measures(draw, grid):
     dens = draw(st.lists(mass, min_size=grid.n_cells, max_size=grid.n_cells))
     nodes = draw(st.lists(st.integers(1, grid.n_cells), unique=True, max_size=grid.n_cells))
     atoms = [(float(grid.nodes[m]), draw(mass)) for m in nodes]
-    return StieltjesMeasure(grid, np.array(dens), atoms, nondecreasing)
+    return StieltjesMeasure(grid, np.array(dens), atoms)
 
 
 def _bits(x):
@@ -106,14 +106,8 @@ def test_linear_combination_matches_the_per_atom_sum(data):
     terms = [(data.draw(_COEF), data.draw(_measures(grid))) for _ in range(data.draw(
         st.integers(1, 3)))]
     terms += [(-c, m) for c, m in terms[: data.draw(st.integers(0, 1))]]
-    nondecreasing = data.draw(st.booleans())
-    try:
-        expect = _reference.linear_combination(grid, terms, nondecreasing)
-    except ValueError:
-        with pytest.raises(ValueError, match="nonnegative"):
-            StieltjesMeasure.linear_combination(grid, terms, nondecreasing)
-        return
-    _same(StieltjesMeasure.linear_combination(grid, terms, nondecreasing), expect)
+    _same(StieltjesMeasure.linear_combination(grid, terms),
+          _reference.linear_combination(grid, terms))
 
 
 @pytest.mark.parametrize("times, message", [
@@ -142,7 +136,7 @@ def _dense_environment(cells):
     b11 = StieltjesMeasure(grid, np.full(cells, 0.5),
                            zip(times, rng.uniform(-0.5, 0.5, cells).tolist()))
     b12 = StieltjesMeasure(grid, np.full(cells, 0.2),
-                           zip(times, rng.uniform(0.0, 1e-3, cells).tolist()), True)
+                           zip(times, rng.uniform(0.0, 1e-3, cells).tolist()))
     m1 = JumpMeasure.from_segments(grid, [(0.0, 1.0, [(0.3, 0.2, 0.5)])],
                                    [(t, [(0.2, 0.1, 1e-3)]) for t in times])
     return make_env(grid, b11=b11, b12=b12, m1=m1)

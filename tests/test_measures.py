@@ -109,7 +109,7 @@ class TestTotalVariation:
 
     def test_monotone_equals_cumulative(self):
         grid = uniform_grid(cells=20)
-        meas = StieltjesMeasure(grid, np.full(20, 0.7), ((0.5, 0.1),), True)
+        meas = StieltjesMeasure(grid, np.full(20, 0.7), ((0.5, 0.1),))
         for t in (0.3, 0.5, 1.0):
             assert meas.total_variation(t) == pytest.approx(meas.cumulative(t), abs=1e-15)
 
@@ -207,11 +207,14 @@ class TestMeasureValidation:
             StieltjesMeasure(grid, np.zeros(10), ((0.0, 1.0),))
 
     def test_nondecreasing_flag(self):
+        # read from the arrays: both parts nonnegative
         grid = uniform_grid(cells=10)
-        with pytest.raises(ValueError):
-            StieltjesMeasure(grid, np.full(10, -0.1), (), True)
-        with pytest.raises(ValueError):
-            StieltjesMeasure(grid, np.zeros(10), ((0.5, -0.1),), True)
+        meas = StieltjesMeasure(grid, np.full(10, 0.1), ((0.5, 0.0), (0.7, 0.2)))
+        assert meas.nondecreasing and StieltjesMeasure.zero(grid).nondecreasing
+        assert not StieltjesMeasure(grid, np.full(10, -0.1)).nondecreasing
+        assert not StieltjesMeasure(grid, np.zeros(10), ((0.5, -0.1),)).nondecreasing
+        with pytest.raises(AttributeError):
+            meas.nondecreasing = False
 
     def test_subadditive_variation_under_addition(self):
         rng = np.random.default_rng(14)

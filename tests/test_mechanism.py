@@ -74,7 +74,7 @@ class TestMechanismIncrement:
         env = make_env(
             grid,
             b11=StieltjesMeasure.from_segments(grid, [(0.0, 1.0, beta)]),
-            b12=StieltjesMeasure.from_segments(grid, [(0.0, 1.0, gamma)], (), True),
+            b12=StieltjesMeasure.from_segments(grid, [(0.0, 1.0, gamma)]),
         )
         a1, a2 = 1.2, 0.4
         f = np.column_stack(
@@ -111,7 +111,7 @@ class TestMechanismAtomIncrement:
     def test_cross_jump(self):
         grid = uniform_grid(cells=10)
         env = make_env(
-            grid, b12=StieltjesMeasure(grid, np.zeros(10), ((0.5, 0.5),), True)
+            grid, b12=StieltjesMeasure(grid, np.zeros(10), ((0.5, 0.5),))
         )
         assert mechanism_atom_increment(env, 1, (0.0, 2.0), 0.5) == -1.0
 
@@ -139,8 +139,8 @@ class TestApproximationMechanism:
             grid,
             b11=StieltjesMeasure.from_segments(grid, [(0.0, 1.0, 0.4)], ((0.5, 0.3),)),
             b22=StieltjesMeasure.from_segments(grid, [(0.0, 1.0, -0.2)]),
-            b12=StieltjesMeasure.from_segments(grid, [(0.0, 1.0, 0.2)], (), True),
-            c1=StieltjesMeasure.from_segments(grid, [(0.0, 1.0, 0.25)], (), True),
+            b12=StieltjesMeasure.from_segments(grid, [(0.0, 1.0, 0.2)]),
+            c1=StieltjesMeasure.from_segments(grid, [(0.0, 1.0, 0.25)]),
             m1=JumpMeasure.from_segments(
                 grid,
                 [(0.0, 1.0, [(0.3, 0.2, 0.8), (1.5, 0.0, 0.4)])],

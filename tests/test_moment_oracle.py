@@ -13,8 +13,8 @@ the terminal node.
 
 The kernel functionals and transforms that read the same padded arrays
 are checked against the per-point loops they replaced, kept in
-:mod:`_reference`: the mechanism increments under both endpoint rules and
-the atom increment to ``|a - b| <= 1e-14 (1 + |a|)`` (``np.expm1`` and
+:mod:`_reference`: the mechanism increments at the right endpoint and the
+atom increment to ``|a - b| <= 1e-14 (1 + |a|)`` (``np.expm1`` and
 ``math.expm1`` may differ in the last bit), ``thinned`` bit for bit, and
 the h-transform's coefficients to 1e-14 relative, with the same point
 counts everywhere.
@@ -124,7 +124,7 @@ def _admissible_env(m1, m2):
     diagonal drift atoms that cancel each own-coordinate jump atom, so every
     atom load is 0."""
     grid = m1.grid
-    zero = StieltjesMeasure.zero(grid, nondecreasing=True)
+    zero = StieltjesMeasure.zero(grid)
     b11, b22 = (StieltjesMeasure(grid, np.zeros(grid.n_cells),
                                  tuple((t, -m) for t, m in m.coordinate_moment(i).atoms))
                 for m, i in ((m1, 1), (m2, 2)))
@@ -138,16 +138,15 @@ def test_array_mechanism_matches_per_point_loop(case):
     env = _admissible_env(m1, m2)
     grid = env.grid
     zero = StieltjesMeasure.zero(grid)
-    sf = SpecialForm(grid, zero, zero, *[StieltjesMeasure.zero(grid, True)] * 2, m1, m2)
+    sf = SpecialForm(grid, zero, zero, *[StieltjesMeasure.zero(grid)] * 2, m1, m2)
     times = [float(grid.nodes[m]) for m in nodes]
     for i in (1, 2):
         for k, t in enumerate(times):
             for r in times[: k + 1]:
-                for rule in ("right", "trapezoid"):
-                    assert _near(_reference.mechanism_increment(env, i, f, r, t, rule),
-                                 mechanism_increment(env, i, f, r, t, rule))
-                    assert _near(_reference.special_mechanism_increment(sf, i, f, r, t, rule),
-                                 special_mechanism_increment(sf, i, f, r, t, rule))
+                assert _near(_reference.mechanism_increment(env, i, f, r, t, "right"),
+                             mechanism_increment(env, i, f, r, t))
+                assert _near(_reference.special_mechanism_increment(sf, i, f, r, t, "right"),
+                             special_mechanism_increment(sf, i, f, r, t))
             assert _near(_reference.mechanism_atom_increment(env, i, lam, t),
                          mechanism_atom_increment(env, i, lam, t))
 
@@ -193,14 +192,14 @@ def _h_cases(draw):
     grid = _grid(draw)
     cells = grid.n_cells
 
-    def scalar(lo, hi, atom_lo, atom_hi, nondecreasing=False):
+    def scalar(lo, hi, atom_lo, atom_hi):
         dens = draw(st.lists(st.floats(lo, hi), min_size=cells, max_size=cells))
         at = draw(st.lists(st.integers(1, cells), max_size=3, unique=True))
         atoms = tuple((float(grid.nodes[m]), draw(st.floats(atom_lo, atom_hi))) for m in at)
-        return StieltjesMeasure(grid, np.array(dens), atoms, nondecreasing)
+        return StieltjesMeasure(grid, np.array(dens), atoms)
 
     sf = SpecialForm(grid, scalar(-2.0, 2.0, -0.9, 2.0), scalar(-2.0, 2.0, -0.9, 2.0),
-                     scalar(0.0, 2.0, 0.0, 1.0, True), scalar(0.0, 2.0, 0.0, 1.0, True),
+                     scalar(0.0, 2.0, 0.0, 1.0), scalar(0.0, 2.0, 0.0, 1.0),
                      _jump_on(draw, grid), _jump_on(draw, grid))
     return sf, scalar(-3.0, 3.0, -1.0, 1.0), scalar(-3.0, 3.0, -1.0, 1.0)
 

@@ -58,7 +58,7 @@ def _cases(draw, cells=st.integers(1, 400), horizon=st.floats(0.1, 3.0),
 
     def drift(signed, lo, hi):
         dens = rng.uniform(-scale if signed else 0.0, scale, cells)
-        return StieltjesMeasure(grid, dens, atoms(lo, hi), not signed)
+        return StieltjesMeasure(grid, dens, atoms(lo, hi))
 
     # a b11 atom of 1: a bottleneck unless a cross atom shares its node
     bottleneck = ()

@@ -38,10 +38,14 @@ class TestSolveMoment:
         assert np.all(sol.pi[:, 0] == 2.0)
         assert np.all(sol.pi[:, 1] == -3.0)
 
+    def test_terminal_index_is_the_node_of_t(self):
+        env = make_env(uniform_grid(cells=8))
+        assert solve_moment(env, 0.625, (1.0, 1.0)).terminal_index == env.grid.index_of(0.625) == 5
+
     def test_nilpotent_cross_closed_form(self):
         grid = uniform_grid(cells=100)
         env = make_env(
-            grid, b12=StieltjesMeasure.from_segments(grid, [(0.0, 1.0, 1.0)], (), True)
+            grid, b12=StieltjesMeasure.from_segments(grid, [(0.0, 1.0, 1.0)])
         )
         lam = (2.0, 3.0)
         sol = solve_moment(env, 1.0, lam)
@@ -100,7 +104,7 @@ class TestSolveMoment:
 
             def reverse(meas):
                 return StieltjesMeasure(
-                    grid, meas.density[::-1].copy(), (), True
+                    grid, meas.density[::-1].copy()
                 )
 
             beta11 = reverse(env.b11.abs())
@@ -219,7 +223,7 @@ class TestFiniteDiff:
         env = make_env(
             grid,
             b11=StieltjesMeasure.from_segments(grid, [(0.0, 1.0, 0.5)]),
-            b12=StieltjesMeasure.from_segments(grid, [(0.0, 1.0, 0.3)], (), True),
+            b12=StieltjesMeasure.from_segments(grid, [(0.0, 1.0, 0.3)]),
         )
         lam = (1.0, 1.0)
         pi = solve_moment(env, 1.0, lam).pi

@@ -78,7 +78,7 @@ def _form(rng, cells, slots, atoms, t_index, coupling=0.0):
     def scalar(lo, hi, atom_lo, nondecreasing=False):
         dens = rng.uniform(lo, hi, cells) + (coupling if nondecreasing else 0.0)
         at = tuple((float(grid.nodes[m]), rng.uniform(atom_lo, 0.5)) for m in atom_nodes())
-        return StieltjesMeasure(grid, dens, at, nondecreasing)
+        return StieltjesMeasure(grid, dens, at)
 
     def jump(full_first):
         sizes = rng.integers(0, slots + 1, cells)

@@ -46,11 +46,11 @@ def _cases(draw):
             at.append(t_index)
         return at
 
-    def scalar(lo, hi, atom_lo, nondecreasing=False):
+    def scalar(lo, hi, atom_lo):
         dens = np.array(draw(st.lists(st.floats(lo, hi), min_size=cells, max_size=cells)))
         atoms = tuple((float(grid.nodes[m]), draw(st.floats(atom_lo, 0.5)))
                       for m in atom_nodes())
-        return StieltjesMeasure(grid, dens, atoms, nondecreasing)
+        return StieltjesMeasure(grid, dens, atoms)
 
     def jump():
         kernels = tuple(DiscreteSpatialMeasure(tuple(draw(_POINTS))) for _ in range(cells))
@@ -59,7 +59,7 @@ def _cases(draw):
         return JumpMeasure(grid, kernels, atoms)
 
     sf = SpecialForm(grid, scalar(-1.0, 1.0, -0.9), scalar(-1.0, 1.0, -0.9),
-                     scalar(0.0, 1.0, 0.0, True), scalar(0.0, 1.0, 0.0, True),
+                     scalar(0.0, 1.0, 0.0), scalar(0.0, 1.0, 0.0),
                      jump(), jump())
     lam = (draw(st.floats(0.0, 2.0)), draw(st.floats(0.0, 2.0)))
     return sf, float(grid.nodes[t_index]), lam

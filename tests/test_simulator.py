@@ -63,7 +63,7 @@ class TestSimulatePath:
         # dX2 = X1 gamma12 ds: mass flows 1 -> 2
         grid = uniform_grid(cells=8)
         sf = make_sf(
-            grid, g12=StieltjesMeasure.from_segments(grid, [(0.0, 1.0, 0.5)], (), True)
+            grid, g12=StieltjesMeasure.from_segments(grid, [(0.0, 1.0, 0.5)])
         )
         state, _ = simulate_path(sf, (2.0, 0.0), 1.0, 3)
         assert state[0] == pytest.approx(2.0, rel=1e-12)
@@ -74,7 +74,7 @@ class TestSimulatePath:
         sf = make_sf(
             grid,
             g11=StieltjesMeasure(grid, np.zeros(8), ((0.5, -0.4),)),
-            g21=StieltjesMeasure(grid, np.zeros(8), ((0.5, 0.3),), True),
+            g21=StieltjesMeasure(grid, np.zeros(8), ((0.5, 0.3),)),
         )
         state, events = simulate_path(sf, (2.0, 1.0), 1.0, 3)
         # X1 <- (1 - 0.4) X1 + 0.3 X2 at the atom
@@ -99,7 +99,7 @@ class TestSimulatePath:
         sf = make_sf(
             grid,
             g11=StieltjesMeasure(grid, np.full(16, -0.8), ((0.5, -0.6),)),
-            g12=StieltjesMeasure.from_segments(grid, [(0.0, 1.0, 0.4)], (), True),
+            g12=StieltjesMeasure.from_segments(grid, [(0.0, 1.0, 0.4)]),
             mu1=JumpMeasure.from_segments(grid, [(0.0, 1.0, [(0.4, 0.2, 1.0)])]),
         )
         for k in range(30):
@@ -154,7 +154,7 @@ class TestStateGuard:
 
     def test_cross_blow_up_is_typed(self):
         grid = uniform_grid(cells=64)
-        cross = StieltjesMeasure.from_segments(grid, [(0.0, 1.0, 300.0)], (), True)
+        cross = StieltjesMeasure.from_segments(grid, [(0.0, 1.0, 300.0)])
         sf = make_sf(grid, g12=cross, g21=cross)
         with pytest.raises(NumericalError, match="overflow"):
             simulate_path(sf, (1.0, 1.0), 1.0, 3)
@@ -219,7 +219,7 @@ class TestStiffThinning:
         return make_sf(
             grid,
             g11=StieltjesMeasure.from_segments(grid, [(0.0, 1.0, density)]),
-            g21=StieltjesMeasure.from_segments(grid, [(0.0, 1.0, cross)], (), True),
+            g21=StieltjesMeasure.from_segments(grid, [(0.0, 1.0, cross)]),
             mu1=JumpMeasure.from_segments(grid, [(0.0, 1.0, [(0.0, 1.0, 1.0)])]),
         )
 
@@ -251,7 +251,7 @@ class TestStiffThinning:
         sf = make_sf(
             grid,
             g11=StieltjesMeasure.from_segments(grid, [(0.0, 1.0, -1e6)]),
-            g12=StieltjesMeasure.from_segments(grid, [(0.0, 1.0, 1e6)], (), True),
+            g12=StieltjesMeasure.from_segments(grid, [(0.0, 1.0, 1e6)]),
             mu1=JumpMeasure.from_segments(grid, [(0.0, 1.0, [(0.0, 1.0, 1.0)])]),
         )
         start = time.perf_counter()
@@ -538,7 +538,7 @@ class TestMonteCarlo:
         env = make_env(
             grid,
             b11=StieltjesMeasure.from_segments(grid, [(0.0, 1.0, 0.4)]),
-            c1=StieltjesMeasure.from_segments(grid, [(0.0, 1.0, 0.3)], (), True),
+            c1=StieltjesMeasure.from_segments(grid, [(0.0, 1.0, 0.3)]),
             m1=JumpMeasure.from_segments(grid, [(0.0, 1.0, [(0.5, 0.3, 0.6)])]),
         )
         lam = (1.0, 0.8)

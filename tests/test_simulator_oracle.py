@@ -84,11 +84,11 @@ def _cases(draw):
             at.append(t_index)
         return at
 
-    def scalar(lo, hi, atom_lo, nondecreasing=False):
+    def scalar(lo, hi, atom_lo):
         dens = np.array(draw(st.lists(st.floats(lo, hi), min_size=cells, max_size=cells)))
         atoms = tuple((float(grid.nodes[m]), draw(st.floats(atom_lo, 0.5)))
                       for m in atom_nodes())
-        return StieltjesMeasure(grid, dens, atoms, nondecreasing)
+        return StieltjesMeasure(grid, dens, atoms)
 
     def jump():
         kernels = tuple(DiscreteSpatialMeasure(tuple(draw(_POINTS))) for _ in range(cells))
@@ -97,7 +97,7 @@ def _cases(draw):
         return JumpMeasure(grid, kernels, atoms)
 
     sf = SpecialForm(grid, scalar(-1.5, 1.5, -0.9), scalar(-1.5, 1.5, -0.9),
-                     scalar(0.0, 1.0, 0.0, True), scalar(0.0, 1.0, 0.0, True),
+                     scalar(0.0, 1.0, 0.0), scalar(0.0, 1.0, 0.0),
                      jump(), jump())
     x0 = (draw(st.floats(0.0, 2.0)), draw(st.floats(0.0, 2.0)))
     seed = draw(st.integers(0, 2**63))
@@ -138,8 +138,8 @@ def test_engine_matches_scalar_oracle_on_a_split_atom_batch():
     grid = TimeGrid(np.linspace(0.0, 1.0, 5))
     zero = StieltjesMeasure.zero(grid)
     batch = JumpMeasure.from_segments(grid, atoms=[(0.5, [(0.0, 1.0, 0.7), (0.5, 0.2, 0.5)])])
-    sf = SpecialForm(grid, zero, zero, StieltjesMeasure.zero(grid, True),
-                     StieltjesMeasure.zero(grid, True), batch, JumpMeasure.zero(grid))
+    sf = SpecialForm(grid, zero, zero, StieltjesMeasure.zero(grid),
+                     StieltjesMeasure.zero(grid), batch, JumpMeasure.zero(grid))
     _check_block(sf, (1000.0, 0.0), 1.0, 31, n_paths=10)
 
 

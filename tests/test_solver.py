@@ -178,7 +178,7 @@ class TestSolvePicard:
     def test_linear_cross_closed_form(self):
         grid = uniform_grid(cells=100)
         sf = make_sf(
-            grid, g12=StieltjesMeasure.from_segments(grid, [(0.0, 1.0, 1.0)], (), True)
+            grid, g12=StieltjesMeasure.from_segments(grid, [(0.0, 1.0, 1.0)])
         )
         sol = solve_special_picard(sf, 1.0, (0.0, 1.0))
         assert np.all(sol.v[:, 1] == 1.0)
@@ -249,7 +249,7 @@ class TestSolvePicard:
     def test_overflowing_bound_is_infinite(self):
         # rho(1) = 800: the solve is finite, the a-priori bound exp(rho) is not
         grid = uniform_grid(cells=64)
-        cross = StieltjesMeasure.from_segments(grid, [(0.0, 1.0, 400.0)], (), True)
+        cross = StieltjesMeasure.from_segments(grid, [(0.0, 1.0, 400.0)])
         sol = solve_special_picard(make_sf(grid, g12=cross, g21=cross), 1.0, (1.0, 1.0))
         assert np.all(np.isfinite(sol.v))
         assert sol.picard_bound == math.inf
@@ -357,7 +357,7 @@ class TestHTransform:
         grid = uniform_grid(cells=4)
         return make_sf(
             grid,
-            g12=StieltjesMeasure(grid, np.zeros(4), ((0.5, 0.3),), True),
+            g12=StieltjesMeasure(grid, np.zeros(4), ((0.5, 0.3),)),
             mu1=JumpMeasure.from_segments(grid, [(0.0, 1.0, [(0.3, 0.2, weight)])]),
         )
 
@@ -418,14 +418,14 @@ class TestHTransform:
 class TestGronwallBound:
     def test_no_growth(self):
         grid = uniform_grid(cells=100)
-        z = StieltjesMeasure.zero(grid, True)
+        z = StieltjesMeasure.zero(grid)
         bounds = gronwall_bound(((z, z), (z, z)), (1.0, 1.0), 1.0)
         assert bounds == (1.0, 1.0)
 
     def test_scalar_exponential(self):
         grid = uniform_grid(cells=200)
-        z = StieltjesMeasure.zero(grid, True)
-        one = StieltjesMeasure.from_segments(grid, [(0.0, 1.0, 1.0)], (), True)
+        z = StieltjesMeasure.zero(grid)
+        one = StieltjesMeasure.from_segments(grid, [(0.0, 1.0, 1.0)])
         bounds = gronwall_bound(((one, z), (z, z)), (1.0, 1.0), 1.0)
         assert bounds[0] == pytest.approx(math.e, rel=1e-12)
         assert bounds[1] == 1.0
@@ -433,8 +433,8 @@ class TestGronwallBound:
     def test_cross_coupling_closed_form(self):
         # d_1 = 1 + 1, double integral of (1 - s) equals one half
         grid = uniform_grid(cells=200)
-        z = StieltjesMeasure.zero(grid, True)
-        one = StieltjesMeasure.from_segments(grid, [(0.0, 1.0, 1.0)], (), True)
+        z = StieltjesMeasure.zero(grid)
+        one = StieltjesMeasure.from_segments(grid, [(0.0, 1.0, 1.0)])
         bounds = gronwall_bound(((z, one), (one, z)), (1.0, 1.0), 1.0)
         assert bounds[0] == pytest.approx(2.0 * math.exp(0.5), rel=1e-12)
         assert bounds[1] == pytest.approx(2.0 * math.exp(0.5), rel=1e-12)
@@ -448,7 +448,7 @@ class TestGronwallBound:
         ((1.0, math.inf), "expected a finite, nonnegative, nondecreasing node function"),
     ])
     def test_bad_a_is_refused(self, a, match):
-        z = StieltjesMeasure.zero(uniform_grid(cells=10), True)
+        z = StieltjesMeasure.zero(uniform_grid(cells=10))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=f"^{match}"):
@@ -456,7 +456,7 @@ class TestGronwallBound:
 
     def test_bad_beta_is_refused(self):
         grid = uniform_grid(cells=10)
-        z = StieltjesMeasure.zero(grid, True)
+        z = StieltjesMeasure.zero(grid)
         with pytest.raises(ValueError, match="^beta measures must share one grid$"):
             gronwall_bound(((z, StieltjesMeasure.zero(uniform_grid(cells=5))), (z, z)),
                            (1.0, 1.0), 1.0)
@@ -467,8 +467,8 @@ class TestGronwallBound:
     def test_weight_overflow_is_typed(self):
         # exp(beta_22) overflows past 0.71, but not at t = 0.5
         grid = uniform_grid(cells=10)
-        z = StieltjesMeasure.zero(grid, True)
-        steep = StieltjesMeasure.from_segments(grid, [(0.0, 1.0, 1000.0)], (), True)
+        z = StieltjesMeasure.zero(grid)
+        steep = StieltjesMeasure.from_segments(grid, [(0.0, 1.0, 1000.0)])
         assert math.isfinite(gronwall_bound(((z, z), (z, steep)), (1.0, 1.0), 0.5)[1])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -484,7 +484,7 @@ class TestGrowthExponent:
     def test_cross_only(self):
         grid = uniform_grid(cells=10)
         sf = make_sf(
-            grid, g12=StieltjesMeasure.from_segments(grid, [(0.0, 1.0, 1.0)], (), True)
+            grid, g12=StieltjesMeasure.from_segments(grid, [(0.0, 1.0, 1.0)])
         )
         assert apriori_growth_exponent(sf, 1.0) == pytest.approx(1.0, abs=1e-14)
 
@@ -502,7 +502,7 @@ class TestGrowthExponent:
     def test_nan_time_is_refused(self):
         # NaN used to read as T, giving rho(T)
         grid = uniform_grid(cells=10)
-        sf = make_sf(grid, g12=StieltjesMeasure.from_segments(grid, [(0.0, 1.0, 1.0)], (), True))
+        sf = make_sf(grid, g12=StieltjesMeasure.from_segments(grid, [(0.0, 1.0, 1.0)]))
         with pytest.raises(ValueError, match="outside"):
             apriori_growth_exponent(sf, math.nan)
 
@@ -515,7 +515,7 @@ class TestUpperBound:
     def test_cross_drift_value(self):
         grid = uniform_grid(cells=10)
         env = make_env(
-            grid, b12=StieltjesMeasure.from_segments(grid, [(0.0, 1.0, 1.0)], (), True)
+            grid, b12=StieltjesMeasure.from_segments(grid, [(0.0, 1.0, 1.0)])
         )
         val = cumulant_upper_bound(env, 1, 0.0, 1.0, (1.0, 1.0))
         assert val == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-14)
@@ -529,7 +529,7 @@ class TestUpperBound:
 
     def test_nan_time_is_refused(self):
         grid = uniform_grid(cells=10)
-        env = make_env(grid, b12=StieltjesMeasure.from_segments(grid, [(0.0, 1.0, 1.0)], (), True))
+        env = make_env(grid, b12=StieltjesMeasure.from_segments(grid, [(0.0, 1.0, 1.0)]))
         with pytest.raises(ValueError, match="outside"):
             cumulant_upper_bound(env, 1, 0.0, math.nan, (1.0, 1.0))
 
