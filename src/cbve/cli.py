@@ -17,8 +17,9 @@ the command has returned.  A command that raises writes nothing.
 Exit codes: 0 success, 2 configuration error, 3 admissibility failure,
 4 numerical failure (a typed :class:`NumericalError`, or a floating-point
 overflow, invalid operation or division by zero in a numerical layer),
-5 verification failure.  ``CBVE_LOG=debug`` or ``info`` configures the
-``cbve`` logger, which nothing writes to yet.
+5 verification failure.  ``CBVE_LOG=debug`` or ``info`` sends the
+``cbve`` loggers' records at that level to stderr; at debug,
+:mod:`cbve.compiled` logs one line per sweep table it builds.
 """
 from __future__ import annotations
 

@@ -3,9 +3,11 @@
 :func:`cell_table` flattens measures into Python rows once, so the scalar
 loop of the general sweep indexes tuples instead of arrays: one row
 ``(atom, h, densities..., kernel points...)`` per grid cell (the points
-read from ``cell_points``, one tuple per run of equal cells), where
-``atom`` is None or the ``(atom masses..., atom points...)`` of the cell's
-right node.  A stretch of the grid is a slice of the rows.
+read from ``cell_points``), where ``atom`` is None or the ``(atom
+masses..., atom points...)`` of the cell's right node.  Rows equal bit
+for bit are one shared, read-only tuple, built once, so a model whose
+coefficients are piecewise constant holds a few dozen rows however fine
+its grid.  A stretch of the grid is a slice of the rows.
 
 :func:`picard_table` is the array form consumed by the whole-array Picard
 iteration, both types stacked on a leading axis of 2: per-cell ``(2,
@@ -25,38 +27,79 @@ them.  Tables are read-only, so a cached table cannot drift from its model.
 """
 from __future__ import annotations
 
+import logging
 import math
+from operator import itemgetter
+from time import perf_counter
 from typing import NamedTuple
 
 import numpy as np
 
-from .measures import _point_sets
+from .measures import _point_runs, _point_sets
 
 __all__ = ["cell_table", "picard_table", "sim_table"]
 
+_log = logging.getLogger(__name__)
+
 
 def cell_table(scalars, jumps):
-    """Per-cell rows of ``scalars`` then ``jumps``.
+    """Per-cell rows of ``scalars`` then ``jumps``, equal rows one object.
 
     Row k is ``(atom, h, density_k of each scalar measure..., cell-k points
     of each jump kernel...)``.  ``atom`` belongs to node k + 1, whose atom
     the sweep steps just before cell k: None where no measure has a time
     atom there, else ``(atom mass of each scalar measure..., atom points of
     each jump kernel...)``, with 0.0 and () where one has none.
+
+    Rows equal bit for bit are one shared, read-only tuple.  The grid is
+    cut into segments of cells with bitwise equal densities, atom and kernel
+    points; segments of equal content form a class, and one row is built
+    per class and bit pattern of the width, the rows of a class sharing
+    their tail.
     """
+    start = perf_counter()
     grid = scalars[0].grid
+    n = grid.n_cells
     masses = [meas.node_atom_masses for meas in scalars]
     points = [dict(zip(jump.atom_nodes.tolist(), _point_sets(jump.atom_points)))
               for jump in jumps]
-    atoms = [None] * grid.nodes.size
+    atoms, numbers = [None] * grid.nodes.size, {}
+    atom_of = np.full(n, -1)  # the number of the atom stepped before each cell
     for m in set().union(*points, *(np.flatnonzero(mass).tolist() for mass in masses)):
-        atoms[m] = (*(float(mass[m]) for mass in masses), *(pts.get(m, ()) for pts in points))
-    return tuple(zip(
-        atoms[1:],
-        grid.widths.tolist(),
-        *(meas.density.tolist() for meas in scalars),
-        *(_point_sets(jump.cell_points) for jump in jumps),
-    ))
+        atom = (*(float(mass[m]) for mass in masses), *(pts.get(m, ()) for pts in points))
+        # repr tells float bit patterns apart, so equal atoms are one object
+        atom_of[m - 1], atoms[m] = numbers.setdefault(repr(atom), (len(numbers), atom))
+    runs = [_point_runs(jump.cell_points) for jump in jumps]
+    # per cell: the bits of each density (so 0.0 and -0.0 differ), its atom's
+    # number and the id of each kernel's point set, one object per bit pattern
+    cols = [*(meas.density.view(np.int64) for meas in scalars), atom_of, *(
+        np.repeat([id(s) for s in sets], np.diff([*starts, n])) for starts, sets in runs)]
+    cut = np.ones(n, dtype=bool)
+    cut[1:] = np.any([col[1:] != col[:-1] for col in cols], axis=0)
+    heads = np.flatnonzero(cut)
+    keys = np.stack([col[heads] for col in cols], axis=1).view(f"V{8 * len(cols)}")
+    classes = {}  # segments of equal content, numbered in cell order
+    seg = np.array([classes.setdefault(key, len(classes)) for key in keys.ravel().tolist()])
+    rep = heads[np.unique(seg, return_index=True)[1]]  # the first cell of each class
+    cls = seg[np.cumsum(cut) - 1]
+    _, width = np.unique(grid.widths.view(np.int64), return_inverse=True)
+    _, first, code = np.unique(cls * n + width, return_index=True, return_inverse=True)
+    order = np.argsort(first)  # number the rows in cell order
+    first, code = first[order], np.argsort(order)[code]
+    atom = [atoms[k + 1] for k in rep.tolist()]
+    rest = [*(meas.density[rep].tolist() for meas in scalars), *(
+        [sets[i] for i in (np.searchsorted(starts, rep, "right") - 1).tolist()]
+        for starts, sets in runs)]
+    h = grid.widths[first].tolist()
+    if first.size == rep.size:  # a row per class, in the same order
+        rows = tuple(zip(atom, h, *rest))
+    else:  # the rows of a class share its tail
+        tail = tuple(zip(*rest))
+        rows = tuple([(atom[c], w) + tail[c] for c, w in zip(cls[first].tolist(), h)])
+    table = rows if len(rows) == n else itemgetter(*code.tolist())(rows)
+    _log.debug("sweep table: %d cells, %d distinct rows, %.3f ms",
+               n, len(rows), 1e3 * (perf_counter() - start))
+    return table
 
 
 def _frozen(table):

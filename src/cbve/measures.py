@@ -350,17 +350,25 @@ def _packed(points: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return out
 
 
-def _point_sets(points: np.ndarray, make=tuple) -> list:
-    """``make`` of the tuple of (z1, z2, weight) points (the slots of
-    positive weight) of each set of padded ``points``, made once per run of
-    bitwise equal sets and shared along it."""
-    size = points.shape[2]
+def _point_runs(points: np.ndarray, make=tuple) -> tuple:
+    """The first set of each run of bitwise equal sets of padded ``points``,
+    ascending (none if there are no sets), and ``make`` of the tuple of its
+    (z1, z2, weight) points, the slots of positive weight: one object per
+    bit pattern."""
     bits = np.ascontiguousarray(points).view(np.int64)
-    starts = [0, *(np.flatnonzero((bits[:, :, 1:] != bits[:, :, :-1]).any(axis=(0, 1))) + 1)]
-    out = []
-    for a, b in zip(starts, starts[1:] + [size]) if size else ():
-        out += [make(tuple(p for p in zip(*points[:, :, a].tolist()) if p[2] > 0.0))] * (b - a)
-    return out
+    change = (bits[:, :, 1:] != bits[:, :, :-1]).any(axis=(0, 1))
+    starts = [0, *(np.flatnonzero(change) + 1).tolist()][: points.shape[2]]
+    made = {}
+    return starts, [made.setdefault(bits[:, :, a].tobytes(), make(
+        tuple(p for p in zip(*points[:, :, a].tolist()) if p[2] > 0.0))) for a in starts]
+
+
+def _point_sets(points: np.ndarray, make=tuple) -> list:
+    """:func:`_point_runs`' set of each set of padded ``points``, shared
+    along its run."""
+    starts, sets = _point_runs(points, make)
+    runs = np.repeat(np.arange(len(sets)), np.diff([*starts, points.shape[2]]))
+    return [sets[i] for i in runs.tolist()]
 
 
 def _slot_sums(fn, points: np.ndarray) -> np.ndarray:

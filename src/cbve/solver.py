@@ -23,11 +23,13 @@ Two routes produce the same discrete solution:
 Both routes hold only their loops over the compiled tables of
 :mod:`cbve.compiled`, which each model builds once and caches: tuple rows
 for the sweep (which is sequential and nonlinear, so it stays a scalar
-loop), padded arrays for Picard.  Each sweep row carries the atom stepped
-just before its cell, so the sweep itself is one private loop over a slice
-of rows; :func:`solve_general` runs it over the rows below the terminal
+loop), one per cell, with equal rows one shared, read-only object, and
+padded arrays for Picard.  Each sweep row carries the atom stepped just
+before its cell, so the sweep itself is one private loop over a slice of
+rows; :func:`solve_general` runs it over the rows below the terminal
 node, and :func:`check_flow` runs it only over the nodes its residual
-reads, its refined leg on the model's own rows split into finer cells.
+reads, its refined leg on the model's own rows split into finer cells,
+equal split rows again one object.
 The module also houses the h-transform utilities, the two-dimensional
 Gronwall bound, the a-priori growth exponent and upper bound, and the
 flow-property check.
@@ -589,12 +591,18 @@ def check_flow(env: Environment, r: float, s: float, t: float, lam) -> float:
 def _split_rows(rows, widths, f: int):
     """``rows`` of a compiled table, each split into ``f`` rows of the given
     widths, its atom on the last: what an ``f``-times refined model compiles
-    on that stretch.  The split rows of one parent share its tail."""
-    split = []
+    on that stretch.  Equal split rows are one shared, read-only tuple, one
+    per parent row object, width and atom; a parent row split into the
+    same widths again reuses its split rows whole."""
+    made, groups, split = {}, {}, []
     for row, j in zip(rows, range(0, len(widths), f)):
-        tail = row[2:]
-        split += [(None, w) + tail for w in widths[j : j + f - 1]]
-        split.append((row[0], widths[j + f - 1]) + tail)
+        key = (id(row), tuple(widths[j : j + f]))
+        group = groups.get(key)
+        if group is None:
+            group = groups[key] = [
+                made.setdefault((id(row), w, atom is None), (atom, w) + row[2:])
+                for w, atom in zip(key[1], (None,) * (f - 1) + row[:1])]
+        split += group
     return split
 
 

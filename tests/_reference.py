@@ -72,10 +72,14 @@ engine does, flows by :func:`expm2`, draws each uniform through
 arrays.  Driven by ``SeedSpec(m).generator(k)``, it reproduces path k of
 the engine: the same events, and final states equal to rounding.
 
-:func:`split_table` turns the sweep rows of
-:func:`cbve.compiled.cell_table`, each of which carries its node's atom,
-back into the rows and the node-to-atom map that the Picard, moment and
-simulator oracles were written against, so their arithmetic is unchanged.
+:func:`cell_table` is the sweep table of :mod:`cbve.compiled` as it was
+before equal rows became one shared object: a fresh row per cell, with
+its point sets made by :func:`point_sets` once per run of bitwise equal
+cells.  :func:`cbve.compiled.cell_table` must equal it row for row, bit
+for bit.  The Picard, moment and simulator oracles read this table, not
+the one under test, and :func:`split_table` turns its rows, each of which
+carries its node's atom, back into the rows and the node-to-atom map they
+were written against, so their arithmetic is unchanged.
 
 :func:`check_flow` is the flow residual that builds, validates and
 compiles the whole ``terminal_refine``-times refined model and solves all
@@ -109,7 +113,6 @@ import math
 
 import numpy as np
 
-from cbve.compiled import cell_table
 from cbve.environment import SpecialForm, effective_cross_drift, _other
 from cbve.errors import ConvergenceError, DiscretizationError, NumericalError
 from cbve.simulator import _MAX_CANDIDATES, _MAX_STATE, _POISSON_PIECE, PathEvent
@@ -131,8 +134,45 @@ _PICARD_MAX_ITER = 200
 _NEGATIVITY_TOL = 1e-9
 
 
+def point_sets(points: np.ndarray, make=tuple) -> list:
+    """``make`` of the tuple of (z1, z2, weight) points (the slots of
+    positive weight) of each set of padded ``points``, made once per run of
+    bitwise equal sets and shared along it."""
+    size = points.shape[2]
+    bits = np.ascontiguousarray(points).view(np.int64)
+    starts = [0, *(np.flatnonzero((bits[:, :, 1:] != bits[:, :, :-1]).any(axis=(0, 1))) + 1)]
+    out = []
+    for a, b in zip(starts, starts[1:] + [size]) if size else ():
+        out += [make(tuple(p for p in zip(*points[:, :, a].tolist()) if p[2] > 0.0))] * (b - a)
+    return out
+
+
+def cell_table(scalars, jumps):
+    """Per-cell rows of ``scalars`` then ``jumps``.
+
+    Row k is ``(atom, h, density_k of each scalar measure..., cell-k points
+    of each jump kernel...)``.  ``atom`` belongs to node k + 1, whose atom
+    the sweep steps just before cell k: None where no measure has a time
+    atom there, else ``(atom mass of each scalar measure..., atom points of
+    each jump kernel...)``, with 0.0 and () where one has none.
+    """
+    grid = scalars[0].grid
+    masses = [meas.node_atom_masses for meas in scalars]
+    points = [dict(zip(jump.atom_nodes.tolist(), point_sets(jump.atom_points)))
+              for jump in jumps]
+    atoms = [None] * grid.nodes.size
+    for m in set().union(*points, *(np.flatnonzero(mass).tolist() for mass in masses)):
+        atoms[m] = (*(float(mass[m]) for mass in masses), *(pts.get(m, ()) for pts in points))
+    return tuple(zip(
+        atoms[1:],
+        grid.widths.tolist(),
+        *(meas.density.tolist() for meas in scalars),
+        *(point_sets(jump.cell_points) for jump in jumps),
+    ))
+
+
 def split_table(rows):
-    """The rows of :func:`cbve.compiled.cell_table` in the form the oracles
+    """The rows of :func:`cell_table` in the form the oracles
     were written for: rows without their atom, and a map from each node
     that carries an atom to that atom."""
     return ([row[1:] for row in rows],
@@ -446,7 +486,8 @@ def linear_combination(grid, terms):
 
 
 def _moment_axis(env, M: int, lam1: float, lam2: float) -> np.ndarray:
-    cells, atoms = split_table(env._table)
+    cells, atoms = split_table(cell_table(
+        (env.b11, env.b22, *env._cross_drifts, env.c1, env.c2), (env.m1, env.m2)))
     pi = np.empty((M + 1, 2))
     pi[M, 0], pi[M, 1] = lam1, lam2
     p1, p2 = lam1, lam2
