@@ -19,7 +19,8 @@ Exit codes: 0 success, 2 configuration error, 3 admissibility failure,
 overflow, invalid operation or division by zero in a numerical layer),
 5 verification failure.  ``CBVE_LOG=debug`` or ``info`` sends the
 ``cbve`` loggers' records at that level to stderr; at debug,
-:mod:`cbve.compiled` logs one line per sweep table it builds.
+:mod:`cbve.compiled` logs one line per sweep table and per table of mean
+steps it builds.
 """
 from __future__ import annotations
 
@@ -37,7 +38,7 @@ from .config import RunConfig, emit_config, load_config
 from .environment import finite_activity_approximation
 from .errors import AdmissibilityError, CBVEError, ConfigError, NumericalError
 from .measures import StieltjesMeasure
-from .moments import finite_diff_check, solve_moment
+from .moments import _finite_diff, solve_moment
 from .simulator import _simulate_paths, mc_laplace, mc_mean
 from .solver import (
     _flow_residual,
@@ -247,8 +248,9 @@ def _verify_environment(cfg: RunConfig, args, t: float, lam, battery: _Battery) 
         worst = max(worst, float(np.max(sol.v[:, i - 1])) - bound)
     battery.check("upper_bound", worst <= 1e-9,
                   f"max excess over bound={worst:.3e}")
-    res = finite_diff_check(env, t, lam, 1e-3)
-    scale = max(1.0, float(np.max(np.abs(solve_moment(env, t, lam).pi))))
+    pi = solve_moment(env, t, lam).pi
+    res = _finite_diff(env, t, lam, 1e-3, pi)
+    scale = max(1.0, float(np.max(np.abs(pi))))
     scaled = max(res) / scale
     battery.check("moment_finite_diff", scaled <= 5e-3,
                   f"scaled residual={scaled:.3e} (tol 5e-03)")

@@ -2,12 +2,13 @@
 
 :func:`cell_table` flattens measures into Python rows once, so the scalar
 loop of the general sweep indexes tuples instead of arrays: one row
-``(atom, h, densities..., kernel points...)`` per grid cell (the points
-read from ``cell_points``), where ``atom`` is None or the ``(atom
-masses..., atom points...)`` of the cell's right node.  Rows equal bit
-for bit are one shared, read-only tuple, built once, so a model whose
-coefficients are piecewise constant holds a few dozen rows however fine
-its grid.  A stretch of the grid is a slice of the rows.
+``(atom, h, h / 2, densities..., kernel points...)`` per grid cell (the
+points read from ``cell_points``, coordinates negated), where ``atom`` is
+None or the ``(atom masses..., atom points...)`` of the cell's right node.
+Rows equal bit for bit are one shared, read-only tuple, built once, so a
+model whose coefficients are piecewise constant holds a few dozen rows
+however fine its grid.  A stretch of the grid is a slice of the rows.
+:func:`mean_steps` holds the mean system's exact per-cell steps.
 
 :func:`picard_table` is the array form consumed by the whole-array Picard
 iteration, both types stacked on a leading axis of 2: per-cell ``(2,
@@ -23,7 +24,8 @@ matrices and atom kernel tables.
 
 The frozen model classes of :mod:`cbve.environment` cache each table on
 first use; this module reads models by attribute only and does not import
-them.  Tables are read-only, so a cached table cannot drift from its model.
+them.  Tables are read-only, so a cached table cannot drift from its model;
+each holds only lam-free arithmetic, which a warm solve does not redo.
 """
 from __future__ import annotations
 
@@ -37,19 +39,23 @@ import numpy as np
 
 from .measures import _point_runs, _point_sets
 
-__all__ = ["cell_table", "picard_table", "sim_table"]
+__all__ = ["cell_table", "mean_steps", "picard_table", "sim_table"]
 
 _log = logging.getLogger(__name__)
+
+_NEG = np.array((-1.0, -1.0, 1.0))[:, None, None]  # (3, K, sets) points to (-z1, -z2, w)
 
 
 def cell_table(scalars, jumps):
     """Per-cell rows of ``scalars`` then ``jumps``, equal rows one object.
 
-    Row k is ``(atom, h, density_k of each scalar measure..., cell-k points
-    of each jump kernel...)``.  ``atom`` belongs to node k + 1, whose atom
-    the sweep steps just before cell k: None where no measure has a time
-    atom there, else ``(atom mass of each scalar measure..., atom points of
-    each jump kernel...)``, with 0.0 and () where one has none.
+    Row k is ``(atom, h, 0.5 * h, density_k of each scalar measure...,
+    cell-k points of each jump kernel...)``, a point as ``(-z1, -z2, w)``
+    (see :func:`cbve.solver._sweep`).  ``atom`` belongs to node k + 1,
+    whose atom the sweep steps just before cell k: None where no measure
+    has a time atom there, else ``(atom mass of each scalar measure...,
+    atom points of each jump kernel...)``, with 0.0 and () where one has
+    none.
 
     Rows equal bit for bit are one shared, read-only tuple.  The grid is
     cut into segments of cells with bitwise equal densities, atom and kernel
@@ -61,7 +67,7 @@ def cell_table(scalars, jumps):
     grid = scalars[0].grid
     n = grid.n_cells
     masses = [meas.node_atom_masses for meas in scalars]
-    points = [dict(zip(jump.atom_nodes.tolist(), _point_sets(jump.atom_points)))
+    points = [dict(zip(jump.atom_nodes.tolist(), _point_sets(jump.atom_points * _NEG)))
               for jump in jumps]
     atoms, numbers = [None] * grid.nodes.size, {}
     atom_of = np.full(n, -1)  # the number of the atom stepped before each cell
@@ -69,7 +75,7 @@ def cell_table(scalars, jumps):
         atom = (*(float(mass[m]) for mass in masses), *(pts.get(m, ()) for pts in points))
         # repr tells float bit patterns apart, so equal atoms are one object
         atom_of[m - 1], atoms[m] = numbers.setdefault(repr(atom), (len(numbers), atom))
-    runs = [_point_runs(jump.cell_points) for jump in jumps]
+    runs = [_point_runs(jump.cell_points * _NEG) for jump in jumps]
     # per cell: the bits of each density (so 0.0 and -0.0 differ), its atom's
     # number and the id of each kernel's point set, one object per bit pattern
     cols = [*(meas.density.view(np.int64) for meas in scalars), atom_of, *(
@@ -90,12 +96,13 @@ def cell_table(scalars, jumps):
     rest = [*(meas.density[rep].tolist() for meas in scalars), *(
         [sets[i] for i in (np.searchsorted(starts, rep, "right") - 1).tolist()]
         for starts, sets in runs)]
-    h = grid.widths[first].tolist()
+    h, hh = grid.widths[first].tolist(), (0.5 * grid.widths[first]).tolist()
     if first.size == rep.size:  # a row per class, in the same order
-        rows = tuple(zip(atom, h, *rest))
+        rows = tuple(zip(atom, h, hh, *rest))
     else:  # the rows of a class share its tail
         tail = tuple(zip(*rest))
-        rows = tuple([(atom[c], w) + tail[c] for c, w in zip(cls[first].tolist(), h)])
+        rows = tuple([(atom[c], w, hw) + tail[c]
+                      for c, w, hw in zip(cls[first].tolist(), h, hh)])
     table = rows if len(rows) == n else itemgetter(*code.tolist())(rows)
     _log.debug("sweep table: %d cells, %d distinct rows, %.3f ms",
                n, len(rows), 1e3 * (perf_counter() - start))
@@ -263,6 +270,29 @@ def _expm1_cells(hA) -> np.ndarray:
             sh[k] = np.exp(tr) * np.expm1(-2.0 * r) * (-0.5 / r)
     sd = sh * delta
     return np.array(((cm1 + sd, sh * b), (sh * c, cm1 - sd)))
+
+
+def _compose(x, y):
+    """``(I + x)(I + y) - I`` for ``(2, 2, n)`` stacks of deviations from I."""
+    out = np.einsum("ijk,jlk->ilk", x, y)
+    out += x
+    out += y
+    return out
+
+
+def mean_steps(b11, b22, bb12, bb21) -> np.ndarray:
+    """Read-only ``(2, 2, cells)`` stack of ``P(k) - I``: ``P(k) = exp(hA(k)) (I -
+    J(k+1))`` steps the mean system of drifts b11, b22 and effective cross drifts
+    bb12, bb21 (nondecreasing, so hA is Metzler) back over node k + 1's atom J, then
+    cell k.  Elementwise over cells, so a stack's prefix is, bit for bit, its cells'."""
+    start = perf_counter()
+    hA = np.array(((-b11.density, bb12.density), (bb21.density, -b22.density))) * b11.grid.widths
+    a11, ab12, ab21, a22 = (meas.node_atom_masses[1:] for meas in (b11, bb12, bb21, b22))
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps = _compose(_expm1_cells(hA), np.array(((-a11, ab12), (ab21, -a22))))
+    steps.setflags(write=False)
+    _log.debug("mean steps: %d cells, %.3f ms", steps.shape[2], 1e3 * (perf_counter() - start))
+    return steps
 
 
 def _sampler(points):

@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .compiled import cell_table, picard_table, sim_table
+from .compiled import cell_table, mean_steps, picard_table, sim_table
 from .errors import AdmissibilityError
 from .measures import JumpMeasure, StieltjesMeasure, TimeGrid, _slot_sums
 
@@ -185,6 +185,11 @@ class Environment(_Model):
         """Cells and atoms of the general sweep."""
         return cell_table((self.b11, self.b22, *self._cross_drifts, self.c1, self.c2),
                           (self.m1, self.m2))
+
+    @cached_property
+    def _mean_steps(self):
+        """Per-cell steps of the mean system."""
+        return mean_steps(self.b11, self.b22, *self._cross_drifts)
 
 
 @dataclass(frozen=True, eq=False)

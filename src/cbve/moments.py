@@ -5,9 +5,10 @@ system driven by the diagonal drifts and the effective cross drifts.  Its
 coefficients are constant on each cell, so the cell step is the exact 2x2
 exponential ``exp(hA)``, in closed form (:func:`cbve.compiled._expm1_cells`),
 and the atoms take the atom-exact steps of the nonlinear solver.  Each step
-is a 2x2 matrix free of lam, so ``pi_k = Phi(k) lam`` with one propagator
-per node, built for all cells at once, and linearity in lam, signed or not,
-holds by construction.  A stiff decaying cell gives its exact, finite step.
+is a 2x2 matrix free of lam, compiled once per model, so ``pi_k = Phi(k)
+lam`` with one propagator per node, built for all cells below t at once,
+and linearity in lam, signed or not, holds by construction.  A stiff
+decaying cell gives its exact, finite step.
 """
 from __future__ import annotations
 
@@ -15,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compiled import _expm1_cells
-from .environment import Environment, effective_cross_drift
+from .compiled import _compose
+from .environment import Environment
 from .errors import NumericalError
 from .measures import TimeGrid
 from .solver import _pair, solve_general
@@ -38,30 +39,16 @@ class MomentSolution:
         return self.pi.shape[0] - 1
 
 
-def _compose(x, y):
-    """``(I + x)(I + y) - I`` for ``(2, 2, n)`` stacks of deviations from I."""
-    out = np.einsum("ijk,jlk->ilk", x, y)
-    out += x
-    out += y
-    return out
-
-
 def _propagators(env: Environment, M: int) -> np.ndarray:
     """``Phi(k) - I`` for the backward propagators ``Phi(k) = P(k) ... P(M-1)``,
-    ``(2, 2, M)``.  ``P(k) = exp(hA(k)) (I - J(k+1))`` applies the atom at
-    node k+1, then the exact step over cell k, on which the coefficients are
-    constant; recursive doubling takes log2(M) whole-array products.
-    Carrying ``Phi - I`` rounds each product relative to the change it
-    makes, where ``Phi`` itself would round a near-identity step alike on
-    every cell of a constant stretch, an error that grows like M * eps.
+    ``(2, 2, M)``, from the model's compiled steps ``P(k) - I`` (see
+    :func:`cbve.compiled.mean_steps`): recursive doubling takes log2(M)
+    whole-array products.  Carrying ``Phi - I`` rounds each product
+    relative to the change it makes, where ``Phi`` itself would round a
+    near-identity step alike on every cell of a constant stretch, an
+    error that grows like M * eps.
     """
-    bb12, bb21 = effective_cross_drift(env, 1, 2), effective_cross_drift(env, 2, 1)
-    # Metzler: the effective cross drifts are nondecreasing
-    hA = np.array(((-env.b11.density[:M], bb12.density[:M]),
-                   (bb21.density[:M], -env.b22.density[:M]))) * env.grid.widths[:M]
-    a11, ab12, ab21, a22 = (meas.node_atom_masses[1:M + 1]
-                            for meas in (env.b11, bb12, bb21, env.b22))
-    E = _compose(_expm1_cells(hA), np.array(((-a11, ab12), (ab21, -a22))))
+    E = env._mean_steps[:, :, :M].copy()
     s = 1
     while s < M:
         E[:, :, :M - s] = _compose(E[:, :, :M - s], E[:, :, s:])
@@ -96,10 +83,13 @@ def finite_diff_check(env: Environment, t: float, lam, h: float):
     """
     if not 0.0 < h <= 0.1:
         raise ValueError("h must lie in (0, 0.1]")
-    lam1, lam2 = _pair(lam)
-    sol_v = solve_general(env, t, (h * lam1, h * lam2))
-    sol_pi = solve_moment(env, t, (lam1, lam2))
-    diff = np.abs(sol_v.v / h - sol_pi.pi)
+    lam = _pair(lam)
+    return _finite_diff(env, t, lam, h, solve_moment(env, t, lam).pi)
+
+
+def _finite_diff(env: Environment, t: float, lam, h: float, pi: np.ndarray):
+    """:func:`finite_diff_check` against ``pi``, the solved mean for lam."""
+    diff = np.abs(solve_general(env, t, (h * lam[0], h * lam[1])).v / h - pi)
     return float(np.max(diff[:, 0])), float(np.max(diff[:, 1]))
 
 

@@ -132,9 +132,11 @@ def _sweep(rows, lam):
     """Backward sweep over ``rows`` from ``lam`` after the last row.
 
     ``rows`` is a slice of the rows of :func:`cbve.compiled.cell_table`; a
-    row's atom steps the value before its cell.  Returns ``v`` with one
-    value per node of the slice, the clamp count and the worst clamped
-    deficit.
+    row's atom steps the value before its cell.  Points are stored negated,
+    so the compensated term ``expm1(-x) + x`` is ``expm1(x) - x`` at the
+    negated x: the same float, IEEE negation being exact and rounding
+    symmetric.  Returns ``v`` with one value per node of the slice, the
+    clamp count and the worst clamped deficit.
     """
     expm1 = math.expm1
     inf = math.inf
@@ -162,7 +164,7 @@ def _sweep(rows, lam):
     # a predictor far below zero overflows expm1 in the corrector: the
     # grid is too coarse for this lam, like a deficit beyond tolerance
     try:
-        for a, h, b11d, b22d, bb12d, bb21d, c1d, c2d, pts1, pts2 in reversed(rows):
+        for a, h, hh, b11d, b22d, bb12d, bb21d, c1d, c2d, pts1, pts2 in reversed(rows):
             if a is not None:
                 a11, a22, ab12, ab21, _, _, ap1, ap2 = a
                 p1 = a11 * v1 - ab12 * v2
@@ -170,11 +172,11 @@ def _sweep(rows, lam):
                 # measured about 10% slower on this sweep
                 for z1, z2, w in ap1:
                     x = v1 * z1 + v2 * z2
-                    p1 += (expm1(-x) + x) * w
+                    p1 += (expm1(x) - x) * w
                 p2 = a22 * v2 - ab21 * v1
                 for z1, z2, w in ap2:
                     x = v1 * z1 + v2 * z2
-                    p2 += (expm1(-x) + x) * w
+                    p2 += (expm1(x) - x) * w
                 v1 -= p1
                 v2 -= p2
                 if not v1 >= 0.0:
@@ -184,24 +186,24 @@ def _sweep(rows, lam):
             d1 = v1 * b11d - v2 * bb12d + v1 * v1 * c1d
             for z1, z2, w in pts1:
                 x = v1 * z1 + v2 * z2
-                d1 += (expm1(-x) + x) * w
+                d1 += (expm1(x) - x) * w
             d2 = v2 * b22d - v1 * bb21d + v2 * v2 * c2d
             for z1, z2, w in pts2:
                 x = v1 * z1 + v2 * z2
-                d2 += (expm1(-x) + x) * w
+                d2 += (expm1(x) - x) * w
             # right-endpoint predictor, then one trapezoid corrector
             c1x = v1 - h * d1
             c2x = v2 - h * d2
             e1 = c1x * b11d - c2x * bb12d + c1x * c1x * c1d
             for z1, z2, w in pts1:
                 x = c1x * z1 + c2x * z2
-                e1 += (expm1(-x) + x) * w
+                e1 += (expm1(x) - x) * w
             e2 = c2x * b22d - c1x * bb21d + c2x * c2x * c2d
             for z1, z2, w in pts2:
                 x = c1x * z1 + c2x * z2
-                e2 += (expm1(-x) + x) * w
-            v1 -= 0.5 * h * (d1 + e1)
-            v2 -= 0.5 * h * (d2 + e2)
+                e2 += (expm1(x) - x) * w
+            v1 -= hh * (d1 + e1)
+            v2 -= hh * (d2 + e2)
             if not v1 >= 0.0:
                 v1 = clamp(v1)
             if not v2 >= 0.0:
@@ -593,14 +595,15 @@ def _split_rows(rows, widths, f: int):
     widths, its atom on the last: what an ``f``-times refined model compiles
     on that stretch.  Equal split rows are one shared, read-only tuple, one
     per parent row object, width and atom; a parent row split into the
-    same widths again reuses its split rows whole."""
+    same widths again reuses its split rows whole.  A split row is
+    ``(atom, w, 0.5 * w)`` and the parent's densities and points."""
     made, groups, split = {}, {}, []
     for row, j in zip(rows, range(0, len(widths), f)):
         key = (id(row), tuple(widths[j : j + f]))
         group = groups.get(key)
         if group is None:
             group = groups[key] = [
-                made.setdefault((id(row), w, atom is None), (atom, w) + row[2:])
+                made.setdefault((id(row), w, atom is None), (atom, w, 0.5 * w) + row[3:])
                 for w, atom in zip(key[1], (None,) * (f - 1) + row[:1])]
         split += group
     return split

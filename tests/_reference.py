@@ -75,8 +75,11 @@ the engine: the same events, and final states equal to rounding.
 :func:`cell_table` is the sweep table of :mod:`cbve.compiled` as it was
 before equal rows became one shared object: a fresh row per cell, with
 its point sets made by :func:`point_sets` once per run of bitwise equal
-cells.  :func:`cbve.compiled.cell_table` must equal it row for row, bit
-for bit.  The Picard, moment and simulator oracles read this table, not
+cells, and before the rows stored their half width and their points
+negated.  :func:`compiled_rows` maps such rows to today's layout, and
+:func:`cbve.compiled.cell_table` must equal that row for row, bit for
+bit (:func:`sweep_table` is the table of a model's general sweep).  The
+Picard, moment and simulator oracles read this table, not
 the one under test, and :func:`split_table` turns its rows, each of which
 carries its node's atom, back into the rows and the node-to-atom map they
 were written against, so their arithmetic is unchanged.
@@ -94,7 +97,18 @@ split shared each parent row's tail: they call the clamp on every value,
 test finiteness with ``math.isfinite``, store each node into a numpy
 array and slice the parent row once per split row.  The arithmetic is the
 same, so the two return the same bytes, clamp counts and worst deficits,
-or raise the same error with the same message.
+or raise the same error with the same message.  They read the rows of
+:func:`cell_table`, the code under test the rows of the same cells in its
+own layout: ``expm1(x) - x`` at the negated points is the float that
+``expm1(-x) + x`` is at the points, IEEE negation being exact and rounding
+symmetric, and ``0.5 * h`` is the same float stored or formed in the loop.
+
+:func:`propagators` is the mean system's propagator scan as it was
+before the model compiled its per-cell steps: it forms ``hA``, the steps
+``exp(hA) - I`` and their atoms over the cells below t on every call,
+then runs the same doubling; :func:`propagator_moment` is
+:func:`cbve.solve_moment` on it.  Every operation on the steps is
+elementwise over cells, so the two return the same bytes.
 
 :func:`array_picard` (with :func:`array_drift`) is the whole-array Picard
 solve of :mod:`cbve.solver` as it was before its iteration reused its
@@ -113,6 +127,7 @@ import math
 
 import numpy as np
 
+from cbve.compiled import _expm1_cells
 from cbve.environment import SpecialForm, effective_cross_drift, _other
 from cbve.errors import ConvergenceError, DiscretizationError, NumericalError
 from cbve.simulator import _MAX_CANDIDATES, _MAX_STATE, _POISSON_PIECE, PathEvent
@@ -169,6 +184,24 @@ def cell_table(scalars, jumps):
         *(meas.density.tolist() for meas in scalars),
         *(point_sets(jump.cell_points) for jump in jumps),
     ))
+
+
+def sweep_table(env):
+    """:func:`cell_table` of the general sweep of ``env``."""
+    return cell_table((env.b11, env.b22, *env._cross_drifts, env.c1, env.c2), (env.m1, env.m2))
+
+
+def compiled_rows(rows, kernels: int = 2) -> tuple:
+    """Rows of :func:`cell_table` or :func:`split_rows` (``kernels`` jump
+    kernels each) in the layout of :func:`cbve.compiled.cell_table`: the
+    half width after the width, and every point, atom points too, as
+    ``(-z1, -z2, w)``."""
+    def negated(part):
+        cut = len(part) - kernels
+        return (*part[:cut], *(tuple((-z1, -z2, w) for z1, z2, w in pts) for pts in part[cut:]))
+
+    return tuple((None if row[0] is None else negated(row[0]), row[1], 0.5 * row[1],
+                  *negated(row[2:])) for row in rows)
 
 
 def split_table(rows):
@@ -486,8 +519,7 @@ def linear_combination(grid, terms):
 
 
 def _moment_axis(env, M: int, lam1: float, lam2: float) -> np.ndarray:
-    cells, atoms = split_table(cell_table(
-        (env.b11, env.b22, *env._cross_drifts, env.c1, env.c2), (env.m1, env.m2)))
+    cells, atoms = split_table(sweep_table(env))
     pi = np.empty((M + 1, 2))
     pi[M, 0], pi[M, 1] = lam1, lam2
     p1, p2 = lam1, lam2
@@ -529,6 +561,44 @@ def solve_moment(env, t: float, lam) -> MomentSolution:
     sgn2 = math.copysign(1.0, lam2) if lam2 != 0.0 else 0.0
     pi = sgn1 * axis1 + sgn2 * axis2
     pi[M, 0], pi[M, 1] = lam1, lam2
+    return MomentSolution(t=float(env.grid.nodes[M]), lam=(lam1, lam2),
+                          grid=env.grid, pi=pi)
+
+
+def _compose(x, y):
+    """``(I + x)(I + y) - I`` for ``(2, 2, n)`` stacks of deviations from I."""
+    out = np.einsum("ijk,jlk->ilk", x, y)
+    out += x
+    out += y
+    return out
+
+
+def propagators(env, M: int) -> np.ndarray:
+    """``Phi(k) - I`` for the backward propagators ``Phi(k) = P(k) ... P(M-1)``,
+    ``(2, 2, M)``, with every cell step ``P(k) - I`` formed in this call."""
+    bb12, bb21 = effective_cross_drift(env, 1, 2), effective_cross_drift(env, 2, 1)
+    # Metzler: the effective cross drifts are nondecreasing
+    hA = np.array(((-env.b11.density[:M], bb12.density[:M]),
+                   (bb21.density[:M], -env.b22.density[:M]))) * env.grid.widths[:M]
+    a11, ab12, ab21, a22 = (meas.node_atom_masses[1:M + 1]
+                            for meas in (env.b11, bb12, bb21, env.b22))
+    E = _compose(_expm1_cells(hA), np.array(((-a11, ab12), (ab21, -a22))))
+    s = 1
+    while s < M:
+        E[:, :, :M - s] = _compose(E[:, :, :M - s], E[:, :, s:])
+        s *= 2
+    return E
+
+
+def propagator_moment(env, t: float, lam) -> MomentSolution:
+    """:func:`cbve.solve_moment` on :func:`propagators`."""
+    lam1, lam2 = _pair(lam, signed=True)
+    M = env.grid.index_of(t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        E = propagators(env, M)
+        pi = np.vstack(((E[:, 0] * lam1 + E[:, 1] * lam2).T + (lam1, lam2), (lam1, lam2)))
+    if not np.all(np.isfinite(pi)):
+        raise NumericalError("moment propagator produced non-finite values")
     return MomentSolution(t=float(env.grid.nodes[M]), lam=(lam1, lam2),
                           grid=env.grid, pi=pi)
 

@@ -13,16 +13,18 @@ and ``cell_table`` must build the same sweep rows.
 cells of equal or uneven widths, values from small pools so that equal
 cells recur side by side and apart, cells that differ only in the sign of
 zero, atoms at any node from 1 to T) it must equal
-:func:`_reference.cell_table`, a fresh row per cell, row for row with
-floats compared bit for bit, and rows equal bit for bit must be one
-object.  On 20,000 uniform cells with three density segments the table
+:func:`_reference.cell_table`, a fresh row per cell, mapped to the
+compiled layout (half widths, negated points) by
+:func:`_reference.compiled_rows`, row for row with floats compared bit
+for bit, and rows equal bit for bit must be one object.  On 20,000 uniform cells with three density segments the table
 holds under 100 row objects and keeps under 1 MB alive, and the 8-way
 split of its last half under 100; the per-cell table held 20,000 rows and
-5.7 MB.  A table build logs one debug line, and nothing by default.
+5.7 MB.  A table build, the sweep's or the mean system's, logs one debug
+line, and nothing by default.
 
 Every bad point still raises its ``ValueError``, whichever way it enters
 a kernel, and every array a kernel stores or hands out is read-only, as is
-every compiled table a model caches.
+every compiled table a model caches; a replaced model builds its own.
 """
 import dataclasses
 import logging
@@ -44,6 +46,7 @@ from cbve import (
     h_transform_coefficients,
     simulate_path,
     solve_general,
+    solve_moment,
     solve_special_picard,
 )
 from cbve.compiled import cell_table
@@ -80,6 +83,11 @@ def _bits(arr):
 def _exact(point_sets):
     """Point sets as bytes, so that -0.0 and 0.0 differ."""
     return [np.array(pts, dtype=float).tobytes() for pts in point_sets]
+
+
+def _negated(points):
+    """The sweep table's points with their coordinates negated back."""
+    return tuple((-z1, -z2, w) for z1, z2, w in points)
 
 
 def _same_arrays(jump, kernels, atoms):
@@ -122,11 +130,12 @@ def test_kernel_arrays_match_per_object_padding(case, factor):
     assert _exact(k.points for k in jump.cell_kernels) == _exact(sets)
     assert [t for t, _ in jump.time_atoms] == [grid.nodes[m] for m, _ in at]
     assert _exact(s.points for _, s in jump.time_atoms) == _exact(p for _, p in at)
-    # the sweep rows: one tuple of points per cell, () where a cell has none
+    # the sweep rows: one tuple of negated points per cell, () where a cell
+    # has none
     rows = cell_table((StieltjesMeasure.zero(grid),), (jump,))
-    assert _exact(row[3] for row in rows) == _exact(sets)
+    assert _exact(_negated(row[4]) for row in rows) == _exact(sets)
     assert [k + 1 for k, row in enumerate(rows) if row[0] is not None] == [m for m, _ in at]
-    assert _exact(rows[m - 1][0][1] for m, _ in at) == _exact(p for _, p in at)
+    assert _exact(_negated(rows[m - 1][0][1]) for m, _ in at) == _exact(p for _, p in at)
     _same_arrays(jump.on_refinement(grid.refine(factor), factor),
                  *_reference.refined_sets(sets, at, factor))
     for fn, scalar_fn in _FACTORS:
@@ -138,13 +147,14 @@ def test_cells_equal_but_for_the_sign_of_zero_stay_apart():
     sets = [((0.0, 1.0, 1.0),), ((-0.0, 1.0, 1.0),), ((-0.0, 1.0, 1.0),), ((-0.0, 1.0, 1.0),)]
     jump = JumpMeasure(grid, [DiscreteSpatialMeasure(p) for p in sets])
     rows = cell_table((StieltjesMeasure.zero(grid),), (jump,))
-    assert _exact(row[3] for row in rows) == _exact(sets)
+    assert _exact(_negated(row[4]) for row in rows) == _exact(sets)
     assert _exact(k.points for k in jump.cell_kernels) == _exact(sets)
     assert rows[0] is not rows[1] and rows[1] is rows[2]
     # densities too: cells 2 and 3 differ only in the sign of a zero density
     density = StieltjesMeasure(grid, [0.0, 0.0, 0.0, -0.0])
     rows = cell_table((density,), (jump,))
-    assert list(map(repr, rows)) == list(map(repr, _reference.cell_table((density,), (jump,))))
+    reference = _reference.compiled_rows(_reference.cell_table((density,), (jump,)), 1)
+    assert list(map(repr, rows)) == list(map(repr, reference))
     assert rows[0] is not rows[1] and rows[1] is rows[2] and rows[2] is not rows[3]
 
 
@@ -179,7 +189,7 @@ def _coefficients(draw):
 @given(_coefficients())
 def test_cell_table_shares_equal_rows_and_matches_per_cell_rows(case):
     rows = cell_table(*case)
-    reference = _reference.cell_table(*case)
+    reference = _reference.compiled_rows(_reference.cell_table(*case), len(case[1]))
     assert isinstance(rows, tuple)
     # repr keeps the sign of zero and round-trips every finite float, so
     # equal reprs are rows equal bit for bit
@@ -217,13 +227,18 @@ def test_table_build_logs_one_debug_line(caplog):
     env = random_environment(np.random.default_rng(4), cells=30)
     with caplog.at_level(logging.DEBUG, logger="cbve.compiled"):
         rows = env._table
-    [record] = caplog.records
-    assert (record.name, record.levelno) == ("cbve.compiled", logging.DEBUG)
+        env._mean_steps
+        env._table, env._mean_steps  # cached: built and logged once
+    sweep, mean = caplog.records
+    for record in (sweep, mean):
+        assert (record.name, record.levelno) == ("cbve.compiled", logging.DEBUG)
     match = re.fullmatch(r"sweep table: 30 cells, (\d+) distinct rows, [0-9.]+ ms",
-                         record.getMessage())
+                         sweep.getMessage())
     assert match and int(match[1]) == len({id(row) for row in rows})
+    assert re.fullmatch(r"mean steps: 30 cells, [0-9.]+ ms", mean.getMessage())
     caplog.clear()
-    dataclasses.replace(env)._table
+    fresh = dataclasses.replace(env)
+    fresh._table, fresh._mean_steps
     assert caplog.records == []
 
 
@@ -363,7 +378,8 @@ def test_compiled_tables_refuse_writes():
     def results():
         return (solve_special_picard(sf, 1.0, lam).v.tobytes(),
                 repr(simulate_path(sf, (1.0, 0.5), 1.0, 7)),
-                solve_general(env, 1.0, lam).v.tobytes())
+                solve_general(env, 1.0, lam).v.tobytes(),
+                solve_moment(env, 1.0, lam).pi.tobytes())
 
     before = results()
     assert not any(a.flags.writeable for a in _table_arrays(sf._picard_table))
@@ -380,4 +396,11 @@ def test_compiled_tables_refuse_writes():
         rows[0][0] = ()
     with pytest.raises(TypeError):
         atom[0] = 0.0
+    steps = env._mean_steps
+    assert not steps.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        steps[...] = 0.0
+    # a replaced model builds its own steps, equal bit for bit
+    other = dataclasses.replace(env)._mean_steps
+    assert other is not steps and other.tobytes() == steps.tobytes()
     assert results() == before

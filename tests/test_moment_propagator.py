@@ -14,6 +14,14 @@ densities and atoms.  Terminal times are 0, an interior node or the
 horizon, and lam is signed, with zero components.  Stiff decaying cells
 (hA down to about -24) give their exact steps.
 
+The model compiles its steps once, over its whole grid
+(:func:`cbve.compiled.mean_steps`), and a solve copies those below t;
+:func:`_reference.propagator_moment` forms the steps of the cells below t
+on every call, as the solver did before.  Every operation on the steps is
+elementwise over cells, so at every checked terminal node (0, 1, the
+horizon, a drawn node and an atom node, on 1 to 60 cells) the two give
+the same bytes.
+
 :func:`_reference.solve_moment` takes the general sweep's two-pass cell
 step, exact to second order, so on cells small enough for that step to be
 stable its error against the exact mean falls about 4 times when the grid
@@ -35,6 +43,7 @@ from cbve import (
     solve_moment,
 )
 from cbve.compiled import _expm1_cells
+from cbve.errors import CBVEError
 
 _SETTINGS = settings(max_examples=120)
 
@@ -134,6 +143,38 @@ def test_propagator_matches_per_cell_expm(case):
     assert got.shape == want.shape
     assert tuple(got[-1]) == lam
     assert np.max(np.abs(got - want)) <= 1e-12 * (1.0 + np.max(np.abs(want)))
+
+
+def _outcome(solve, env, t, lam):
+    """The mean's exact bytes, or the type and message of its error."""
+    try:
+        return solve(env, t, lam).pi.tobytes()
+    except CBVEError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _prefix_cases(draw):
+    """A case of :func:`_cases` on 1 to 60 cells, and the terminal nodes to
+    check: 0, 1, the horizon, a drawn node and a drawn atom node."""
+    env, _, lam = draw(_cases(cells=st.integers(1, 60)))
+    cells = env.grid.n_cells
+    nodes = {0, 1, cells, draw(st.integers(0, cells))}
+    atoms = sorted(set().union(*(np.flatnonzero(meas.node_atom_masses).tolist() for meas in (
+        env.b11, env.b22, effective_cross_drift(env, 1, 2), effective_cross_drift(env, 2, 1)))))
+    if atoms:
+        nodes.add(draw(st.sampled_from(atoms)))
+    return env, sorted(nodes), lam
+
+
+@_SETTINGS
+@given(_prefix_cases())
+def test_compiled_steps_match_per_call_propagators(case):
+    env, nodes, lam = case
+    for M in nodes:
+        t = float(env.grid.nodes[M])
+        assert _outcome(solve_moment, env, t, lam) == _outcome(
+            _reference.propagator_moment, env, t, lam)
 
 
 @st.composite
