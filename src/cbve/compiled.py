@@ -1,13 +1,11 @@
 """Compiled coefficient tables consumed by the solver and simulator loops.
 
-:func:`cell_table` flattens measures into Python rows once, so the scalar
-loop of the general sweep indexes tuples instead of arrays: one row
-``(atom, h, h / 2, densities..., kernel points...)`` per grid cell (the
-points read from ``cell_points``, coordinates negated), where ``atom`` is
-None or the ``(atom masses..., atom points...)`` of the cell's right node.
-Rows equal bit for bit are one shared, read-only tuple, built once, so a
-model whose coefficients are piecewise constant holds a few dozen rows
-however fine its grid.  A stretch of the grid is a slice of the rows.
+:func:`sweep_table` flattens measures into Python tuples once, so the
+scalar loop of the general sweep indexes tuples instead of arrays: one
+tuple per run of cells with equal coefficients (between time atoms, where
+the backward equation is one fixed ODE), and one ``(h, h / 2)`` pair per
+cell.  A stretch of the grid, a refined one too, is a window of the runs
+and its own steps.
 :func:`mean_steps` holds the mean system's exact per-cell steps.
 
 :func:`picard_table` is the array form consumed by the whole-array Picard
@@ -31,7 +29,6 @@ from __future__ import annotations
 
 import logging
 import math
-from operator import itemgetter
 from time import perf_counter
 from typing import NamedTuple
 
@@ -39,29 +36,35 @@ import numpy as np
 
 from .measures import _point_runs, _point_sets
 
-__all__ = ["cell_table", "mean_steps", "picard_table", "sim_table"]
+__all__ = ["mean_steps", "picard_table", "sim_table", "sweep_table"]
 
 _log = logging.getLogger(__name__)
 
 _NEG = np.array((-1.0, -1.0, 1.0))[:, None, None]  # (3, K, sets) points to (-z1, -z2, w)
 
 
-def cell_table(scalars, jumps):
-    """Per-cell rows of ``scalars`` then ``jumps``, equal rows one object.
+class SweepTable(NamedTuple):
+    """Runs and cell steps of the general sweep; see :func:`sweep_table`."""
 
-    Row k is ``(atom, h, 0.5 * h, density_k of each scalar measure...,
-    cell-k points of each jump kernel...)``, a point as ``(-z1, -z2, w)``
-    (see :func:`cbve.solver._sweep`).  ``atom`` belongs to node k + 1,
-    whose atom the sweep steps just before cell k: None where no measure
-    has a time atom there, else ``(atom mass of each scalar measure...,
-    atom points of each jump kernel...)``, with 0.0 and () where one has
-    none.
+    runs: tuple
+    steps: tuple
 
-    Rows equal bit for bit are one shared, read-only tuple.  The grid is
-    cut into segments of cells with bitwise equal densities, atom and kernel
-    points; segments of equal content form a class, and one row is built
-    per class and bit pattern of the width, the rows of a class sharing
-    their tail.
+
+def sweep_table(scalars, jumps) -> SweepTable:
+    """The general sweep's runs of equal cells of ``scalars`` then
+    ``jumps``, and each cell's step.
+
+    A run ``(lo, hi, atom, row)`` covers cells lo..hi-1, whose densities
+    are equal bit for bit (so 0.0 and -0.0 differ), and so are their
+    kernel point sets.  ``row`` holds them once: ``(density of each scalar
+    measure..., points of each jump kernel...)``, a point as ``(-z1, -z2,
+    w)`` (see :func:`cbve.solver._sweep`).  ``atom`` belongs to node hi,
+    whose atom the sweep steps just before cell hi - 1: None where no
+    measure has a time atom there, else ``(atom mass of each scalar
+    measure..., atom points of each jump kernel...)``, with 0.0 and ()
+    where one has none.  A run ends where any coefficient changes, at every
+    atom and at the last node.  ``steps`` holds :func:`_steps` of the
+    cell widths.
     """
     start = perf_counter()
     grid = scalars[0].grid
@@ -69,44 +72,35 @@ def cell_table(scalars, jumps):
     masses = [meas.node_atom_masses for meas in scalars]
     points = [dict(zip(jump.atom_nodes.tolist(), _point_sets(jump.atom_points * _NEG)))
               for jump in jumps]
-    atoms, numbers = [None] * grid.nodes.size, {}
-    atom_of = np.full(n, -1)  # the number of the atom stepped before each cell
-    for m in set().union(*points, *(np.flatnonzero(mass).tolist() for mass in masses)):
-        atom = (*(float(mass[m]) for mass in masses), *(pts.get(m, ()) for pts in points))
-        # repr tells float bit patterns apart, so equal atoms are one object
-        atom_of[m - 1], atoms[m] = numbers.setdefault(repr(atom), (len(numbers), atom))
-    runs = [_point_runs(jump.cell_points * _NEG) for jump in jumps]
-    # per cell: the bits of each density (so 0.0 and -0.0 differ), its atom's
-    # number and the id of each kernel's point set, one object per bit pattern
-    cols = [*(meas.density.view(np.int64) for meas in scalars), atom_of, *(
-        np.repeat([id(s) for s in sets], np.diff([*starts, n])) for starts, sets in runs)]
-    cut = np.ones(n, dtype=bool)
-    cut[1:] = np.any([col[1:] != col[:-1] for col in cols], axis=0)
-    heads = np.flatnonzero(cut)
-    keys = np.stack([col[heads] for col in cols], axis=1).view(f"V{8 * len(cols)}")
-    classes = {}  # segments of equal content, numbered in cell order
-    seg = np.array([classes.setdefault(key, len(classes)) for key in keys.ravel().tolist()])
-    rep = heads[np.unique(seg, return_index=True)[1]]  # the first cell of each class
-    cls = seg[np.cumsum(cut) - 1]
-    _, width = np.unique(grid.widths.view(np.int64), return_inverse=True)
-    _, first, code = np.unique(cls * n + width, return_index=True, return_inverse=True)
-    order = np.argsort(first)  # number the rows in cell order
-    first, code = first[order], np.argsort(order)[code]
-    atom = [atoms[k + 1] for k in rep.tolist()]
-    rest = [*(meas.density[rep].tolist() for meas in scalars), *(
-        [sets[i] for i in (np.searchsorted(starts, rep, "right") - 1).tolist()]
-        for starts, sets in runs)]
-    h, hh = grid.widths[first].tolist(), (0.5 * grid.widths[first]).tolist()
-    if first.size == rep.size:  # a row per class, in the same order
-        rows = tuple(zip(atom, h, hh, *rest))
-    else:  # the rows of a class share its tail
-        tail = tuple(zip(*rest))
-        rows = tuple([(atom[c], w, hw) + tail[c]
-                      for c, w, hw in zip(cls[first].tolist(), h, hh)])
-    table = rows if len(rows) == n else itemgetter(*code.tolist())(rows)
-    _log.debug("sweep table: %d cells, %d distinct rows, %.3f ms",
-               n, len(rows), 1e3 * (perf_counter() - start))
+    atoms = {m: (*(float(mass[m]) for mass in masses), *(pts.get(m, ()) for pts in points))
+             for m in set().union(*points, *(np.flatnonzero(mass).tolist() for mass in masses))}
+    kernels = [_point_runs(jump.cell_points * _NEG) for jump in jumps]
+    ends = np.zeros(n + 1, dtype=bool)  # does a run end at the node
+    ends[[*atoms, n]] = True
+    for meas in scalars:
+        bits = meas.density.view(np.int64)
+        ends[1:n] |= bits[1:] != bits[:-1]
+    for starts, _ in kernels:
+        ends[starts[1:]] = True
+    hi = np.flatnonzero(ends)
+    lo = np.append(0, hi[:-1])
+    rows = zip(*(meas.density[lo].tolist() for meas in scalars), *(
+        [sets[i] for i in (np.searchsorted(starts, lo, "right") - 1).tolist()]
+        for starts, sets in kernels))
+    hi = hi.tolist()
+    table = SweepTable(tuple(zip(lo.tolist(), hi, map(atoms.get, hi), rows)), _steps(grid.widths))
+    _log.debug("sweep table: %d cells, %d runs, %.3f ms",
+               n, len(table.runs), 1e3 * (perf_counter() - start))
     return table
+
+
+def _steps(widths) -> tuple:
+    """``(h, 0.5 * h)`` of each width h, one pair object per bit pattern."""
+    bits = widths.view(np.int64)
+    patterns = np.unique(bits)
+    h = patterns.view(np.float64)
+    pairs = list(zip(h.tolist(), (0.5 * h).tolist()))
+    return tuple(map(pairs.__getitem__, np.searchsorted(patterns, bits).tolist()))
 
 
 def _frozen(table):

@@ -13,7 +13,9 @@ exactly.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -59,13 +61,11 @@ def _fail(field: str, message: str):
 
 
 def _float(field: str, value) -> float:
-    try:
-        out = float(value)
-    except (TypeError, ValueError):
+    if isinstance(value, bool) or not isinstance(value, Real):  # "2" and true are not numbers
         _fail(field, f"expected a number, got {value!r}")
-    if not np.isfinite(out):
+    if not abs(value) <= sys.float_info.max:  # NaN, inf or an integer past the double range
         _fail(field, f"expected a finite number, got {value!r}")
-    return out
+    return float(value)
 
 
 def _shaped(field: str, raw, shape) -> list:
@@ -120,7 +120,7 @@ def _build_grid(data: dict, sections: dict) -> TimeGrid:
         except ValueError as exc:
             _fail("grid_nodes", str(exc))
     cells = data.get("grid_cells", 1000)
-    if not isinstance(cells, int) or cells < 1:
+    if isinstance(cells, bool) or not isinstance(cells, int) or cells < 1:
         _fail("grid_cells", "must be a positive integer")
     times = {0.0, horizon}
     for section in sections.values():
@@ -146,6 +146,9 @@ def _measure(grid: TimeGrid, key: str, kind: str, section: dict):
         _fail(f"{key}.atoms", "this coefficient must be atom-free")
     try:
         if kind == "jump":
+            for t0, t1, _ in section["kernel"]:
+                if grid.index_of(t1) <= grid.index_of(t0):
+                    raise ValueError(f"empty kernel segment [{t0}, {t1})")
             return JumpMeasure.from_segments(grid, section["kernel"], section["atoms"])
         return StieltjesMeasure.from_segments(grid, section["density"], section["atoms"])
     except ValueError as exc:

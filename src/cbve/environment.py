@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .compiled import cell_table, mean_steps, picard_table, sim_table
+from .compiled import mean_steps, picard_table, sim_table, sweep_table
 from .errors import AdmissibilityError
 from .measures import JumpMeasure, StieltjesMeasure, TimeGrid, _slot_sums
 
@@ -182,9 +182,9 @@ class Environment(_Model):
 
     @cached_property
     def _table(self):
-        """Cells and atoms of the general sweep."""
-        return cell_table((self.b11, self.b22, *self._cross_drifts, self.c1, self.c2),
-                          (self.m1, self.m2))
+        """Runs and cell steps of the general sweep."""
+        return sweep_table((self.b11, self.b22, *self._cross_drifts, self.c1, self.c2),
+                           (self.m1, self.m2))
 
     @cached_property
     def _mean_steps(self):

@@ -21,15 +21,14 @@ Two routes produce the same discrete solution:
   into buffers allocated once per solve.
 
 Both routes hold only their loops over the compiled tables of
-:mod:`cbve.compiled`, which each model builds once and caches: tuple rows
-for the sweep (which is sequential and nonlinear, so it stays a scalar
-loop), one per cell, with equal rows one shared, read-only object, and
-padded arrays for Picard.  Each sweep row carries the atom stepped just
-before its cell, so the sweep itself is one private loop over a slice of
-rows; :func:`solve_general` runs it over the rows below the terminal
-node, and :func:`check_flow` runs it only over the nodes its residual
-reads, its refined leg on the model's own rows split into finer cells,
-equal split rows again one object.
+:mod:`cbve.compiled`, which each model builds once and caches: for the
+sweep (which is sequential and nonlinear, so it stays a scalar loop) the
+runs of equal cells, each a tuple of densities and points with the atom
+that ends it, and one ``(h, h / 2)`` pair per cell; padded arrays for
+Picard.  The sweep itself is one private loop over a window of runs;
+:func:`solve_general` runs it over the cells below the terminal node, and
+:func:`check_flow` only over the nodes its residual reads, its refined
+legs on windows of the model's own runs with the refined grid's steps.
 The module also houses the h-transform utilities, the two-dimensional
 Gronwall bound, the a-priori growth exponent and upper bound, and the
 flow-property check.
@@ -39,12 +38,14 @@ from __future__ import annotations
 import math
 import sys
 from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from numbers import Real
+from operator import itemgetter
 
 import numpy as np
 
-from .compiled import _rescaled
+from .compiled import _rescaled, _steps
 from .environment import (
     Environment,
     SpecialForm,
@@ -128,19 +129,21 @@ def _pair(value, what: str = "lambda", signed: bool = False):
 # general backward sweep
 # ---------------------------------------------------------------------------
 
-def _sweep(rows, lam):
-    """Backward sweep over ``rows`` from ``lam`` after the last row.
+def _sweep(runs, steps, lam):
+    """Backward sweep over ``runs`` from ``lam`` after the last cell.
 
-    ``rows`` is a slice of the rows of :func:`cbve.compiled.cell_table`; a
-    row's atom steps the value before its cell.  Points are stored negated,
-    so the compensated term ``expm1(-x) + x`` is ``expm1(x) - x`` at the
-    negated x: the same float, IEEE negation being exact and rounding
-    symmetric.  Returns ``v`` with one value per node of the slice, the
-    clamp count and the worst clamped deficit.
+    ``runs`` is a window of the runs of :func:`cbve.compiled.sweep_table`,
+    their bounds counted from the window's first cell, and ``steps`` the
+    window's ``(h, h / 2)`` per cell; a run's atom steps the value before
+    its last cell.  Points are stored negated, so the compensated term
+    ``expm1(-x) + x`` is ``expm1(x) - x`` at the negated x: the same float,
+    IEEE negation being exact and rounding symmetric.  Returns ``v`` with
+    one value per node of the window, the clamp count and the worst
+    clamped deficit.
     """
     expm1 = math.expm1
     inf = math.inf
-    n = len(rows)
+    n = len(steps)
     v1, v2 = lam
     # node k's pair sits at buf[2k], buf[2k + 1]; every node starts at lam
     buf = array("d", (v1, v2)) * (n + 1)
@@ -164,7 +167,7 @@ def _sweep(rows, lam):
     # a predictor far below zero overflows expm1 in the corrector: the
     # grid is too coarse for this lam, like a deficit beyond tolerance
     try:
-        for a, h, hh, b11d, b22d, bb12d, bb21d, c1d, c2d, pts1, pts2 in reversed(rows):
+        for lo, hi, a, (b11d, b22d, bb12d, bb21d, c1d, c2d, pts1, pts2) in reversed(runs):
             if a is not None:
                 a11, a22, ab12, ab21, _, _, ap1, ap2 = a
                 p1 = a11 * v1 - ab12 * v2
@@ -183,41 +186,58 @@ def _sweep(rows, lam):
                     v1 = clamp(v1)
                 if not v2 >= 0.0:
                     v2 = clamp(v2)
-            d1 = v1 * b11d - v2 * bb12d + v1 * v1 * c1d
-            for z1, z2, w in pts1:
-                x = v1 * z1 + v2 * z2
-                d1 += (expm1(x) - x) * w
-            d2 = v2 * b22d - v1 * bb21d + v2 * v2 * c2d
-            for z1, z2, w in pts2:
-                x = v1 * z1 + v2 * z2
-                d2 += (expm1(x) - x) * w
-            # right-endpoint predictor, then one trapezoid corrector
-            c1x = v1 - h * d1
-            c2x = v2 - h * d2
-            e1 = c1x * b11d - c2x * bb12d + c1x * c1x * c1d
-            for z1, z2, w in pts1:
-                x = c1x * z1 + c2x * z2
-                e1 += (expm1(x) - x) * w
-            e2 = c2x * b22d - c1x * bb21d + c2x * c2x * c2d
-            for z1, z2, w in pts2:
-                x = c1x * z1 + c2x * z2
-                e2 += (expm1(x) - x) * w
-            v1 -= hh * (d1 + e1)
-            v2 -= hh * (d2 + e2)
-            if not v1 >= 0.0:
-                v1 = clamp(v1)
-            if not v2 >= 0.0:
-                v2 = clamp(v2)
-            # clamp refused NaN and -inf, so +inf is the one non-finite left
-            if v1 == inf or v2 == inf:
-                raise NumericalError("backward sweep produced non-finite values")
-            k -= 2
-            buf[k] = v1
-            buf[k + 1] = v2
+            for h, hh in reversed(steps[lo:hi]):
+                d1 = v1 * b11d - v2 * bb12d + v1 * v1 * c1d
+                for z1, z2, w in pts1:
+                    x = v1 * z1 + v2 * z2
+                    d1 += (expm1(x) - x) * w
+                d2 = v2 * b22d - v1 * bb21d + v2 * v2 * c2d
+                for z1, z2, w in pts2:
+                    x = v1 * z1 + v2 * z2
+                    d2 += (expm1(x) - x) * w
+                # right-endpoint predictor, then one trapezoid corrector
+                c1x = v1 - h * d1
+                c2x = v2 - h * d2
+                e1 = c1x * b11d - c2x * bb12d + c1x * c1x * c1d
+                for z1, z2, w in pts1:
+                    x = c1x * z1 + c2x * z2
+                    e1 += (expm1(x) - x) * w
+                e2 = c2x * b22d - c1x * bb21d + c2x * c2x * c2d
+                for z1, z2, w in pts2:
+                    x = c1x * z1 + c2x * z2
+                    e2 += (expm1(x) - x) * w
+                v1 -= hh * (d1 + e1)
+                v2 -= hh * (d2 + e2)
+                if not v1 >= 0.0:
+                    v1 = clamp(v1)
+                if not v2 >= 0.0:
+                    v2 = clamp(v2)
+                # clamp refused NaN and -inf, so +inf is the one non-finite left
+                if v1 == inf or v2 == inf:
+                    raise NumericalError("backward sweep produced non-finite values")
+                k -= 2
+                buf[k] = v1
+                buf[k + 1] = v2
     except OverflowError:
         raise DiscretizationError(
             "backward sweep overflowed; refine the grid") from None
     return np.frombuffer(buf).reshape(n + 1, 2), clamp_events, worst_deficit
+
+
+def _window(runs, lo: int, hi: int, f: int = 1) -> list:
+    """The ``runs`` over cells lo..hi-1, clipped to them, their bounds
+    counted from lo and scaled by ``f``: the runs of those cells on an
+    ``f`` times refined grid.  An atom ends a run, so a run clipped at hi
+    carries none."""
+    window = list(runs[bisect_right(runs, lo, key=itemgetter(1)) :
+                       bisect_left(runs, hi, key=itemgetter(0))])
+    if window:
+        a, b, atom, row = window[-1]
+        window[-1] = (a, min(b, hi), atom if b <= hi else None, row)
+        window[0] = (lo, *window[0][1:])
+    if lo or f > 1:  # else the bounds already count from 0, and no run is copied
+        window = [((a - lo) * f, (b - lo) * f, atom, row) for a, b, atom, row in window]
+    return window
 
 
 def solve_general(env: Environment, t: float, lam) -> CumulantSolution:
@@ -230,7 +250,8 @@ def solve_general(env: Environment, t: float, lam) -> CumulantSolution:
     """
     lam = _pair(lam)
     M = env.grid.index_of(t)
-    v, clamp_events, worst_deficit = _sweep(env._table[:M], lam)
+    runs, steps = env._table
+    v, clamp_events, worst_deficit = _sweep(_window(runs, 0, M), steps[:M], lam)
     return CumulantSolution(
         t=float(env.grid.nodes[M]),
         lam=lam,
@@ -577,57 +598,37 @@ def check_flow(env: Environment, r: float, s: float, t: float, lam) -> float:
 
     Each leg sweeps only the nodes the residual reads: the fine leg the
     fine nodes of [s, t], the two base legs the nodes of [r, s] and [r, t].
-    The fine leg runs on the model's own compiled rows: each cell of
-    (s, t] becomes 2 rows with the refined grid's widths and the same
-    densities and kernel points, its atom on the last of them (fine node
-    ``2 * m`` for an atom at node m).  These are the rows the refined
-    model ``env.refined(2)`` would compile on that window, and refinement
-    keeps every atom and its mass, so it is admissible exactly when
-    ``env`` is; the residual equals the one from solving that model,
-    without building it.  A sweep failure on nodes the residual does not
-    read (below r, or below s on the fine leg) therefore raises nothing.
+    The fine leg runs on the model's own compiled runs: the window of
+    (s, t], its run bounds doubled and its steps those of the refined grid,
+    so each atom stays at the end of its run (fine node ``2 * m`` for an
+    atom at node m).  This is what the refined model ``env.refined(2)``
+    would compile on that window, and refinement keeps every atom and its
+    mass, so it is admissible exactly when ``env`` is; the residual equals
+    the one from solving that model, without building it.  A sweep
+    failure on nodes the residual does not read (below r, or below s on
+    the fine leg) therefore raises nothing.
     """
     return _flow_residual(env, r, s, t, lam)
-
-
-def _split_rows(rows, widths, f: int):
-    """``rows`` of a compiled table, each split into ``f`` rows of the given
-    widths, its atom on the last: what an ``f``-times refined model compiles
-    on that stretch.  Equal split rows are one shared, read-only tuple, one
-    per parent row object, width and atom; a parent row split into the
-    same widths again reuses its split rows whole.  A split row is
-    ``(atom, w, 0.5 * w)`` and the parent's densities and points."""
-    made, groups, split = {}, {}, []
-    for row, j in zip(rows, range(0, len(widths), f)):
-        key = (id(row), tuple(widths[j : j + f]))
-        group = groups.get(key)
-        if group is None:
-            group = groups[key] = [
-                made.setdefault((id(row), w, atom is None), (atom, w, 0.5 * w) + row[3:])
-                for w, atom in zip(key[1], (None,) * (f - 1) + row[:1])]
-        split += group
-    return split
 
 
 def _flow_residual(env: Environment, r: float, s: float, t: float, lam,
                    base: int = 1) -> float:
     """:func:`check_flow` on ``env.refined(base)``, swept on ``env``'s
-    compiled rows: the base legs on them split ``base`` ways, the fine leg
-    split ``2 * base`` ways with the widths of
-    ``env.grid.refine(base).refine(2)``.  Refinement keeps ``validate``'s
-    verdict, so ``env``'s own check (made when its rows are compiled)
-    stands for the refined model's."""
+    compiled runs: the base legs on their windows scaled by ``base``, the
+    fine leg on its window scaled by ``2 * base``, each with the steps of
+    its refined grid (the fine leg's ``env.grid.refine(base).refine(2)``).
+    Refinement keeps ``validate``'s verdict, so ``env``'s own check (made
+    when its runs are compiled) stands for the refined model's."""
     ir, isx, it = (env.grid.index_of(x) for x in (r, s, t))
     if not (ir <= isx <= it):
         raise ValueError("need r <= s <= t")
     grid = env.grid.refine(base)
     n = 2 * base
-    widths = grid.refine(2).widths[isx * n : it * n].tolist()
     lam = _pair(lam)
-    rows = env._table[ir:it]
-    top = _sweep(_split_rows(rows[isx - ir :], widths, n), lam)[0][0]
-    if base > 1:
-        rows = _split_rows(rows, grid.widths[ir * base : it * base].tolist(), base)
-    mid = _sweep(rows[: (isx - ir) * base], top.tolist())[0][0]
-    full = _sweep(rows, lam)[0][0]
+    runs = env._table.runs
+    top = _sweep(_window(runs, isx, it, n), _steps(grid.refine(2).widths[isx * n : it * n]),
+                 lam)[0][0]
+    steps = _steps(grid.widths[ir * base : it * base])
+    mid = _sweep(_window(runs, ir, isx, base), steps[: (isx - ir) * base], top.tolist())[0][0]
+    full = _sweep(_window(runs, ir, it, base), steps, lam)[0][0]
     return float(np.max(np.abs(mid - full)))

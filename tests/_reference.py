@@ -73,33 +73,38 @@ arrays.  Driven by ``SeedSpec(m).generator(k)``, it reproduces path k of
 the engine: the same events, and final states equal to rounding.
 
 :func:`cell_table` is the sweep table of :mod:`cbve.compiled` as it was
-before equal rows became one shared object: a fresh row per cell, with
-its point sets made by :func:`point_sets` once per run of bitwise equal
-cells, and before the rows stored their half width and their points
-negated.  :func:`compiled_rows` maps such rows to today's layout, and
-:func:`cbve.compiled.cell_table` must equal that row for row, bit for
-bit (:func:`sweep_table` is the table of a model's general sweep).  The
-Picard, moment and simulator oracles read this table, not
-the one under test, and :func:`split_table` turns its rows, each of which
-carries its node's atom, back into the rows and the node-to-atom map they
-were written against, so their arithmetic is unchanged.
+before it held runs of equal cells: a fresh row per cell, with its point
+sets made by :func:`point_sets` once per run of bitwise equal cells, and
+before the rows stored their half width and their points negated.
+:func:`compiled_rows` maps such rows to the compiled layout, and
+:func:`expanded` expands the runs and steps of
+:func:`cbve.compiled.sweep_table` (or a window of them) cell by cell into
+that layout, which must equal the reference row for row, bit for bit
+(:func:`sweep_table` is the table of a model's general sweep).
+:func:`one_cell_runs` turns compiled-layout rows into runs and steps the
+sweep reads, one run per row.  The Picard, moment and simulator oracles
+read the reference table, not the one under test, and :func:`split_table`
+turns its rows, each of which carries its node's atom, back into the rows
+and the node-to-atom map they were written against, so their arithmetic
+is unchanged.
 
 :func:`check_flow` is the flow residual that builds, validates and
 compiles the whole ``terminal_refine``-times refined model and solves all
 three legs down to node 0.  :func:`cbve.check_flow` sweeps only the nodes
-the residual reads, with the fine leg on the model's own rows, so the two
+the residual reads, with the fine leg on the model's own runs, so the two
 agree bit for bit wherever neither raises.
 
-:func:`sweep` and :func:`split_rows` are the general sweep and the row
-split of :mod:`cbve.solver` as they were before the sweep clamped only
-below zero and wrote its nodes to a flat double buffer, and before the
-split shared each parent row's tail: they call the clamp on every value,
-test finiteness with ``math.isfinite``, store each node into a numpy
-array and slice the parent row once per split row.  The arithmetic is the
-same, so the two return the same bytes, clamp counts and worst deficits,
-or raise the same error with the same message.  They read the rows of
-:func:`cell_table`, the code under test the rows of the same cells in its
-own layout: ``expm1(x) - x`` at the negated points is the float that
+:func:`sweep` is the general sweep of :mod:`cbve.solver` as it was before
+it clamped only below zero, wrote its nodes to a flat double buffer and
+read runs: it calls the clamp on every value, tests finiteness with
+``math.isfinite``, stores each node into a numpy array and reads one row
+per cell.  :func:`split_rows` is the row split that ``check_flow``'s
+refined legs used before they swept windows of runs: each row repeated
+per finer cell, its atom on the last.  The arithmetic is the same, so the
+two sweeps return the same bytes, clamp counts and worst deficits, or
+raise the same error with the same message.  The reference reads the rows
+of :func:`cell_table`, the code under test the runs of the same cells in
+its own layout: ``expm1(x) - x`` at the negated points is the float that
 ``expm1(-x) + x`` is at the points, IEEE negation being exact and rounding
 symmetric, and ``0.5 * h`` is the same float stored or formed in the loop.
 
@@ -193,15 +198,29 @@ def sweep_table(env):
 
 def compiled_rows(rows, kernels: int = 2) -> tuple:
     """Rows of :func:`cell_table` or :func:`split_rows` (``kernels`` jump
-    kernels each) in the layout of :func:`cbve.compiled.cell_table`: the
-    half width after the width, and every point, atom points too, as
-    ``(-z1, -z2, w)``."""
+    kernels each) in the compiled layout: the half width after the width,
+    and every point, atom points too, as ``(-z1, -z2, w)``."""
     def negated(part):
         cut = len(part) - kernels
         return (*part[:cut], *(tuple((-z1, -z2, w) for z1, z2, w in pts) for pts in part[cut:]))
 
     return tuple((None if row[0] is None else negated(row[0]), row[1], 0.5 * row[1],
                   *negated(row[2:])) for row in rows)
+
+
+def expanded(runs, steps) -> tuple:
+    """The cells of sweep ``runs`` and their ``steps`` as rows in the layout
+    of :func:`compiled_rows`: ``(atom, h, h / 2, row...)``, a run's atom on
+    its last cell."""
+    return tuple((atom if k == hi - 1 else None, *steps[k], *row)
+                 for lo, hi, atom, row in runs for k in range(lo, hi))
+
+
+def one_cell_runs(rows):
+    """Rows in the layout of :func:`compiled_rows` as the runs and steps of
+    a sweep, one run per row."""
+    return ([(k, k + 1, row[0], row[3:]) for k, row in enumerate(rows)],
+            [row[1:3] for row in rows])
 
 
 def split_table(rows):
@@ -1020,10 +1039,9 @@ def check_flow(env, r: float, s: float, t: float, lam,
 def sweep(rows, lam):
     """Backward sweep over ``rows`` from ``lam`` after the last row.
 
-    ``rows`` is a slice of the rows of :func:`cbve.compiled.cell_table`; a
-    row's atom steps the value before its cell.  Returns ``v`` with one
-    value per node of the slice, the clamp count and the worst clamped
-    deficit.
+    ``rows`` is a slice of the rows of :func:`cell_table`; a row's atom
+    steps the value before its cell.  Returns ``v`` with one value per node
+    of the slice, the clamp count and the worst clamped deficit.
     """
     expm1 = math.expm1
     n = len(rows)
@@ -1097,9 +1115,9 @@ def sweep(rows, lam):
 
 
 def split_rows(rows, widths, f: int):
-    """``rows`` of a compiled table, each split into ``f`` rows of the given
-    widths, its atom on the last: what an ``f``-times refined model compiles
-    on that stretch."""
+    """``rows`` of :func:`cell_table`, each split into ``f`` rows of the
+    given widths, its atom on the last: what an ``f``-times refined model
+    compiles on that stretch."""
     return [(rows[j // f][0] if j % f == f - 1 else None, w, *rows[j // f][2:])
             for j, w in enumerate(widths)]
 

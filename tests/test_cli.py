@@ -82,12 +82,25 @@ _MALFORMED = {
     "short atom": ("b12.atoms[0]", {"b12": {"atoms": [[0.5]]}}),
     "short kernel segment": ("m1.kernel[0]", {"m1": {"kernel": [[0.0, 1.0]]}}),
     "non-number horizon": ("horizon: expected a number", {"horizon": "x"}),
+    "numeric string horizon": ("horizon: expected a number, got '2'", {"horizon": "2"}),
+    "numeric string atom time": ("b11.atoms[0][0]: expected a number, got '0.5'",
+                                 {"b11": {"atoms": [["0.5", 0.1]]}}),
+    "boolean density": ("b11.density[0][2]: expected a number, got True",
+                        {"b11": {"density": [[0.0, 1.0, True]]}}),
+    "boolean point coordinate": ("m1.kernel[0][2][0][0]: expected a number, got True",
+                                 {"m1": {"kernel": [[0.0, 1.0, [[True, 0.0, 1.0]]]]}}),
+    "integer beyond the double range": ("horizon: expected a finite number",
+                                        {"horizon": 10**400}),
     "infinite horizon": ("horizon: expected a finite number", {"horizon": math.inf}),
     "negative horizon": ("horizon: must be positive", {"horizon": -1.0}),
     "non-list part": ("b11.density: expected a list", {"b11": {"density": 5}}),
     "non-object section": ("b11: expected an object", {"b11": [1]}),
     "unknown part": ("b11: unknown fields ['values']", {"b11": {"values": []}}),
     "empty segment": ("b11: empty density segment", {"b11": {"density": [[0.5, 0.5, 1.0]]}}),
+    "empty kernel segment": ("m1: empty kernel segment [0.5, 0.5)",
+                             {"m1": {"kernel": [[0.5, 0.5, [[1.0, 0.0, 1.0]]]]}}),
+    "reversed kernel segment": ("m1: empty kernel segment [1.0, 0.5)",
+                                {"m1": {"kernel": [[1.0, 0.5, [[1.0, 0.0, 1.0]]]]}}),
     "negative cross drift": ("b12 must be a nondecreasing measure",
                              {"b12": {"density": [[0.0, 1.0, -1.0]]}}),
     "unknown kind": ("kind: expected 'environment' or 'special_form'", {"kind": "model"}),
@@ -111,6 +124,7 @@ def test_malformed_entries_are_config_errors(tmp_path, capsys, grid, case):
     ("grid_cells: must be a positive integer", {"grid_cells": 0}),
     ("grid: time 2.0 outside [0, 1.0]", {"grid_cells": 4, "b11": {"atoms": [[2.0, 0.1]]}}),
     ("top level: expected an object", []),
+    ("grid_cells: must be a positive integer", {"grid_cells": True}),
 ])
 def test_malformed_documents_are_config_errors(tmp_path, capsys, field, data):
     assert main(["validate", "--config", _write(tmp_path, data)]) == 2

@@ -7,20 +7,22 @@ measure per cell, padded into ``(3, K, sets)`` arrays by
 distinct cells, 0 to 5 points a cell, atoms given in any order, segments
 that overlap or are empty) the kernel's arrays must equal the padded
 per-object sets bit for bit, its views must give the same points back,
-and ``cell_table`` must build the same sweep rows.
+and ``sweep_table`` must build the same sweep rows.
 
-``cell_table`` shares equal rows: over drawn coefficients (one to twelve
-cells of equal or uneven widths, values from small pools so that equal
-cells recur side by side and apart, cells that differ only in the sign of
-zero, atoms at any node from 1 to T) it must equal
-:func:`_reference.cell_table`, a fresh row per cell, mapped to the
-compiled layout (half widths, negated points) by
+``sweep_table`` holds runs of equal cells: over drawn coefficients (one
+to twelve cells of equal or uneven widths, values from small pools so
+that equal cells recur side by side and apart, cells that differ only in
+the sign of zero, atoms at any node from 1 to T) its runs, expanded cell
+by cell, must equal :func:`_reference.cell_table`, a fresh row per cell,
+mapped to the compiled layout (half widths, negated points) by
 :func:`_reference.compiled_rows`, row for row with floats compared bit
-for bit, and rows equal bit for bit must be one object.  On 20,000 uniform cells with three density segments the table
-holds under 100 row objects and keeps under 1 MB alive, and the 8-way
-split of its last half under 100; the per-cell table held 20,000 rows and
-5.7 MB.  A table build, the sweep's or the mean system's, logs one debug
-line, and nothing by default.
+for bit.  The runs must tile the cells, adjacent runs must differ unless
+the left one ends at an atom, and steps equal bit for bit must be one
+object.  On 20,000 uniform cells with three density segments the table
+holds at most 100 runs and keeps under 1 MB alive, and the 8-way refined
+window of its last half makes no row object; the per-cell table held
+20,000 rows and 5.7 MB.  A table build, the sweep's or the mean system's,
+logs one debug line, and nothing by default.
 
 Every bad point still raises its ``ValueError``, whichever way it enters
 a kernel, and every array a kernel stores or hands out is read-only, as is
@@ -49,8 +51,8 @@ from cbve import (
     solve_moment,
     solve_special_picard,
 )
-from cbve.compiled import cell_table
-from cbve.solver import _split_rows
+from cbve.compiled import _steps, sweep_table
+from cbve.solver import _window
 
 from _instances import (
     make_env,
@@ -132,7 +134,7 @@ def test_kernel_arrays_match_per_object_padding(case, factor):
     assert _exact(s.points for _, s in jump.time_atoms) == _exact(p for _, p in at)
     # the sweep rows: one tuple of negated points per cell, () where a cell
     # has none
-    rows = cell_table((StieltjesMeasure.zero(grid),), (jump,))
+    rows = _reference.expanded(*sweep_table((StieltjesMeasure.zero(grid),), (jump,)))
     assert _exact(_negated(row[4]) for row in rows) == _exact(sets)
     assert [k + 1 for k, row in enumerate(rows) if row[0] is not None] == [m for m, _ in at]
     assert _exact(_negated(rows[m - 1][0][1]) for m, _ in at) == _exact(p for _, p in at)
@@ -142,20 +144,24 @@ def test_kernel_arrays_match_per_object_padding(case, factor):
         _same_arrays(jump.thinned(fn), *_reference.thinned_sets(sets, at, scalar_fn))
 
 
+def _bounds(table):
+    return [(lo, hi) for lo, hi, _, _ in table.runs]
+
+
 def test_cells_equal_but_for_the_sign_of_zero_stay_apart():
     grid = TimeGrid([0.0, 0.25, 0.5, 0.75, 1.0])
     sets = [((0.0, 1.0, 1.0),), ((-0.0, 1.0, 1.0),), ((-0.0, 1.0, 1.0),), ((-0.0, 1.0, 1.0),)]
     jump = JumpMeasure(grid, [DiscreteSpatialMeasure(p) for p in sets])
-    rows = cell_table((StieltjesMeasure.zero(grid),), (jump,))
-    assert _exact(_negated(row[4]) for row in rows) == _exact(sets)
+    table = sweep_table((StieltjesMeasure.zero(grid),), (jump,))
+    assert _exact(_negated(row[4]) for row in _reference.expanded(*table)) == _exact(sets)
     assert _exact(k.points for k in jump.cell_kernels) == _exact(sets)
-    assert rows[0] is not rows[1] and rows[1] is rows[2]
+    assert _bounds(table) == [(0, 1), (1, 4)]
     # densities too: cells 2 and 3 differ only in the sign of a zero density
     density = StieltjesMeasure(grid, [0.0, 0.0, 0.0, -0.0])
-    rows = cell_table((density,), (jump,))
+    table = sweep_table((density,), (jump,))
     reference = _reference.compiled_rows(_reference.cell_table((density,), (jump,)), 1)
-    assert list(map(repr, rows)) == list(map(repr, reference))
-    assert rows[0] is not rows[1] and rows[1] is rows[2] and rows[2] is not rows[3]
+    assert list(map(repr, _reference.expanded(*table))) == list(map(repr, reference))
+    assert _bounds(table) == [(0, 1), (1, 3), (3, 4)]
 
 
 # small pools, so that equal cells recur; 0.0 and -0.0 are different cells
@@ -187,16 +193,21 @@ def _coefficients(draw):
 
 @_SETTINGS
 @given(_coefficients())
-def test_cell_table_shares_equal_rows_and_matches_per_cell_rows(case):
-    rows = cell_table(*case)
+def test_sweep_runs_expand_to_per_cell_rows(case):
+    table = sweep_table(*case)
     reference = _reference.compiled_rows(_reference.cell_table(*case), len(case[1]))
-    assert isinstance(rows, tuple)
+    assert isinstance(table.runs, tuple) and isinstance(table.steps, tuple)
     # repr keeps the sign of zero and round-trips every finite float, so
     # equal reprs are rows equal bit for bit
-    assert list(map(repr, rows)) == list(map(repr, reference))
+    assert list(map(repr, _reference.expanded(*table))) == list(map(repr, reference))
+    bounds = _bounds(table)
+    assert [b for _, b in bounds] == [a for a, _ in bounds[1:]] + [len(reference)]
+    assert bounds[0][0] == 0 and all(a < b for a, b in bounds)
+    for (_, _, atom, row), (_, _, _, right) in zip(table.runs, table.runs[1:]):
+        assert atom is not None or repr(row) != repr(right)
     ids = {}
-    for row in rows:
-        ids.setdefault(repr(row), set()).add(id(row))
+    for step in table.steps:
+        ids.setdefault(repr(step), set()).add(id(step))
     assert all(len(objects) == 1 for objects in ids.values())
 
 
@@ -210,31 +221,32 @@ def test_sweep_table_of_a_piecewise_model_is_small():
     env._cross_drifts  # built first, so that only the table is measured
     tracemalloc.start()
     try:
-        rows = env._table
+        table = env._table
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert len(rows) == 20000
-    assert len({id(row) for row in rows}) <= 100
+    assert len(table.steps) == 20000
+    assert len(table.runs) <= 100
     assert kept < 1e6
-    widths = grid.refine(8).widths[80000:].tolist()
-    split = _split_rows(rows[10000:], widths, 8)
-    assert len(split) == 80000
-    assert len({id(row) for row in split}) <= 100
+    window = _window(table.runs, 10000, 20000, 8)
+    steps = _steps(grid.refine(8).widths[80000:])
+    assert window[-1][1] == len(steps) == 80000
+    rows = {id(row) for *_, row in table.runs}
+    assert all(id(row) in rows for *_, row in window)
+    assert len({id(step) for step in steps}) <= 100
 
 
 def test_table_build_logs_one_debug_line(caplog):
     env = random_environment(np.random.default_rng(4), cells=30)
     with caplog.at_level(logging.DEBUG, logger="cbve.compiled"):
-        rows = env._table
+        table = env._table
         env._mean_steps
         env._table, env._mean_steps  # cached: built and logged once
     sweep, mean = caplog.records
     for record in (sweep, mean):
         assert (record.name, record.levelno) == ("cbve.compiled", logging.DEBUG)
-    match = re.fullmatch(r"sweep table: 30 cells, (\d+) distinct rows, [0-9.]+ ms",
-                         sweep.getMessage())
-    assert match and int(match[1]) == len({id(row) for row in rows})
+    match = re.fullmatch(r"sweep table: 30 cells, (\d+) runs, [0-9.]+ ms", sweep.getMessage())
+    assert match and int(match[1]) == len(table.runs)
     assert re.fullmatch(r"mean steps: 30 cells, [0-9.]+ ms", mean.getMessage())
     caplog.clear()
     fresh = dataclasses.replace(env)
@@ -388,14 +400,12 @@ def test_compiled_tables_refuse_writes():
         sf._picard_table.aR[...] = 0.0
     with pytest.raises(ValueError, match="read-only"):
         sf._sim_table.kernels[0][1][...] = 0.0
-    rows = env._table
-    atom = next(row[0] for row in rows if row[0] is not None)
-    with pytest.raises(TypeError):
-        rows[0] = ()
-    with pytest.raises(TypeError):
-        rows[0][0] = ()
-    with pytest.raises(TypeError):
-        atom[0] = 0.0
+    table = env._table
+    runs = table.runs
+    atom = next(atom for _, _, atom, _ in runs if atom is not None)
+    for seq in (table, runs, runs[0], runs[0][3], table.steps, table.steps[0], atom):
+        with pytest.raises(TypeError):
+            seq[0] = 0.0
     steps = env._mean_steps
     assert not steps.flags.writeable
     with pytest.raises(ValueError, match="read-only"):

@@ -68,7 +68,8 @@ def test_solution_is_monotone_in_lambda(model, lam, step):
 def _bottlenecked(draw):
     env, _ = draw(_models())
     grid = env.grid
-    free = [k + 1 for k, row in enumerate(env._table) if row[0] is None]
+    atoms = {hi for _, hi, atom, _ in env._table.runs if atom is not None}
+    free = [m for m in range(1, grid.n_cells + 1) if m not in atoms]
     m = draw(st.sampled_from(free))
     i = draw(st.sampled_from((1, 2)))
     name = "b11" if i == 1 else "b22"

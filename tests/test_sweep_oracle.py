@@ -1,27 +1,31 @@
-"""The backward sweep and its row split against their scalar references.
+"""The backward sweep over windows of runs against its scalar reference.
 
 :func:`_reference.sweep` calls the clamp on every value, tests finiteness
-with ``math.isfinite``, stores each node into a numpy array and reads the
-rows of :func:`_reference.cell_table`; :func:`cbve.solver._sweep` clamps
-only below zero, tests for +inf, writes its nodes to a flat double buffer
-and reads the compiled rows, with half widths and negated points.  The
-arithmetic is the same, so on random admissible environments, over random
-slices of their rows and on those rows split 1 to 4 ways (each side
-splitting its own rows), the two return the same bytes, clamp counts and
-worst deficits, or raise the same error with the same message.  Large
-lambda makes the sweep refuse coarse grids, so both outcomes occur;
-lambda components of -0.0 occur too.  Split rows must equal the
-reference's in the compiled layout, bit for bit.
+with ``math.isfinite``, stores each node into a numpy array and reads one
+row of :func:`_reference.cell_table` per cell; :func:`cbve.solver._sweep`
+clamps only below zero, tests for +inf, writes its nodes to a flat double
+buffer and reads a window of the compiled runs with its steps, half widths
+and negated points.  The arithmetic is the same, so on random admissible
+environments, over random windows of their runs (empty ones too) scaled 1
+to 4 ways (the reference splitting its rows as many ways), the two return
+the same bytes, clamp counts and worst deficits, or raise the same error
+with the same message.  Large lambda makes the sweep refuse coarse grids, so both
+outcomes occur; lambda components of -0.0 occur too.  Each window,
+expanded cell by cell, must equal the reference's split rows in the
+compiled layout, bit for bit.  On the four shipped configurations the
+whole-horizon solve and the legs of ``cbve verify``'s two flow residuals
+(r = T/4, s = T/2, base 1 and 4) must match the reference the same way.
 
 Hand-built rows, mapped to the compiled layout by
-:func:`_reference.compiled_rows`, cover what random models do not: points
-with coordinates 0.0 and -0.0, whose negation flips the sign of zero,
-against lambda components of 0.0 and -0.0; and, since no admissible model
-clamps, the clamp's three branches (a small deficit clamped, a large one
-refused, NaN refused) through the atom step and through the corrector, on
-either type.
+:func:`_reference.compiled_rows` and swept as one run per row, cover what
+random models do not: points with coordinates 0.0 and -0.0, whose
+negation flips the sign of zero, against lambda components of 0.0 and
+-0.0; and, since no admissible model clamps, the clamp's three branches (a
+small deficit clamped, a large one refused, NaN refused) through the atom
+step and through the corrector, on either type.
 """
 import math
+import os
 
 import numpy as np
 import pytest
@@ -29,24 +33,48 @@ from hypothesis import given, settings, strategies as st
 
 import _reference
 from _instances import random_environment
+from cbve import load_config, solve_general, special_to_general
+from cbve.compiled import _steps
 from cbve.errors import CBVEError, DiscretizationError, NumericalError
-from cbve.solver import _split_rows, _sweep
+from cbve.solver import _flow_residual, _sweep, _window
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 
-def _outcome(fn, rows, lam):
+def _outcome(fn, *args):
     """The sweep's exact result, or the type and message of its error."""
     try:
-        v, clamps, worst = fn(rows, lam)
+        v, clamps, worst = fn(*args)
     except CBVEError as exc:
         return type(exc), str(exc)
     return v.shape, v.tobytes(), clamps, worst
 
 
+def _compiled(rows):
+    """Reference ``rows`` as one-cell runs and steps of the compiled layout."""
+    return _reference.one_cell_runs(_reference.compiled_rows(rows))
+
+
 def _same(rows, lam):
     """The sweep on the compiled layout of reference ``rows`` has the
     reference sweep's outcome."""
-    assert (_outcome(_sweep, _reference.compiled_rows(rows), lam)
-            == _outcome(_reference.sweep, rows, lam))
+    assert _outcome(_sweep, *_compiled(rows), lam) == _outcome(_reference.sweep, rows, lam)
+
+
+def _leg(env, ref, lo, hi, f, lam, grid=None):
+    """The outcome of the sweep over the window of cells lo..hi-1 of
+    ``env``'s runs, refined ``f`` ways with the widths of ``grid`` (by
+    default ``env.grid.refine(f)``), after checking that the window expands
+    to the reference rows split as many ways and that the reference sweep
+    over those has the same outcome."""
+    widths = (grid or env.grid.refine(f)).widths[lo * f : hi * f]
+    window, steps = _window(env._table.runs, lo, hi, f), _steps(widths)
+    split = _reference.split_rows(ref[lo:hi], widths.tolist(), f)
+    assert (list(map(repr, _reference.expanded(window, steps)))
+            == list(map(repr, _reference.compiled_rows(split))))
+    outcome = _outcome(_sweep, window, steps, lam)
+    assert outcome == _outcome(_reference.sweep, split, lam)
+    return outcome
 
 
 @st.composite
@@ -54,8 +82,8 @@ def _cases(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     env = random_environment(rng, cells=draw(st.integers(4, 24)))
     env.require_valid()
-    hi = draw(st.integers(1, env.grid.nodes.size - 1))
-    lo = draw(st.integers(0, hi - 1))
+    hi = draw(st.integers(0, env.grid.n_cells))
+    lo = draw(st.integers(0, hi))  # an empty window too, as check_flow's at s = t
     scale = draw(st.sampled_from((1.0, 1e3, 1e6)))
     lam = tuple(scale * draw(st.one_of(st.floats(0.0, 2.0), st.just(-0.0))) for _ in range(2))
     return env, lo, hi, lam
@@ -65,15 +93,29 @@ def _cases(draw):
 @given(_cases())
 def test_sweep_and_split_match_reference(case):
     env, lo, hi, lam = case
-    rows = env._table[lo:hi]
-    ref = _reference.sweep_table(env)[lo:hi]
-    assert _outcome(_sweep, rows, lam) == _outcome(_reference.sweep, ref, lam)
+    ref = _reference.sweep_table(env)
     for f in (1, 2, 3, 4):
-        widths = env.grid.refine(f).widths[lo * f : hi * f].tolist()
-        split = _split_rows(rows, widths, f)
-        ref_split = _reference.split_rows(ref, widths, f)
-        assert list(map(repr, split)) == list(map(repr, _reference.compiled_rows(ref_split)))
-        assert _outcome(_sweep, split, lam) == _outcome(_reference.sweep, ref_split, lam)
+        _leg(env, ref, lo, hi, f, lam)
+
+
+@pytest.mark.parametrize("name", ["bottleneck", "feller", "jump_special", "mixed_environment"])
+def test_shipped_configs_match_reference(name):
+    cfg = load_config(os.path.join(CONFIG_DIR, f"{name}.json"))
+    env = cfg.environment if cfg.kind == "environment" else special_to_general(cfg.special_form)
+    ref = _reference.sweep_table(env)
+    it = env.grid.n_cells
+    lam = (1.0, 1.0)
+    v = _leg(env, ref, 0, it, 1, lam)[1]
+    assert solve_general(env, env.horizon, lam).v.tobytes() == v
+    ir, isx = it // 4, it // 2
+    r, s = (float(env.grid.nodes[k]) for k in (ir, isx))
+    for base in (1, 4):
+        top = _leg(env, ref, isx, it, 2 * base, lam, env.grid.refine(base).refine(2))
+        fine = np.frombuffer(top[1]).reshape(top[0])
+        mid = _leg(env, ref, ir, isx, base, tuple(fine[0].tolist()))
+        full = _leg(env, ref, ir, it, base, lam)
+        gap = np.abs(np.frombuffer(mid[1])[:2] - np.frombuffer(full[1])[:2])
+        assert _flow_residual(env, r, s, env.horizon, lam, base=base) == float(np.max(gap))
 
 
 _COORD = st.sampled_from((0.0, -0.0, 0.5, 1.5))
@@ -140,7 +182,7 @@ _STEPS = [("atom", 1), ("atom", 2), ("corrector", 1), ("corrector", 2)]
 @pytest.mark.parametrize("step, i", _STEPS)
 def test_small_deficit_is_clamped_and_counted(step, i):
     rows = _deficit_rows(step, i, 1e-12)
-    v, clamps, worst = _sweep(_reference.compiled_rows(rows), _LAM[i])
+    v, clamps, worst = _sweep(*_compiled(rows), _LAM[i])
     assert v.tolist() == [list(_LAM[i]), list(_LAM[i])]
     assert (clamps, worst) == (1, 1e-12)
     _same(rows, _LAM[i])
@@ -149,7 +191,7 @@ def test_small_deficit_is_clamped_and_counted(step, i):
 def test_clamps_accumulate_over_both_steps():
     # the atom clamps a 1e-12 deficit, the corrector a 3e-12 one
     rows = (_row(atom=_atom(-1e-12), b12=-3e-12),) * 2
-    v, clamps, worst = _sweep(_reference.compiled_rows(rows), (0.0, 1.0))
+    v, clamps, worst = _sweep(*_compiled(rows), (0.0, 1.0))
     assert v.tolist() == [[0.0, 1.0]] * 3
     assert (clamps, worst) == (4, 3e-12)
     _same(rows, (0.0, 1.0))
@@ -159,7 +201,7 @@ def test_clamps_accumulate_over_both_steps():
 def test_large_deficit_is_refused(step, i):
     rows = _deficit_rows(step, i, 1e-6)
     with pytest.raises(DiscretizationError, match="negative component -1.000e-06"):
-        _sweep(_reference.compiled_rows(rows), _LAM[i])
+        _sweep(*_compiled(rows), _LAM[i])
     _same(rows, _LAM[i])
 
 
@@ -167,5 +209,5 @@ def test_large_deficit_is_refused(step, i):
 def test_nan_is_refused(step, i):
     rows = _nan_rows(step, i)
     with pytest.raises(NumericalError, match="non-finite"):
-        _sweep(_reference.compiled_rows(rows), _LAM[i])
+        _sweep(*_compiled(rows), _LAM[i])
     _same(rows, _LAM[i])
