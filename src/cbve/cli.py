@@ -36,7 +36,8 @@ import numpy as np
 
 from .config import RunConfig, emit_config, load_config
 from .environment import finite_activity_approximation
-from .errors import AdmissibilityError, CBVEError, ConfigError, NumericalError
+from .errors import (AdmissibilityError, CBVEError, ConfigError, DiscretizationError,
+                     NumericalError)
 from .measures import StieltjesMeasure
 from .moments import _finite_diff, solve_moment
 from .simulator import _simulate_paths, mc_laplace, mc_mean
@@ -280,11 +281,15 @@ def _verify_special(cfg: RunConfig, args, t: float, lam, battery: _Battery) -> N
         max_val <= sol.picard_bound + 1e-9,
         f"max iterate={max_val:.6g} vs bound {sol.picard_bound:.6g}",
     )
-    env = sf._general
-    general = solve_general(env, t, lam)
-    gap = float(np.max(np.abs(general.v - sol.v)))
-    battery.check("special_general_agreement", gap <= 1e-6,
-                  f"sup gap={gap:.3e} (tol 1e-06)")
+    try:
+        general = solve_general(sf._general, t, lam)
+    except DiscretizationError as exc:
+        # the grid cannot resolve the general route, so the two cannot agree
+        battery.check("special_general_agreement", False, f"general sweep refused: {exc}")
+    else:
+        gap = float(np.max(np.abs(general.v - sol.v)))
+        battery.check("special_general_agreement", gap <= 1e-6,
+                      f"sup gap={gap:.3e} (tol 1e-06)")
     # pure-jump scale change at two nodes in (0, T]: exact round trip
     grid = sf.grid
     n = grid.nodes.size

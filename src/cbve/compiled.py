@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import logging
 import math
+from operator import itemgetter
 from time import perf_counter
 from typing import NamedTuple
 
@@ -36,7 +37,7 @@ import numpy as np
 
 from .measures import _point_runs, _point_sets
 
-__all__ = ["mean_steps", "picard_table", "sim_table", "sweep_table"]
+__all__ = ["mean_steps", "picard_table", "sim_table", "stiff_runs", "sweep_table"]
 
 _log = logging.getLogger(__name__)
 
@@ -92,6 +93,34 @@ def sweep_table(scalars, jumps) -> SweepTable:
     _log.debug("sweep table: %d cells, %d runs, %.3f ms",
                n, len(table.runs), 1e3 * (perf_counter() - start))
     return table
+
+
+def _decay_rates(b11, b22, bb12, bb21) -> np.ndarray:
+    """The largest eigenvalue mu of each linear part ``[[b11, -bb12],
+    [-bb21, b22]]`` of the sweep, from arrays of its entries (bb12, bb21
+    >= 0, so mu is real): over a cell of width h the two-pass step
+    multiplies a mode decaying at rate mu by 1 - z + z^2 / 2, z = h * mu,
+    which grows once z > 2.  With tau the half trace and q the hypot of
+    the half difference and sqrt(bb12 bb21), mu is tau + q, and for tau < 0
+    it is formed as -det / (q - tau), which does not cancel."""
+    with np.errstate(all="ignore"):
+        tau = 0.5 * b11 + 0.5 * b22
+        q = np.hypot(0.5 * b11 - 0.5 * b22, np.sqrt(bb12) * np.sqrt(bb21))
+        return np.where(tau >= 0.0, tau + q, (bb12 * bb21 - b11 * b22) / (q - tau))
+
+
+def stiff_runs(runs, widths, b11, b22, bb12, bb21) -> tuple:
+    """``(lo, hi, mu)`` of each of the sweep ``runs`` whose widest cell
+    (``widths`` per cell) has h * mu > 1.9, mu its :func:`_decay_rates` from
+    the densities of b11, b22 and the effective cross drifts bb12, bb21.
+    Only these runs can hold a cell with h * mu > 2, on the model's grid
+    or on a refined one, whose widths are the model's over the factor to
+    rounding."""
+    lo = np.fromiter(map(itemgetter(0), runs), np.intp, len(runs))
+    mu = _decay_rates(*(meas.density[lo] for meas in (b11, b22, bb12, bb21)))
+    with np.errstate(over="ignore"):
+        stiff = np.flatnonzero(mu * np.maximum.reduceat(widths, lo) > 1.9)
+    return tuple((*runs[i][:2], m) for i, m in zip(stiff.tolist(), mu[stiff].tolist()))
 
 
 def _steps(widths) -> tuple:

@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .compiled import mean_steps, picard_table, sim_table, sweep_table
+from .compiled import mean_steps, picard_table, sim_table, stiff_runs, sweep_table
 from .errors import AdmissibilityError
 from .measures import JumpMeasure, StieltjesMeasure, TimeGrid, _slot_sums
 
@@ -185,6 +185,12 @@ class Environment(_Model):
         """Runs and cell steps of the general sweep."""
         return sweep_table((self.b11, self.b22, *self._cross_drifts, self.c1, self.c2),
                            (self.m1, self.m2))
+
+    @cached_property
+    def _stiff_runs(self):
+        """The general sweep's runs that may be too stiff for their widths."""
+        return stiff_runs(self._table.runs, self.grid.widths, self.b11, self.b22,
+                          *self._cross_drifts)
 
     @cached_property
     def _mean_steps(self):

@@ -25,10 +25,14 @@ Both routes hold only their loops over the compiled tables of
 sweep (which is sequential and nonlinear, so it stays a scalar loop) the
 runs of equal cells, each a tuple of densities and points with the atom
 that ends it, and one ``(h, h / 2)`` pair per cell; padded arrays for
-Picard.  The sweep itself is one private loop over a window of runs;
-:func:`solve_general` runs it over the cells below the terminal node, and
-:func:`check_flow` only over the nodes its residual reads, its refined
-legs on windows of the model's own runs with the refined grid's steps.
+Picard.  The sweep itself is a private loop over a window of runs,
+generated once per process for each signature (the kernel point counts
+of a run's two types) from one source template, with every compensated
+term written out; :func:`solve_general` runs it over the cells below the
+terminal node, and :func:`check_flow` only over the nodes its residual
+reads, its refined legs on windows of the model's own runs with the
+refined grid's steps.  Both first refuse a cell too wide for its decay
+rate, where the two-pass step would grow a decaying mode.
 The module also houses the h-transform utilities, the two-dimensional
 Gronwall bound, the a-priori growth exponent and upper bound, and the
 flow-property check.
@@ -40,6 +44,7 @@ import sys
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import groupby
 from numbers import Real
 from operator import itemgetter
 
@@ -129,6 +134,98 @@ def _pair(value, what: str = "lambda", signed: bool = False):
 # general backward sweep
 # ---------------------------------------------------------------------------
 
+# The loop of _sweep over consecutive runs whose rows hold n1 type-1 and n2
+# type-2 kernel points, generated per signature (n1, n2) by _loop_source:
+# {unpack} binds the points to locals once per run, and {d1}, {d2}, {e1}
+# and {e2} are the compensated terms of _terms, two lines each.  The atom
+# step keeps its point loops, as an atom's point counts are its own.
+# Returns the value below the group.
+_LOOP = """\
+def sweep_runs(group, steps, buf, v1, v2, clamp):
+    expm1 = math.expm1
+    inf = math.inf
+    for lo, hi, a, (b11d, b22d, bb12d, bb21d, c1d, c2d, pts1, pts2) in group:
+{unpack}\
+        if a is not None:
+            a11, a22, ab12, ab21, _, _, ap1, ap2 = a
+            p1 = a11 * v1 - ab12 * v2
+            for z1, z2, w in ap1:
+                x = v1 * z1 + v2 * z2
+                p1 += (expm1(x) - x) * w
+            p2 = a22 * v2 - ab21 * v1
+            for z1, z2, w in ap2:
+                x = v1 * z1 + v2 * z2
+                p2 += (expm1(x) - x) * w
+            v1 -= p1
+            v2 -= p2
+            if not v1 >= 0.0:
+                v1 = clamp(v1)
+            if not v2 >= 0.0:
+                v2 = clamp(v2)
+        k = 2 * hi
+        for h, hh in reversed(steps[lo:hi]):
+            d1 = v1 * b11d - v2 * bb12d + v1 * v1 * c1d
+{d1}\
+            d2 = v2 * b22d - v1 * bb21d + v2 * v2 * c2d
+{d2}\
+            # right-endpoint predictor, then one trapezoid corrector
+            c1x = v1 - h * d1
+            c2x = v2 - h * d2
+            e1 = c1x * b11d - c2x * bb12d + c1x * c1x * c1d
+{e1}\
+            e2 = c2x * b22d - c1x * bb21d + c2x * c2x * c2d
+{e2}\
+            v1 -= hh * (d1 + e1)
+            v2 -= hh * (d2 + e2)
+            if not v1 >= 0.0:
+                v1 = clamp(v1)
+            if not v2 >= 0.0:
+                v2 = clamp(v2)
+            # clamp refused NaN and -inf, so +inf is the one non-finite left
+            if v1 == inf or v2 == inf:
+                raise NumericalError("backward sweep produced non-finite values")
+            k -= 2
+            buf[k] = v1
+            buf[k + 1] = v2
+    return v1, v2
+"""
+
+# the loop of each signature met so far, built on first use
+_LOOPS = {}
+
+
+def _terms(acc: str, x1: str, x2: str, names) -> str:
+    """Lines adding to ``acc`` the compensated term of each point in
+    ``names`` at (x1, x2), in order: the arithmetic of a loop over them."""
+    return "".join(f"            x = {x1} * {p}z1 + {x2} * {p}z2\n"
+                   f"            {acc} += (expm1(x) - x) * {p}w\n" for p in names)
+
+
+def _loop_source(n1: int, n2: int) -> str:
+    """The source of the sweep loop of signature (n1, n2)."""
+    p, q = [f"p{j}" for j in range(n1)], [f"q{j}" for j in range(n2)]
+    unpack = "".join(f"        [{', '.join(f'({s}z1, {s}z2, {s}w)' for s in names)}] = {row}\n"
+                     for names, row in ((p, "pts1"), (q, "pts2")) if names)
+    return _LOOP.format(unpack=unpack, d1=_terms("d1", "v1", "v2", p),
+                        d2=_terms("d2", "v1", "v2", q), e1=_terms("e1", "c1x", "c2x", p),
+                        e2=_terms("e2", "c1x", "c2x", q))
+
+
+def _loop(signature):
+    """The sweep loop of ``signature``, compiled once per process."""
+    loop = _LOOPS.get(signature)
+    if loop is None:
+        scope = {"math": math, "NumericalError": NumericalError}
+        exec(compile(_loop_source(*signature), f"<sweep loop {signature}>", "exec"), scope)
+        loop = _LOOPS[signature] = scope["sweep_runs"]
+    return loop
+
+
+def _signature(run) -> tuple:
+    row = run[3]
+    return len(row[6]), len(row[7])
+
+
 def _sweep(runs, steps, lam):
     """Backward sweep over ``runs`` from ``lam`` after the last cell.
 
@@ -137,17 +234,18 @@ def _sweep(runs, steps, lam):
     window's ``(h, h / 2)`` per cell; a run's atom steps the value before
     its last cell.  Points are stored negated, so the compensated term
     ``expm1(-x) + x`` is ``expm1(x) - x`` at the negated x: the same float,
-    IEEE negation being exact and rounding symmetric.  Returns ``v`` with
-    one value per node of the window, the clamp count and the worst
-    clamped deficit.
+    IEEE negation being exact and rounding symmetric.  Each stretch of
+    consecutive runs with equal point counts per type goes to the loop
+    generated for those counts (:func:`_loop`), which steps every cell with
+    its points as locals and its compensated terms written out: the
+    arithmetic of one loop over the points, in the same order.  Returns
+    ``v`` with one value per node of the window, the clamp count and the
+    worst clamped deficit.
     """
-    expm1 = math.expm1
-    inf = math.inf
     n = len(steps)
     v1, v2 = lam
     # node k's pair sits at buf[2k], buf[2k + 1]; every node starts at lam
     buf = array("d", (v1, v2)) * (n + 1)
-    k = 2 * n
     clamp_events = 0
     worst_deficit = 0.0
 
@@ -167,57 +265,8 @@ def _sweep(runs, steps, lam):
     # a predictor far below zero overflows expm1 in the corrector: the
     # grid is too coarse for this lam, like a deficit beyond tolerance
     try:
-        for lo, hi, a, (b11d, b22d, bb12d, bb21d, c1d, c2d, pts1, pts2) in reversed(runs):
-            if a is not None:
-                a11, a22, ab12, ab21, _, _, ap1, ap2 = a
-                p1 = a11 * v1 - ab12 * v2
-                # the compensated-kernel sums stay inline: a shared helper
-                # measured about 10% slower on this sweep
-                for z1, z2, w in ap1:
-                    x = v1 * z1 + v2 * z2
-                    p1 += (expm1(x) - x) * w
-                p2 = a22 * v2 - ab21 * v1
-                for z1, z2, w in ap2:
-                    x = v1 * z1 + v2 * z2
-                    p2 += (expm1(x) - x) * w
-                v1 -= p1
-                v2 -= p2
-                if not v1 >= 0.0:
-                    v1 = clamp(v1)
-                if not v2 >= 0.0:
-                    v2 = clamp(v2)
-            for h, hh in reversed(steps[lo:hi]):
-                d1 = v1 * b11d - v2 * bb12d + v1 * v1 * c1d
-                for z1, z2, w in pts1:
-                    x = v1 * z1 + v2 * z2
-                    d1 += (expm1(x) - x) * w
-                d2 = v2 * b22d - v1 * bb21d + v2 * v2 * c2d
-                for z1, z2, w in pts2:
-                    x = v1 * z1 + v2 * z2
-                    d2 += (expm1(x) - x) * w
-                # right-endpoint predictor, then one trapezoid corrector
-                c1x = v1 - h * d1
-                c2x = v2 - h * d2
-                e1 = c1x * b11d - c2x * bb12d + c1x * c1x * c1d
-                for z1, z2, w in pts1:
-                    x = c1x * z1 + c2x * z2
-                    e1 += (expm1(x) - x) * w
-                e2 = c2x * b22d - c1x * bb21d + c2x * c2x * c2d
-                for z1, z2, w in pts2:
-                    x = c1x * z1 + c2x * z2
-                    e2 += (expm1(x) - x) * w
-                v1 -= hh * (d1 + e1)
-                v2 -= hh * (d2 + e2)
-                if not v1 >= 0.0:
-                    v1 = clamp(v1)
-                if not v2 >= 0.0:
-                    v2 = clamp(v2)
-                # clamp refused NaN and -inf, so +inf is the one non-finite left
-                if v1 == inf or v2 == inf:
-                    raise NumericalError("backward sweep produced non-finite values")
-                k -= 2
-                buf[k] = v1
-                buf[k + 1] = v2
+        for signature, group in groupby(reversed(runs), _signature):
+            v1, v2 = _loop(signature)(group, steps, buf, v1, v2, clamp)
     except OverflowError:
         raise DiscretizationError(
             "backward sweep overflowed; refine the grid") from None
@@ -240,6 +289,27 @@ def _window(runs, lo: int, hi: int, f: int = 1) -> list:
     return window
 
 
+def _leg(env: Environment, lo: int, hi: int, f: int, steps, lam):
+    """:func:`_sweep` over the window of ``env``'s runs over cells
+    lo..hi-1, refined ``f`` ways, with ``steps``.
+
+    First a :class:`DiscretizationError` names the first of those cells
+    where h * mu > 2 (mu its run's decay rate), on which the two-pass step
+    would grow a decaying mode.  Only the cells of the model's few
+    :func:`cbve.compiled.stiff_runs` are read, so a model with none pays
+    nothing.
+    """
+    for a, b, mu in env._stiff_runs:
+        # empty unless the run meets the window
+        for j in range((max(a, lo) - lo) * f, (min(b, hi) - lo) * f):
+            z = steps[j][0] * mu
+            if z > 2.0:
+                raise DiscretizationError(
+                    f"stiff decay on cell {lo + j // f}: h * mu = {z:.3g} > 2, where the "
+                    "two-pass step grows a decaying mode; refine the grid")
+    return _sweep(_window(env._table.runs, lo, hi, f), steps, lam)
+
+
 def solve_general(env: Environment, t: float, lam) -> CumulantSolution:
     """Solve the general backward system down from the terminal node of t.
 
@@ -247,11 +317,13 @@ def solve_general(env: Environment, t: float, lam) -> CumulantSolution:
     predictor and one trapezoid corrector on the density integrand, which
     is second order on smooth stretches.  Negative components beyond 1e-9
     raise a :class:`DiscretizationError`; smaller ones are clamped to zero.
+    So does, before sweeping, a cell whose width h times its decay rate mu
+    (the largest eigenvalue of the linear part) exceeds 2, where the
+    two-pass step would grow a decaying mode.
     """
     lam = _pair(lam)
     M = env.grid.index_of(t)
-    runs, steps = env._table
-    v, clamp_events, worst_deficit = _sweep(_window(runs, 0, M), steps[:M], lam)
+    v, clamp_events, worst_deficit = _leg(env, 0, M, 1, env._table.steps[:M], lam)
     return CumulantSolution(
         t=float(env.grid.nodes[M]),
         lam=lam,
@@ -606,7 +678,9 @@ def check_flow(env: Environment, r: float, s: float, t: float, lam) -> float:
     mass, so it is admissible exactly when ``env`` is; the residual equals
     the one from solving that model, without building it.  A sweep
     failure on nodes the residual does not read (below r, or below s on
-    the fine leg) therefore raises nothing.
+    the fine leg) therefore raises nothing.  Each leg first refuses a cell
+    of its own grid too wide for its decay rate, as :func:`solve_general`
+    does.
     """
     return _flow_residual(env, r, s, t, lam)
 
@@ -625,10 +699,8 @@ def _flow_residual(env: Environment, r: float, s: float, t: float, lam,
     grid = env.grid.refine(base)
     n = 2 * base
     lam = _pair(lam)
-    runs = env._table.runs
-    top = _sweep(_window(runs, isx, it, n), _steps(grid.refine(2).widths[isx * n : it * n]),
-                 lam)[0][0]
+    top = _leg(env, isx, it, n, _steps(grid.refine(2).widths[isx * n : it * n]), lam)[0][0]
     steps = _steps(grid.widths[ir * base : it * base])
-    mid = _sweep(_window(runs, ir, isx, base), steps[: (isx - ir) * base], top.tolist())[0][0]
-    full = _sweep(_window(runs, ir, it, base), steps, lam)[0][0]
+    mid = _leg(env, ir, isx, base, steps[: (isx - ir) * base], top.tolist())[0][0]
+    full = _leg(env, ir, it, base, steps, lam)[0][0]
     return float(np.max(np.abs(mid - full)))

@@ -288,11 +288,27 @@ class TestCommands:
         assert capsys.readouterr().out == "path_id,time,kind,type_source,dx1,dx2,x1,x2\n"
 
     def test_verify_passes_the_monte_carlo_checks_past_flow_rounding(self, tmp_path, capsys):
-        # special_general_agreement fails on its own: the sweep's error on one cell
+        # special_general_agreement fails on its own: one cell is too wide
+        # for the general sweep (h * mu = 115)
         path = self._decay(tmp_path, -114.97971143433165, -1.9631594705541522)
         main(["verify", "--config", path, "--paths", "100", "--x0", "1e8,1"])
         out = capsys.readouterr().out
         assert "PASS mc_laplace" in out and "PASS mc_mean" in out
+
+    def test_stiff_decay_is_refused_not_printed(self, tmp_path, capsys):
+        # the sweep printed v0 = (0.5258, 7.19e6) with exit 0; the exact
+        # value is (0.4617, 0)
+        path = _write(tmp_path, {"kind": "environment", "horizon": 1.0, "grid_cells": 1,
+                                 "b11": {"density": [[0.0, 1.0, 0.7728309305456271]]},
+                                 "b22": {"density": [[0.0, 1.0, 3791.9573920304515]]}})
+        assert main(["solve", "--config", path]) == 4
+        assert "stiff decay on cell 0: h * mu = 3.79e+03 > 2" in capsys.readouterr().err
+        # Picard solves this form, and the general route's refusal is a FAIL
+        path = self._decay(tmp_path, -114.97971143433165, -1.9631594705541522)
+        assert main(["verify", "--config", path]) == 5
+        out = capsys.readouterr().out
+        assert "FAIL special_general_agreement: general sweep refused: stiff decay" in out
+        assert "PASS picard_monotonicity" in out and "PASS h_transform_round_trip" in out
 
     @pytest.mark.parametrize("command, flag", [
         ("simulate", "--paths"), ("simulate", "--seed"), ("verify", "--seed"),

@@ -10,6 +10,7 @@ from scipy.integrate import solve_ivp
 from cbve import (
     JumpMeasure,
     StieltjesMeasure,
+    TimeGrid,
     apriori_growth_exponent,
     check_flow,
     cumulant_upper_bound,
@@ -29,6 +30,7 @@ from cbve import (
     special_to_general,
 )
 from cbve.cli import main
+from cbve.compiled import _decay_rates
 from cbve.errors import ConvergenceError, DiscretizationError, NumericalError
 
 from _instances import (
@@ -110,8 +112,9 @@ class TestSolveGeneral:
 
     @pytest.mark.parametrize("lam", [(1e6, 1e6), (1e12, 0.0)])
     def test_overflow_at_large_lambda_is_typed(self, lam):
-        # h * b11 = 2.5 sends the predictor to about -1.5 * lam1, whose
-        # expm1 in the corrector overflows: the grid is too coarse
+        # h * b11 = 2.5: the decay guard refuses the grid before the sweep,
+        # whose predictor (about -1.5 * lam1) would overflow expm1 in the
+        # corrector
         grid = uniform_grid(cells=8)
         env = make_env(grid, b11=StieltjesMeasure(grid, np.full(8, 20.0)),
                        m1=JumpMeasure.from_segments(grid, [(0.0, 1.0, [(1.0, 0.5, 0.5)])]))
@@ -165,6 +168,92 @@ class TestSolveGeneral:
             errors.append(abs(sol.v[0, 0] - feller_oracle(1.0, 1.0, 1.0, 1.0)))
         assert errors[0] / errors[1] > 3.2
         assert errors[1] / errors[2] > 3.2
+
+
+class TestStiffDecayRefused:
+    # over a cell the two-pass step multiplies a mode decaying at rate mu by
+    # 1 - z + z^2 / 2, z = h * mu, which exceeds 1 once z > 2: the value
+    # then grows where the model decays, with no clamp and no overflow
+
+    @staticmethod
+    def _decay_sf(cells, g11, g22=0.0, mu1=()):
+        grid = uniform_grid(cells=cells)
+        return make_sf(grid, g11=StieltjesMeasure.from_segments(grid, [(0.0, 1.0, g11)]),
+                       g22=StieltjesMeasure.from_segments(grid, [(0.0, 1.0, g22)]),
+                       mu1=JumpMeasure.from_segments(grid, [(0.0, 1.0, list(mu1))]))
+
+    def test_one_cell_pure_decay_is_refused(self):
+        # the sweep returned v0 = (0.5258, 7.19e6) here; the exact value is
+        # (e^-0.7728, e^-3792) = (0.4617, 0)
+        env = special_to_general(self._decay_sf(1, -0.7728309305456271, -3791.9573920304515))
+        with pytest.raises(DiscretizationError,
+                           match=r"stiff decay on cell 0: h \* mu = 3\.79e\+03 > 2.*refine the grid"):
+            solve_general(env, 1.0, (1.0, 1.0))
+
+    @pytest.mark.parametrize("refine, z", [(1, "200"), (32, "6.25")])
+    def test_stiff_moment_form_is_refused(self, refine, z):
+        # the form of test_moments.TestStiffDecay on 4 and 128 cells: v1(0)
+        # read 1.5e17 and 6.5e147, where the true value is about 0
+        sf = self._decay_sf(4, -800.0, mu1=[(0.0, 1.0, 1.0)]).refined(refine)
+        env = special_to_general(sf)
+        with pytest.raises(DiscretizationError, match=rf"cell 0: h \* mu = {z} > 2"):
+            solve_general(env, 1.0, (1.0, 1.0))
+        with pytest.raises(DiscretizationError, match="stiff decay"):
+            check_flow(env, 0.25, 0.5, 1.0, (1.0, 1.0))
+
+    def test_first_stiff_cell_of_the_window_is_named(self):
+        # b11 = 20 on cells 5..7 of 8 (z = 2.5); cells 0..4 decay slowly
+        grid = uniform_grid(cells=8)
+        env = make_env(grid, b11=StieltjesMeasure.from_segments(
+            grid, [(0.0, 0.625, 0.5), (0.625, 1.0, 20.0)]))
+        with pytest.raises(DiscretizationError, match="cell 5: h"):
+            solve_general(env, 1.0, (1.0, 1.0))
+        # the window below node 5 holds no stiff cell
+        assert solve_general(env, 0.625, (1.0, 1.0)).v.shape == (6, 2)
+        # check_flow's fine leg over (s, t] halves z to 1.25, the base legs
+        # over (r, t] do not
+        with pytest.raises(DiscretizationError, match="cell 5: h \\* mu = 2.5 > 2"):
+            check_flow(env, 0.25, 0.75, 1.0, (1.0, 1.0))
+        assert check_flow(env, 0.0, 0.25, 0.5, (1.0, 1.0)) >= 0.0
+        # b11 = 40 on cells 6..7 flags the fine leg over (s, t] too: its
+        # third fine cell, half of cell 6
+        env = make_env(grid, b11=StieltjesMeasure.from_segments(
+            grid, [(0.0, 0.75, 0.5), (0.75, 1.0, 40.0)]))
+        with pytest.raises(DiscretizationError, match="cell 6: h \\* mu = 2.5 > 2"):
+            check_flow(env, 0.5, 0.625, 1.0, (1.0, 1.0))
+
+    def test_every_cell_of_a_stiff_run_is_read(self):
+        # one run of b11 = 15 on widths 0.1, 0.1, 0.3: only the last cell
+        # is stiff, at z = 4.5, and 2.25 on the fine leg's last two cells
+        grid = TimeGrid([0.0, 0.1, 0.2, 0.5])
+        env = make_env(grid, b11=StieltjesMeasure(grid, np.full(3, 15.0)))
+        with pytest.raises(DiscretizationError, match="cell 2: h \\* mu = 4.5 > 2"):
+            solve_general(env, 0.5, (1.0, 1.0))
+        with pytest.raises(DiscretizationError, match="cell 2: h \\* mu = 2.25 > 2"):
+            check_flow(env, 0.0, 0.0, 0.5, (1.0, 1.0))
+
+    def test_z_of_two_is_swept(self):
+        # 1 - z + z^2 / 2 is 1 at z = 2: the step does not grow the mode
+        grid = uniform_grid(cells=8)
+        env = make_env(grid, b11=StieltjesMeasure(grid, np.full(8, 16.0)))
+        v = solve_general(env, 1.0, (1.0, 0.0)).v
+        assert v[0, 0] == 1.0 and v[0, 1] == 0.0
+
+    def test_decay_rate_is_the_largest_eigenvalue(self):
+        rng = np.random.default_rng(12)
+        b11, b22 = rng.uniform(-50.0, 50.0, size=(2, 200))
+        bb12, bb21 = rng.uniform(0.0, 30.0, size=(2, 200))
+        want = [max(np.linalg.eigvals(np.array([[a, -b], [-c, d]])).real)
+                for a, d, b, c in zip(b11, b22, bb12, bb21)]
+        np.testing.assert_allclose(_decay_rates(b11, b22, bb12, bb21), want,
+                                   rtol=1e-12, atol=1e-12)
+
+    def test_only_runs_near_the_limit_are_listed(self):
+        # b11 per run 15.1, 15.3 and 16 on 1/8 cells: h * mu 1.8875, 1.9125, 2
+        grid = uniform_grid(cells=8)
+        env = make_env(grid, b11=StieltjesMeasure(grid, [15.1] * 3 + [15.3] * 3 + [16.0] * 2))
+        assert env._stiff_runs == ((3, 6, 15.3), (6, 8, 16.0))
+        assert make_env(grid)._stiff_runs == ()
 
 
 class TestSolvePicard:

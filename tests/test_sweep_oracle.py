@@ -16,6 +16,13 @@ compiled layout, bit for bit.  On the four shipped configurations the
 whole-horizon solve and the legs of ``cbve verify``'s two flow residuals
 (r = T/4, s = T/2, base 1 and 4) must match the reference the same way.
 
+The sweep runs one generated loop per signature, the kernel point counts
+of a run's two types, so hand-built runs with 0-5 points a type (unequal
+counts too), atoms with 0-3, one cell long or long, must match the
+reference at lambda up to 2e6, and so must a row of 300 points a type.
+Each signature's loop is built once per process, and the kernel-free
+loop's cell step holds no kernel term.
+
 Hand-built rows, mapped to the compiled layout by
 :func:`_reference.compiled_rows` and swept as one run per row, cover what
 random models do not: points with coordinates 0.0 and -0.0, whose
@@ -33,7 +40,7 @@ from hypothesis import given, settings, strategies as st
 
 import _reference
 from _instances import random_environment
-from cbve import load_config, solve_general, special_to_general
+from cbve import check_flow, load_config, solve_general, solver, special_to_general
 from cbve.compiled import _steps
 from cbve.errors import CBVEError, DiscretizationError, NumericalError
 from cbve.solver import _flow_residual, _sweep, _window
@@ -116,6 +123,83 @@ def test_shipped_configs_match_reference(name):
         full = _leg(env, ref, ir, it, base, lam)
         gap = np.abs(np.frombuffer(mid[1])[:2] - np.frombuffer(full[1])[:2])
         assert _flow_residual(env, r, s, env.horizon, lam, base=base) == float(np.max(gap))
+
+
+def _point_lists(most):
+    return st.lists(st.tuples(st.floats(0.0, 1.5), st.floats(0.0, 1.5), st.floats(0.05, 0.6)),
+                    max_size=most).map(tuple)
+
+
+@st.composite
+def _signature_runs(draw):
+    """Reference rows of one to eight hand-built runs, one cell long or long,
+    with 0-5 kernel points per type (unequal counts too), an atom with 0-3
+    points per type on some, and cell widths drawn per cell; and the runs
+    and steps of their compiled layout."""
+    rows, bounds = [], []
+    for _ in range(draw(st.integers(1, 8))):
+        length = draw(st.sampled_from((1, 1, 2, 9, 40)))
+        dens = tuple(draw(st.floats(-1.0, 1.0)) for _ in range(6))
+        pts = (draw(_point_lists(5)), draw(_point_lists(5)))
+        atom = None
+        if draw(st.booleans()):
+            atom = (*(draw(st.floats(-0.5, 0.5)) for _ in range(6)),
+                    draw(_point_lists(3)), draw(_point_lists(3)))
+        bounds.append((len(rows), len(rows) + length))
+        rows += [(atom if k == length - 1 else None, draw(st.sampled_from((0.01, 0.05, 0.2))),
+                  *dens, *pts) for k in range(length)]
+    cells = _reference.compiled_rows(rows)
+    runs = [(lo, hi, cells[hi - 1][0], cells[lo][3:]) for lo, hi in bounds]
+    return rows, runs, [row[1:3] for row in cells]
+
+
+@settings(max_examples=150)
+@given(_signature_runs(), st.sampled_from((1.0, 1e3, 1e6)),
+       st.tuples(st.floats(0.0, 2.0), st.floats(0.0, 2.0)))
+def test_every_signature_matches_reference(case, scale, lam):
+    rows, runs, steps = case
+    lam = (scale * lam[0], scale * lam[1])
+    assert _outcome(_sweep, runs, steps, lam) == _outcome(_reference.sweep, rows, lam)
+
+
+def test_many_points_match_reference():
+    # 300 points a type, one signature's loop; the sweep solves it
+    rng = np.random.default_rng(5)
+    pts = [tuple(map(tuple, rng.uniform((0.0, 0.0, 1e-3), (1.2, 1.2, 4e-3), (300, 3)).tolist()))
+           for _ in range(2)]
+    atom = (0.1, 0.0, 0.05, 0.0, 0.0, 0.0, pts[1][:3], ())
+    rows = [(None, 0.02, 0.3, -0.2, 0.1, 0.2, 0.1, 0.1, *pts)] * 6
+    rows[2] = (atom, *rows[2][1:])
+    outcome = _outcome(_sweep, *_compiled(rows), (1.5, 0.5))
+    assert outcome[0] == (7, 2)
+    _same(rows, (1.5, 0.5))
+
+
+def test_each_signature_loop_is_built_once(monkeypatch):
+    built = []
+    source = solver._loop_source
+    monkeypatch.setattr(solver, "_LOOPS", {})
+    monkeypatch.setattr(solver, "_loop_source", lambda *sig: built.append(sig) or source(*sig))
+    env = random_environment(np.random.default_rng(8), cells=60)
+    signatures = {(len(row[6]), len(row[7])) for *_, row in env._table.runs}
+    solve_general(env, 1.0, (1.0, 1.0))
+    loops = dict(solver._LOOPS)
+    for lam in ((0.5, 2.0), (3.0, 0.0)):
+        solve_general(env, 1.0, lam)
+        check_flow(env, 0.25, 0.5, 1.0, lam)
+    assert sorted(built) == sorted(signatures) == sorted(loops)
+    assert all(solver._LOOPS[sig] is loop for sig, loop in loops.items())
+
+
+def test_loops_write_out_the_cell_step_terms():
+    # the kernel-free loop's cell step holds no kernel term; only its atom
+    # step, whose points are the atom's own, loops over points
+    for (n1, n2), terms in (((0, 0), 0), ((2, 1), 6), ((0, 5), 10)):
+        source = solver._loop_source(n1, n2)
+        atom_step, cell_step = source.split("for h, hh in")
+        assert cell_step.count("expm1") == terms
+        assert "for z1" not in cell_step
+        assert atom_step.count("expm1(x)") == 2
 
 
 _COORD = st.sampled_from((0.0, -0.0, 0.5, 1.5))
