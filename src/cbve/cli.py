@@ -20,7 +20,7 @@ overflow, invalid operation or division by zero in a numerical layer),
 5 verification failure.  ``CBVE_LOG=debug`` or ``info`` sends the
 ``cbve`` loggers' records at that level to stderr; at debug,
 :mod:`cbve.compiled` logs one line per sweep table and per table of mean
-steps it builds.
+steps it builds, and :mod:`cbve.solver` one per sweep loop it generates.
 """
 from __future__ import annotations
 

@@ -1,11 +1,11 @@
 """Compiled coefficient tables consumed by the solver and simulator loops.
 
-:func:`sweep_table` flattens measures into Python tuples once, so the
-scalar loop of the general sweep indexes tuples instead of arrays: one
-tuple per run of cells with equal coefficients (between time atoms, where
-the backward equation is one fixed ODE), and one ``(h, h / 2)`` pair per
-cell.  A stretch of the grid, a refined one too, is a window of the runs
-and its own steps.
+:func:`sweep_table` flattens an environment's measures into Python tuples
+once, so the scalar loop of the general sweep indexes tuples instead of
+arrays: one tuple per run of cells with equal coefficients (between time
+atoms, where the backward equation is one fixed ODE), and one ``(h, h /
+2)`` pair per cell.  A stretch of the grid, a refined one too, is a window
+of the runs and its own steps.  Beside the runs it lists the few stiff ones.
 :func:`mean_steps` holds the mean system's exact per-cell steps.
 
 :func:`picard_table` is the array form consumed by the whole-array Picard
@@ -20,16 +20,16 @@ per-cell drift matrices, thinning windows and inverse-CDF kernel tables,
 the stretches of cells with equal coefficients, and per-atom-node jump
 matrices and atom kernel tables.
 
-The frozen model classes of :mod:`cbve.environment` cache each table on
-first use; this module reads models by attribute only and does not import
-them.  Tables are read-only, so a cached table cannot drift from its model;
-each holds only lam-free arithmetic, which a warm solve does not redo.
+Each builder takes the model it compiles, an environment or a special
+form of :mod:`cbve.environment`, which caches the table on first use; this
+module reads models by attribute only and does not import them.  Tables
+are read-only, so a cached table cannot drift from its model; each holds
+only lam-free arithmetic, which a warm solve does not redo.
 """
 from __future__ import annotations
 
 import logging
 import math
-from operator import itemgetter
 from time import perf_counter
 from typing import NamedTuple
 
@@ -37,7 +37,7 @@ import numpy as np
 
 from .measures import _point_runs, _point_sets
 
-__all__ = ["mean_steps", "picard_table", "sim_table", "stiff_runs", "sweep_table"]
+__all__ = ["mean_steps", "picard_table", "sim_table", "sweep_table"]
 
 _log = logging.getLogger(__name__)
 
@@ -45,31 +45,38 @@ _NEG = np.array((-1.0, -1.0, 1.0))[:, None, None]  # (3, K, sets) points to (-z1
 
 
 class SweepTable(NamedTuple):
-    """Runs and cell steps of the general sweep; see :func:`sweep_table`."""
+    """Runs, cell steps and stiff runs of the general sweep; see :func:`sweep_table`."""
 
     runs: tuple
     steps: tuple
+    stiff: tuple
 
 
-def sweep_table(scalars, jumps) -> SweepTable:
-    """The general sweep's runs of equal cells of ``scalars`` then
-    ``jumps``, and each cell's step.
+def sweep_table(env) -> SweepTable:
+    """The general sweep of ``env``: runs of equal cells, cell steps and
+    the runs that may be too stiff for their widths.
 
     A run ``(lo, hi, atom, row)`` covers cells lo..hi-1, whose densities
     are equal bit for bit (so 0.0 and -0.0 differ), and so are their
-    kernel point sets.  ``row`` holds them once: ``(density of each scalar
-    measure..., points of each jump kernel...)``, a point as ``(-z1, -z2,
-    w)`` (see :func:`cbve.solver._sweep`).  ``atom`` belongs to node hi,
-    whose atom the sweep steps just before cell hi - 1: None where no
-    measure has a time atom there, else ``(atom mass of each scalar
-    measure..., atom points of each jump kernel...)``, with 0.0 and ()
-    where one has none.  A run ends where any coefficient changes, at every
-    atom and at the last node.  ``steps`` holds :func:`_steps` of the
-    cell widths.
+    kernel point sets.  ``row`` holds them once: the densities of b11,
+    b22, the effective cross drifts bb12, bb21 and c1, c2, then the points
+    of m1 and m2, a point as ``(-z1, -z2, w)`` (see
+    :func:`cbve.solver._sweep`).  ``atom`` belongs to node hi, whose atom
+    the sweep steps just before cell hi - 1: None where no coefficient has
+    a time atom there, else the same eight entries with atom masses and
+    atom points, 0.0 and () where one has none.  A run ends where any
+    coefficient changes, at every atom and at the last node.  ``steps``
+    holds :func:`_steps` of the cell widths.  ``stiff`` holds ``(lo, hi,
+    mu)`` of each run whose widest cell has h * mu > 1.9, mu its
+    :func:`_decay_rates`: only these runs can hold a cell with h * mu > 2,
+    on the model's grid or on a refined one, whose widths are the model's
+    over the factor to rounding.
     """
     start = perf_counter()
-    grid = scalars[0].grid
+    grid = env.grid
     n = grid.n_cells
+    scalars = (env.b11, env.b22, *env._cross_drifts, env.c1, env.c2)
+    jumps = (env.m1, env.m2)
     masses = [meas.node_atom_masses for meas in scalars]
     points = [dict(zip(jump.atom_nodes.tolist(), _point_sets(jump.atom_points * _NEG)))
               for jump in jumps]
@@ -85,11 +92,16 @@ def sweep_table(scalars, jumps) -> SweepTable:
         ends[starts[1:]] = True
     hi = np.flatnonzero(ends)
     lo = np.append(0, hi[:-1])
-    rows = zip(*(meas.density[lo].tolist() for meas in scalars), *(
+    dens = [meas.density[lo] for meas in scalars]
+    mu = _decay_rates(*dens[:4])
+    with np.errstate(over="ignore"):
+        stiff = np.flatnonzero(mu * np.maximum.reduceat(grid.widths, lo) > 1.9).tolist()
+    rows = zip(*(d.tolist() for d in dens), *(
         [sets[i] for i in (np.searchsorted(starts, lo, "right") - 1).tolist()]
         for starts, sets in kernels))
-    hi = hi.tolist()
-    table = SweepTable(tuple(zip(lo.tolist(), hi, map(atoms.get, hi), rows)), _steps(grid.widths))
+    lo, hi = lo.tolist(), hi.tolist()
+    table = SweepTable(tuple(zip(lo, hi, map(atoms.get, hi), rows)), _steps(grid.widths),
+                       tuple((lo[i], hi[i], m) for i, m in zip(stiff, mu[stiff].tolist())))
     _log.debug("sweep table: %d cells, %d runs, %.3f ms",
                n, len(table.runs), 1e3 * (perf_counter() - start))
     return table
@@ -107,20 +119,6 @@ def _decay_rates(b11, b22, bb12, bb21) -> np.ndarray:
         tau = 0.5 * b11 + 0.5 * b22
         q = np.hypot(0.5 * b11 - 0.5 * b22, np.sqrt(bb12) * np.sqrt(bb21))
         return np.where(tau >= 0.0, tau + q, (bb12 * bb21 - b11 * b22) / (q - tau))
-
-
-def stiff_runs(runs, widths, b11, b22, bb12, bb21) -> tuple:
-    """``(lo, hi, mu)`` of each of the sweep ``runs`` whose widest cell
-    (``widths`` per cell) has h * mu > 1.9, mu its :func:`_decay_rates` from
-    the densities of b11, b22 and the effective cross drifts bb12, bb21.
-    Only these runs can hold a cell with h * mu > 2, on the model's grid
-    or on a refined one, whose widths are the model's over the factor to
-    rounding."""
-    lo = np.fromiter(map(itemgetter(0), runs), np.intp, len(runs))
-    mu = _decay_rates(*(meas.density[lo] for meas in (b11, b22, bb12, bb21)))
-    with np.errstate(over="ignore"):
-        stiff = np.flatnonzero(mu * np.maximum.reduceat(widths, lo) > 1.9)
-    return tuple((*runs[i][:2], m) for i, m in zip(stiff.tolist(), mu[stiff].tolist()))
 
 
 def _steps(widths) -> tuple:
@@ -228,7 +226,7 @@ def picard_table(sf):
         ))
 
 
-def _expm2(m11, m12, m21, m22, dt=1.0):
+def _expm2(m11, m12, m21, m22, dt):
     """Entries of exp(M dt) for a Metzler 2x2 matrix M (m12, m21 >= 0).
 
     The entries are floats and ``dt`` a float or an array, so the branch
@@ -303,13 +301,15 @@ def _compose(x, y):
     return out
 
 
-def mean_steps(b11, b22, bb12, bb21) -> np.ndarray:
+def mean_steps(env) -> np.ndarray:
     """Read-only ``(2, 2, cells)`` stack of ``P(k) - I``: ``P(k) = exp(hA(k)) (I -
-    J(k+1))`` steps the mean system of drifts b11, b22 and effective cross drifts
-    bb12, bb21 (nondecreasing, so hA is Metzler) back over node k + 1's atom J, then
-    cell k.  Elementwise over cells, so a stack's prefix is, bit for bit, its cells'."""
+    J(k+1))`` steps the mean system of ``env`` (drifts b11, b22 and effective cross
+    drifts bb12, bb21, nondecreasing, so hA is Metzler) back over node k + 1's atom J,
+    then cell k.  Elementwise over cells, so a stack's prefix is, bit for bit, its cells'."""
     start = perf_counter()
-    hA = np.array(((-b11.density, bb12.density), (bb21.density, -b22.density))) * b11.grid.widths
+    b11, b22 = env.b11, env.b22
+    bb12, bb21 = env._cross_drifts
+    hA = np.array(((-b11.density, bb12.density), (bb21.density, -b22.density))) * env.grid.widths
     a11, ab12, ab21, a22 = (meas.node_atom_masses[1:] for meas in (b11, bb12, bb21, b22))
     with np.errstate(over="ignore", invalid="ignore"):
         steps = _compose(_expm1_cells(hA), np.array(((-a11, ab12), (ab21, -a22))))

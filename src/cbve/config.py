@@ -192,18 +192,20 @@ def load_config(path) -> RunConfig:
 
 def _emit(meas, jump: bool) -> dict | None:
     """Config section of one coefficient, None when it is zero; runs of
-    cells with equal values become one segment."""
+    cells with bitwise equal values become one segment, left out where the
+    value is +0.0 or holds no points."""
     nodes = meas.grid.nodes
     if jump:
         cells = [[list(p) for p in kern.points] for kern in meas.cell_kernels]
         atoms = [[t, [list(p) for p in spatial.points]] for t, spatial in meas.time_atoms]
     else:
         cells, atoms = meas.density.tolist(), [list(atom) for atom in meas.atoms]
+    keys = list(map(repr, cells))  # bitwise: 0.0 and -0.0 differ
     segments = []
     start = 0
     for k in range(1, len(cells) + 1):
-        if k == len(cells) or cells[k] != cells[start]:
-            if cells[start]:
+        if k == len(cells) or keys[k] != keys[start]:
+            if keys[start] not in ("0.0", "[]"):
                 segments.append([float(nodes[start]), float(nodes[k]), cells[start]])
             start = k
     (cell_part, _), (atom_part, _) = _PARTS["jump" if jump else "scalar"]

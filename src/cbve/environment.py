@@ -8,7 +8,7 @@ parameterization (``gamma_ii``, ``gamma_ij``, ``mu_i``) that the Picard solver
 and the exact simulator consume.  Both are frozen dataclasses whose fields
 declare each measure's kind; the shared checks, ``zero``, ``refined`` and the
 config format all follow those declarations.  Each model caches the compiled
-tables of :mod:`cbve.compiled` that its solvers use.
+tables of :mod:`cbve.compiled` that its solvers use, each built from the model.
 
 This module also provides admissibility validation, bottleneck detection,
 the mean cross-drift measures, the conversion from special to general
@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .compiled import mean_steps, picard_table, sim_table, stiff_runs, sweep_table
+from .compiled import mean_steps, picard_table, sim_table, sweep_table
 from .errors import AdmissibilityError
 from .measures import JumpMeasure, StieltjesMeasure, TimeGrid, _slot_sums
 
@@ -182,20 +182,13 @@ class Environment(_Model):
 
     @cached_property
     def _table(self):
-        """Runs and cell steps of the general sweep."""
-        return sweep_table((self.b11, self.b22, *self._cross_drifts, self.c1, self.c2),
-                           (self.m1, self.m2))
-
-    @cached_property
-    def _stiff_runs(self):
-        """The general sweep's runs that may be too stiff for their widths."""
-        return stiff_runs(self._table.runs, self.grid.widths, self.b11, self.b22,
-                          *self._cross_drifts)
+        """Runs, cell steps and stiff runs of the general sweep."""
+        return sweep_table(self)
 
     @cached_property
     def _mean_steps(self):
         """Per-cell steps of the mean system."""
-        return mean_steps(self.b11, self.b22, *self._cross_drifts)
+        return mean_steps(self)
 
 
 @dataclass(frozen=True, eq=False)

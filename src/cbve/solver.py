@@ -39,6 +39,7 @@ flow-property check.
 """
 from __future__ import annotations
 
+import logging
 import math
 import sys
 from array import array
@@ -47,6 +48,7 @@ from dataclasses import dataclass
 from itertools import groupby
 from numbers import Real
 from operator import itemgetter
+from time import perf_counter
 
 import numpy as np
 
@@ -72,6 +74,8 @@ __all__ = [
     "check_flow",
 ]
 
+
+_log = logging.getLogger(__name__)
 
 # Picard's stopping tolerance on the sup-node change, and its iteration cap
 _PICARD_TOL = 1e-12
@@ -212,12 +216,17 @@ def _loop_source(n1: int, n2: int) -> str:
 
 
 def _loop(signature):
-    """The sweep loop of ``signature``, compiled once per process."""
+    """The sweep loop of ``signature``, compiled once per process; each
+    build logs one debug line."""
     loop = _LOOPS.get(signature)
     if loop is None:
+        start = perf_counter()
+        source = _loop_source(*signature)
         scope = {"math": math, "NumericalError": NumericalError}
-        exec(compile(_loop_source(*signature), f"<sweep loop {signature}>", "exec"), scope)
+        exec(compile(source, f"<sweep loop {signature}>", "exec"), scope)
         loop = _LOOPS[signature] = scope["sweep_runs"]
+        _log.debug("sweep loop %s: %d lines, %.3f ms",
+                   signature, source.count("\n"), 1e3 * (perf_counter() - start))
     return loop
 
 
@@ -295,11 +304,11 @@ def _leg(env: Environment, lo: int, hi: int, f: int, steps, lam):
 
     First a :class:`DiscretizationError` names the first of those cells
     where h * mu > 2 (mu its run's decay rate), on which the two-pass step
-    would grow a decaying mode.  Only the cells of the model's few
-    :func:`cbve.compiled.stiff_runs` are read, so a model with none pays
-    nothing.
+    would grow a decaying mode.  Only the cells of the few stiff runs that
+    the model's table lists beside its runs are read, so a model with none
+    pays nothing.
     """
-    for a, b, mu in env._stiff_runs:
+    for a, b, mu in env._table.stiff:
         # empty unless the run meets the window
         for j in range((max(a, lo) - lo) * f, (min(b, hi) - lo) * f):
             z = steps[j][0] * mu

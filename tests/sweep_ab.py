@@ -7,12 +7,14 @@ Usage::
 ``SRC_A`` and ``SRC_B`` are directories that hold a ``cbve`` package, e.g.
 two checkouts' ``src``.  Each is imported under a name of its own, so both
 live in this process, and each builds its own copy of every model from the
-same config.  Per model, ``solve_general`` over the whole horizon and
-``check_flow`` at r = T/4, s = T/2, t = T (lambda = (1, 1)) are first run
-once on each side, so compiled tables and sweep loops are built, and then
-timed ``CALLS`` times (default 21) in alternation, A then B.  A line holds
-the model, the call, the median ms of A and of B, their ratio B / A and
-the number of calls in which B was faster.
+same config.  Per model, three calls are first run once on each side, so
+compiled tables and sweep loops are built, and then timed ``CALLS`` times
+(default 21) in alternation, A then B: ``solve_general`` over the whole
+horizon, ``check_flow`` at r = T/4, s = T/2, t = T (lambda = (1, 1)), and
+``sweep_table``, the build of the model's sweep table (``_table``) on a
+fresh copy of the model whose cross drifts are built outside the timer.
+A line holds the model, the call, the median ms of A and of B, their
+ratio B / A and the number of calls in which B was faster.
 
 The models are the bench generators' (``bench/inputs.py``, seed 11): the
 ``lambda_sweep`` model, a ``verify_scan`` environment and the general
@@ -23,10 +25,12 @@ node.  pytest does not collect this file.
 """
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
 import random
 import statistics
 import sys
+from functools import partial
 from pathlib import Path
 from time import perf_counter
 
@@ -83,11 +87,20 @@ def models() -> dict:
 
 
 def _calls(pkg, env):
+    """Each call's name and a function that sets the call up, outside the
+    timer, and returns it."""
     nodes = env.grid.nodes
     n = nodes.size - 1
     r, s, t = (float(nodes[k]) for k in (n // 4, n // 2, n))
-    return {"solve_general": lambda: pkg.solve_general(env, t, (1.0, 1.0)),
-            "check_flow": lambda: pkg.check_flow(env, r, s, t, (1.0, 1.0))}
+
+    def table():
+        fresh = dataclasses.replace(env)
+        fresh._cross_drifts
+        return lambda: fresh._table
+
+    return {"solve_general": lambda: partial(pkg.solve_general, env, t, (1.0, 1.0)),
+            "check_flow": lambda: partial(pkg.check_flow, env, r, s, t, (1.0, 1.0)),
+            "sweep_table": table}
 
 
 def main(argv) -> int:
@@ -101,12 +114,13 @@ def main(argv) -> int:
         sides = [_calls(pkg, build(pkg)) for pkg in (a, b)]
         for call in sides[0]:
             fa, fb = sides[0][call], sides[1][call]
-            fa(), fb()
+            fa()(), fb()()
             ta, tb = [], []
             for _ in range(calls):
                 for f, times in ((fa, ta), (fb, tb)):
+                    run = f()
                     start = perf_counter()
-                    f()
+                    run()
                     times.append(1e3 * (perf_counter() - start))
             ma, mb = statistics.median(ta), statistics.median(tb)
             wins = sum(x > y for x, y in zip(ta, tb))

@@ -7,14 +7,16 @@ measure per cell, padded into ``(3, K, sets)`` arrays by
 distinct cells, 0 to 5 points a cell, atoms given in any order, segments
 that overlap or are empty) the kernel's arrays must equal the padded
 per-object sets bit for bit, its views must give the same points back,
-and ``sweep_table`` must build the same sweep rows.
+and the sweep table of an environment with the kernel as m1 must build the
+same sweep rows.
 
-``sweep_table`` holds runs of equal cells: over drawn coefficients (one
-to twelve cells of equal or uneven widths, values from small pools so
-that equal cells recur side by side and apart, cells that differ only in
-the sign of zero, atoms at any node from 1 to T) its runs, expanded cell
-by cell, must equal :func:`_reference.cell_table`, a fresh row per cell,
-mapped to the compiled layout (half widths, negated points) by
+The sweep table holds runs of equal cells: over drawn admissible
+environments (one to twelve cells of equal or uneven widths, each
+coefficient zero or with values from small pools so that equal cells
+recur side by side and apart, cells that differ only in the sign of zero,
+atoms at any node from 1 to T) its runs, expanded cell by cell, must equal
+:func:`_reference.sweep_table`, a fresh row per cell, mapped to the
+compiled layout (half widths, negated points) by
 :func:`_reference.compiled_rows`, row for row with floats compared bit
 for bit.  The runs must tile the cells, adjacent runs must differ unless
 the left one ends at an atom, and steps equal bit for bit must be one
@@ -36,11 +38,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import _reference
 from cbve import (
     DiscreteSpatialMeasure,
+    Environment,
     JumpMeasure,
     StieltjesMeasure,
     TimeGrid,
@@ -51,7 +54,7 @@ from cbve import (
     solve_moment,
     solve_special_picard,
 )
-from cbve.compiled import _steps, sweep_table
+from cbve.compiled import _steps
 from cbve.solver import _window
 
 from _instances import (
@@ -90,6 +93,11 @@ def _exact(point_sets):
 def _negated(points):
     """The sweep table's points with their coordinates negated back."""
     return tuple((-z1, -z2, w) for z1, z2, w in points)
+
+
+def _rows(env):
+    """The sweep table of ``env``, expanded cell by cell."""
+    return _reference.expanded(env._table.runs, env._table.steps)
 
 
 def _same_arrays(jump, kernels, atoms):
@@ -132,12 +140,14 @@ def test_kernel_arrays_match_per_object_padding(case, factor):
     assert _exact(k.points for k in jump.cell_kernels) == _exact(sets)
     assert [t for t, _ in jump.time_atoms] == [grid.nodes[m] for m, _ in at]
     assert _exact(s.points for _, s in jump.time_atoms) == _exact(p for _, p in at)
-    # the sweep rows: one tuple of negated points per cell, () where a cell
-    # has none
-    rows = _reference.expanded(*sweep_table((StieltjesMeasure.zero(grid),), (jump,)))
-    assert _exact(_negated(row[4]) for row in rows) == _exact(sets)
+    # the sweep rows of the kernel as m1: one tuple of negated points per
+    # cell, () where a cell has none; b11 atoms of -100 at its atom nodes
+    # keep every atom load admissible
+    b11 = StieltjesMeasure(grid, np.zeros(grid.n_cells), [(grid.nodes[m], -100.0) for m, _ in at])
+    rows = _rows(dataclasses.replace(Environment.zero(grid), b11=b11, m1=jump))
+    assert _exact(_negated(row[9]) for row in rows) == _exact(sets)
     assert [k + 1 for k, row in enumerate(rows) if row[0] is not None] == [m for m, _ in at]
-    assert _exact(_negated(rows[m - 1][0][1]) for m, _ in at) == _exact(p for _, p in at)
+    assert _exact(_negated(rows[m - 1][0][6]) for m, _ in at) == _exact(p for _, p in at)
     _same_arrays(jump.on_refinement(grid.refine(factor), factor),
                  *_reference.refined_sets(sets, at, factor))
     for fn, scalar_fn in _FACTORS:
@@ -152,29 +162,30 @@ def test_cells_equal_but_for_the_sign_of_zero_stay_apart():
     grid = TimeGrid([0.0, 0.25, 0.5, 0.75, 1.0])
     sets = [((0.0, 1.0, 1.0),), ((-0.0, 1.0, 1.0),), ((-0.0, 1.0, 1.0),), ((-0.0, 1.0, 1.0),)]
     jump = JumpMeasure(grid, [DiscreteSpatialMeasure(p) for p in sets])
-    table = sweep_table((StieltjesMeasure.zero(grid),), (jump,))
-    assert _exact(_negated(row[4]) for row in _reference.expanded(*table)) == _exact(sets)
+    env = dataclasses.replace(Environment.zero(grid), m1=jump)
+    assert _exact(_negated(row[9]) for row in _rows(env)) == _exact(sets)
     assert _exact(k.points for k in jump.cell_kernels) == _exact(sets)
-    assert _bounds(table) == [(0, 1), (1, 4)]
+    assert _bounds(env._table) == [(0, 1), (1, 4)]
     # densities too: cells 2 and 3 differ only in the sign of a zero density
-    density = StieltjesMeasure(grid, [0.0, 0.0, 0.0, -0.0])
-    table = sweep_table((density,), (jump,))
-    reference = _reference.compiled_rows(_reference.cell_table((density,), (jump,)), 1)
-    assert list(map(repr, _reference.expanded(*table))) == list(map(repr, reference))
-    assert _bounds(table) == [(0, 1), (1, 3), (3, 4)]
+    env = dataclasses.replace(env, b11=StieltjesMeasure(grid, [0.0, 0.0, 0.0, -0.0]))
+    reference = _reference.compiled_rows(_reference.sweep_table(env))
+    assert list(map(repr, _rows(env))) == list(map(repr, reference))
+    assert _bounds(env._table) == [(0, 1), (1, 3), (3, 4)]
 
 
 # small pools, so that equal cells recur; 0.0 and -0.0 are different cells
 _VALUE = st.sampled_from([0.0, -0.0, 0.5, -1.25])
+_NONNEGATIVE = st.sampled_from([0.0, -0.0, 0.5])
 _SET = st.sampled_from([(), ((0.0, 1.0, 1.0),), ((-0.0, 1.0, 1.0),),
                         ((0.5, 0.25, 2.0), (1.0, 0.0, 0.5))])
 
 
 @st.composite
-def _coefficients(draw):
-    """One to three scalar measures and up to two jump kernels on a grid of
-    one to twelve cells, equal (``uniform_grid``) or drawn widths, with
-    values from small pools and atoms at any nodes, node 1 and T among them."""
+def _environments(draw):
+    """An admissible environment on a grid of one to twelve cells, equal
+    (``uniform_grid``) or drawn widths: each coefficient zero or drawn per
+    cell from a small pool (signed values for b11 and b22), with atoms at
+    any nodes, node 1 and T among them, except on c1 and c2."""
     grid = draw(st.one_of(_grids(), st.integers(1, 12).map(lambda c: uniform_grid(cells=c))))
     cells = grid.n_cells
 
@@ -182,24 +193,30 @@ def _coefficients(draw):
         nodes = draw(st.lists(st.integers(1, cells), max_size=3, unique=True))
         return [(float(grid.nodes[m]), draw(values)) for m in nodes]
 
-    scalars = [StieltjesMeasure(grid, draw(st.lists(_VALUE, min_size=cells, max_size=cells)),
-                                atoms(_VALUE))
-               for _ in range(draw(st.integers(1, 3)))]
-    jumps = [JumpMeasure(grid, [DiscreteSpatialMeasure(draw(_SET)) for _ in range(cells)],
-                         [(t, DiscreteSpatialMeasure(p)) for t, p in atoms(_SET)])
-             for _ in range(draw(st.integers(0, 2)))]
-    return scalars, jumps
+    def measure(kind):
+        if kind == "jump":
+            return JumpMeasure(grid, [DiscreteSpatialMeasure(draw(_SET)) for _ in range(cells)],
+                               [(t, DiscreteSpatialMeasure(p)) for t, p in atoms(_SET)])
+        values = _VALUE if kind == "signed" else _NONNEGATIVE
+        return StieltjesMeasure(grid, draw(st.lists(values, min_size=cells, max_size=cells)),
+                                () if kind == "continuous" else atoms(values))
+
+    env = Environment(grid, *(measure(kind) if draw(st.booleans()) else
+                              (JumpMeasure if kind == "jump" else StieltjesMeasure).zero(grid)
+                              for _, kind in Environment._coefficients()))
+    assume(env.validation.ok)
+    return env
 
 
 @_SETTINGS
-@given(_coefficients())
-def test_sweep_runs_expand_to_per_cell_rows(case):
-    table = sweep_table(*case)
-    reference = _reference.compiled_rows(_reference.cell_table(*case), len(case[1]))
-    assert isinstance(table.runs, tuple) and isinstance(table.steps, tuple)
+@given(_environments())
+def test_sweep_runs_expand_to_per_cell_rows(env):
+    table = env._table
+    reference = _reference.compiled_rows(_reference.sweep_table(env))
+    assert all(isinstance(part, tuple) for part in table)
     # repr keeps the sign of zero and round-trips every finite float, so
     # equal reprs are rows equal bit for bit
-    assert list(map(repr, _reference.expanded(*table))) == list(map(repr, reference))
+    assert list(map(repr, _rows(env))) == list(map(repr, reference))
     bounds = _bounds(table)
     assert [b for _, b in bounds] == [a for a, _ in bounds[1:]] + [len(reference)]
     assert bounds[0][0] == 0 and all(a < b for a, b in bounds)

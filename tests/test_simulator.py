@@ -407,7 +407,7 @@ class TestFlowRounding:
              ((-0.7728309305456271, -3791.9573920304515), (1.0, 1e8))]
 
     def test_expm2_rounds_below_zero(self):
-        assert _expm2(-0.7728309305456271, 0.0, 0.0, -3791.9573920304515)[3] < 0.0
+        assert _expm2(-0.7728309305456271, 0.0, 0.0, -3791.9573920304515, 1.0)[3] < 0.0
 
     @pytest.mark.parametrize("rates, x0", CASES)
     def test_rounding_is_clamped(self, rates, x0):
@@ -427,7 +427,7 @@ class TestExpm2:
     def test_stiff_matrix(self):
         # cosh(800) overflows, yet every entry of exp(M) is 0.5
         m = np.array([[-800.0, 800.0], [800.0, -800.0]])
-        got = np.array(_expm2(-800.0, 800.0, 800.0, -800.0)).reshape(2, 2)
+        got = np.array(_expm2(-800.0, 800.0, 800.0, -800.0, 1.0)).reshape(2, 2)
         assert np.allclose(got, linalg.expm(m), rtol=1e-13, atol=0.0)
 
     def test_matches_scipy(self):
@@ -440,7 +440,7 @@ class TestExpm2:
             m = rng.uniform(-1.0, 1.0, (2, 2)) * 10.0 ** rng.uniform(-9.0, 0.0)
             m[0, 1], m[1, 0] = abs(m[0, 1]), abs(m[1, 0])
             ref = linalg.expm(m)
-            got = np.array(_expm2(m[0, 0], m[0, 1], m[1, 0], m[1, 1])).reshape(2, 2)
+            got = np.array(_expm2(m[0, 0], m[0, 1], m[1, 0], m[1, 1], 1.0)).reshape(2, 2)
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 

@@ -1,10 +1,13 @@
 """Backward solvers: general sweep, Picard iteration, h-transform, bounds."""
 import json
+import logging
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 
 from cbve import (
@@ -30,8 +33,10 @@ from cbve import (
     special_to_general,
 )
 from cbve.cli import main
-from cbve.compiled import _decay_rates
+from cbve.compiled import _decay_rates, _steps
 from cbve.errors import ConvergenceError, DiscretizationError, NumericalError
+from cbve import solver
+from cbve.solver import _leg
 
 from _instances import (
     bottleneck_environment,
@@ -252,8 +257,101 @@ class TestStiffDecayRefused:
         # b11 per run 15.1, 15.3 and 16 on 1/8 cells: h * mu 1.8875, 1.9125, 2
         grid = uniform_grid(cells=8)
         env = make_env(grid, b11=StieltjesMeasure(grid, [15.1] * 3 + [15.3] * 3 + [16.0] * 2))
-        assert env._stiff_runs == ((3, 6, 15.3), (6, 8, 16.0))
-        assert make_env(grid)._stiff_runs == ()
+        assert env._table.stiff == ((3, 6, 15.3), (6, 8, 16.0))
+        assert make_env(grid)._table.stiff == ()
+
+    @staticmethod
+    def _stiff_models():
+        """The stiff models above: the pure-decay form, the moment form on
+        4 and 128 cells, b11 = 20 or 40 on the last cells of 8, the uneven
+        grid, the runs near the limit; and b11 = 30 beside a cross coupling
+        on an uneven grid."""
+        decay = TestStiffDecayRefused._decay_sf
+        grid8, uneven = uniform_grid(cells=8), TimeGrid([0.0, 0.1, 0.2, 0.5, 0.55, 1.0])
+        models = [special_to_general(decay(1, -0.7728309305456271, -3791.9573920304515))]
+        models += [special_to_general(decay(4, -800.0, mu1=[(0.0, 1.0, 1.0)]).refined(f))
+                   for f in (1, 32)]
+        models += [make_env(grid8, b11=StieltjesMeasure.from_segments(
+            grid8, [(0.0, cut, 0.5), (cut, 1.0, b)])) for cut, b in ((0.625, 20.0), (0.75, 40.0))]
+        grid = TimeGrid([0.0, 0.1, 0.2, 0.5])
+        models.append(make_env(grid, b11=StieltjesMeasure(grid, np.full(3, 15.0))))
+        models.append(make_env(grid8, b11=StieltjesMeasure(
+            grid8, [15.1] * 3 + [15.3] * 3 + [16.0] * 2)))
+        b11 = StieltjesMeasure(uneven, [30.0, 30.0, 1.0, 30.0, 30.0])
+        models.append(make_env(uneven, b11=b11, b12=StieltjesMeasure(uneven, np.full(5, 4.0)),
+                               b21=StieltjesMeasure(uneven, [2.0, 2.0, 2.0, 0.0, 0.0])))
+        return models
+
+    @staticmethod
+    def _listed(env) -> tuple:
+        """(lo, hi, mu) of each run of ``env``'s sweep whose widest cell has
+        h * mu > 1.9, mu the decay rate of the run's densities, run by run."""
+        bb12, bb21 = env._cross_drifts
+        out = []
+        for lo, hi, _, _ in env._table.runs:
+            mu = float(_decay_rates(*(m.density[lo] for m in (env.b11, env.b22, bb12, bb21))))
+            if max(env.grid.widths[lo:hi].tolist()) * mu > 1.9:
+                out.append((lo, hi, mu))
+        return tuple(out)
+
+    @staticmethod
+    def _check_legs(env, lo, hi):
+        """``_leg`` over cells lo..hi-1, on the model's grid and refined 2
+        ways, names the first cell whose own decay rate times any of its
+        widths exceeds 2, and otherwise does not refuse a stiff cell."""
+        bb12, bb21 = env._cross_drifts
+        mu = _decay_rates(env.b11.density, env.b22.density, bb12.density, bb21.density)
+        fine = _steps(env.grid.refine(2).widths[2 * lo : 2 * hi])
+        for f, steps in ((1, env._table.steps[lo:hi]), (2, fine)):
+            first = next(((lo + j // f, h * mu[lo + j // f]) for j, (h, _) in enumerate(steps)
+                          if h * mu[lo + j // f] > 2.0), None)
+            if first is None:
+                try:
+                    _leg(env, lo, hi, f, steps, (1.0, 1.0))
+                except (DiscretizationError, NumericalError) as exc:
+                    assert "stiff decay" not in str(exc)
+            else:
+                message = "stiff decay on cell {}: h * mu = {:.3g} > 2".format(*first)
+                with pytest.raises(DiscretizationError, match=re.escape(message)):
+                    _leg(env, lo, hi, f, steps, (1.0, 1.0))
+
+    def test_stiff_runs_of_hand_built_models(self):
+        for env in self._stiff_models():
+            assert repr(env._table.stiff) == repr(self._listed(env)) != "()"
+            n = env.grid.n_cells
+            windows = ([(lo, hi) for hi in range(n + 1) for lo in range(hi + 1)] if n <= 8
+                       else [(0, n), (n // 4, n // 2), (n // 2, n), (n - 1, n)])
+            for lo, hi in windows:
+                self._check_legs(env, lo, hi)
+
+    @settings(max_examples=60)
+    @given(st.integers(0, 2**32 - 1), st.integers(4, 16), st.sampled_from([1.0, 20.0, 60.0]),
+           st.data())
+    def test_stiff_runs_of_random_models(self, seed, cells, T, data):
+        env = random_environment(np.random.default_rng(seed), cells=cells, T=T)
+        assert repr(env._table.stiff) == repr(self._listed(env))
+        lo = data.draw(st.integers(0, cells))
+        for window in ((0, cells), (lo, data.draw(st.integers(lo, cells)))):
+            self._check_legs(env, *window)
+
+
+def test_each_loop_build_logs_one_debug_line(monkeypatch, caplog):
+    monkeypatch.setattr(solver, "_LOOPS", {})
+    env = random_environment(np.random.default_rng(8), cells=60)
+    signatures = {(len(row[6]), len(row[7])) for *_, row in env._table.runs}
+    with caplog.at_level(logging.DEBUG, logger="cbve.solver"):
+        for lam in ((1.0, 1.0), (0.5, 2.0)):
+            solve_general(env, 1.0, lam)
+            check_flow(env, 0.25, 0.5, 1.0, lam)
+    built = []
+    for record in caplog.records:
+        assert (record.name, record.levelno) == ("cbve.solver", logging.DEBUG)
+        match = re.fullmatch(r"sweep loop \((\d+), (\d+)\): (\d+) lines, [0-9.]+ ms",
+                             record.getMessage())
+        signature = int(match[1]), int(match[2])
+        assert int(match[3]) == solver._loop_source(*signature).count("\n")
+        built.append(signature)
+    assert sorted(built) == sorted(signatures)
 
 
 class TestSolvePicard:
