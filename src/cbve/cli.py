@@ -19,8 +19,9 @@ Exit codes: 0 success, 2 configuration error, 3 admissibility failure,
 overflow, invalid operation or division by zero in a numerical layer),
 5 verification failure.  ``CBVE_LOG=debug`` or ``info`` sends the
 ``cbve`` loggers' records at that level to stderr; at debug,
-:mod:`cbve.compiled` logs one line per sweep table and per table of mean
-steps it builds, and :mod:`cbve.solver` one per sweep loop it generates.
+:mod:`cbve.compiled` logs one line per table it builds (sweep table,
+mean steps, Picard table, simulator table), and :mod:`cbve.solver` one
+per sweep loop it generates.
 """
 from __future__ import annotations
 

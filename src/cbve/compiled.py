@@ -20,11 +20,14 @@ per-cell drift matrices, thinning windows and inverse-CDF kernel tables,
 the stretches of cells with equal coefficients, and per-atom-node jump
 matrices and atom kernel tables.
 
-Each builder takes the model it compiles, an environment or a special
-form of :mod:`cbve.environment`, which caches the table on first use; this
-module reads models by attribute only and does not import them.  Tables
-are read-only, so a cached table cannot drift from its model; each holds
-only lam-free arithmetic, which a warm solve does not redo.
+Runs and stretches of equal cells are found by
+:func:`cbve.measures._run_starts`, the one comparison of neighbouring
+cells.  Each builder takes the model it compiles, an environment or a
+special form of :mod:`cbve.environment`, which caches the table on first
+use, and logs one debug line per build; this module reads models by
+attribute only and does not import them.  Tables are read-only, so a
+cached table cannot drift from its model; each holds only lam-free
+arithmetic, which a warm solve does not redo.
 """
 from __future__ import annotations
 
@@ -35,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .measures import _point_runs, _point_sets
+from .measures import _point_runs, _point_sets, _run_starts
 
 __all__ = ["mean_steps", "picard_table", "sim_table", "sweep_table"]
 
@@ -57,13 +60,13 @@ def sweep_table(env) -> SweepTable:
     the runs that may be too stiff for their widths.
 
     A run ``(lo, hi, atom, row)`` covers cells lo..hi-1, whose densities
-    are equal bit for bit (so 0.0 and -0.0 differ), and so are their
-    kernel point sets.  ``row`` holds them once: the densities of b11,
-    b22, the effective cross drifts bb12, bb21 and c1, c2, then the points
-    of m1 and m2, a point as ``(-z1, -z2, w)`` (see
-    :func:`cbve.solver._sweep`).  ``atom`` belongs to node hi, whose atom
-    the sweep steps just before cell hi - 1: None where no coefficient has
-    a time atom there, else the same eight entries with atom masses and
+    are equal bit for bit (so 0.0 and -0.0 differ), and so are their kernel
+    point sets (:func:`cbve.measures._run_starts`).  ``row`` holds them
+    once: the densities of b11, b22, the effective cross drifts bb12, bb21
+    and c1, c2, then the points of m1 and m2, a point as ``(-z1, -z2, w)``
+    (see :func:`cbve.solver._sweep`).  ``atom`` belongs to node hi, whose
+    atom the sweep steps just before cell hi - 1: None where no coefficient
+    has a time atom there, else the same eight entries with atom masses and
     atom points, 0.0 and () where one has none.  A run ends where any
     coefficient changes, at every atom and at the last node.  ``steps``
     holds :func:`_steps` of the cell widths.  ``stiff`` holds ``(lo, hi,
@@ -85,10 +88,7 @@ def sweep_table(env) -> SweepTable:
     kernels = [_point_runs(jump.cell_points * _NEG) for jump in jumps]
     ends = np.zeros(n + 1, dtype=bool)  # does a run end at the node
     ends[[*atoms, n]] = True
-    for meas in scalars:
-        bits = meas.density.view(np.int64)
-        ends[1:n] |= bits[1:] != bits[:-1]
-    for starts, _ in kernels:
+    for starts in (_run_starts(*(meas.density for meas in scalars)), *(s for s, _ in kernels)):
         ends[starts[1:]] = True
     hi = np.flatnonzero(ends)
     lo = np.append(0, hi[:-1])
@@ -191,6 +191,7 @@ def picard_table(sf):
     Exponentials that overflow are left as inf without a warning; the
     solver checks the exponents it uses.
     """
+    start = perf_counter()
     grid = sf.grid
     mu = (sf.mu1, sf.mu2)
     cross = (sf.gamma12, sf.gamma21)
@@ -212,7 +213,7 @@ def picard_table(sf):
     dens = np.stack([g.density for g in cross])
     exp = np.exp
     with np.errstate(over="ignore", invalid="ignore"):
-        return _frozen(PicardTable(
+        table = _frozen(PicardTable(
             widths=grid.widths,
             aL=dens * exp(ZL - ZL[::-1]),
             aR=dens * exp(ZR - ZR[::-1]),
@@ -224,6 +225,9 @@ def picard_table(sf):
             Z=Z,
             F=exp(-Z),
         ))
+    _log.debug("picard table: %d cells, %d atom nodes, %.3f ms",
+               grid.n_cells, nodes.size, 1e3 * (perf_counter() - start))
+    return table
 
 
 def _expm2(m11, m12, m21, m22, dt):
@@ -355,12 +359,14 @@ def sim_table(sf):
     cross drifts being nondecreasing, so its flow keeps the state
     nonnegative), from which the simulator derives its thinning rates.
     ``kernels`` holds one :func:`_sampler` table per jump type.  A stretch
-    is a run of cells with equal drift and kernels and no atom inside:
-    ``ends`` holds the node at which each stretch ends, ascending, the last
-    one the final node.  ``atom_slot`` maps a node to its column in ``A``
-    (the deterministic jump matrix, entries as in ``G``) and
-    ``atom_kernels``, or -1 where the node carries no atom.
+    is a run of cells whose drift and kernels are equal in value (0.0 and
+    -0.0 alike), with no atom inside: ``ends`` holds the node at which each
+    stretch ends, ascending, the last one the final node.  ``atom_slot``
+    maps a node to its column in ``A`` (the deterministic jump matrix,
+    entries as in ``G``) and ``atom_kernels``, or -1 where the node
+    carries no atom.
     """
+    start = perf_counter()
     g11, g22, g12, g21 = (g.density for g in (sf.gamma11, sf.gamma22, sf.gamma12, sf.gamma21))
     G = np.stack((g11, g21, g12, g22))
     mu = (sf.mu1, sf.mu2)
@@ -372,14 +378,15 @@ def sim_table(sf):
     a11, a22, a12, a21 = (m[nodes] for m in masses)
     atom_points = _stacked([k.atom_points for k in mu], [atom_slot[k.atom_nodes] for k in mu],
                            nodes.size)
-    # does the stretch of the cell before each interior node go on past it
-    joins = np.all(G[:, 1:] == G[:, :-1], axis=0) & (atom_slot[1:-1] < 0)
-    for k in mu:
-        joins &= np.all(k.cell_points[:, :, 1:] == k.cell_points[:, :, :-1], axis=(0, 1))
-    return _frozen(SimTable(
+    # -0.0 + 0.0 is 0.0: a stretch joins cells equal in value, which a path steps alike
+    starts = _run_starts(G + 0.0, *(k.cell_points + 0.0 for k in mu))
+    table = _frozen(SimTable(
         nodes=sf.grid.nodes, G=G,
         kernels=tuple(_sampler(k.cell_points) for k in mu),
-        ends=np.append(np.flatnonzero(~joins) + 1, G.shape[1]),
+        ends=np.union1d(starts[1:], [*nodes.tolist(), G.shape[1]]),
         atom_slot=atom_slot, A=np.stack((1.0 + a11, a21, a12, 1.0 + a22)),
         atom_kernels=tuple(_sampler(p) for p in atom_points),
     ))
+    _log.debug("sim table: %d cells, %d stretches, %.3f ms",
+               G.shape[1], table.ends.size, 1e3 * (perf_counter() - start))
+    return table

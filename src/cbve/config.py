@@ -21,7 +21,7 @@ import numpy as np
 
 from .environment import Environment, SpecialForm
 from .errors import ConfigError
-from .measures import _NODE_TOL, JumpMeasure, StieltjesMeasure, TimeGrid
+from .measures import _NODE_TOL, JumpMeasure, StieltjesMeasure, TimeGrid, _point_runs, _run_starts
 
 __all__ = ["RunConfig", "parse_config", "load_config", "emit_config"]
 
@@ -190,24 +190,19 @@ def load_config(path) -> RunConfig:
     return parse_config(data)
 
 
-def _emit(meas, jump: bool) -> dict | None:
-    """Config section of one coefficient, None when it is zero; runs of
-    cells with bitwise equal values become one segment, left out where the
-    value is +0.0 or holds no points."""
-    nodes = meas.grid.nodes
+def _emit(meas, jump: bool, nodes: list) -> dict | None:
+    """Config section of one coefficient on grid ``nodes``, None if zero:
+    a segment per run of bitwise equal cells, left out where the value is
+    +0.0 or holds no points."""
     if jump:
-        cells = [[list(p) for p in kern.points] for kern in meas.cell_kernels]
+        starts, sets = _point_runs(meas.cell_points)
+        values = [[list(p) for p in pts] for pts in sets]
         atoms = [[t, [list(p) for p in spatial.points]] for t, spatial in meas.time_atoms]
     else:
-        cells, atoms = meas.density.tolist(), [list(atom) for atom in meas.atoms]
-    keys = list(map(repr, cells))  # bitwise: 0.0 and -0.0 differ
-    segments = []
-    start = 0
-    for k in range(1, len(cells) + 1):
-        if k == len(cells) or keys[k] != keys[start]:
-            if keys[start] not in ("0.0", "[]"):
-                segments.append([float(nodes[start]), float(nodes[k]), cells[start]])
-            start = k
+        starts = _run_starts(meas.density).tolist()
+        values, atoms = meas.density[starts].tolist(), [list(atom) for atom in meas.atoms]
+    segments = [[nodes[a], nodes[b], v] for a, b, v in zip(starts, [*starts[1:], -1], values)
+                if repr(v) not in ("0.0", "[]")]  # bitwise: -0.0 is kept
     (cell_part, _), (atom_part, _) = _PARTS["jump" if jump else "scalar"]
     out = {part: entries for part, entries in ((cell_part, segments), (atom_part, atoms))
            if entries}
@@ -219,10 +214,10 @@ def emit_config(model) -> dict:
     kinds = [k for k, cls in _MODELS.items() if isinstance(model, cls)]
     if not kinds:
         raise TypeError("expected an Environment or SpecialForm")
-    out: dict = {"kind": kinds[0], "horizon": float(model.horizon),
-                 "grid_nodes": [float(v) for v in model.grid.nodes]}
+    nodes = model.grid.nodes.tolist()
+    out: dict = {"kind": kinds[0], "horizon": float(model.horizon), "grid_nodes": nodes}
     for key, kind in model._coefficients():
-        emitted = _emit(getattr(model, key), kind == "jump")
+        emitted = _emit(getattr(model, key), kind == "jump", nodes)
         if emitted:
             out[key] = emitted
     return out

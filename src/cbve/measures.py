@@ -12,6 +12,9 @@ Integrals over an interval (r, t] treat atoms exactly, added in time order,
 and apply a per-cell endpoint rule ("right" or "trapezoid") to the density
 part, so all discretization error sits in the integrand, not the measure.
 Every type here is immutable after construction and safe to share.
+Cells whose values are equal bit for bit form runs, found only by
+:func:`_run_starts`: a kernel's views, the compiled tables and canonical
+emission read the runs, so a model of a few segments costs a few runs.
 """
 from __future__ import annotations
 
@@ -350,16 +353,26 @@ def _packed(points: np.ndarray, keep: np.ndarray) -> np.ndarray:
     return out
 
 
+def _run_starts(*arrays) -> np.ndarray:
+    """The first cell of each run of cells (on the last axis) whose sets are
+    equal bit for bit, 0.0 and -0.0 differing, in all ``arrays``, ascending."""
+    change = np.zeros(arrays[0].shape[-1], dtype=bool)
+    change[:1] = True
+    for arr in arrays:
+        bits = arr.view(np.int64)
+        ne = bits[..., 1:] != bits[..., :-1]
+        if ne.ndim > 1:
+            ne = np.logical_or.reduce(ne, axis=tuple(range(ne.ndim - 1)))
+        change[1:] |= ne
+    return change.nonzero()[0]
+
+
 def _point_runs(points: np.ndarray, make=tuple) -> tuple:
-    """The first set of each run of bitwise equal sets of padded ``points``,
-    ascending (none if there are no sets), and ``make`` of the tuple of its
-    (z1, z2, weight) points, the slots of positive weight: one object per
-    bit pattern."""
-    bits = np.ascontiguousarray(points).view(np.int64)
-    change = (bits[:, :, 1:] != bits[:, :, :-1]).any(axis=(0, 1))
-    starts = [0, *(np.flatnonzero(change) + 1).tolist()][: points.shape[2]]
+    """:func:`_run_starts` of padded ``points``, and ``make`` of the tuple of
+    each run's (z1, z2, weight) points of positive weight, one per bit pattern."""
+    starts = _run_starts(points).tolist()
     made = {}
-    return starts, [made.setdefault(bits[:, :, a].tobytes(), make(
+    return starts, [made.setdefault(points[:, :, a].tobytes(), make(
         tuple(p for p in zip(*points[:, :, a].tolist()) if p[2] > 0.0))) for a in starts]
 
 
@@ -367,8 +380,8 @@ def _point_sets(points: np.ndarray, make=tuple) -> list:
     """:func:`_point_runs`' set of each set of padded ``points``, shared
     along its run."""
     starts, sets = _point_runs(points, make)
-    runs = np.repeat(np.arange(len(sets)), np.diff([*starts, points.shape[2]]))
-    return [sets[i] for i in runs.tolist()]
+    ends = [*starts[1:], points.shape[2]]
+    return [s for s, a, b in zip(sets, starts, ends) for _ in range(b - a)]
 
 
 def _slot_sums(fn, points: np.ndarray) -> np.ndarray:
@@ -428,7 +441,12 @@ class JumpMeasure:
     def from_segments(cls, grid, segments=(), atoms=()):
         """Build from [(t0, t1, points), ...] plus [(t, points), ...] atoms;
         a later segment replaces an earlier one on the cells they share."""
-        spans = [(grid.index_of(t0), grid.index_of(t1), pts) for t0, t1, pts in segments]
+        spans = []
+        for t0, t1, pts in segments:
+            i0, i1 = grid.index_of(t0), grid.index_of(t1)
+            if i1 < i0:
+                raise ValueError(f"empty kernel segment [{t0}, {t1})")
+            spans.append((i0, i1, pts))
         return cls._of(grid, *_arrays(grid, spans, atoms))
 
     @cached_property

@@ -7,12 +7,14 @@ Usage::
 ``SRC_A`` and ``SRC_B`` are directories that hold a ``cbve`` package, e.g.
 two checkouts' ``src``.  Each is imported under a name of its own, so both
 live in this process, and each builds its own copy of every model from the
-same config.  Per model, three calls are first run once on each side, so
+same config.  Per model, four calls are first run once on each side, so
 compiled tables and sweep loops are built, and then timed ``CALLS`` times
 (default 21) in alternation, A then B: ``solve_general`` over the whole
-horizon, ``check_flow`` at r = T/4, s = T/2, t = T (lambda = (1, 1)), and
+horizon, ``check_flow`` at r = T/4, s = T/2, t = T (lambda = (1, 1)),
 ``sweep_table``, the build of the model's sweep table (``_table``) on a
-fresh copy of the model whose cross drifts are built outside the timer.
+fresh copy of the model whose cross drifts are built outside the timer,
+and ``emit_config`` of the model (views its kernels cache on first use
+are built in the untimed first call).
 A line holds the model, the call, the median ms of A and of B, their
 ratio B / A and the number of calls in which B was faster.
 
@@ -100,7 +102,8 @@ def _calls(pkg, env):
 
     return {"solve_general": lambda: partial(pkg.solve_general, env, t, (1.0, 1.0)),
             "check_flow": lambda: partial(pkg.check_flow, env, r, s, t, (1.0, 1.0)),
-            "sweep_table": table}
+            "sweep_table": table,
+            "emit_config": lambda: partial(pkg.emit_config, env)}
 
 
 def main(argv) -> int:

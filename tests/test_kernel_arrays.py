@@ -23,8 +23,14 @@ the left one ends at an atom, and steps equal bit for bit must be one
 object.  On 20,000 uniform cells with three density segments the table
 holds at most 100 runs and keeps under 1 MB alive, and the 8-way refined
 window of its last half makes no row object; the per-cell table held
-20,000 rows and 5.7 MB.  A table build, the sweep's or the mean system's,
-logs one debug line, and nothing by default.
+20,000 rows and 5.7 MB.  Every compiled table build (sweep, mean steps,
+Picard, simulator) logs one debug line, and nothing by default.
+
+Runs are found by ``measures._run_starts`` alone: over drawn 1-D and
+padded arrays (no cells, one cell, K of 0 to 2, 0.0 and -0.0) it must
+give the cells whose bytes differ from their left neighbour's in some
+array.  The simulator's stretches join cells equal in value, so the sign
+of a zero does not split them, where the sweep's runs do.
 
 Every bad point still raises its ``ValueError``, whichever way it enters
 a kernel, and every array a kernel stores or hands out is read-only, as is
@@ -38,7 +44,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import _reference
 from cbve import (
@@ -55,6 +61,7 @@ from cbve import (
     solve_special_picard,
 )
 from cbve.compiled import _steps
+from cbve.measures import _run_starts
 from cbve.solver import _window
 
 from _instances import (
@@ -173,6 +180,46 @@ def test_cells_equal_but_for_the_sign_of_zero_stay_apart():
     assert _bounds(env._table) == [(0, 1), (1, 3), (3, 4)]
 
 
+def test_simulator_stretches_join_cells_equal_in_value():
+    # the sweep keeps cells that differ only in the sign of a zero apart (its
+    # general form's b11 sums to 0.0 on every cell, its kernel keeps the
+    # signs), but a path steps them alike, so one stretch covers all four
+    grid = uniform_grid(cells=4)
+    neg, pos = (DiscreteSpatialMeasure(((z1, 1.0, 0.5),)) for z1 in (-0.0, 0.0))
+    sf = make_sf(grid, g11=StieltjesMeasure(grid, [0.0, -0.0, 0.0, -0.0]),
+                 mu1=JumpMeasure(grid, [neg, neg, pos, pos]))
+    assert sf._sim_table.ends.tolist() == [4]
+    assert _bounds(sf._general._table) == [(0, 2), (2, 4)]
+
+
+@st.composite
+def _cell_arrays(draw):
+    """One to three arrays over the same 0 to 6 cells, each 1-D or padded
+    ``(3, K, cells)`` (K from 0 to 2, C or Fortran order), of values from a
+    pool holding 0.0 and -0.0."""
+    cells = draw(st.integers(0, 6))
+    arrays = []
+    for lead in draw(st.lists(st.sampled_from([(), (3, 0), (3, 1), (3, 2)]),
+                              min_size=1, max_size=3)):
+        size = math.prod(lead) * cells
+        values = draw(st.lists(st.sampled_from([0.0, -0.0, 1.5]), min_size=size, max_size=size))
+        arr = np.array(values).reshape(*lead, cells)
+        arrays.append(np.asfortranarray(arr) if draw(st.booleans()) else arr)
+    return arrays
+
+
+@_SETTINGS
+@given(_cell_arrays())
+@example([np.zeros(0)])
+@example([np.zeros((3, 2, 1)), np.array([-0.0])])
+def test_run_starts_match_a_per_cell_byte_comparison(arrays):
+    cells = arrays[0].shape[-1]
+    changed = [any(a[..., k].tobytes() != a[..., k - 1].tobytes() for a in arrays)
+               for k in range(1, cells)]
+    want = [k for k in range(cells) if k == 0 or changed[k - 1]]
+    assert _run_starts(*arrays).tolist() == want
+
+
 # small pools, so that equal cells recur; 0.0 and -0.0 are different cells
 _VALUE = st.sampled_from([0.0, -0.0, 0.5, -1.25])
 _NONNEGATIVE = st.sampled_from([0.0, -0.0, 0.5])
@@ -269,6 +316,22 @@ def test_table_build_logs_one_debug_line(caplog):
     fresh = dataclasses.replace(env)
     fresh._table, fresh._mean_steps
     assert caplog.records == []
+
+
+def test_special_form_table_builds_log_one_debug_line(caplog):
+    sf = random_special_form(np.random.default_rng(4), cells=30)
+    with caplog.at_level(logging.DEBUG, logger="cbve.compiled"):
+        picard, sim = sf._picard_table, sf._sim_table
+        sf._picard_table, sf._sim_table  # cached: built and logged once
+    first, second = caplog.records
+    for record in (first, second):
+        assert (record.name, record.levelno) == ("cbve.compiled", logging.DEBUG)
+    match = re.fullmatch(r"picard table: 30 cells, (\d+) atom nodes, [0-9.]+ ms",
+                         first.getMessage())
+    assert match and int(match[1]) == picard.atom_nodes.size
+    match = re.fullmatch(r"sim table: 30 cells, (\d+) stretches, [0-9.]+ ms",
+                         second.getMessage())
+    assert match and int(match[1]) == sim.ends.size
 
 
 @st.composite

@@ -291,3 +291,12 @@ class TestJumpMeasure:
         assert fine.moment_measure(lambda z1, z2: z1 + z2).cumulative(1.0) == (
             pytest.approx(jump.moment_measure(lambda z1, z2: z1 + z2).cumulative(1.0))
         )
+
+    def test_reversed_kernel_segment_is_refused(self):
+        # as StieltjesMeasure.from_segments refuses a reversed density segment
+        grid = uniform_grid(cells=4)
+        with pytest.raises(ValueError, match=r"^empty kernel segment \[0\.75, 0\.25\)$"):
+            JumpMeasure.from_segments(grid, [(0.75, 0.25, ((1.0, 0.0, 1.0),))])
+        # an empty segment (t0 == t1) fills no cell and stays accepted
+        jump = JumpMeasure.from_segments(grid, [(0.25, 0.25, ((1.0, 0.0, 1.0),))])
+        assert jump.cell_points.shape == (3, 0, 4)
