@@ -27,7 +27,10 @@ special form of :mod:`cbve.environment`, which caches the table on first
 use, and logs one debug line per build; this module reads models by
 attribute only and does not import them.  Tables are read-only, so a
 cached table cannot drift from its model; each holds only lam-free
-arithmetic, which a warm solve does not redo.
+arithmetic, which a warm solve does not redo.  A build keeps its scratch
+small: the sweep table reads kernel points as stored, negating them only
+in the rows it makes, and the mean steps are built a block of cells at a
+time, into their result.
 """
 from __future__ import annotations
 
@@ -44,7 +47,8 @@ __all__ = ["mean_steps", "picard_table", "sim_table", "sweep_table"]
 
 _log = logging.getLogger(__name__)
 
-_NEG = np.array((-1.0, -1.0, 1.0))[:, None, None]  # (3, K, sets) points to (-z1, -z2, w)
+#: cells per block of the mean steps' build, whose scratch is a few blocks
+_BLOCK = 4096
 
 
 class SweepTable(NamedTuple):
@@ -64,7 +68,8 @@ def sweep_table(env) -> SweepTable:
     point sets (:func:`cbve.measures._run_starts`).  ``row`` holds them
     once: the densities of b11, b22, the effective cross drifts bb12, bb21
     and c1, c2, then the points of m1 and m2, a point as ``(-z1, -z2, w)``
-    (see :func:`cbve.solver._sweep`).  ``atom`` belongs to node hi, whose
+    (see :func:`cbve.solver._sweep`), negated as the row is made
+    (:func:`_negated`).  ``atom`` belongs to node hi, whose
     atom the sweep steps just before cell hi - 1: None where no coefficient
     has a time atom there, else the same eight entries with atom masses and
     atom points, 0.0 and () where one has none.  A run ends where any
@@ -81,11 +86,11 @@ def sweep_table(env) -> SweepTable:
     scalars = (env.b11, env.b22, *env._cross_drifts, env.c1, env.c2)
     jumps = (env.m1, env.m2)
     masses = [meas.node_atom_masses for meas in scalars]
-    points = [dict(zip(jump.atom_nodes.tolist(), _point_sets(jump.atom_points * _NEG)))
+    points = [dict(zip(jump.atom_nodes.tolist(), _point_sets(jump.atom_points, _negated)))
               for jump in jumps]
     atoms = {m: (*(float(mass[m]) for mass in masses), *(pts.get(m, ()) for pts in points))
              for m in set().union(*points, *(np.flatnonzero(mass).tolist() for mass in masses))}
-    kernels = [_point_runs(jump.cell_points * _NEG) for jump in jumps]
+    kernels = [_point_runs(jump.cell_points, _negated) for jump in jumps]
     ends = np.zeros(n + 1, dtype=bool)  # does a run end at the node
     ends[[*atoms, n]] = True
     for starts in (_run_starts(*(meas.density for meas in scalars)), *(s for s, _ in kernels)):
@@ -105,6 +110,12 @@ def sweep_table(env) -> SweepTable:
     _log.debug("sweep table: %d cells, %d runs, %.3f ms",
                n, len(table.runs), 1e3 * (perf_counter() - start))
     return table
+
+
+def _negated(points) -> tuple:
+    """``(-z1, -z2, w)`` of each point: negation maps bit patterns one to
+    one, so the stored points have the runs of the negated ones."""
+    return tuple((-z1, -z2, w) for z1, z2, w in points)
 
 
 def _decay_rates(b11, b22, bb12, bb21) -> np.ndarray:
@@ -309,14 +320,21 @@ def mean_steps(env) -> np.ndarray:
     """Read-only ``(2, 2, cells)`` stack of ``P(k) - I``: ``P(k) = exp(hA(k)) (I -
     J(k+1))`` steps the mean system of ``env`` (drifts b11, b22 and effective cross
     drifts bb12, bb21, nondecreasing, so hA is Metzler) back over node k + 1's atom J,
-    then cell k.  Elementwise over cells, so a stack's prefix is, bit for bit, its cells'."""
+    then cell k.  Elementwise over cells, so a stack's prefix is, bit for bit, its
+    cells', and the stack is built :data:`_BLOCK` cells at a time into the result,
+    with scratch that does not grow with the grid."""
     start = perf_counter()
     b11, b22 = env.b11, env.b22
     bb12, bb21 = env._cross_drifts
-    hA = np.array(((-b11.density, bb12.density), (bb21.density, -b22.density))) * env.grid.widths
-    a11, ab12, ab21, a22 = (meas.node_atom_masses[1:] for meas in (b11, bb12, bb21, b22))
+    widths = env.grid.widths
+    steps = np.empty((2, 2, widths.size))
     with np.errstate(over="ignore", invalid="ignore"):
-        steps = _compose(_expm1_cells(hA), np.array(((-a11, ab12), (ab21, -a22))))
+        for lo in range(0, widths.size, _BLOCK):
+            k = slice(lo, lo + _BLOCK)
+            (d11, a11), (d12, a12), (d21, a21), (d22, a22) = (
+                (meas.density[k], meas.node_atom_masses[1:][k]) for meas in (b11, bb12, bb21, b22))
+            hA = np.array(((-d11, d12), (d21, -d22))) * widths[k]
+            steps[:, :, k] = _compose(_expm1_cells(hA), np.array(((-a11, a12), (a21, -a22))))
     steps.setflags(write=False)
     _log.debug("mean steps: %d cells, %.3f ms", steps.shape[2], 1e3 * (perf_counter() - start))
     return steps

@@ -8,7 +8,8 @@ parameterization (``gamma_ii``, ``gamma_ij``, ``mu_i``) that the Picard solver
 and the exact simulator consume.  Both are frozen dataclasses whose fields
 declare each measure's kind; the shared checks, ``zero``, ``refined`` and the
 config format all follow those declarations.  Each model caches the compiled
-tables of :mod:`cbve.compiled` that its solvers use, each built from the model.
+tables of :mod:`cbve.compiled` that its solvers use, each built from the model,
+and no more: no kernel caches what a model derives from it.
 
 This module also provides admissibility validation, bottleneck detection,
 the mean cross-drift measures, the conversion from special to general
@@ -197,7 +198,9 @@ class SpecialForm(_Model):
 
     Diagonal drifts may be signed but every atom must satisfy
     ``delta gamma_ii > -1``; cross drifts are nondecreasing; the
-    (z1 + z2)-mass of each jump kernel is finite by construction.
+    (z1 + z2)-mass of each jump kernel is finite by construction.  A form
+    also caches its kernels' four coordinate moments, which every Picard
+    solve reads; an environment keeps only its cross drifts.
     """
 
     gamma11: StieltjesMeasure = _coefficient()
@@ -226,6 +229,12 @@ class SpecialForm(_Model):
 
     def mu_jump(self, i: int) -> JumpMeasure:
         return _of_type(i, self.mu1, self.mu2)
+
+    @cached_property
+    def _moments(self) -> tuple:
+        """``_moments[i - 1][j - 1]``: mu_i's :meth:`JumpMeasure.coordinate_moment`
+        j, built once; held here, as the general form shares the kernels."""
+        return tuple(tuple(mu.coordinate_moment(j) for j in (1, 2)) for mu in (self.mu1, self.mu2))
 
     @cached_property
     def _picard_table(self):
@@ -331,7 +340,7 @@ def special_to_general(sf: SpecialForm) -> Environment:
     grid = sf.grid
 
     def diag(i: int) -> StieltjesMeasure:
-        own = sf.mu_jump(i).coordinate_moment(i)
+        own = sf._moments[i - 1][i - 1]
         return StieltjesMeasure.linear_combination(
             grid, [(-1.0, sf.gamma_diag(i)), (-1.0, own)]
         )

@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
 
 import numpy as np
 
@@ -317,29 +316,26 @@ def _check_points(pts: np.ndarray) -> None:
         _check_point(*pts[:, np.argmin(ok.all(axis=0))].tolist())
 
 
-def _filled(size: int, sets) -> np.ndarray:
-    """Padded ``(3, K, size)`` points of ``(i0, i1, points)`` sets: the
-    ``(n, 3)`` array ``points`` fills sets i0..i1-1, replacing what an earlier
-    set put there; K is the largest set left (the slots with a weight)."""
-    out = np.zeros((3, max((len(p) for *_, p in sets), default=0), size))
-    for i0, i1, points in sets:
-        out[:, : len(points), i0:i1] = points.T[:, :, None]
-        out[:, len(points) :, i0:i1] = 0.0
-    return np.ascontiguousarray(out[:, : np.count_nonzero(out[2].any(axis=1))])
-
-
-def _arrays(grid: TimeGrid, spans, atoms) -> tuple:
+def _arrays(grid: TimeGrid, sets, owner: np.ndarray, atoms) -> tuple:
     """Cell points, atom points and atom nodes of the kernel with points
-    ``pts`` on each ``(i0, i1, pts)`` span of cells and ``(time, pts)`` atom
-    (a grid node in (0, T], used once), every point checked once."""
+    ``sets[owner[c]]`` on cell c (none where -1) and ``pts`` on each
+    ``(time, pts)`` atom (a grid node in (0, T], used once), every point
+    checked once.  Each set is padded once and each cell takes a copy of
+    its set's column, so the arrays hold values, not objects: equal sets
+    give equal bits however many objects held them."""
     atoms = _check_atoms(grid, atoms)
-    sets = spans + [(j, j + 1, pts) for j, (_, pts) in enumerate(atoms)]
-    flat = [p for *_, pts in sets for p in pts]
+    sets = [*sets, *(pts for _, pts in atoms), ()]  # the last one for owner -1
+    counts = np.fromiter(map(len, sets), np.intp, len(sets))
+    flat = [p for pts in sets for p in pts]
     flat = np.array(flat, dtype=float).reshape(len(flat), 3)
     _check_points(flat.T)
-    ends = accumulate(len(pts) for *_, pts in sets)
-    sets = [(i0, i1, flat[b - len(pts) : b]) for (i0, i1, pts), b in zip(sets, ends)]
-    return (_filled(grid.n_cells, sets[: len(spans)]), _filled(len(atoms), sets[len(spans) :]),
+    # set s fills column s of ``padded``, its points in slots 0, 1, ... in order
+    slot = np.arange(flat.shape[0]) - np.repeat(np.cumsum(counts) - counts, counts)
+    padded = np.zeros((3, counts.max(), counts.size))
+    padded[:, slot, np.repeat(np.arange(counts.size), counts)] = flat.T
+    first = len(sets) - 1 - len(atoms)
+    return (*(np.take(padded[:, : counts[cols].max(initial=0)], cols, axis=2)
+              for cols in (owner, np.arange(first, first + len(atoms)))),
             [m for m, _ in atoms])
 
 
@@ -416,10 +412,12 @@ class JumpMeasure:
         kernels = tuple(cell_kernels)
         if kernels and len(kernels) != grid.n_cells:
             raise ValueError("need one spatial kernel per grid cell")
-        # one span per run of the same spatial measure object
+        # a run of one shared object is read once; the arrays hold values
         starts = [k for k, kern in enumerate(kernels) if not k or kern is not kernels[k - 1]]
-        spans = [(a, b, kernels[a].points) for a, b in zip(starts, starts[1:] + [len(kernels)])]
-        self._store(grid, *_arrays(grid, spans, ((t, s.points) for t, s in time_atoms)))
+        owner = np.repeat(np.arange(len(starts)), np.diff([*starts, len(kernels)]))
+        self._store(grid, *_arrays(grid, [kernels[a].points for a in starts],
+                                   owner if kernels else np.full(grid.n_cells, -1),
+                                   ((t, s.points) for t, s in time_atoms)))
 
     def _store(self, grid: TimeGrid, cells, atoms, nodes) -> "JumpMeasure":
         nodes = np.asarray(nodes, dtype=np.intp)
@@ -441,13 +439,15 @@ class JumpMeasure:
     def from_segments(cls, grid, segments=(), atoms=()):
         """Build from [(t0, t1, points), ...] plus [(t, points), ...] atoms;
         a later segment replaces an earlier one on the cells they share."""
-        spans = []
+        sets = []
+        owner = np.full(grid.n_cells, -1)
         for t0, t1, pts in segments:
             i0, i1 = grid.index_of(t0), grid.index_of(t1)
             if i1 < i0:
                 raise ValueError(f"empty kernel segment [{t0}, {t1})")
-            spans.append((i0, i1, pts))
-        return cls._of(grid, *_arrays(grid, spans, atoms))
+            owner[i0:i1] = len(sets)
+            sets.append(pts)
+        return cls._of(grid, *_arrays(grid, sets, owner, atoms))
 
     @cached_property
     def cell_kernels(self) -> tuple:
@@ -470,17 +470,13 @@ class JumpMeasure:
         masses[self.atom_nodes] = _slot_sums(fn, self.atom_points)
         return StieltjesMeasure._of(self.grid, _slot_sums(fn, self.cell_points), masses)
 
-    @cached_property
-    def _coordinate_moments(self) -> tuple:
-        return (self.moment_measure(lambda z1, z2: z1),
-                self.moment_measure(lambda z1, z2: z2))
-
     def coordinate_moment(self, i: int) -> StieltjesMeasure:
         """Mean z_i inflow: :meth:`moment_measure` of coordinate ``i`` (1 or
-        2), computed once per kernel."""
+        2), built on each call; a model that reads it more than once keeps
+        its own copy."""
         if i not in (1, 2):
             raise ValueError("coordinate index must be 1 or 2")
-        return self._coordinate_moments[i - 1]
+        return self.moment_measure(lambda z1, z2: (z1, z2)[i - 1])
 
     def _rebuilt(self, cells: np.ndarray, atoms: np.ndarray,
                  thin: bool = False) -> "JumpMeasure":

@@ -61,13 +61,21 @@ def solve_moment(env: Environment, t: float, lam) -> MomentSolution:
 
     The coefficients are constant on each cell, so each cell step is exact
     and pi is the exact mean of the model on its own grid, stiff cells
-    included; a mean that overflows raises :class:`NumericalError`.
+    included; a mean that overflows raises :class:`NumericalError`.  pi is
+    formed in one ``(M + 1, 2)`` array from the solve's own propagators,
+    scaled in place, with no temporaries of their size.
     """
     lam1, lam2 = _pair(lam, signed=True)
     M = env.grid.index_of(t)
     with np.errstate(over="ignore", invalid="ignore"):
         E = _propagators(env, M)
-        pi = np.vstack(((E[:, 0] * lam1 + E[:, 1] * lam2).T + (lam1, lam2), (lam1, lam2)))
+        # E[:, 0] lam1 + E[:, 1] lam2 + lam below t, in that order, in place
+        E[:, 0] *= lam1
+        E[:, 1] *= lam2
+        pi = np.empty((M + 1, 2))
+        np.add(E[:, 0], E[:, 1], out=pi[:M].T)
+        pi[:M] += (lam1, lam2)
+    pi[M] = lam1, lam2
     if not np.all(np.isfinite(pi)):
         raise NumericalError("moment propagator produced non-finite values")
     return MomentSolution(t=float(env.grid.nodes[M]), lam=(lam1, lam2),

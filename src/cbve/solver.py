@@ -27,12 +27,13 @@ runs of equal cells, each a tuple of densities and points with the atom
 that ends it, and one ``(h, h / 2)`` pair per cell; padded arrays for
 Picard.  The sweep itself is a private loop over a window of runs,
 generated once per process for each signature (the kernel point counts
-of a run's two types) from one source template, with every compensated
-term written out; :func:`solve_general` runs it over the cells below the
-terminal node, and :func:`check_flow` only over the nodes its residual
-reads, its refined legs on windows of the model's own runs with the
-refined grid's steps.  Both first refuse a cell too wide for its decay
-rate, where the two-pass step would grow a decaying mode.
+of a run's two types, each capped at 8) from one source template, with
+the compensated terms of up to 8 points a type written out and the rest
+stepped in a loop after them; :func:`solve_general` runs it over the
+cells below the terminal node, and :func:`check_flow` only over the nodes
+its residual reads, its refined legs on windows of the model's own runs
+with the refined grid's steps.  Both first refuse a cell too wide for its
+decay rate, where the two-pass step would grow a decaying mode.
 The module also houses the h-transform utilities, the two-dimensional
 Gronwall bound, the a-priori growth exponent and upper bound, and the
 flow-property check.
@@ -141,9 +142,11 @@ def _pair(value, what: str = "lambda", signed: bool = False):
 # The loop of _sweep over consecutive runs whose rows hold n1 type-1 and n2
 # type-2 kernel points, generated per signature (n1, n2) by _loop_source:
 # {unpack} binds the points to locals once per run, and {d1}, {d2}, {e1}
-# and {e2} are the compensated terms of _terms, two lines each.  The atom
-# step keeps its point loops, as an atom's point counts are its own.
-# Returns the value below the group.
+# and {e2} are the compensated terms of _terms, two lines each.  A count of
+# _UNROLL stands for that many or more: the points past them are bound to
+# a list and stepped in a loop after the written-out terms.  The atom step
+# keeps its point loops, as an atom's point counts are its own.  Returns
+# the value below the group.
 _LOOP = """\
 def sweep_runs(group, steps, buf, v1, v2, clamp):
     expm1 = math.expm1
@@ -194,39 +197,59 @@ def sweep_runs(group, steps, buf, v1, v2, clamp):
     return v1, v2
 """
 
-# the loop of each signature met so far, built on first use
+# the loop of each signature met so far, built on first use; a signature
+# past _UNROLL shares the loop of its capped counts
 _LOOPS = {}
 
+# kernel points a type that a loop writes out; so at most (_UNROLL + 1)^2 loops
+_UNROLL = 8
 
-def _terms(acc: str, x1: str, x2: str, names) -> str:
+
+def _terms(acc: str, x1: str, x2: str, names, rest: str) -> str:
     """Lines adding to ``acc`` the compensated term of each point in
-    ``names`` at (x1, x2), in order: the arithmetic of a loop over them."""
-    return "".join(f"            x = {x1} * {p}z1 + {x2} * {p}z2\n"
-                   f"            {acc} += (expm1(x) - x) * {p}w\n" for p in names)
+    ``names`` at (x1, x2), then of each in the list ``rest`` if named, in
+    order: the arithmetic of a loop over them."""
+    lines = "".join(f"            x = {x1} * {p}z1 + {x2} * {p}z2\n"
+                    f"            {acc} += (expm1(x) - x) * {p}w\n" for p in names)
+    if rest:
+        lines += (f"            for z1, z2, w in {rest}:\n"
+                  f"                x = {x1} * z1 + {x2} * z2\n"
+                  f"                {acc} += (expm1(x) - x) * w\n")
+    return lines
+
+
+def _unpack(names, rest: str, row: str) -> str:
+    """The line binding the points of ``row`` to the locals of ``names``,
+    and those past them to the list ``rest`` if named."""
+    targets = [f"({p}z1, {p}z2, {p}w)" for p in names] + [f"*{rest}"] * bool(rest)
+    return f"        [{', '.join(targets)}] = {row}\n" if names else ""
 
 
 def _loop_source(n1: int, n2: int) -> str:
     """The source of the sweep loop of signature (n1, n2)."""
     p, q = [f"p{j}" for j in range(n1)], [f"q{j}" for j in range(n2)]
-    unpack = "".join(f"        [{', '.join(f'({s}z1, {s}z2, {s}w)' for s in names)}] = {row}\n"
-                     for names, row in ((p, "pts1"), (q, "pts2")) if names)
-    return _LOOP.format(unpack=unpack, d1=_terms("d1", "v1", "v2", p),
-                        d2=_terms("d2", "v1", "v2", q), e1=_terms("e1", "c1x", "c2x", p),
-                        e2=_terms("e2", "c1x", "c2x", q))
+    pr, qr = ("pr" if n1 == _UNROLL else ""), ("qr" if n2 == _UNROLL else "")
+    return _LOOP.format(unpack=_unpack(p, pr, "pts1") + _unpack(q, qr, "pts2"),
+                        d1=_terms("d1", "v1", "v2", p, pr), d2=_terms("d2", "v1", "v2", q, qr),
+                        e1=_terms("e1", "c1x", "c2x", p, pr), e2=_terms("e2", "c1x", "c2x", q, qr))
 
 
 def _loop(signature):
-    """The sweep loop of ``signature``, compiled once per process; each
-    build logs one debug line."""
+    """The sweep loop of ``signature``, compiled once per process for its
+    counts capped at :data:`_UNROLL`, whose loop every signature that caps
+    alike shares; each build logs one debug line."""
     loop = _LOOPS.get(signature)
     if loop is None:
-        start = perf_counter()
-        source = _loop_source(*signature)
-        scope = {"math": math, "NumericalError": NumericalError}
-        exec(compile(source, f"<sweep loop {signature}>", "exec"), scope)
-        loop = _LOOPS[signature] = scope["sweep_runs"]
-        _log.debug("sweep loop %s: %d lines, %.3f ms",
-                   signature, source.count("\n"), 1e3 * (perf_counter() - start))
+        capped = tuple(min(n, _UNROLL) for n in signature)
+        if capped not in _LOOPS:
+            start = perf_counter()
+            source = _loop_source(*capped)
+            scope = {"math": math, "NumericalError": NumericalError}
+            exec(compile(source, f"<sweep loop {capped}>", "exec"), scope)
+            _LOOPS[capped] = scope["sweep_runs"]
+            _log.debug("sweep loop %s: %d lines, %.3f ms",
+                       capped, source.count("\n"), 1e3 * (perf_counter() - start))
+        loop = _LOOPS[signature] = _LOOPS[capped]
     return loop
 
 
@@ -245,9 +268,10 @@ def _sweep(runs, steps, lam):
     ``expm1(-x) + x`` is ``expm1(x) - x`` at the negated x: the same float,
     IEEE negation being exact and rounding symmetric.  Each stretch of
     consecutive runs with equal point counts per type goes to the loop
-    generated for those counts (:func:`_loop`), which steps every cell with
-    its points as locals and its compensated terms written out: the
-    arithmetic of one loop over the points, in the same order.  Returns
+    generated for those counts (:func:`_loop`, which counts 8 or more as 8),
+    which steps every cell with its first points as locals and their
+    compensated terms written out, then the rest in a loop: the arithmetic
+    of one loop over the points, in the same order.  Returns
     ``v`` with one value per node of the window, the clamp count and the
     worst clamped deficit.
     """
@@ -636,13 +660,13 @@ def apriori_growth_exponent(sf: SpecialForm, t: float) -> float:
     grid = sf.grid
     total = 0.0
     for i in (1, 2):
-        g, m = sf.gamma_diag(i), sf.mu_jump(i).coordinate_moment(i)
+        g, m = sf.gamma_diag(i), sf._moments[i - 1][i - 1]
         combined = StieltjesMeasure._of(grid, g.density + m.density,
                                         g.node_atom_masses + m.node_atom_masses)
         total += combined.total_variation(t)
     total += sf.gamma12.cumulative(t) + sf.gamma21.cumulative(t)
-    total += sf.mu2.coordinate_moment(1).cumulative(t)
-    total += sf.mu1.coordinate_moment(2).cumulative(t)
+    total += sf._moments[1][0].cumulative(t)
+    total += sf._moments[0][1].cumulative(t)
     return total
 
 

@@ -18,6 +18,14 @@ are built in the untimed first call).
 A line holds the model, the call, the median ms of A and of B, their
 ratio B / A and the number of calls in which B was faster.
 
+Before the timed calls, since tracing slows them, a memory pass builds
+each model afresh per side and traces three steps with
+``tracemalloc``, in order: building its sweep table with its cross drifts
+(``_table``), building its mean steps (``_mean_steps``) and one
+whole-horizon ``solve_moment`` (lambda = (1, 1)).  A line holds the
+model, the step, and per side the traced peak and the KB the step left
+allocated (its cached table or its kept result included), A then B.
+
 The models are the bench generators' (``bench/inputs.py``, seed 11): the
 ``lambda_sweep`` model, a ``verify_scan`` environment and the general
 form of a ``picard_route`` special form; the four shipped configurations;
@@ -32,6 +40,7 @@ import importlib.util
 import random
 import statistics
 import sys
+import tracemalloc
 from functools import partial
 from pathlib import Path
 from time import perf_counter
@@ -106,12 +115,35 @@ def _calls(pkg, env):
             "emit_config": lambda: partial(pkg.emit_config, env)}
 
 
+def _steps_kb(pkg, env) -> list:
+    """(peak, kept) KB of each memory-pass step on ``env``, traced apart."""
+    t = env.horizon
+    out, kept = [], []
+    tracemalloc.start()
+    try:
+        for step in (lambda: env._table, lambda: env._mean_steps,
+                     lambda: pkg.solve_moment(env, t, (1.0, 1.0))):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            kept.append(step())
+            now, peak = tracemalloc.get_traced_memory()
+            out.append(((peak - before) / 1024, (now - before) / 1024))
+    finally:
+        tracemalloc.stop()
+    return out
+
+
 def main(argv) -> int:
     if len(argv) not in (3, 4):
         print(__doc__.split("\n\n")[1].strip(), file=sys.stderr)
         return 2
     calls = int(argv[3]) if len(argv) == 4 else 21
     a, b = _package(argv[1], "cbve_a"), _package(argv[2], "cbve_b")
+    print("model step A_peak_kb A_kept_kb B_peak_kb B_kept_kb")
+    for name, build in models().items():
+        sides = [_steps_kb(pkg, build(pkg)) for pkg in (a, b)]
+        for step, (ka, kb) in zip(("sweep_table", "mean_steps", "solve_moment"), zip(*sides)):
+            print(f"{name} {step} {ka[0]:.0f} {ka[1]:.0f} {kb[0]:.0f} {kb[1]:.0f}", flush=True)
     print("model call A_ms B_ms ratio B_wins")
     for name, build in models().items():
         sides = [_calls(pkg, build(pkg)) for pkg in (a, b)]

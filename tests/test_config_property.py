@@ -1,10 +1,11 @@
 """Property test of the config round trip on generated models.
 
 Random grids, piecewise densities, time atoms and kernel points are drawn
-inside the admissible class, -0.0 values and coordinates among them; the
-emitted document must be a fixed point of parse-then-emit (through JSON
-text), the reparsed model's arrays must equal the original's bit for bit,
-and it must solve bit for bit like the original.
+inside the admissible class, -0.0 values and coordinates among them, and
+half the density pools hold 0.0 and -0.0 both, so they often sit side by
+side; the emitted document must be a fixed point of parse-then-emit
+(through JSON text), the reparsed model's arrays must equal the
+original's bit for bit, and it must solve bit for bit like the original.
 """
 import json
 
@@ -54,8 +55,11 @@ def _atom_nodes(draw, grid):
 
 @st.composite
 def _scalars(draw, grid, lo=0.0, atoms=True):
-    # values repeat across cells so emission has runs to merge into segments
+    # values repeat across cells so emission has runs to merge into segments;
+    # half the pools hold both zeros, so 0.0 and -0.0 cells often meet
     pool = draw(st.lists(_values(lo, 2.0), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        pool += [0.0, -0.0]
     dens = draw(st.lists(st.sampled_from(pool), min_size=grid.n_cells,
                          max_size=grid.n_cells))
     at = ()

@@ -23,8 +23,12 @@ the left one ends at an atom, and steps equal bit for bit must be one
 object.  On 20,000 uniform cells with three density segments the table
 holds at most 100 runs and keeps under 1 MB alive, and the 8-way refined
 window of its last half makes no row object; the per-cell table held
-20,000 rows and 5.7 MB.  Every compiled table build (sweep, mean steps,
-Picard, simulator) logs one debug line, and nothing by default.
+20,000 rows and 5.7 MB.  The mean steps of 20,000 cells are built in a
+traced peak of at most 2.5 times their size, with the bits of one
+whole-array build, and an environment's table builds and solves keep no
+measure but its two cross drifts.  Every compiled table build (sweep,
+mean steps, Picard, simulator) logs one debug line, and nothing by
+default.
 
 Runs are found by ``measures._run_starts`` alone: over drawn 1-D and
 padded arrays (no cells, one cell, K of 0 to 2, 0.0 and -0.0) it must
@@ -37,6 +41,7 @@ a kernel, and every array a kernel stores or hands out is read-only, as is
 every compiled table a model caches; a replaced model builds its own.
 """
 import dataclasses
+import gc
 import logging
 import math
 import re
@@ -60,7 +65,7 @@ from cbve import (
     solve_moment,
     solve_special_picard,
 )
-from cbve.compiled import _steps
+from cbve.compiled import _steps, mean_steps
 from cbve.measures import _run_starts
 from cbve.solver import _window
 
@@ -298,6 +303,39 @@ def test_sweep_table_of_a_piecewise_model_is_small():
     rows = {id(row) for *_, row in table.runs}
     assert all(id(row) in rows for *_, row in window)
     assert len({id(step) for step in steps}) <= 100
+
+
+def test_mean_steps_build_in_bounded_scratch():
+    # a block of cells at a time: the traced peak of a 20,000-cell build stays
+    # within 2.5 times its 625 KB result (a whole-array build peaked at 5.1
+    # times), and the blocks give the bits of one whole-array build
+    env = random_environment(np.random.default_rng(6), cells=20000)
+    env._cross_drifts  # built first, so that only the steps are measured
+    tracemalloc.start()
+    try:
+        steps = mean_steps(env)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * steps.nbytes
+    for t in (0.75, 1.0):
+        assert (solve_moment(env, t, (0.7, -1.3)).pi.tobytes()
+                == _reference.propagator_moment(env, t, (0.7, -1.3)).pi.tobytes())
+
+
+def test_table_builds_keep_no_coordinate_moment():
+    # the cross drifts hold the one copy of the kernels' cross moments that an
+    # environment keeps: no kernel caches its coordinate moments
+    env = random_environment(np.random.default_rng(7), cells=40)
+
+    def measures():
+        return [obj for obj in gc.get_objects() if isinstance(obj, StieltjesMeasure)]
+
+    before = {id(meas) for meas in measures()}  # held alive, so no id is reused
+    env._table, env._mean_steps
+    solve_general(env, 1.0, (1.0, 1.0)), solve_moment(env, 1.0, (1.0, 1.0))
+    new = {id(meas) for meas in measures()} - before
+    assert new == {id(meas) for meas in env._cross_drifts}
 
 
 def test_table_build_logs_one_debug_line(caplog):

@@ -292,6 +292,20 @@ class TestJumpMeasure:
             pytest.approx(jump.moment_measure(lambda z1, z2: z1 + z2).cumulative(1.0))
         )
 
+    def test_equal_cell_kernels_pack_by_value(self):
+        # distinct but equal per-cell objects give the arrays of one shared
+        # object; a cell whose point differs only by a -0.0 keeps its bits
+        grid = uniform_grid(cells=6)
+        pts = ((0.5, 0.25, 1.0), (1.5, 0.0, 0.5))
+        shared = JumpMeasure(grid, [DiscreteSpatialMeasure(pts)] * 6).cell_points
+        kernels = [DiscreteSpatialMeasure(pts) for _ in range(6)]
+        distinct = JumpMeasure(grid, kernels).cell_points
+        assert (distinct.shape, distinct.tobytes()) == ((3, 2, 6), shared.tobytes())
+        kernels[3] = DiscreteSpatialMeasure(((0.5, 0.25, 1.0), (1.5, -0.0, 0.5)))
+        mixed = JumpMeasure(grid, kernels).cell_points
+        assert np.signbit(mixed).nonzero() == ((1,), (1,), (3,))
+        assert np.array_equal(mixed, shared)
+
     def test_reversed_kernel_segment_is_refused(self):
         # as StieltjesMeasure.from_segments refuses a reversed density segment
         grid = uniform_grid(cells=4)

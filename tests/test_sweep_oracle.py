@@ -20,6 +20,9 @@ The sweep runs one generated loop per signature, the kernel point counts
 of a run's two types, so hand-built runs with 0-5 points a type (unequal
 counts too), atoms with 0-3, one cell long or long, must match the
 reference at lambda up to 2e6, and so must a row of 300 points a type.
+Counts of 8 or more a type share one loop, which writes out 8 terms and
+steps the rest in a loop after them: rows of 7 to 40 points must match
+the reference and build three loops.
 Each signature's loop is built once per process, and the kernel-free
 loop's cell step holds no kernel term.
 
@@ -173,6 +176,30 @@ def test_many_points_match_reference():
     outcome = _outcome(_sweep, *_compiled(rows), (1.5, 0.5))
     assert outcome[0] == (7, 2)
     _same(rows, (1.5, 0.5))
+
+
+def test_long_point_lists_share_bounded_loops(monkeypatch):
+    # counts of 8 or more a type share one loop, which writes out 8 terms and
+    # loops over the rest, in order; each matches the reference
+    built = []
+    source = solver._loop_source
+    monkeypatch.setattr(solver, "_LOOPS", {})
+    monkeypatch.setattr(solver, "_loop_source", lambda *sig: built.append(sig) or source(*sig))
+    rng = np.random.default_rng(9)
+
+    def pts(n):
+        return tuple(map(tuple, rng.uniform((0.0, 0.0, 1e-3), (1.2, 1.2, 4e-2), (n, 3)).tolist()))
+
+    rows = [(None, 0.05, 0.3, -0.2, 0.1, 0.2, 0.1, 0.1, pts(n1), pts(n2))
+            for n1, n2 in ((7, 8), (8, 9), (9, 17), (40, 0), (12, 8))]
+    rows[1] = ((0.1, 0.0, 0.05, 0.0, 0.0, 0.0, pts(10), ()), *rows[1][1:])
+    _same(rows, (1.5, 0.5))
+    assert sorted(built) == [(7, 8), (8, 0), (8, 8)]
+    assert solver._LOOPS[40, 0] is solver._LOOPS[8, 0]
+    assert solver._LOOPS[9, 17] is solver._LOOPS[12, 8] is solver._LOOPS[8, 8]
+    cell_step = source(8, 3).split("for h, hh in")[1]
+    assert cell_step.count("expm1") == 2 * (8 + 1 + 3)
+    assert cell_step.count("for z1, z2, w in pr:") == 2
 
 
 def test_each_signature_loop_is_built_once(monkeypatch):
