@@ -177,9 +177,7 @@ class Environment(_Model):
         """(bb12, bb21) of :func:`effective_cross_drift`, built once; the
         gate of every solver, so an inadmissible model raises here."""
         self.require_valid()
-        return tuple(StieltjesMeasure.linear_combination(
-            self.grid, [(1.0, b), (1.0, m.coordinate_moment(j))])
-            for b, m, j in ((self.b12, self.m1, 2), (self.b21, self.m2, 1)))
+        return _cross_sums(self, lambda i, j: self.m_jump(i).coordinate_moment(j))
 
     @cached_property
     def _table(self):
@@ -190,6 +188,14 @@ class Environment(_Model):
     def _mean_steps(self):
         """Per-cell steps of the mean system."""
         return mean_steps(self)
+
+
+def _cross_sums(env: Environment, moment) -> tuple:
+    """(b12 + moment(1, 2), b21 + moment(2, 1)) on ``env``'s grid: its cross
+    drifts plus its kernels' cross moments.  Each moment is asked for as its
+    sum is formed, so one built on demand is freed before the next."""
+    return tuple(StieltjesMeasure.linear_combination(env.grid, [(1.0, b), (1.0, moment(i, j))])
+                 for b, i, j in ((env.b12, 1, 2), (env.b21, 2, 1)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -335,7 +341,9 @@ def special_to_general(sf: SpecialForm) -> Environment:
     The diagonal drift absorbs both the negated diagonal coefficient and the
     mean own-coordinate jump inflow; cross drifts and kernels carry over,
     diffusion is zero.  Raises if the result fails admissibility (possible
-    only for inputs outside the admissible class).
+    only for inputs outside the admissible class).  The general form's
+    effective cross drifts are built from the form's cached cross moments,
+    as the two models share their kernels.
     """
     grid = sf.grid
 
@@ -353,6 +361,8 @@ def special_to_general(sf: SpecialForm) -> Environment:
         sf.mu1, sf.mu2,
     )
     env.require_valid()
+    # what the _cross_drifts property would cache, from moments already built
+    env.__dict__["_cross_drifts"] = _cross_sums(env, lambda i, j: sf._moments[i - 1][j - 1])
     return env
 
 

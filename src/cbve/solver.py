@@ -33,7 +33,11 @@ stepped in a loop after them; :func:`solve_general` runs it over the
 cells below the terminal node, and :func:`check_flow` only over the nodes
 its residual reads, its refined legs on windows of the model's own runs
 with the refined grid's steps.  Both first refuse a cell too wide for its
-decay rate, where the two-pass step would grow a decaying mode.
+decay rate, where the two-pass step would grow a decaying mode.  Every
+solution's ``v`` is read-only, and the module keeps weak references to
+each model's live :func:`solve_general` solutions, so :func:`check_flow`
+reads its direct leg from one the caller holds rather than sweeping the
+same cells again.
 The module also houses the h-transform utilities, the two-dimensional
 Gronwall bound, the a-priori growth exponent and upper bound, and the
 flow-property check.
@@ -43,6 +47,7 @@ from __future__ import annotations
 import logging
 import math
 import sys
+import weakref
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -98,7 +103,8 @@ class CumulantSolution:
     componentwise nonnegative everywhere (tiny negative round-off is clamped
     and counted in ``clamp_events``).  ``max_residual`` holds the final
     Picard sup-change for the iterative route and the worst clamped deficit
-    for the sweep route.
+    for the sweep route.  ``v`` is read-only: the solution freezes the array
+    it is given, so an assignment into it raises ``ValueError``.
     """
 
     t: float
@@ -112,6 +118,9 @@ class CumulantSolution:
     picard_min_increments: tuple = ()
     picard_iterate_maxima: tuple = ()
     picard_bound: float = math.nan
+
+    def __post_init__(self):
+        self.v.setflags(write=False)
 
     @property
     def terminal_index(self) -> int:
@@ -343,6 +352,18 @@ def _leg(env: Environment, lo: int, hi: int, f: int, steps, lam):
     return _sweep(_window(env._table.runs, lo, hi, f), steps, lam)
 
 
+# each model's live solve_general solutions, keyed by _held_key; weak both
+# ways, so a solution lives only as long as its caller holds it and the
+# registry keeps no model alive.  _flow_residual reads its direct leg here.
+_SOLVES = weakref.WeakKeyDictionary()
+
+
+def _held_key(M: int, lam) -> tuple:
+    """The terminal node and the bits of ``lam`` (``float.hex`` keeps -0.0
+    apart from 0.0)."""
+    return (M, *map(float.hex, lam))
+
+
 def solve_general(env: Environment, t: float, lam) -> CumulantSolution:
     """Solve the general backward system down from the terminal node of t.
 
@@ -357,7 +378,7 @@ def solve_general(env: Environment, t: float, lam) -> CumulantSolution:
     lam = _pair(lam)
     M = env.grid.index_of(t)
     v, clamp_events, worst_deficit = _leg(env, 0, M, 1, env._table.steps[:M], lam)
-    return CumulantSolution(
+    sol = CumulantSolution(
         t=float(env.grid.nodes[M]),
         lam=lam,
         grid=env.grid,
@@ -367,6 +388,11 @@ def solve_general(env: Environment, t: float, lam) -> CumulantSolution:
         max_residual=worst_deficit,
         clamp_events=clamp_events,
     )
+    held = _SOLVES.get(env)
+    if held is None:
+        held = _SOLVES[env] = weakref.WeakValueDictionary()
+    held[_held_key(M, lam)] = sol
+    return sol
 
 
 # ---------------------------------------------------------------------------
@@ -714,6 +740,13 @@ def check_flow(env: Environment, r: float, s: float, t: float, lam) -> float:
     the fine leg) therefore raises nothing.  Each leg first refuses a cell
     of its own grid too wide for its decay rate, as :func:`solve_general`
     does.
+
+    While the caller holds a :func:`solve_general` solution of ``env`` for
+    the terminal node of t and the same bits of lam, the direct (r, t] leg
+    is read from its ``v`` at node r instead of swept again.  The sweep is
+    cell-local, so that value is the leg's, bit for bit; the solve swept
+    and checked every cell of the leg, so reading it hides no refusal; and
+    ``v`` is read-only.  Either way the residual is the same float.
     """
     return _flow_residual(env, r, s, t, lam)
 
@@ -725,7 +758,10 @@ def _flow_residual(env: Environment, r: float, s: float, t: float, lam,
     fine leg on its window scaled by ``2 * base``, each with the steps of
     its refined grid (the fine leg's ``env.grid.refine(base).refine(2)``).
     Refinement keeps ``validate``'s verdict, so ``env``'s own check (made
-    when its runs are compiled) stands for the refined model's."""
+    when its runs are compiled) stands for the refined model's.  At
+    ``base == 1`` the base legs take the model's own steps, and the direct
+    leg is read from a live :func:`solve_general` of ``env`` at (t, lam)
+    when the registry ``_SOLVES`` holds one."""
     ir, isx, it = (env.grid.index_of(x) for x in (r, s, t))
     if not (ir <= isx <= it):
         raise ValueError("need r <= s <= t")
@@ -733,7 +769,8 @@ def _flow_residual(env: Environment, r: float, s: float, t: float, lam,
     n = 2 * base
     lam = _pair(lam)
     top = _leg(env, isx, it, n, _steps(grid.refine(2).widths[isx * n : it * n]), lam)[0][0]
-    steps = _steps(grid.widths[ir * base : it * base])
+    steps = env._table.steps[ir:it] if base == 1 else _steps(grid.widths[ir * base : it * base])
     mid = _leg(env, ir, isx, base, steps[: (isx - ir) * base], top.tolist())[0][0]
-    full = _leg(env, ir, it, base, steps, lam)[0][0]
+    held = _SOLVES.get(env, {}).get(_held_key(it, lam)) if base == 1 else None
+    full = held.v[ir] if held is not None else _leg(env, ir, it, base, steps, lam)[0][0]
     return float(np.max(np.abs(mid - full)))

@@ -25,7 +25,9 @@ gamma11 and kernel points hold both 0.0 and -0.0.
 The outcomes of a general environment: ``solve_general`` at T and at the
 middle node and ``solve_moment`` at T, at each lambda of ``LAMS``;
 ``_flow_residual`` at nodes (n/4, n/2, n) with base 1, 2 and 4 at each
-lambda; and ``emit_config`` as sorted JSON text.  Of a special form:
+lambda, while that lambda's solves are held, so the base-1 residual reads
+its direct leg from the solve at T where that one succeeded; and
+``emit_config`` as sorted JSON text.  Of a special form:
 ``emit_config``, ``solve_special_picard`` at T at each lambda, and
 ``_simulate_paths`` of 5 paths, seed 3, from (1, 1) to T.  A typed error
 (a ``CBVEError`` or ``ValueError``) counts as its class and message.
@@ -123,10 +125,11 @@ def _environment_outcomes(cbve, env):
     n = len(nodes) - 1
     T, mid = nodes[n], nodes[n // 2]
     r, s = nodes[n // 4], nodes[n // 2]
+    held = []
     for lam in LAMS:
         for t in (T, mid):
-            yield f"solve_general t={t!r} lam={lam}", lambda t=t, lam=lam: cbve.solve_general(
-                env, t, lam)
+            yield f"solve_general t={t!r} lam={lam}", lambda t=t, lam=lam: held.append(
+                cbve.solve_general(env, t, lam)) or held[-1]
         yield f"solve_moment lam={lam}", lambda lam=lam: cbve.solve_moment(env, T, lam)
         for base in (1, 2, 4):
             yield f"_flow_residual base={base} lam={lam}", lambda b=base, lam=lam: _flow_residual(

@@ -7,11 +7,13 @@ Usage::
 ``SRC_A`` and ``SRC_B`` are directories that hold a ``cbve`` package, e.g.
 two checkouts' ``src``.  Each is imported under a name of its own, so both
 live in this process, and each builds its own copy of every model from the
-same config.  Per model, four calls are first run once on each side, so
+same config.  Per model, five calls are first run once on each side, so
 compiled tables and sweep loops are built, and then timed ``CALLS`` times
 (default 21) in alternation, A then B: ``solve_general`` over the whole
 horizon, ``check_flow`` at r = T/4, s = T/2, t = T (lambda = (1, 1)),
-``sweep_table``, the build of the model's sweep table (``_table``) on a
+``check_flow_held``, the same check while the whole-horizon solve at
+(T, lambda) is held, solved outside the timer first as ``verify_scan``
+orders them, ``sweep_table``, the build of the model's sweep table (``_table``) on a
 fresh copy of the model whose cross drifts are built outside the timer,
 and ``emit_config`` of the model (views its kernels cache on first use
 are built in the untimed first call).
@@ -19,12 +21,17 @@ A line holds the model, the call, the median ms of A and of B, their
 ratio B / A and the number of calls in which B was faster.
 
 Before the timed calls, since tracing slows them, a memory pass builds
-each model afresh per side and traces three steps with
+each model afresh per side and traces five steps with
 ``tracemalloc``, in order: building its sweep table with its cross drifts
-(``_table``), building its mean steps (``_mean_steps``) and one
-whole-horizon ``solve_moment`` (lambda = (1, 1)).  A line holds the
+(``_table``), building its mean steps (``_mean_steps``), one
+whole-horizon ``solve_moment`` (lambda = (1, 1)), then two whole-horizon
+``solve_general`` at the same lambda whose results are dropped
+(``solve_general`` and ``solve_general_again``).  A line holds the
 model, the step, and per side the traced peak and the KB the step left
-allocated (its cached table or its kept result included), A then B.
+allocated (its cached table or its kept result included), A then B.  A
+dropped solve leaves nothing behind but, on a model's first solve, the
+sweep loops a side compiles for it and the model's (empty) slot in the
+registry of held solves.
 
 The models are the bench generators' (``bench/inputs.py``, seed 11): the
 ``lambda_sweep`` model, a ``verify_scan`` environment and the general
@@ -109,8 +116,13 @@ def _calls(pkg, env):
         fresh._cross_drifts
         return lambda: fresh._table
 
+    def held():
+        sol = pkg.solve_general(env, t, (1.0, 1.0))
+        return lambda: (sol, pkg.check_flow(env, r, s, t, (1.0, 1.0)))
+
     return {"solve_general": lambda: partial(pkg.solve_general, env, t, (1.0, 1.0)),
             "check_flow": lambda: partial(pkg.check_flow, env, r, s, t, (1.0, 1.0)),
+            "check_flow_held": held,
             "sweep_table": table,
             "emit_config": lambda: partial(pkg.emit_config, env)}
 
@@ -122,7 +134,9 @@ def _steps_kb(pkg, env) -> list:
     tracemalloc.start()
     try:
         for step in (lambda: env._table, lambda: env._mean_steps,
-                     lambda: pkg.solve_moment(env, t, (1.0, 1.0))):
+                     lambda: pkg.solve_moment(env, t, (1.0, 1.0)),
+                     lambda: pkg.solve_general(env, t, (1.0, 1.0)) and None,
+                     lambda: pkg.solve_general(env, t, (1.0, 1.0)) and None):
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
             kept.append(step())
@@ -142,8 +156,10 @@ def main(argv) -> int:
     print("model step A_peak_kb A_kept_kb B_peak_kb B_kept_kb")
     for name, build in models().items():
         sides = [_steps_kb(pkg, build(pkg)) for pkg in (a, b)]
-        for step, (ka, kb) in zip(("sweep_table", "mean_steps", "solve_moment"), zip(*sides)):
-            print(f"{name} {step} {ka[0]:.0f} {ka[1]:.0f} {kb[0]:.0f} {kb[1]:.0f}", flush=True)
+        steps = ("sweep_table", "mean_steps", "solve_moment", "solve_general",
+                 "solve_general_again")
+        for step, (ka, kb) in zip(steps, zip(*sides)):
+            print(f"{name} {step} {ka[0]:.0f} {ka[1]:.1f} {kb[0]:.0f} {kb[1]:.1f}", flush=True)
     print("model call A_ms B_ms ratio B_wins")
     for name, build in models().items():
         sides = [_calls(pkg, build(pkg)) for pkg in (a, b)]

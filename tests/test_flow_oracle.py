@@ -11,13 +11,27 @@ triples include r = s, s = t and r = 0.  The residual of
 computed the same way on ``env``'s rows split ``base`` ways, and must
 equal the oracle's residual of the refined model it stands for.  On
 ``env.refined(2)`` the residual is at most half of ``env``'s.
+
+While the caller holds a ``solve_general`` of the model at (t, lam),
+``check_flow`` reads its direct leg from it: on random environments at
+drawn (r, s, t) the residual must be the same float with and without the
+solve held, and a counting wrapper on ``solver._leg`` must see two legs
+with it and three without.  Solves held at another node, at lam one ulp
+away or with the other sign of a zero component, and a refined residual
+(base 2), must not read it.  The registry keeps neither a dropped
+solution nor a dropped model alive, and a model whose ``solve_general``
+raises still gets ``check_flow``'s own outcome.
 """
+import gc
+import math
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import _reference
-from _instances import make_env, uniform_grid
+from _instances import make_env, random_environment, uniform_grid
 from cbve import (
     DiscreteSpatialMeasure,
     Environment,
@@ -25,6 +39,8 @@ from cbve import (
     StieltjesMeasure,
     TimeGrid,
     check_flow,
+    solve_general,
+    solver,
 )
 from cbve.errors import CBVEError, DiscretizationError
 from cbve.solver import _flow_residual
@@ -161,3 +177,79 @@ class TestCheckFlowContract:
         assert check_flow(env, 0.25, 0.5, 1.0, (10.0, 0.0)) == 0.0
         with pytest.raises(DiscretizationError):
             check_flow(env, 0.0, 0.5, 1.0, (10.0, 0.0))
+
+
+def _counted(fn, *args):
+    """:func:`_outcome` of ``fn`` and the number of sweep legs it ran."""
+    legs = []
+    leg = solver._leg
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_leg", lambda *a: legs.append(None) or leg(*a))
+        return _outcome(fn, *args), len(legs)
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 2**32 - 1), st.integers(4, 40), st.data())
+def test_a_held_solve_gives_the_same_residual(seed, cells, data):
+    env = random_environment(np.random.default_rng(seed), cells=cells)
+    nodes = env.grid.nodes
+    ir, isx, it = sorted(data.draw(st.integers(0, cells)) for _ in range(3))
+    r, s, t = (float(nodes[k]) for k in (ir, isx, it))
+    lam = data.draw(st.sampled_from(((0.0, 1.0), (-0.0, 1.0)))
+                    | st.tuples(st.floats(0.0, 3.0), st.floats(0.0, 3.0)))
+    args = (env, r, s, t, lam)
+    want, legs = _counted(check_flow, *args)
+    # solves of the model at another node, or at another lam by one bit
+    # (the sign of a zero, or one ulp), are no match; all stay held below
+    near = (-lam[0], lam[1]) if lam[0] == 0.0 else (math.nextafter(lam[0], math.inf), lam[1])
+    misses = [_outcome(solve_general, env, float(nodes[k]), lam) for k in (it - 1, it + 1)
+              if 0 <= k <= cells]
+    misses.append(_outcome(solve_general, env, t, near))
+    assert _counted(check_flow, *args) == (want, legs)
+    held = _outcome(solve_general, env, t, lam)
+    got, hit = _counted(check_flow, *args)
+    assert got == want
+    if isinstance(want, float):
+        assert legs == 3
+        assert hit == (2 if isinstance(held, solver.CumulantSolution) else 3)
+    assert len(misses) >= 2
+
+
+class TestHeldSolve:
+    def test_a_held_solve_saves_the_direct_leg(self):
+        env = random_environment(np.random.default_rng(11), cells=40)
+        args = (env, 0.25, 0.5, 1.0, (1.0, 2.0))
+        want, legs = _counted(check_flow, *args)
+        assert legs == 3
+        sol = solve_general(env, 1.0, (1.0, 2.0))
+        assert _counted(check_flow, *args) == (want, 2)
+        # only the unrefined residual reads it
+        refined = _counted(_flow_residual, *args, 2)
+        assert refined[1] == 3
+        del sol
+        assert _counted(check_flow, *args) == (want, 3)
+        assert _counted(_flow_residual, *args, 2) == refined
+
+    def test_the_registry_keeps_nothing_alive(self):
+        env = random_environment(np.random.default_rng(12), cells=20)
+        sol = solve_general(env, 1.0, (1.0, 1.0))
+        assert list(solver._SOLVES[env].values()) == [sol]
+        del sol
+        gc.collect()
+        assert len(solver._SOLVES[env]) == 0
+        # nor does a live solution keep its model alive
+        model = weakref.ref(env)
+        sol = solve_general(env, 1.0, (1.0, 1.0))
+        del env
+        gc.collect()
+        assert model() is None
+        assert sol.v[-1].tolist() == [1.0, 1.0]
+
+    def test_a_refused_solve_leaves_check_flows_own_outcome(self):
+        # the sweep fails on the first cell only, below r = 0.25
+        grid = uniform_grid(cells=4)
+        env = make_env(grid, c1=StieltjesMeasure.from_segments(grid, [(0.0, 0.25, 100.0)]))
+        with pytest.raises(DiscretizationError):
+            solve_general(env, 1.0, (10.0, 0.0))
+        assert _counted(check_flow, env, 0.25, 0.5, 1.0, (10.0, 0.0)) == (0.0, 3)
+        assert _counted(check_flow, env, 0.0, 0.5, 1.0, (10.0, 0.0))[0] is DiscretizationError

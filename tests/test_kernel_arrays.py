@@ -26,7 +26,9 @@ window of its last half makes no row object; the per-cell table held
 20,000 rows and 5.7 MB.  The mean steps of 20,000 cells are built in a
 traced peak of at most 2.5 times their size, with the bits of one
 whole-array build, and an environment's table builds and solves keep no
-measure but its two cross drifts.  Every compiled table build (sweep,
+measure but its two cross drifts.  A special form's general form builds
+those from the form's cached moments, so a form and its table build four
+coordinate moments, not six.  Every compiled table build (sweep,
 mean steps, Picard, simulator) logs one debug line, and nothing by
 default.
 
@@ -64,6 +66,7 @@ from cbve import (
     solve_general,
     solve_moment,
     solve_special_picard,
+    special_to_general,
 )
 from cbve.compiled import _steps, mean_steps
 from cbve.measures import _run_starts
@@ -336,6 +339,24 @@ def test_table_builds_keep_no_coordinate_moment():
     solve_general(env, 1.0, (1.0, 1.0)), solve_moment(env, 1.0, (1.0, 1.0))
     new = {id(meas) for meas in measures()} - before
     assert new == {id(meas) for meas in env._cross_drifts}
+
+
+def test_general_form_reuses_the_forms_cross_moments(monkeypatch):
+    # a form builds its kernels' four coordinate moments once, and its general
+    # form's cross drifts read two of them: 4 builds, not 6
+    sf = random_special_form(np.random.default_rng(5), cells=30)
+    built = []
+    build = JumpMeasure.coordinate_moment
+    monkeypatch.setattr(JumpMeasure, "coordinate_moment",
+                        lambda self, j: built.append(j) or build(self, j))
+    env = special_to_general(sf)
+    env._table
+    assert sorted(built) == [1, 1, 2, 2]
+    # the same bits as the cross drifts a copy builds from its kernels
+    for got, want in zip(env._cross_drifts, dataclasses.replace(env)._cross_drifts):
+        assert got.density.tobytes() == want.density.tobytes()
+        assert got.node_atom_masses.tobytes() == want.node_atom_masses.tobytes()
+    assert len(built) == 6
 
 
 def test_table_build_logs_one_debug_line(caplog):

@@ -160,6 +160,11 @@ class TestSolveGeneral:
         with pytest.raises(NumericalError, match="non-finite"):
             check_flow(env, 0.0, 1.0, 1.0, lam)
 
+    def test_solution_is_read_only(self):
+        sol = solve_general(random_environment(np.random.default_rng(3), cells=20), 1.0, (1.0, 2.0))
+        with pytest.raises(ValueError, match="read-only"):
+            sol.v[0, 0] = 0.0
+
     def test_rejects_negative_lambda(self):
         env = make_env(uniform_grid(cells=10))
         with pytest.raises(ValueError):
@@ -362,6 +367,12 @@ class TestSolvePicard:
         assert np.all(sol.v[:, 0] == 1.5)
         assert np.all(sol.v[:, 1] == 0.5)
 
+    def test_solution_is_read_only(self):
+        sol = solve_special_picard(random_special_form(np.random.default_rng(3), cells=20),
+                                   1.0, (1.0, 2.0))
+        with pytest.raises(ValueError, match="read-only"):
+            sol.v[0, 0] = 0.0
+
     def test_linear_cross_closed_form(self):
         grid = uniform_grid(cells=100)
         sf = make_sf(
@@ -489,6 +500,13 @@ class TestHTransform:
         base = solve_special_picard(sf, 1.0, lam)
         mapped = h_transform_solution(base, zero, zero, lam)
         assert np.array_equal(mapped.v, base.v)
+
+    def test_solution_is_read_only(self):
+        sf = random_special_form(np.random.default_rng(3), cells=20)
+        zero = StieltjesMeasure.zero(sf.grid)
+        sol = h_transform_solution(solve_special_picard(sf, 1.0, (1.0, 2.0)), zero, zero, (1.0, 2.0))
+        with pytest.raises(ValueError, match="read-only"):
+            sol.v[0, 0] = 0.0
 
     def test_continuous_zeta_drift(self):
         grid = uniform_grid(cells=10)
