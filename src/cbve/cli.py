@@ -36,7 +36,7 @@ import sys
 import numpy as np
 
 from .config import RunConfig, emit_config, load_config
-from .environment import finite_activity_approximation
+from .environment import finite_activity_approximation, special_to_general
 from .errors import (AdmissibilityError, CBVEError, ConfigError, DiscretizationError,
                      NumericalError)
 from .measures import StieltjesMeasure
@@ -99,7 +99,7 @@ def _load(args) -> RunConfig:
 def _as_environment(cfg: RunConfig):
     if cfg.kind == "environment":
         return cfg.environment
-    return cfg.special_form._general
+    return special_to_general(cfg.special_form)
 
 
 def _terminal(cfg: RunConfig, args) -> float:
@@ -283,7 +283,7 @@ def _verify_special(cfg: RunConfig, args, t: float, lam, battery: _Battery) -> N
         f"max iterate={max_val:.6g} vs bound {sol.picard_bound:.6g}",
     )
     try:
-        general = solve_general(sf._general, t, lam)
+        general = solve_general(special_to_general(sf), t, lam)
     except DiscretizationError as exc:
         # the grid cannot resolve the general route, so the two cannot agree
         battery.check("special_general_agreement", False, f"general sweep refused: {exc}")

@@ -174,10 +174,15 @@ class Environment(_Model):
 
     @cached_property
     def _cross_drifts(self) -> tuple:
-        """(bb12, bb21) of :func:`effective_cross_drift`, built once; the
-        gate of every solver, so an inadmissible model raises here."""
+        """(bb12, bb21) of :func:`effective_cross_drift`: each cross drift
+        plus its kernel's cross moment, built once from the model's own
+        kernels; the gate of every solver, so an inadmissible model raises
+        here.  Each moment is built as its sum is formed, so one is freed
+        before the next is built."""
         self.require_valid()
-        return _cross_sums(self, lambda i, j: self.m_jump(i).coordinate_moment(j))
+        return tuple(StieltjesMeasure.linear_combination(
+            self.grid, [(1.0, self.b_cross(i, j)), (1.0, self.m_jump(i).coordinate_moment(j))])
+            for i, j in ((1, 2), (2, 1)))
 
     @cached_property
     def _table(self):
@@ -190,14 +195,6 @@ class Environment(_Model):
         return mean_steps(self)
 
 
-def _cross_sums(env: Environment, moment) -> tuple:
-    """(b12 + moment(1, 2), b21 + moment(2, 1)) on ``env``'s grid: its cross
-    drifts plus its kernels' cross moments.  Each moment is asked for as its
-    sum is formed, so one built on demand is freed before the next."""
-    return tuple(StieltjesMeasure.linear_combination(env.grid, [(1.0, b), (1.0, moment(i, j))])
-                 for b, i, j in ((env.b12, 1, 2), (env.b21, 2, 1)))
-
-
 @dataclass(frozen=True, eq=False)
 class SpecialForm(_Model):
     """Finite-activity coefficients: diagonal/cross drifts and jump kernels.
@@ -206,7 +203,7 @@ class SpecialForm(_Model):
     ``delta gamma_ii > -1``; cross drifts are nondecreasing; the
     (z1 + z2)-mass of each jump kernel is finite by construction.  A form
     also caches its kernels' four coordinate moments, which every Picard
-    solve reads; an environment keeps only its cross drifts.
+    solve reads, and its one general form (:func:`special_to_general`).
     """
 
     gamma11: StieltjesMeasure = _coefficient()
@@ -239,7 +236,7 @@ class SpecialForm(_Model):
     @cached_property
     def _moments(self) -> tuple:
         """``_moments[i - 1][j - 1]``: mu_i's :meth:`JumpMeasure.coordinate_moment`
-        j, built once; held here, as the general form shares the kernels."""
+        j, built once."""
         return tuple(tuple(mu.coordinate_moment(j) for j in (1, 2)) for mu in (self.mu1, self.mu2))
 
     @cached_property
@@ -257,8 +254,23 @@ class SpecialForm(_Model):
 
     @cached_property
     def _general(self) -> Environment:
-        """The form's general form, validated once, solved for the means."""
-        return special_to_general(self)
+        """The form's one general form, built and validated once: see
+        :func:`special_to_general`."""
+        grid = self.grid
+
+        def diag(i: int) -> StieltjesMeasure:
+            return StieltjesMeasure.linear_combination(
+                grid, [(-1.0, self.gamma_diag(i)), (-1.0, self._moments[i - 1][i - 1])])
+
+        env = Environment(
+            grid,
+            diag(1), diag(2),
+            self.gamma12, self.gamma21,
+            StieltjesMeasure.zero(grid), StieltjesMeasure.zero(grid),
+            self.mu1, self.mu2,
+        )
+        env.require_valid()
+        return env
 
 
 def atom_load(env: Environment, i: int, s: float) -> float:
@@ -341,29 +353,12 @@ def special_to_general(sf: SpecialForm) -> Environment:
     The diagonal drift absorbs both the negated diagonal coefficient and the
     mean own-coordinate jump inflow; cross drifts and kernels carry over,
     diffusion is zero.  Raises if the result fails admissibility (possible
-    only for inputs outside the admissible class).  The general form's
-    effective cross drifts are built from the form's cached cross moments,
-    as the two models share their kernels.
+    only for inputs outside the admissible class).  A form has one general
+    form, built and validated on the first call and kept on the form, so
+    every caller shares it and its compiled tables; like any environment it
+    builds its own effective cross drifts from its kernels.
     """
-    grid = sf.grid
-
-    def diag(i: int) -> StieltjesMeasure:
-        own = sf._moments[i - 1][i - 1]
-        return StieltjesMeasure.linear_combination(
-            grid, [(-1.0, sf.gamma_diag(i)), (-1.0, own)]
-        )
-
-    env = Environment(
-        grid,
-        diag(1), diag(2),
-        sf.gamma12, sf.gamma21,
-        StieltjesMeasure.zero(grid), StieltjesMeasure.zero(grid),
-        sf.mu1, sf.mu2,
-    )
-    env.require_valid()
-    # what the _cross_drifts property would cache, from moments already built
-    env.__dict__["_cross_drifts"] = _cross_sums(env, lambda i, j: sf._moments[i - 1][j - 1])
-    return env
+    return sf._general
 
 
 def finite_activity_approximation(env: Environment, n: int) -> SpecialForm:

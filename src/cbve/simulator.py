@@ -41,7 +41,8 @@ The drift matrices, stretches and sampling tables come
 from :func:`cbve.compiled.sim_table`, built once per special form and
 cached on it.  So are the models the targets are solved on: the form
 refined 32 times for :func:`mc_laplace` (with its own cached Picard table)
-and the form's own :func:`special_to_general` form for :func:`mc_mean`.
+and the form's one general form, :func:`special_to_general`, for
+:func:`mc_mean`, which builds its own cross drifts like any environment.
 They live as long as the form; every call solves its model afresh, so a
 repeated check returns what it would on a fresh form.
 
@@ -60,7 +61,7 @@ from itertools import repeat
 import numpy as np
 
 from .compiled import _expm2
-from .environment import SpecialForm
+from .environment import SpecialForm, special_to_general
 from .errors import NumericalError
 from .moments import solve_moment
 from .solver import _LOG_MAX, _pair, solve_special_picard
@@ -527,6 +528,6 @@ def mc_mean(sf: SpecialForm, x0, t: float, lam, n_paths: int, seed) -> MCEstimat
         sf, (x1, x2), t, n_paths, seed,
         lambda fx1, fx2: lam1 * fx1 + lam2 * fx2,
     )
-    sol = solve_moment(sf._general, t, (lam1, lam2))
+    sol = solve_moment(special_to_general(sf), t, (lam1, lam2))
     target = x1 * sol.pi[0, 0].item() + x2 * sol.pi[0, 1].item()
     return MCEstimate(n_paths, estimate, se, target, _z_score(estimate, target, se))

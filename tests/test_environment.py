@@ -164,6 +164,8 @@ def _misuses():
         "m_jump 5": (lambda: env.m_jump(5), "type index must be 1 or 2"),
         "gamma_diag 3": (lambda: sf.gamma_diag(3), "type index must be 1 or 2"),
         "mu_jump 0": (lambda: sf.mu_jump(0), "type index must be 1 or 2"),
+        "coordinate_moment 3": (lambda: sf.mu1.coordinate_moment(3),
+                                "coordinate index must be 1 or 2"),
         "diffusion atom": (lambda: dataclasses.replace(
             env, c1=StieltjesMeasure(grid, np.zeros(4), ((0.5, 1.0),))),
             r"c1 must be continuous \(no time atoms\)"),

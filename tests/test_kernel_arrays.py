@@ -26,9 +26,11 @@ window of its last half makes no row object; the per-cell table held
 20,000 rows and 5.7 MB.  The mean steps of 20,000 cells are built in a
 traced peak of at most 2.5 times their size, with the bits of one
 whole-array build, and an environment's table builds and solves keep no
-measure but its two cross drifts.  A special form's general form builds
-those from the form's cached moments, so a form and its table build four
-coordinate moments, not six.  Every compiled table build (sweep,
+measure but its two cross drifts.  A special form has one general form,
+which ``special_to_general``, ``mc_mean`` and ``cbve verify`` all solve
+on, and which builds its own cross drifts like any environment, so a form
+and its general form build six coordinate moments in all, however often
+either is asked.  Every compiled table build (sweep,
 mean steps, Picard, simulator) logs one debug line, and nothing by
 default.
 
@@ -42,6 +44,7 @@ Every bad point still raises its ``ValueError``, whichever way it enters
 a kernel, and every array a kernel stores or hands out is read-only, as is
 every compiled table a model caches; a replaced model builds its own.
 """
+import argparse
 import dataclasses
 import gc
 import logging
@@ -54,6 +57,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import _reference
+from cbve import cli, simulator
 from cbve import (
     DiscreteSpatialMeasure,
     Environment,
@@ -62,6 +66,7 @@ from cbve import (
     TimeGrid,
     finite_activity_approximation,
     h_transform_coefficients,
+    mc_mean,
     simulate_path,
     solve_general,
     solve_moment,
@@ -69,6 +74,7 @@ from cbve import (
     special_to_general,
 )
 from cbve.compiled import _steps, mean_steps
+from cbve.config import RunConfig
 from cbve.measures import _run_starts
 from cbve.solver import _window
 
@@ -341,22 +347,35 @@ def test_table_builds_keep_no_coordinate_moment():
     assert new == {id(meas) for meas in env._cross_drifts}
 
 
-def test_general_form_reuses_the_forms_cross_moments(monkeypatch):
-    # a form builds its kernels' four coordinate moments once, and its general
-    # form's cross drifts read two of them: 4 builds, not 6
+def test_a_form_has_one_general_form(monkeypatch):
+    # special_to_general returns the form's one general form, which builds its
+    # own cross drifts: the form's four coordinate moments and the general
+    # form's two cross moments are built once, however often either is asked
     sf = random_special_form(np.random.default_rng(5), cells=30)
     built = []
     build = JumpMeasure.coordinate_moment
     monkeypatch.setattr(JumpMeasure, "coordinate_moment",
                         lambda self, j: built.append(j) or build(self, j))
     env = special_to_general(sf)
-    env._table
-    assert sorted(built) == [1, 1, 2, 2]
+    assert special_to_general(sf) is env
+    for _ in range(2):
+        special_to_general(sf)._table, special_to_general(sf)._mean_steps
+        solve_special_picard(sf, 1.0, (1.0, 1.0)), solve_general(env, 1.0, (1.0, 1.0))
+        mc_mean(sf, (1.0, 1.0), 1.0, (1.0, -1.0), 100, 0)
+    assert sorted(built) == [1, 1, 1, 2, 2, 2]
     # the same bits as the cross drifts a copy builds from its kernels
     for got, want in zip(env._cross_drifts, dataclasses.replace(env)._cross_drifts):
         assert got.density.tobytes() == want.density.tobytes()
         assert got.node_atom_masses.tobytes() == want.node_atom_masses.tobytes()
-    assert len(built) == 6
+    # mc_mean and cbve verify's special_general_agreement check solve on it
+    solved = []
+    for module, name in ((simulator, "solve_moment"), (cli, "solve_general")):
+        monkeypatch.setattr(module, name, lambda model, *rest, call=getattr(module, name):
+                            solved.append(model) or call(model, *rest))
+    mc_mean(sf, (1.0, 1.0), 1.0, (1.0, -1.0), 100, 0)
+    cli.cmd_verify(RunConfig("special_form", special_form=sf),
+                   argparse.Namespace(t=None, lam=None, paths=None, x0=None, seed=None))
+    assert len(solved) == 2 and all(model is env for model in solved)
 
 
 def test_table_build_logs_one_debug_line(caplog):
