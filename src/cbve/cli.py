@@ -233,6 +233,10 @@ def _verify_environment(cfg: RunConfig, args, t: float, lam, battery: _Battery) 
     ir, isx = it // 4, it // 2
     r = float(env.grid.nodes[ir])
     s = float(env.grid.nodes[isx])
+    try:  # held for check_flow's direct leg; a refused solve files nothing
+        sol = solve_general(env, t, lam)
+    except NumericalError:
+        sol = None
     residual = check_flow(env, r, s, t, lam)
     # check_flow on env.refined(4), without building that model
     residual4 = _flow_residual(env, r, s, t, lam, base=4)
@@ -243,7 +247,7 @@ def _verify_environment(cfg: RunConfig, args, t: float, lam, battery: _Battery) 
         residual4 <= max(residual / 3.0, 1e-12),
         f"refine4 residual={residual4:.3e} vs base {residual:.3e}",
     )
-    sol = solve_general(env, t, lam)
+    sol = sol or solve_general(env, t, lam)  # a refused solve raises here, as unheld
     worst = 0.0
     for i in (1, 2):
         bound = cumulant_upper_bound(env, i, 0.0, t, lam)

@@ -22,15 +22,16 @@ matrices and atom kernel tables.
 
 Runs and stretches of equal cells are found by
 :func:`cbve.measures._run_starts`, the one comparison of neighbouring
-cells.  Each builder takes the model it compiles, an environment or a
-special form of :mod:`cbve.environment`, which caches the table on first
-use, and logs one debug line per build; this module reads models by
-attribute only and does not import them.  Tables are read-only, so a
-cached table cannot drift from its model; each holds only lam-free
-arithmetic, which a warm solve does not redo.  A build keeps its scratch
-small: the sweep table reads kernel points as stored, negating them only
-in the rows it makes, and the mean steps are built a block of cells at a
-time, into their result.
+cells, and each table's time atoms by :func:`_atoms`.  Each builder takes
+the model it compiles, an environment or a special form of
+:mod:`cbve.environment`, which caches the table on first use, and logs
+one debug line per build; this module reads models by attribute only and
+does not import them.  Tables are read-only, so a cached table cannot
+drift from its model; each holds only lam-free arithmetic, which a warm
+solve does not redo.  A build keeps its scratch small: the sweep table
+reads kernel points as stored, negating them only in the rows it makes,
+and the mean steps are built a block of cells at a time, into their
+result.
 """
 from __future__ import annotations
 
@@ -85,11 +86,9 @@ def sweep_table(env) -> SweepTable:
     n = grid.n_cells
     scalars = (env.b11, env.b22, *env._cross_drifts, env.c1, env.c2)
     jumps = (env.m1, env.m2)
-    masses = [meas.node_atom_masses for meas in scalars]
-    points = [dict(zip(jump.atom_nodes.tolist(), _point_sets(jump.atom_points, _negated)))
-              for jump in jumps]
-    atoms = {m: (*(float(mass[m]) for mass in masses), *(pts.get(m, ()) for pts in points))
-             for m in set().union(*points, *(np.flatnonzero(mass).tolist() for mass in masses))}
+    nodes, masses, points = _atoms(scalars, jumps)
+    atoms = dict(zip(nodes.tolist(), zip(*(mass.tolist() for mass in masses),
+                                         *(_point_sets(p, _negated) for p in points))))
     kernels = [_point_runs(jump.cell_points, _negated) for jump in jumps]
     ends = np.zeros(n + 1, dtype=bool)  # does a run end at the node
     ends[[*atoms, n]] = True
@@ -171,6 +170,17 @@ def _stacked(arrays, cols, size: int) -> np.ndarray:
     return out
 
 
+def _atoms(scalars, jumps) -> tuple:
+    """The ascending nodes where a measure of ``scalars`` has a nonzero atom
+    mass (found among its atom nodes) or a kernel of ``jumps`` an atom, the
+    measures' masses there, and the kernels' atom points, :func:`_stacked`."""
+    nodes = np.unique(np.concatenate([m.atom_nodes[m.node_atom_masses[m.atom_nodes] != 0.0]
+                                      for m in scalars] + [k.atom_nodes for k in jumps]))
+    return (nodes, [m.node_atom_masses[nodes] for m in scalars],
+            _stacked([k.atom_points for k in jumps],
+                     [np.searchsorted(nodes, k.atom_nodes) for k in jumps], nodes.size))
+
+
 class PicardTable(NamedTuple):
     """Array table of the diagonal-free Picard map; see :func:`picard_table`.
     Row i of ``aL``, ``aR``, ``ab`` and ``pL``, ``pR``, ``ap`` (padded
@@ -211,16 +221,13 @@ def picard_table(sf):
     nz = atom != 0.0
     dZ[nz] = np.log1p(atom[nz])
     Z = np.stack([g._cumdens for g in (sf.gamma11, sf.gamma22)]) + np.cumsum(dZ, axis=1)
-    nodes = np.unique(np.concatenate(
-        [np.flatnonzero(g.node_atom_masses) for g in cross] + [m.atom_nodes for m in mu]))
+    nodes, masses, A = _atoms(cross, mu)
     # edge values per cell: left node (cadlag value on the open cell) and the
     # left limit at the right node; at an atom node, its left limit and value
     ZL, ZR = Z[:, :-1], Z[:, 1:] - dZ[:, 1:]
     Za = Z[:, nodes]
     za = Za - dZ[:, nodes]
     P = _stacked([m.cell_points for m in mu], (slice(None),) * 2, grid.n_cells)
-    A = _stacked([m.atom_points for m in mu],
-                 [np.searchsorted(nodes, m.atom_nodes) for m in mu], nodes.size)
     dens = np.stack([g.density for g in cross])
     exp = np.exp
     with np.errstate(over="ignore", invalid="ignore"):
@@ -231,7 +238,7 @@ def picard_table(sf):
             pL=_rescaled(P, -exp(-ZL), exp(ZL)),
             pR=_rescaled(P, -exp(-ZR), exp(ZR)),
             atom_nodes=nodes,
-            ab=np.stack([g.node_atom_masses[nodes] for g in cross]) * exp(za - Za[::-1]),
+            ab=np.stack(masses) * exp(za - Za[::-1]),
             ap=_rescaled(A, -exp(-Za), exp(za)),
             Z=Z,
             F=exp(-Z),
@@ -385,17 +392,12 @@ def sim_table(sf):
     carries no atom.
     """
     start = perf_counter()
-    g11, g22, g12, g21 = (g.density for g in (sf.gamma11, sf.gamma22, sf.gamma12, sf.gamma21))
-    G = np.stack((g11, g21, g12, g22))
+    G = np.stack([g.density for g in (sf.gamma11, sf.gamma21, sf.gamma12, sf.gamma22)])
     mu = (sf.mu1, sf.mu2)
-    masses = [g.node_atom_masses for g in (sf.gamma11, sf.gamma22, sf.gamma12, sf.gamma21)]
-    nodes = np.unique(np.concatenate(
-        [np.flatnonzero(m) for m in masses] + [k.atom_nodes for k in mu]))
+    nodes, (a11, a22, a12, a21), atom_points = _atoms(
+        (sf.gamma11, sf.gamma22, sf.gamma12, sf.gamma21), mu)
     atom_slot = np.full(sf.grid.nodes.size, -1)
     atom_slot[nodes] = np.arange(nodes.size)
-    a11, a22, a12, a21 = (m[nodes] for m in masses)
-    atom_points = _stacked([k.atom_points for k in mu], [atom_slot[k.atom_nodes] for k in mu],
-                           nodes.size)
     # -0.0 + 0.0 is 0.0: a stretch joins cells equal in value, which a path steps alike
     starts = _run_starts(G + 0.0, *(k.cell_points + 0.0 for k in mu))
     table = _frozen(SimTable(

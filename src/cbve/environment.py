@@ -58,6 +58,13 @@ def _of_type(i: int, one, two):
     return one if _other(i) == 2 else two
 
 
+def _cross(i: int, j: int, one, two):
+    """``one`` for the pair (1, 2), ``two`` for (2, 1); another pair raises."""
+    if j != _other(i):
+        raise ValueError("need i != j in {1, 2}")
+    return _of_type(i, one, two)
+
+
 #: math.hypot elementwise: np.hypot differs from it in the last bit
 _hypot = np.vectorize(math.hypot, otypes=[float])
 
@@ -151,11 +158,7 @@ class Environment(_Model):
         return _of_type(i, self.b11, self.b22)
 
     def b_cross(self, i: int, j: int) -> StieltjesMeasure:
-        if (i, j) == (1, 2):
-            return self.b12
-        if (i, j) == (2, 1):
-            return self.b21
-        raise ValueError("need i != j in {1, 2}")
+        return _cross(i, j, self.b12, self.b21)
 
     def c_diag(self, i: int) -> StieltjesMeasure:
         return _of_type(i, self.c1, self.c2)
@@ -224,11 +227,7 @@ class SpecialForm(_Model):
         return _of_type(i, self.gamma11, self.gamma22)
 
     def gamma_cross(self, i: int, j: int) -> StieltjesMeasure:
-        if (i, j) == (1, 2):
-            return self.gamma12
-        if (i, j) == (2, 1):
-            return self.gamma21
-        raise ValueError("need i != j in {1, 2}")
+        return _cross(i, j, self.gamma12, self.gamma21)
 
     def mu_jump(self, i: int) -> JumpMeasure:
         return _of_type(i, self.mu1, self.mu2)
@@ -342,9 +341,7 @@ def validate(env: Environment) -> ValidationReport:
 
 def effective_cross_drift(env: Environment, i: int, j: int) -> StieltjesMeasure:
     """Cross drift plus the mean cross-coordinate inflow of the jump kernel."""
-    if j != _other(i):
-        raise ValueError("need i != j in {1, 2}")
-    return env._cross_drifts[i - 1]
+    return env._cross_drifts[_cross(i, j, 0, 1)]  # the pair is checked before the build
 
 
 def special_to_general(sf: SpecialForm) -> Environment:

@@ -45,8 +45,7 @@ def compensated_jump_kernel(lam, z) -> float:
 
 def partially_compensated_jump_kernel(i: int, lam, z) -> float:
     """exp(-<lam, z>) - 1 + lam_i z_i; may be negative when lam_j z_j > 0."""
-    if i not in (1, 2):
-        raise ValueError("type index must be 1 or 2")
+    _other(i)  # raises unless i is 1 or 2
     x = lam[0] * z[0] + lam[1] * z[1]
     return math.expm1(-x) + lam[i - 1] * z[i - 1]
 

@@ -153,9 +153,9 @@ def _pair(value, what: str = "lambda", signed: bool = False):
 # {unpack} binds the points to locals once per run, and {d1}, {d2}, {e1}
 # and {e2} are the compensated terms of _terms, two lines each.  A count of
 # _UNROLL stands for that many or more: the points past them are bound to
-# a list and stepped in a loop after the written-out terms.  The atom step
-# keeps its point loops, as an atom's point counts are its own.  Returns
-# the value below the group.
+# a list and stepped in a loop after the written-out terms.  {p1} and {p2},
+# the atom step's, are _terms' loop over an atom's own points, so _terms
+# writes every compensated term.  Returns the value below the group.
 _LOOP = """\
 def sweep_runs(group, steps, buf, v1, v2, clamp):
     expm1 = math.expm1
@@ -165,13 +165,9 @@ def sweep_runs(group, steps, buf, v1, v2, clamp):
         if a is not None:
             a11, a22, ab12, ab21, _, _, ap1, ap2 = a
             p1 = a11 * v1 - ab12 * v2
-            for z1, z2, w in ap1:
-                x = v1 * z1 + v2 * z2
-                p1 += (expm1(x) - x) * w
+{p1}\
             p2 = a22 * v2 - ab21 * v1
-            for z1, z2, w in ap2:
-                x = v1 * z1 + v2 * z2
-                p2 += (expm1(x) - x) * w
+{p2}\
             v1 -= p1
             v2 -= p2
             if not v1 >= 0.0:
@@ -239,6 +235,8 @@ def _loop_source(n1: int, n2: int) -> str:
     p, q = [f"p{j}" for j in range(n1)], [f"q{j}" for j in range(n2)]
     pr, qr = ("pr" if n1 == _UNROLL else ""), ("qr" if n2 == _UNROLL else "")
     return _LOOP.format(unpack=_unpack(p, pr, "pts1") + _unpack(q, qr, "pts2"),
+                        p1=_terms("p1", "v1", "v2", (), "ap1"),
+                        p2=_terms("p2", "v1", "v2", (), "ap2"),
                         d1=_terms("d1", "v1", "v2", p, pr), d2=_terms("d2", "v1", "v2", q, qr),
                         e1=_terms("e1", "c1x", "c2x", p, pr), e2=_terms("e2", "c1x", "c2x", q, qr))
 
@@ -274,15 +272,15 @@ def _sweep(runs, steps, lam):
     their bounds counted from the window's first cell, and ``steps`` the
     window's ``(h, h / 2)`` per cell; a run's atom steps the value before
     its last cell.  Points are stored negated, so the compensated term
-    ``expm1(-x) + x`` is ``expm1(x) - x`` at the negated x: the same float,
-    IEEE negation being exact and rounding symmetric.  Each stretch of
-    consecutive runs with equal point counts per type goes to the loop
-    generated for those counts (:func:`_loop`, which counts 8 or more as 8),
-    which steps every cell with its first points as locals and their
+    ``expm1(-x) + x`` is the one :func:`_terms` writes at the negated x: the
+    same float, IEEE negation being exact and rounding symmetric.  Each
+    stretch of consecutive runs with equal point counts per type goes to the
+    loop generated for those counts (:func:`_loop`, which counts 8 or more
+    as 8), which steps every cell with its first points as locals and their
     compensated terms written out, then the rest in a loop: the arithmetic
-    of one loop over the points, in the same order.  Returns
-    ``v`` with one value per node of the window, the clamp count and the
-    worst clamped deficit.
+    of one loop over the points, in the same order.  Returns ``v`` with one
+    value per node of the window, the clamp count and the worst clamped
+    deficit.
     """
     n = len(steps)
     v1, v2 = lam

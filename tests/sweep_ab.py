@@ -7,7 +7,7 @@ Usage::
 ``SRC_A`` and ``SRC_B`` are directories that hold a ``cbve`` package, e.g.
 two checkouts' ``src``.  Each is imported under a name of its own, so both
 live in this process, and each builds its own copy of every model from the
-same config.  Per model, five calls (six on a special form) are first
+same config.  Per model, five calls (eight on a special form) are first
 run once on each side, so compiled tables and sweep loops are built, and
 then timed ``CALLS`` times
 (default 21) in alternation, A then B: ``solve_general`` over the whole
@@ -21,7 +21,10 @@ are built in the untimed first call).  A model given as a special form
 adds ``special_to_general``, the build of its general form's sweep table
 (``special_to_general(sf)._table``) on a fresh copy of the form whose
 coordinate moments were built outside the timer, as a ``picard_route``
-task orders them (Picard first); its other calls run on its general form.
+task orders them (Picard first), and ``picard_table`` and ``sim_table``,
+the builds of the form's Picard and simulator tables (``_picard_table``,
+``_sim_table``), each on a fresh copy of the form; its other calls run on
+its general form.
 A line holds the model, the call, the median ms of A and of B, their
 ratio B / A and the number of calls in which B was faster.
 
@@ -154,6 +157,8 @@ def _calls(pkg, model):
              "emit_config": lambda: partial(pkg.emit_config, env)}
     if env is not model:
         calls["special_to_general"] = lambda: partial(_general_table, pkg, _fresh_form(model))
+        for name in ("picard_table", "sim_table"):
+            calls[name] = lambda name=name: partial(getattr, dataclasses.replace(model), f"_{name}")
     return calls
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from cbve import CBVEError, emit_config, load_config, parse_config
-from cbve import cli
+from cbve import check_flow, cli, solver
 from cbve.cli import main
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -294,6 +294,35 @@ class TestCommands:
         main(["verify", "--config", path, "--paths", "100", "--x0", "1e8,1"])
         out = capsys.readouterr().out
         assert "PASS mc_laplace" in out and "PASS mc_mean" in out
+
+    @pytest.mark.parametrize("section, message", [
+        # the sweep fails on the first cell only, below r = T/4: the flow
+        # checks pass, and the solve read after them raises
+        ({"c1": {"density": [[0.0, 0.25, 100.0]]}},
+         "negative component -7.750e+07 beyond tolerance; refine the grid"),
+        # every cell is stiff: check_flow's fine leg refuses cell 2 at half
+        # the width, where the solve would refuse cell 0 at h * mu = 5
+        ({"b11": {"density": [[0.0, 1.0, 20.0]]}},
+         "stiff decay on cell 2: h * mu = 2.5 > 2, where the two-pass step grows a "
+         "decaying mode; refine the grid"),
+    ])
+    def test_verify_reports_its_first_refusal_in_battery_order(self, tmp_path, capsys,
+                                                               section, message):
+        path = _write(tmp_path, {"kind": "environment", "horizon": 1.0, "grid_cells": 4,
+                                 **section})
+        assert main(["verify", "--config", path, "--lambda", "10,0"]) == 4
+        assert capsys.readouterr() == ("", f"numerical failure: {message}\n")
+
+    def test_verify_holds_its_solve_for_check_flow(self, monkeypatch, capsys):
+        held = []
+
+        def spy(env, r, s, t, lam):
+            held.append(len(solver._SOLVES.get(env, {})))
+            return check_flow(env, r, s, t, lam)
+
+        monkeypatch.setattr(cli, "check_flow", spy)
+        assert main(["verify", "--config", _cfg_path("feller.json")]) == 0
+        assert held == [1]
 
     def test_stiff_decay_is_refused_not_printed(self, tmp_path, capsys):
         # the sweep printed v0 = (0.5258, 7.19e6) with exit 0; the exact

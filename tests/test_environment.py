@@ -153,6 +153,7 @@ def _misuses():
         "type index 3": (lambda: effective_cross_drift(env, 3, 1), "type index must be 1 or 2"),
         "cross index 1, 1": (lambda: effective_cross_drift(env, 1, 1), "need i != j in {1, 2}"),
         "b_cross 1, 1": (lambda: env.b_cross(1, 1), "need i != j in {1, 2}"),
+        "b_cross 3, 1": (lambda: env.b_cross(3, 1), "type index must be 1 or 2"),
         "gamma_cross 2, 2": (lambda: sf.gamma_cross(2, 2), "need i != j in {1, 2}"),
         "other grid": (lambda: dataclasses.replace(env, b11=StieltjesMeasure.zero(other)),
                        "b11 lives on a different grid"),
