@@ -216,7 +216,7 @@ class StieltjesMeasure:
         base = float(self._cumdens[k])
         if k < self.grid.n_cells:
             base += float(self.density[k]) * max(t - self.grid.nodes[k], 0.0)
-        return base + _running_sum(0.0, self.node_atom_masses[: k + 1])
+        return float(base + _running_sum(0.0, self.node_atom_masses[: k + 1]))
 
     def total_variation(self, t: float) -> float:
         """Variation mass of (0, t]: density and atoms in absolute value."""
@@ -227,7 +227,7 @@ class StieltjesMeasure:
         else:
             base = float(np.sum(absdens[:k] * self.grid.widths[:k]))
             base += float(absdens[k]) * (t - self.grid.nodes[k])
-        return base + _running_sum(0.0, np.abs(self.node_atom_masses[: k + 1]))
+        return float(base + _running_sum(0.0, np.abs(self.node_atom_masses[: k + 1])))
 
     def integrate(self, f: np.ndarray, r: float, t: float, rule: str = "right") -> float:
         """Stieltjes integral of a node-indexed function over (r, t].

@@ -29,18 +29,17 @@ Picard.  The sweep itself is a private loop over a window of runs,
 generated once per process for each signature (the kernel point counts
 of a run's two types, each capped at 8) from one source template, with
 the compensated terms of up to 8 points a type written out and the rest
-stepped in a loop after them; :func:`solve_general` runs it over the
-cells below the terminal node, and :func:`check_flow` only over the nodes
-its residual reads, its refined legs on windows of the model's own runs
-with the refined grid's steps.  Both first refuse a cell too wide for its
-decay rate, where the two-pass step would grow a decaying mode.  Every
+stepped in a loop after them.  A leg (:func:`_leg`) sweeps a window of
+cells on the model's grid or a refinement of it: :func:`solve_general`
+those below the terminal node, :func:`check_flow` three over the nodes
+its residual reads.  Each leg first refuses a cell too wide for its decay
+rate, where the two-pass step would grow a decaying mode.  Every
 solution's ``v`` is read-only, and the module keeps weak references to
 each model's live :func:`solve_general` solutions, so :func:`check_flow`
 reads its direct leg from one the caller holds rather than sweeping the
-same cells again.
-The module also houses the h-transform utilities, the two-dimensional
-Gronwall bound, the a-priori growth exponent and upper bound, and the
-flow-property check.
+same cells again.  The module also houses the h-transform utilities, the
+two-dimensional Gronwall bound, the a-priori growth exponent and upper
+bound, and the flow-property check.
 """
 from __future__ import annotations
 
@@ -313,7 +312,7 @@ def _sweep(runs, steps, lam):
     return np.frombuffer(buf).reshape(n + 1, 2), clamp_events, worst_deficit
 
 
-def _window(runs, lo: int, hi: int, f: int = 1) -> list:
+def _window(runs, lo: int, hi: int, f: int) -> list:
     """The ``runs`` over cells lo..hi-1, clipped to them, their bounds
     counted from lo and scaled by ``f``: the runs of those cells on an
     ``f`` times refined grid.  An atom ends a run, so a run clipped at hi
@@ -329,9 +328,10 @@ def _window(runs, lo: int, hi: int, f: int = 1) -> list:
     return window
 
 
-def _leg(env: Environment, lo: int, hi: int, f: int, steps, lam):
-    """:func:`_sweep` over the window of ``env``'s runs over cells
-    lo..hi-1, refined ``f`` ways, with ``steps``.
+def _leg(env: Environment, lo: int, hi: int, grid: TimeGrid, lam):
+    """:func:`_sweep` over cells lo..hi-1 of ``env``'s runs on ``grid``:
+    ``env.grid``, with the model's cached steps, or a refinement that splits
+    each cell ``f`` ways, with its own steps and the runs scaled by ``f``.
 
     First a :class:`DiscretizationError` names the first of those cells
     where h * mu > 2 (mu its run's decay rate), on which the two-pass step
@@ -339,6 +339,8 @@ def _leg(env: Environment, lo: int, hi: int, f: int, steps, lam):
     the model's table lists beside its runs are read, so a model with none
     pays nothing.
     """
+    f = grid.n_cells // env.grid.n_cells
+    steps = env._table.steps[lo:hi] if grid is env.grid else _steps(grid.widths[lo * f : hi * f])
     for a, b, mu in env._table.stiff:
         # empty unless the run meets the window
         for j in range((max(a, lo) - lo) * f, (min(b, hi) - lo) * f):
@@ -375,7 +377,7 @@ def solve_general(env: Environment, t: float, lam) -> CumulantSolution:
     """
     lam = _pair(lam)
     M = env.grid.index_of(t)
-    v, clamp_events, worst_deficit = _leg(env, 0, M, 1, env._table.steps[:M], lam)
+    v, clamp_events, worst_deficit = _leg(env, 0, M, env.grid, lam)
     sol = CumulantSolution(
         t=float(env.grid.nodes[M]),
         lam=lam,
@@ -751,24 +753,22 @@ def check_flow(env: Environment, r: float, s: float, t: float, lam) -> float:
 
 def _flow_residual(env: Environment, r: float, s: float, t: float, lam,
                    base: int = 1) -> float:
-    """:func:`check_flow` on ``env.refined(base)``, swept on ``env``'s
-    compiled runs: the base legs on their windows scaled by ``base``, the
-    fine leg on its window scaled by ``2 * base``, each with the steps of
-    its refined grid (the fine leg's ``env.grid.refine(base).refine(2)``).
-    Refinement keeps ``validate``'s verdict, so ``env``'s own check (made
-    when its runs are compiled) stands for the refined model's.  At
-    ``base == 1`` the base legs take the model's own steps, and the direct
-    leg is read from a live :func:`solve_general` of ``env`` at (t, lam)
-    when the registry ``_SOLVES`` holds one."""
+    """:func:`check_flow` on ``env.refined(base)`` as three legs on
+    ``env``'s compiled runs, ``grid`` being ``env.grid.refine(base)``: the
+    fine leg over the cells of (s, t] on ``grid.refine(2)``, the mid leg
+    over (r, s] on ``grid`` from the fine leg's value at s, and the direct
+    leg over (r, t] on ``grid``.  Refinement keeps ``validate``'s verdict,
+    so ``env``'s own check (made when its runs are compiled) stands for the
+    refined model's.  At ``base == 1`` the direct leg is read from a live
+    :func:`solve_general` of ``env`` at (t, lam) when the registry
+    ``_SOLVES`` holds one."""
     ir, isx, it = (env.grid.index_of(x) for x in (r, s, t))
     if not (ir <= isx <= it):
         raise ValueError("need r <= s <= t")
     grid = env.grid.refine(base)
-    n = 2 * base
     lam = _pair(lam)
-    top = _leg(env, isx, it, n, _steps(grid.refine(2).widths[isx * n : it * n]), lam)[0][0]
-    steps = env._table.steps[ir:it] if base == 1 else _steps(grid.widths[ir * base : it * base])
-    mid = _leg(env, ir, isx, base, steps[: (isx - ir) * base], top.tolist())[0][0]
+    top = _leg(env, isx, it, grid.refine(2), lam)[0][0]
+    mid = _leg(env, ir, isx, grid, top.tolist())[0][0]
     held = _SOLVES.get(env, {}).get(_held_key(it, lam)) if base == 1 else None
-    full = held.v[ir] if held is not None else _leg(env, ir, it, base, steps, lam)[0][0]
+    full = held.v[ir] if held is not None else _leg(env, ir, it, grid, lam)[0][0]
     return float(np.max(np.abs(mid - full)))

@@ -8,7 +8,8 @@ z_j = 0) solves, on a run of constant coefficients, dv/dr = phi(v) with
 so the travel time, the integral of du / phi(u) from v(r) to v(t), equals
 t - r.  :func:`flow` solves that for v(r): quadrature in log u and a root
 search, to about 1e-13 relative, with no time grid.  v moves toward the
-zero of phi on its side of v(t), or toward 0, and never passes it.
+zero of phi on its side of v(t), or toward 0, and never passes it; with
+no zero above v(t) where phi < 0 there, v grows without bound.
 :func:`atom` steps v over a time atom by its algebraic formula, the one
 the sweep applies, which has no discretization.
 """
@@ -36,14 +37,15 @@ def phi(u: float, b: float, c: float, points) -> float:
 
 
 def flow(lam: float, tau: float, b: float, c: float, points) -> float:
-    """v a time ``tau`` below a node where v is ``lam`` > 0, on one run.
-    Where phi(lam) < 0, phi must have a zero above lam: c > 0 or a point."""
+    """v a time ``tau`` below a node where v is ``lam`` > 0, on one run."""
     f = partial(phi, b=b, c=c, points=points)
     top = f(lam)
     if tau == 0.0 or top == 0.0:
         return lam
     far = 0.0  # where v heads: 0, which it takes forever to reach, when b >= 0
-    if b < 0.0:  # phi(u) / u rises with u from b: one zero, which v never passes
+    if b < 0.0 and c == 0.0 and b + sum(z * w for z, w in points) <= 0.0:
+        far = math.inf  # phi(u) / u rises to b + sum z w <= 0: no zero, v grows
+    elif b < 0.0:  # phi(u) / u rises with u from b: one zero, which v never passes
         u, step = lam, (2.0 if top < 0.0 else 0.5)
         while (f(u) < 0.0) == (top < 0.0):
             u *= step
@@ -55,7 +57,8 @@ def flow(lam: float, tau: float, b: float, c: float, points) -> float:
                     epsabs=0.0, epsrel=1e-13, limit=200)[0] - tau
 
     near, k = lam, 1
-    while travel(inner := far + (lam - far) * 0.5 ** k) < 0.0:
+    while travel(inner := lam * 2.0 ** k if far == math.inf
+                 else far + (lam - far) * 0.5 ** k) < 0.0:
         near, k = inner, k + 1
     return brentq(travel, min(inner, near), max(inner, near), xtol=1e-300, rtol=_RTOL)
 

@@ -7,14 +7,16 @@ Usage::
 ``SRC_A`` and ``SRC_B`` are directories that hold a ``cbve`` package, e.g.
 two checkouts' ``src``.  Each is imported under a name of its own, so both
 live in this process, and each builds its own copy of every model from the
-same config.  Per model, five calls (eight on a special form) are first
+same config.  Per model, six calls (nine on a special form) are first
 run once on each side, so compiled tables and sweep loops are built, and
 then timed ``CALLS`` times
 (default 21) in alternation, A then B: ``solve_general`` over the whole
 horizon, ``check_flow`` at r = T/4, s = T/2, t = T (lambda = (1, 1)),
 ``check_flow_held``, the same check while the whole-horizon solve at
 (T, lambda) is held, solved outside the timer first as ``verify_scan``
-orders them, ``sweep_table``, the build of the model's sweep table (``_table``) on a
+orders them, ``check_flow_base4``, the same check on the 4 times refined
+grid (``solver._flow_residual`` with ``base=4``, the refinement check of
+``cbve verify``), ``sweep_table``, the build of the model's sweep table (``_table``) on a
 fresh copy of the model whose cross drifts are built outside the timer,
 and ``emit_config`` of the model (views its kernels cache on first use
 are built in the untimed first call).  A model given as a special form
@@ -153,6 +155,8 @@ def _calls(pkg, model):
     calls = {"solve_general": lambda: partial(pkg.solve_general, env, t, (1.0, 1.0)),
              "check_flow": lambda: partial(pkg.check_flow, env, r, s, t, (1.0, 1.0)),
              "check_flow_held": held,
+             "check_flow_base4": lambda: partial(pkg.solver._flow_residual, env, r, s, t,
+                                                 (1.0, 1.0), base=4),
              "sweep_table": table,
              "emit_config": lambda: partial(pkg.emit_config, env)}
     if env is not model:

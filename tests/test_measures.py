@@ -82,6 +82,14 @@ class TestCumulative:
             with pytest.raises(ValueError, match="outside"):
                 read(math.nan)
 
+    def test_reads_are_python_floats(self):
+        # off a node and at t = 0 both read as numpy.float64
+        grid = uniform_grid(cells=4)
+        meas = StieltjesMeasure(grid, -np.ones(4), ((0.5, 0.25),))
+        for read in (meas.cumulative, meas.total_variation):
+            for t in (0.3, 0.0, 1.0):
+                assert type(read(t)) is float
+
 
 class TestTotalVariation:
     def test_sign_removal(self):

@@ -307,18 +307,19 @@ class TestStiffDecayRefused:
         bb12, bb21 = env._cross_drifts
         mu = _decay_rates(env.b11.density, env.b22.density, bb12.density, bb21.density)
         fine = _steps(env.grid.refine(2).widths[2 * lo : 2 * hi])
-        for f, steps in ((1, env._table.steps[lo:hi]), (2, fine)):
+        for f, steps, grid in ((1, env._table.steps[lo:hi], env.grid),
+                               (2, fine, env.grid.refine(2))):
             first = next(((lo + j // f, h * mu[lo + j // f]) for j, (h, _) in enumerate(steps)
                           if h * mu[lo + j // f] > 2.0), None)
             if first is None:
                 try:
-                    _leg(env, lo, hi, f, steps, (1.0, 1.0))
+                    _leg(env, lo, hi, grid, (1.0, 1.0))
                 except (DiscretizationError, NumericalError) as exc:
                     assert "stiff decay" not in str(exc)
             else:
                 message = "stiff decay on cell {}: h * mu = {:.3g} > 2".format(*first)
                 with pytest.raises(DiscretizationError, match=re.escape(message)):
-                    _leg(env, lo, hi, f, steps, (1.0, 1.0))
+                    _leg(env, lo, hi, grid, (1.0, 1.0))
 
     def test_stiff_runs_of_hand_built_models(self):
         for env in self._stiff_models():
