@@ -17,11 +17,11 @@ the command has returned.  A command that raises writes nothing.
 Exit codes: 0 success, 2 configuration error, 3 admissibility failure,
 4 numerical failure (a typed :class:`NumericalError`, or a floating-point
 overflow, invalid operation or division by zero in a numerical layer),
-5 verification failure.  ``CBVE_LOG=debug`` or ``info`` sends the
-``cbve`` loggers' records at that level to stderr; at debug,
-:mod:`cbve.compiled` logs one line per table it builds (sweep table,
-mean steps, Picard table, simulator table), and :mod:`cbve.solver` one
-per sweep loop it generates.
+5 verification failure.  ``CBVE_LOG=debug`` sends the ``cbve`` loggers'
+debug records to stderr: :mod:`cbve.compiled` logs one line per table it
+builds (sweep table, mean steps, Picard table, simulator table), and
+:mod:`cbve.solver` one per sweep loop it generates.  No other value
+configures logging, since no ``cbve`` logger writes above debug.
 """
 from __future__ import annotations
 
@@ -57,12 +57,8 @@ _APPROX_LEVELS = (1, 2, 4, 8, 16, 32)
 
 
 def _setup_logging() -> None:
-    level = os.environ.get("CBVE_LOG", "").strip().lower()
-    if level in ("debug", "info"):
-        logging.basicConfig(
-            level=logging.DEBUG if level == "debug" else logging.INFO,
-            format="%(levelname)s %(name)s: %(message)s",
-        )
+    if os.environ.get("CBVE_LOG", "").strip().lower() == "debug":
+        logging.basicConfig(level=logging.DEBUG, format="%(levelname)s %(name)s: %(message)s")
 
 
 def _two_floats(text: str):
@@ -277,10 +273,10 @@ def _verify_special(cfg: RunConfig, args, t: float, lam, battery: _Battery) -> N
     else:
         x0, seed = _checked("--x0", args.x0), _seed(args)
     sol = solve_special_picard(sf, t, lam)
-    min_inc = min(sol.picard_min_increments) if sol.picard_min_increments else 0.0
+    min_inc = min(sol.picard_min_increments)
     battery.check("picard_monotonicity", min_inc >= -1e-12,
                   f"min iterate increment={min_inc:.3e}")
-    max_val = max(sol.picard_iterate_maxima) if sol.picard_iterate_maxima else 0.0
+    max_val = max(sol.picard_iterate_maxima)
     battery.check(
         "picard_bound",
         max_val <= sol.picard_bound + 1e-9,

@@ -75,7 +75,7 @@ class TimeGrid:
         """Index of the node equal to ``t`` (within :data:`_NODE_TOL` relative slack)."""
         k = int(np.searchsorted(self.nodes, t))
         slack = _NODE_TOL * max(1.0, self.horizon)
-        for idx in (k, k - 1, k + 1):
+        for idx in (k, k - 1):
             if 0 <= idx < self.nodes.size and abs(self.nodes[idx] - t) <= slack:
                 return idx
         raise ValueError(f"time {t!r} is not a grid node")
@@ -215,17 +215,15 @@ class StieltjesMeasure:
         k = self._last_node(t)
         base = float(self._cumdens[k])
         if k < self.grid.n_cells:
-            base += float(self.density[k]) * max(t - self.grid.nodes[k], 0.0)
+            base += float(self.density[k]) * (t - self.grid.nodes[k])
         return float(base + _running_sum(0.0, self.node_atom_masses[: k + 1]))
 
     def total_variation(self, t: float) -> float:
         """Variation mass of (0, t]: density and atoms in absolute value."""
         k = self._last_node(t)
         absdens = np.abs(self.density)
-        if k >= self.grid.n_cells:
-            base = float(np.sum(absdens * self.grid.widths))
-        else:
-            base = float(np.sum(absdens[:k] * self.grid.widths[:k]))
+        base = float(np.sum(absdens[:k] * self.grid.widths[:k]))
+        if k < self.grid.n_cells:
             base += float(absdens[k]) * (t - self.grid.nodes[k])
         return float(base + _running_sum(0.0, np.abs(self.node_atom_masses[: k + 1])))
 

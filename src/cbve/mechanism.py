@@ -70,14 +70,15 @@ def _full_kernel(x):
     return np.expm1(-x) + x
 
 
-def _jump_part(jump, f, ir, it, widths, kernel):
+def _jump_part(jump, f, r, t, kernel):
     """Integrate the sum of kernel(<f(s), z>) * weight over (r, t] for one
     type: cell densities at the right endpoint, atoms on nodes in (r, t]."""
+    ir, it = jump.grid.index_of(r), jump.grid.index_of(t)
     dens = _kernel_sums(jump.cell_points[:, :, ir:it], *f[ir + 1 : it + 1].T, kernel)
     nodes = jump.atom_nodes
     on = (ir < nodes) & (nodes <= it)
     masses = _kernel_sums(jump.atom_points[:, :, on], *f[nodes[on]].T, kernel)
-    return float(np.sum(widths[ir:it] * dens)) + float(np.sum(masses))
+    return float(np.sum(jump.grid.widths[ir:it] * dens)) + float(np.sum(masses))
 
 
 def mechanism_increment(env: Environment, i: int, f, r: float, t: float) -> float:
@@ -93,8 +94,7 @@ def mechanism_increment(env: Environment, i: int, f, r: float, t: float) -> floa
     total = env.b_diag(i).integrate(fi, r, t)
     total -= effective_cross_drift(env, i, j).integrate(fj, r, t)
     total += env.c_diag(i).integrate(fi * fi, r, t)
-    ir, it = env.grid.index_of(r), env.grid.index_of(t)
-    total += _jump_part(env.m_jump(i), f, ir, it, env.grid.widths, _full_kernel)
+    total += _jump_part(env.m_jump(i), f, r, t, _full_kernel)
     return total
 
 
@@ -119,8 +119,7 @@ def special_mechanism_increment(sf: SpecialForm, i: int, f, r: float, t: float) 
     fi, fj = f[:, i - 1], f[:, j - 1]
     total = -sf.gamma_diag(i).integrate(fi, r, t)
     total -= sf.gamma_cross(i, j).integrate(fj, r, t)
-    ir, it = sf.grid.index_of(r), sf.grid.index_of(t)
-    total -= _jump_part(sf.mu_jump(i), f, ir, it, sf.grid.widths, lambda x: -np.expm1(-x))
+    total -= _jump_part(sf.mu_jump(i), f, r, t, lambda x: -np.expm1(-x))
     return total
 
 

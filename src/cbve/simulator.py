@@ -409,12 +409,13 @@ def _run(tab, M: int, x1, x2, uniforms, events=None):
 
 
 def _master_seed(seed) -> int:
-    """The master seed of an int or a :class:`SeedSpec`, or ``ValueError``."""
+    """The master seed of an int (not a bool) or a :class:`SeedSpec`, or ``ValueError``."""
+    seed = seed.master_seed if isinstance(seed, SeedSpec) else seed
     try:
-        master = operator.index(seed.master_seed if isinstance(seed, SeedSpec) else seed)
+        master = operator.index(seed)
     except TypeError:
         master = -1
-    if master < 0:
+    if master < 0 or isinstance(seed, bool):
         raise ValueError("seed must be a nonnegative integer")
     return master
 

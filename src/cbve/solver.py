@@ -128,13 +128,13 @@ class CumulantSolution:
 
 def _pair(value, what: str = "lambda", signed: bool = False):
     """``value`` as two floats; ``ValueError`` unless it holds exactly two
-    real numbers (a string holds characters, not numbers), both finite and,
-    unless ``signed`` (the mean system's lambda), nonnegative."""
+    real numbers (not a string or a boolean), both finite and, unless
+    ``signed`` (the mean system's lambda), nonnegative."""
     try:
         pair = tuple(value)
     except TypeError:
         pair = ()
-    if len(pair) != 2 or not all(isinstance(v, Real) for v in pair):
+    if len(pair) != 2 or any(isinstance(v, bool) or not isinstance(v, Real) for v in pair):
         raise ValueError(f"{what} must be a pair of real numbers")
     a, b = float(pair[0]), float(pair[1])
     if not (math.isfinite(a) and math.isfinite(b) and (signed or min(a, b) >= 0.0)):

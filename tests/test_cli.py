@@ -528,6 +528,11 @@ class TestCommands:
         assert "FAIL admissibility" in capsys.readouterr().out
 
     def test_log_env_var(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("CBVE_LOG", "debug")
+        # only debug configures logging: no cbve logger writes above it
         path = _write(tmp_path, {"horizon": 1.0, "grid_cells": 8})
-        assert main(["validate", "--config", path]) == 0
+        for value, levels in (("debug", [cli.logging.DEBUG]), ("info", [])):
+            seen = []
+            monkeypatch.setattr(cli.logging, "basicConfig", lambda **kw: seen.append(kw["level"]))
+            monkeypatch.setenv("CBVE_LOG", value)
+            assert main(["validate", "--config", path]) == 0
+            assert seen == levels

@@ -189,9 +189,10 @@ class TestStateGuard:
         with pytest.raises(ValueError, match="lambda must be finite$"):
             mc_mean(sf, (1.0, 1.0), 1.0, lam, 20_000, 0)
 
-    @pytest.mark.parametrize("seed", [1.5, -1, "3", None, SeedSpec(2.0), SeedSpec(-4)])
+    @pytest.mark.parametrize("seed", [1.5, -1, "3", None, SeedSpec(2.0), SeedSpec(-4), True,
+                                      SeedSpec(True)])
     def test_bad_seed_is_refused_before_any_path(self, monkeypatch, seed):
-        # int(seed) used to run seed 1's paths for seed 1.5
+        # int(seed) used to run seed 1's paths for seed 1.5, and True ran them too
         sf = _jump_sf()
         self._no_paths(monkeypatch, "_run")
         with pytest.raises(ValueError, match="seed must be a nonnegative integer"):

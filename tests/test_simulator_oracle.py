@@ -143,6 +143,28 @@ def test_engine_matches_scalar_oracle_on_a_split_atom_batch():
     _check_block(sf, (1000.0, 0.0), 1.0, 31, n_paths=10)
 
 
+def test_engine_matches_scalar_oracle_when_paths_die_on_a_shared_window():
+    # a path with no jump in the first cell decays to exactly 0 in the first
+    # window of the second, while the time left is still one float for all
+    grid = TimeGrid(np.array([0.0, 0.5, 2.0]))
+    zero = StieltjesMeasure.zero(grid)
+    gamma11 = StieltjesMeasure(grid, np.array([0.0, -800.0]))
+    gamma22 = StieltjesMeasure(grid, np.array([0.0, 0.7]))
+    mu1 = JumpMeasure.from_segments(grid, [(0.0, 0.5, [(0.0, 1.0, 2.0)]),
+                                           (0.5, 2.0, [(0.0, 1.0, 1e-9)])])
+    sf = SpecialForm(grid, gamma11, gamma22, zero, zero, mu1, JumpMeasure.zero(grid))
+    _check_block(sf, (1.0, 0.0), 2.0, 5)
+
+
+def test_engine_matches_scalar_oracle_on_an_atom_no_path_can_fire():
+    # the type-2 kernel atom meets paths that hold no type-2 mass
+    grid = TimeGrid(np.array([0.0, 0.5, 2.0]))
+    zero = StieltjesMeasure.zero(grid)
+    mu2 = JumpMeasure.from_segments(grid, atoms=[(0.5, [(1.0, 0.0, 0.7)])])
+    sf = SpecialForm(grid, zero, zero, zero, zero, JumpMeasure.zero(grid), mu2)
+    _check_block(sf, (1.0, 0.0), 2.0, 31, n_paths=10)
+
+
 @pytest.mark.parametrize("case", range(5))
 def test_path_does_not_depend_on_the_grid_of_a_stretch(case):
     # cells of equal coefficients form one stretch, so a finer grid of the

@@ -789,10 +789,11 @@ def _pair_readers():
     ]
 
 
-@pytest.mark.parametrize("bad", ["12", "34", (1.0, 1.0, 7.0), 1.0, (1.0,), ("1", "2"), None])
+@pytest.mark.parametrize("bad", ["12", "34", (1.0, 1.0, 7.0), 1.0, (1.0,), ("1", "2"), None,
+                                 (True, 0.0)])
 def test_a_pair_is_exactly_two_real_numbers(bad):
-    # "12" used to read as (1, 2), (1, 1, 7) dropped its 7, and a scalar or a
-    # one-tuple raised a raw TypeError or IndexError
+    # "12" used to read as (1, 2), (1, 1, 7) dropped its 7, a scalar or a
+    # one-tuple raised a raw TypeError or IndexError, and True read as 1.0
     for what, read in _pair_readers():
         with pytest.raises(ValueError, match=f"^{what} must be a pair of real numbers$"):
             read(bad)
