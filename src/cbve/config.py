@@ -6,7 +6,8 @@ of [t0, t1, value] segments and an ``atoms`` list of [time, mass] pairs;
 jump measures carry a ``kernel`` list of [t0, t1, points] segments and an
 ``atoms`` list of [time, points] pairs with points [z1, z2, weight].  The
 grid is either ``grid_cells`` uniform cells (segment endpoints and atom
-times are inserted as extra nodes) or an explicit ``grid_nodes`` list.
+times are inserted as extra nodes) or an explicit ``grid_nodes`` list,
+whose last node a given ``horizon`` must equal.
 Emission is canonical, so parse(emit(parse(x))) reproduces the model
 exactly.
 """
@@ -116,9 +117,12 @@ def _build_grid(data: dict, sections: dict) -> TimeGrid:
             _fail("grid_nodes", "expected a list")
         nodes = [_float(f"grid_nodes[{i}]", v) for i, v in enumerate(data["grid_nodes"])]
         try:
-            return TimeGrid(np.asarray(nodes))
+            grid = TimeGrid(np.asarray(nodes))
         except ValueError as exc:
             _fail("grid_nodes", str(exc))
+        if "horizon" in data and abs(horizon - grid.horizon) > _NODE_TOL * max(1.0, grid.horizon):
+            _fail("horizon", f"{horizon!r} is not the last grid node {grid.horizon!r}")
+        return grid
     cells = data.get("grid_cells", 1000)
     if isinstance(cells, bool) or not isinstance(cells, int) or cells < 1:
         _fail("grid_cells", "must be a positive integer")

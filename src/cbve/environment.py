@@ -173,7 +173,7 @@ class Environment(_Model):
     def require_valid(self) -> None:
         report = self.validation
         if not report.ok:
-            raise AdmissibilityError("; ".join(report.messages) or "invalid environment")
+            raise AdmissibilityError("; ".join(report.messages))
 
     @cached_property
     def _cross_drifts(self) -> tuple:
@@ -367,7 +367,7 @@ def finite_activity_approximation(env: Environment, n: int) -> SpecialForm:
     every diagonal atom above -1.  Increasing n tightens the approximation
     monotonically.
     """
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError("approximation level must be a positive integer")
     env.require_valid()
     grid = env.grid

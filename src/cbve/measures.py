@@ -82,7 +82,7 @@ class TimeGrid:
 
     def refine(self, factor: int) -> "TimeGrid":
         """Split every cell into ``factor`` equal subcells, keeping all nodes."""
-        if not isinstance(factor, int) or factor < 1:
+        if isinstance(factor, bool) or not isinstance(factor, int) or factor < 1:
             raise ValueError("refinement factor must be a positive integer")
         if factor == 1:
             return self

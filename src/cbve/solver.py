@@ -33,7 +33,9 @@ stepped in a loop after them.  A leg (:func:`_leg`) sweeps a window of
 cells on the model's grid or a refinement of it: :func:`solve_general`
 those below the terminal node, :func:`check_flow` three over the nodes
 its residual reads.  Each leg first refuses a cell too wide for its decay
-rate, where the two-pass step would grow a decaying mode.  Every
+rate, where the two-pass step would grow a decaying mode.  In the loop
+only the clamp (a deficit beyond 1e-9, or NaN) and ``expm1``'s overflow
+refuse a cell; a +inf is refused after the loop.  Every
 solution's ``v`` is read-only, and the module keeps weak references to
 each model's live :func:`solve_general` solutions, so :func:`check_flow`
 reads its direct leg from one the caller holds rather than sweeping the
@@ -158,7 +160,6 @@ def _pair(value, what: str = "lambda", signed: bool = False):
 _LOOP = """\
 def sweep_runs(group, steps, buf, v1, v2, clamp):
     expm1 = math.expm1
-    inf = math.inf
     for lo, hi, a, (b11d, b22d, bb12d, bb21d, c1d, c2d, pts1, pts2) in group:
 {unpack}\
         if a is not None:
@@ -192,9 +193,6 @@ def sweep_runs(group, steps, buf, v1, v2, clamp):
                 v1 = clamp(v1)
             if not v2 >= 0.0:
                 v2 = clamp(v2)
-            # clamp refused NaN and -inf, so +inf is the one non-finite left
-            if v1 == inf or v2 == inf:
-                raise NumericalError("backward sweep produced non-finite values")
             k -= 2
             buf[k] = v1
             buf[k + 1] = v2
@@ -250,7 +248,7 @@ def _loop(signature):
         if capped not in _LOOPS:
             start = perf_counter()
             source = _loop_source(*capped)
-            scope = {"math": math, "NumericalError": NumericalError}
+            scope = {"math": math}
             exec(compile(source, f"<sweep loop {capped}>", "exec"), scope)
             _LOOPS[capped] = scope["sweep_runs"]
             _log.debug("sweep loop %s: %d lines, %.3f ms",
@@ -279,7 +277,10 @@ def _sweep(runs, steps, lam):
     compensated terms written out, then the rest in a loop: the arithmetic
     of one loop over the points, in the same order.  Returns ``v`` with one
     value per node of the window, the clamp count and the worst clamped
-    deficit.
+    deficit.  :func:`_leg` refuses stiff cells first; in the loop the clamp
+    refuses a large deficit or NaN, and ``expm1``'s overflow too coarse a
+    grid; a +inf is refused once, after the loop, as nonnegative cross
+    coefficients keep it +inf or turn it NaN at the next step.
     """
     n = len(steps)
     v1, v2 = lam
@@ -309,7 +310,10 @@ def _sweep(runs, steps, lam):
     except OverflowError:
         raise DiscretizationError(
             "backward sweep overflowed; refine the grid") from None
-    return np.frombuffer(buf).reshape(n + 1, 2), clamp_events, worst_deficit
+    v = np.frombuffer(buf).reshape(n + 1, 2)
+    if not np.isfinite(v).all():  # only +inf: the clamp refused NaN and -inf
+        raise NumericalError("backward sweep produced non-finite values")
+    return v, clamp_events, worst_deficit
 
 
 def _window(runs, lo: int, hi: int, f: int) -> list:

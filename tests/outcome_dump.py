@@ -12,15 +12,16 @@ model, then the model's name.  Only the public API, ``_flow_residual``
 and ``_simulate_paths`` are called, so two checkouts give the same
 outcomes, bit for bit, exactly when their digest files are equal; ``diff``
 names the models that differ.  A summary (models, outcomes, typed errors,
-seconds) goes to stderr.
+the non-finite ones among them, seconds) goes to stderr.
 
 The models: 160 ``random_environment``s on 4-63 cells with T of 1, 5, 20
 and 60; 20 ``random_special_form``s on 4-63 cells with T of 1 and 5, and
 their general forms; 8 ``verify_scan`` and 6 ``picard_route`` generator
 models (seed 11), the latter with their general forms; the shipped
-configurations; the two per-run models of ``tests/sweep_ab.py``; and an
+configurations; the two per-run models of ``tests/sweep_ab.py``; an
 environment and a special form (with its general form) whose b11 or
-gamma11 and kernel points hold both 0.0 and -0.0.
+gamma11 and kernel points hold both 0.0 and -0.0; and the 8
+environments of :func:`_non_finite`, whose sweeps reach +inf or NaN.
 
 The outcomes of a general environment: ``solve_general`` at T and at the
 middle node and ``solve_moment`` at T, at each lambda of ``LAMS``;
@@ -33,8 +34,9 @@ special form: ``emit_config``, ``solve_special_picard`` at T at each
 lambda, ``special_mechanism_increment`` of each type over (0, T] for the
 same node function, and ``_simulate_paths`` of 5 paths, seed 3, from
 (1, 1) to T.  A typed error (a ``CBVEError`` or ``ValueError``) counts as
-its class and message.  The full run reads 230 models, 5,908 outcomes and
-2,217 typed errors.  pytest does not collect this file.
+its class and message.  The full run reads 238 models, 6,132 outcomes and
+2,378 typed errors, 141 of them non-finite (111 sweeps and 30 mean
+solves).  pytest does not collect this file.
 """
 from __future__ import annotations
 
@@ -80,6 +82,32 @@ def _signed_zeros(cbve, inst):
             inst.make_sf(grid, g11=diag, g12=cross, mu1=jump))
 
 
+def _non_finite(cbve, inst):
+    """(name, environment) of the models of the sweep's +inf and NaN
+    refusals.  Those of ``tests/test_solver.py``: b_ii of -1e300 on 4 cells
+    and of -1e200 on 1 cell, for each type, whose sweeps overflow to +inf
+    and then NaN; and b11 of -1e10 with c1 of 1 on 4 cells, which turns NaN
+    only from lambda_1 = 1e300, so at ``LAMS`` it refuses deficits.  A b11
+    atom of -1e306 at the middle node of 4 cells, which sends v1 to +inf in
+    the atom step.  And b_ii of -1.7e154 on 1 cell, where lambda_1 = 0.7
+    goes to +inf in the corrector with no NaN on the way (the predictor's
+    square, 1.4e308, stays finite), so only the sweep's test after its loop
+    refuses it; elsewhere a +inf turns NaN at the next step, where the
+    clamp refuses it."""
+    out = []
+    for cells, density in ((4, -1e300), (1, -1e200), (1, -1.7e154)):
+        grid = inst.uniform_grid(1.0, cells)
+        diag = cbve.StieltjesMeasure(grid, [density] * cells)
+        out += [(f"overflow_b{i}{i}[{density!r}]", inst.make_env(grid, **{f"b{i}{i}": diag}))
+                for i in (1, 2)]
+    grid = inst.uniform_grid(1.0, 4)
+    out.append(("nan_b11", inst.make_env(grid, b11=cbve.StieltjesMeasure(grid, [-1e10] * 4),
+                                         c1=cbve.StieltjesMeasure(grid, [1.0] * 4))))
+    atom = cbve.StieltjesMeasure(grid, [0.0] * 4, [(0.5, -1e306)])
+    out.append(("overflow_b11_atom", inst.make_env(grid, b11=atom)))
+    return out
+
+
 def models(cbve):
     """(name, function that builds the model) of every model, in order."""
     sys.path.insert(0, str(ROOT / "tests"))
@@ -112,6 +140,7 @@ def models(cbve):
             (name, lambda p=path: cbve.load_config(p).model))
     built = sweep_ab.models()
     out += [(name, lambda b=built[name]: b(cbve)) for name in ("per_cell_b11", "atom_every_node")]
+    out += [(name, lambda env=env: env) for name, env in _non_finite(cbve, inst)]
     env, sf = _signed_zeros(cbve, inst)
     out.append(("signed_zeros_environment", lambda: env))
     special.append(("signed_zeros_special_form", lambda: sf))
@@ -195,7 +224,7 @@ def main(argv) -> int:
     import cbve
 
     start = perf_counter()
-    counts = [0, 0, 0]  # models, outcomes, typed errors
+    counts = [0, 0, 0, 0]  # models, outcomes, typed errors, non-finite ones
     for name, build in models(cbve):
         digest = hashlib.sha256()
         for label, fn in _outcomes(cbve, build):
@@ -203,10 +232,11 @@ def main(argv) -> int:
             digest.update(b"%s\0%s\0" % (label.encode(), out))
             counts[1] += 1
             counts[2] += error
+            counts[3] += error and b"non-finite" in out
         counts[0] += 1
         print(f"{digest.hexdigest()} {name}", flush=True)
-    print(f"{counts[0]} models, {counts[1]} outcomes, {counts[2]} typed errors, "
-          f"{perf_counter() - start:.1f} s", file=sys.stderr)
+    print(f"{counts[0]} models, {counts[1]} outcomes, {counts[2]} typed errors "
+          f"({counts[3]} non-finite), {perf_counter() - start:.1f} s", file=sys.stderr)
     return 0
 
 

@@ -125,6 +125,7 @@ def test_malformed_entries_are_config_errors(tmp_path, capsys, grid, case):
     ("grid: time 2.0 outside [0, 1.0]", {"grid_cells": 4, "b11": {"atoms": [[2.0, 0.1]]}}),
     ("top level: expected an object", []),
     ("grid_cells: must be a positive integer", {"grid_cells": True}),
+    ("horizon: 2.0 is not the last grid node 1.0", {"horizon": 2.0, "grid_nodes": [0, 0.5, 1]}),
 ])
 def test_malformed_documents_are_config_errors(tmp_path, capsys, field, data):
     assert main(["validate", "--config", _write(tmp_path, data)]) == 2

@@ -398,8 +398,9 @@ class TestFiniteActivityApproximation:
 
     def test_invalid_level(self):
         env = make_env(uniform_grid(cells=10))
-        with pytest.raises(ValueError):
-            finite_activity_approximation(env, 0)
+        for n in (0, True):  # a boolean is not a count
+            with pytest.raises(ValueError, match="approximation level must be a positive integer"):
+                finite_activity_approximation(env, n)
 
     def test_diagonal_atoms_stay_above_minus_one(self):
         rng = np.random.default_rng(21)

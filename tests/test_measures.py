@@ -30,8 +30,9 @@ class TestTimeGrid:
         assert np.array_equal(fine.nodes[::3], grid.nodes)
 
     def test_refine_rejects_zero(self):
-        with pytest.raises(ValueError):
-            uniform_grid().refine(0)
+        for factor in (0, True):  # a boolean is not a count
+            with pytest.raises(ValueError, match="refinement factor must be a positive integer"):
+                uniform_grid().refine(factor)
 
     def test_validation(self):
         with pytest.raises(ValueError):

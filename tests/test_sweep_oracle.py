@@ -3,11 +3,12 @@
 :func:`_reference.sweep` calls the clamp on every value, tests finiteness
 with ``math.isfinite``, stores each node into a numpy array and reads one
 row of :func:`_reference.cell_table` per cell; :func:`cbve.solver._sweep`
-clamps only below zero, tests for +inf, writes its nodes to a flat double
-buffer and reads a window of the compiled runs with its steps, half widths
-and negated points.  The arithmetic is the same, so on random admissible
-environments, over random windows of their runs (empty ones too) scaled 1
-to 4 ways (the reference splitting its rows as many ways), the two return
+clamps only below zero, tests for +inf once after its loop, writes its
+nodes to a flat double buffer and reads a window of the compiled runs with
+its steps, half widths and negated points.  The arithmetic is the same, so
+on random admissible environments, over random windows of their runs
+(empty ones too) scaled 1 to 4 ways (the reference splitting its rows as
+many ways), the two return
 the same bytes, clamp counts and worst deficits, or raise the same error
 with the same message.  Large lambda makes the sweep refuse coarse grids, so both
 outcomes occur; lambda components of -0.0 occur too.  Each window,
@@ -32,7 +33,9 @@ random models do not: points with coordinates 0.0 and -0.0, whose
 negation flips the sign of zero, against lambda components of 0.0 and
 -0.0; and, since no admissible model clamps, the clamp's three branches (a
 small deficit clamped, a large one refused, NaN refused) through the atom
-step and through the corrector, on either type.
+step and through the corrector, on either type, and a value sent to +inf
+by either step with no NaN on the way, which only the test after the loop
+refuses.
 """
 import math
 import os
@@ -286,6 +289,23 @@ def _nan_rows(step, i):
     return (_row(b22=1e200, b21=-1e200, c2=1.0),)
 
 
+def _inf_rows(step, i):
+    """One row whose ``step`` sends type i from 0 to +inf, the other type
+    at 1, with no NaN on the way.  The corrector: a cross drift of 1e150
+    onto type i and its own drift -1e200, whose product with the predictor
+    of 1e150 overflows, leaving the other type at 1.  The atom: a cross mass
+    of +inf onto type i, before a cell that takes both types to +inf (own
+    drifts and quadratic coefficients -1, cross drifts 1), where a zero
+    coefficient would make a NaN of inf * 0."""
+    if step == "atom":
+        ab12, ab21 = (math.inf, 0.0) if i == 1 else (0.0, math.inf)
+        return (_row(atom=_atom(ab12, ab21), b11=-1.0, b22=-1.0, b12=1.0, b21=1.0,
+                     c1=-1.0, c2=-1.0),)
+    if i == 1:
+        return (_row(b11=-1e200, b12=1e150),)
+    return (_row(b22=-1e200, b21=1e150),)
+
+
 _LAM = {1: (0.0, 1.0), 2: (1.0, 0.0)}
 _STEPS = [("atom", 1), ("atom", 2), ("corrector", 1), ("corrector", 2)]
 
@@ -319,6 +339,14 @@ def test_large_deficit_is_refused(step, i):
 @pytest.mark.parametrize("step, i", _STEPS)
 def test_nan_is_refused(step, i):
     rows = _nan_rows(step, i)
+    with pytest.raises(NumericalError, match="non-finite"):
+        _sweep(*_compiled(rows), _LAM[i])
+    _same(rows, _LAM[i])
+
+
+@pytest.mark.parametrize("step, i", _STEPS)
+def test_overflow_to_inf_is_refused(step, i):
+    rows = _inf_rows(step, i)
     with pytest.raises(NumericalError, match="non-finite"):
         _sweep(*_compiled(rows), _LAM[i])
     _same(rows, _LAM[i])
