@@ -65,7 +65,7 @@ from .environment import SpecialForm, special_to_general
 from .errors import NumericalError
 from .moments import solve_moment
 from .solver import _LOG_MAX, _pair, solve_special_picard
-from .streams import WIDTH, PCGStreams
+from .streams import WIDTH, PCGStreams, _master_seed
 
 __all__ = ["SeedSpec", "PathEvent", "MCEstimate", "simulate_path", "mc_laplace", "mc_mean"]
 
@@ -408,18 +408,6 @@ def _run(tab, M: int, x1, x2, uniforms, events=None):
     return x1, x2
 
 
-def _master_seed(seed) -> int:
-    """The master seed of an int (not a bool) or a :class:`SeedSpec`, or ``ValueError``."""
-    seed = seed.master_seed if isinstance(seed, SeedSpec) else seed
-    try:
-        master = operator.index(seed)
-    except TypeError:
-        master = -1
-    if master < 0 or isinstance(seed, bool):
-        raise ValueError("seed must be a nonnegative integer")
-    return master
-
-
 def simulate_path(sf: SpecialForm, x0, t: float, seed):
     """Simulate one path up to time t; returns (final state, event list).
 
@@ -431,7 +419,8 @@ def simulate_path(sf: SpecialForm, x0, t: float, seed):
     x1, x2 = _pair(x0, "initial state")
     M = sf.grid.index_of(t)
     if not isinstance(seed, np.random.Generator):
-        seed = SeedSpec(_master_seed(seed)).generator(0)
+        master = _master_seed(seed.master_seed if isinstance(seed, SeedSpec) else seed)
+        seed = SeedSpec(_master_seed(master)).generator(0)
     uniforms = _Uniforms(1, lambda rows: seed.random((rows.size, WIDTH)))
     events = [[]]
     fx1, fx2 = _run(sf._sim_table, M, np.array([x1]), np.array([x2]), uniforms, events)
@@ -443,7 +432,7 @@ def _blocks(sf, x0, t, seed, n_paths, events=None):
     block's ``start, stop`` and final states ``(x1, x2)``."""
     x1, x2 = _pair(x0, "initial state")
     M = sf.grid.index_of(t)
-    master = _master_seed(seed)
+    master = _master_seed(seed.master_seed if isinstance(seed, SeedSpec) else seed)
     for start in range(0, n_paths, _BLOCK):
         stop = min(start + _BLOCK, n_paths)
         n = stop - start

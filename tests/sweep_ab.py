@@ -53,7 +53,18 @@ The models are the bench generators' (``bench/inputs.py``, seed 11): the
 ``picard_route`` special form; the four shipped configurations;
 and two models where every cell is its own run, the ``lambda_sweep``
 model with a density of b11 drawn per cell and with a b11 atom on every
-node.  pytest does not collect this file.
+node.
+
+After the sweep rows come the Monte-Carlo rows, timed the same way (one
+untimed call per side, then ``CALLS`` alternating calls, A then B, call i
+on master seed i for both sides): ``streams seed_block_1000``, the
+seeding of ``PCGStreams`` for paths 0..999 plus their first block of
+uniforms, and, on each of the five criterion-8 cases of
+``tests/_instances.py`` (``mc_case1`` to ``mc_case5``, built per side with
+that side's package), ``mc_laplace`` and ``mc_mean`` at 1,000 paths
+up to the form's horizon.  Their cached reference solves are built in the
+untimed call, as in the ``mc_crosscheck`` workload's set-up.  pytest
+does not collect this file.
 """
 from __future__ import annotations
 
@@ -67,8 +78,11 @@ from functools import partial
 from pathlib import Path
 from time import perf_counter
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 11
+MC_PATHS = 1000
 CONFIGS = ("bottleneck", "feller", "jump_special", "mixed_environment")
 
 
@@ -166,6 +180,51 @@ def _calls(pkg, model):
     return calls
 
 
+def _mc_cases(pkg) -> list:
+    """``_instances.mc_cases()``, built with ``pkg`` imported as ``cbve``."""
+    saved = sys.modules.get("cbve")
+    sys.modules["cbve"] = pkg
+    try:
+        spec = importlib.util.spec_from_file_location(
+            f"_instances_{pkg.__name__}", ROOT / "tests" / "_instances.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        if saved is None:
+            del sys.modules["cbve"]
+        else:
+            sys.modules["cbve"] = saved
+    return module.mc_cases()
+
+
+def _mc_calls(pkg) -> dict:
+    """Each Monte-Carlo row's name and a function of a master seed that
+    runs it."""
+    paths = np.arange(MC_PATHS)
+    calls = {("streams", "seed_block_1000"):
+             lambda seed: pkg.streams.PCGStreams(seed, paths).block(paths)}
+    for k, (sf, x0, lam) in enumerate(_mc_cases(pkg), 1):
+        for fn in ("mc_laplace", "mc_mean"):
+            calls[f"mc_case{k}", fn] = partial(getattr(pkg, fn), sf, x0, sf.horizon, lam,
+                                               MC_PATHS)
+    return calls
+
+
+def _ab(fa, fb, calls: int):
+    """Median ms of A and B over ``calls`` alternating calls, and the
+    number of calls in which B was faster.  Call ``i`` sets up ``fa(i)``
+    and ``fb(i)`` outside the timer and times the functions they return,
+    A then B."""
+    ta, tb = [], []
+    for i in range(calls):
+        for f, times in ((fa, ta), (fb, tb)):
+            run = f(i)
+            start = perf_counter()
+            run()
+            times.append(1e3 * (perf_counter() - start))
+    return statistics.median(ta), statistics.median(tb), sum(x > y for x, y in zip(ta, tb))
+
+
 def _steps_kb(pkg, model) -> list:
     """(peak, kept) KB of each memory-pass step on ``model``, traced apart."""
     env = _general(pkg, model)
@@ -210,16 +269,14 @@ def main(argv) -> int:
         for call in sides[0]:
             fa, fb = sides[0][call], sides[1][call]
             fa()(), fb()()
-            ta, tb = [], []
-            for _ in range(calls):
-                for f, times in ((fa, ta), (fb, tb)):
-                    run = f()
-                    start = perf_counter()
-                    run()
-                    times.append(1e3 * (perf_counter() - start))
-            ma, mb = statistics.median(ta), statistics.median(tb)
-            wins = sum(x > y for x, y in zip(ta, tb))
+            ma, mb, wins = _ab(lambda i: fa(), lambda i: fb(), calls)
             print(f"{name} {call} {ma:.3f} {mb:.3f} {mb / ma:.3f} {wins}/{calls}", flush=True)
+    sides = [_mc_calls(pkg) for pkg in (a, b)]
+    for (name, call), fa in sides[0].items():
+        fb = sides[1][name, call]
+        fa(0), fb(0)
+        ma, mb, wins = _ab(lambda i: partial(fa, i), lambda i: partial(fb, i), calls)
+        print(f"{name} {call} {ma:.3f} {mb:.3f} {mb / ma:.3f} {wins}/{calls}", flush=True)
     return 0
 
 

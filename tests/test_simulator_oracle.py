@@ -3,7 +3,9 @@
 :class:`cbve.streams.PCGStreams` must reproduce
 ``SeedSpec(m).generator(k).random()`` bit for bit, for short and long
 master seeds and path indices up to 2**32 - 1, including streams refilled
-at different times.  The engine, run on a block of paths with event
+at different times and blocks of rows in descending order, of one row and
+of none; it refuses any other master seed or path indices with
+``ValueError``.  The engine, run on a block of paths with event
 capture, must give every path the events of :func:`_reference.simulate`
 driven by that path's generator, with final states equal to rounding:
 both draw the same uniforms in the same order and apply the same ufuncs,
@@ -36,7 +38,7 @@ _TOL = 1e-14
 _PATHS = 40
 
 
-@pytest.mark.parametrize("master", [0, 8200, 2**63 - 25, 2**200 + 7])
+@pytest.mark.parametrize("master", [0, 8200, 2**63 - 25, 2**128 - 1, 2**200 + 7])
 def test_streams_match_seedspec_generators(master):
     edge = [0, 1, 2, 99, 2**16 + 3, 2**31, 2**32 - 2, 2**32 - 1]
     # enough paths that one block call spans several array passes
@@ -44,24 +46,27 @@ def test_streams_match_seedspec_generators(master):
     assert paths.size > 2 * (_CHUNK // WIDTH)
     streams = PCGStreams(master, paths)
     rows = np.arange(paths.size)
-    # every stream draws three blocks; the odd rows a fourth, out of step
-    got = [streams.block(rows) for _ in range(3)]
-    extra = streams.block(rows[1::2])
+    # every stream draws three blocks, the last in descending row order;
+    # the odd rows a fourth, out of step; then one row, then no row, which
+    # advances nothing, then every stream once more
+    calls = [rows, rows, rows[::-1], rows[1::2], rows[5:6], rows[:0], rows]
+    got = [streams.block(r) for r in calls]
     spec = SeedSpec(master)
-    for r, k in enumerate(paths.tolist()):
-        want = spec.generator(k).random(4 * WIDTH)
-        assert np.array_equal(np.concatenate([g[r] for g in got]), want[:3 * WIDTH])
-        if r % 2:
-            assert np.array_equal(extra[r // 2], want[3 * WIDTH:])
+    drawn = np.zeros(paths.size, dtype=int)
+    want = [spec.generator(k).random(6 * WIDTH) for k in paths.tolist()]
+    for r, g in zip(calls, got):
+        assert g.shape == (r.size, WIDTH)
+        for row, uniforms in zip(r.tolist(), g):
+            assert np.array_equal(uniforms, want[row][drawn[row]:drawn[row] + WIDTH])
+            drawn[row] += WIDTH
 
 
 def test_streams_reject_out_of_range_input():
-    with pytest.raises(ValueError):
-        PCGStreams(1, [2**32])
-    with pytest.raises(ValueError):
-        PCGStreams(1, [-1])
-    with pytest.raises(ValueError):
-        PCGStreams(-1, [0])
+    bad = [(1, [2**32]), (1, [-1]), (-1, [0]), (1.5, [0]), (True, [0]), (1, [1.5]),
+           (1, [[0, 1]]), (1, 3), (1, [True]), (1, [2**63]), (1, [2**64])]
+    for master, paths in bad:
+        with pytest.raises(ValueError):
+            PCGStreams(master, paths)
 
 
 _POINTS = st.lists(
